@@ -45,6 +45,15 @@ def _check_offline(offline: bool, endpoint: Optional[str], api_key: Optional[str
         )
 
 
+def _make_embedder(offline: bool, dim: int, endpoint: Optional[str],
+                   embed_model: Optional[str], api_key: Optional[str]) -> providers.EmbeddingProvider:
+    if offline:
+        return providers.OfflineHashEmbedder(dim=dim)
+    if not endpoint or not embed_model:
+        raise click.UsageError("remote embedding needs --endpoint and --embed-model (or env)")
+    return providers.RemoteEmbeddingProvider(endpoint, embed_model, api_key=api_key)
+
+
 def _parse_prefix_filter(text: Optional[str]) -> Optional[tuple[str, ...]]:
     if text is None:
         return taxonomy.DEFAULT_PREFIX_FILTER
@@ -143,12 +152,7 @@ def cmd_index_build(rendered_path: str, database: str, index_dir: str, offline: 
         kind = taxonomy.DatabaseKind(database)
         texts = [(code, fields[kind.value]) for code, fields in docs.items()]
         kw_index = retrieval.build_keyword_index(texts, k1=k1, b=b)
-        if offline:
-            embedder = providers.OfflineHashEmbedder(dim=dim)
-        else:
-            if not endpoint or not embed_model:
-                raise click.UsageError("remote embedding needs --endpoint and --embed-model (or env)")
-            embedder = providers.RemoteEmbeddingProvider(endpoint, embed_model, api_key=api_key)
+        embedder = _make_embedder(offline, dim, endpoint, embed_model, api_key)
         cache = providers.EmbeddingCache(embed_cache) if embed_cache else None
         vectors = providers.embed_many([t for _, t in texts], embedder, cache)
         vec_index = retrieval.build_vector_index(
@@ -156,7 +160,7 @@ def cmd_index_build(rendered_path: str, database: str, index_dir: str, offline: 
         )
         config = {
             "database": kind.value,
-            "embedder": embedder.provider_id if offline else f"remote:{embed_model}",
+            "embedder": embedder.provider_id,
             "k1": k1,
             "b": b,
             "doc_count": len(texts),
@@ -195,9 +199,9 @@ def cmd_describe(manifest_path: str, mode: str, cache_path: str, offline: bool,
     desc_mode = providers.DescriptionMode(mode)
     try:
         rows = pipeline.read_manifest(manifest_path)
+        cache = providers.DescriptionCache(cache_path)
     except IconclassifyError as exc:
         raise _fail(exc)
-    cache = providers.DescriptionCache(cache_path)
 
     cached = passed = generated = 0
     pending: list[pipeline.ManifestRow] = []
@@ -258,10 +262,10 @@ def cmd_describe(manifest_path: str, mode: str, cache_path: str, offline: bool,
 @click.option("--mode", type=click.Choice(["page", "illustration"]), default="page", show_default=True)
 @click.option("--database", type=click.Choice(["basic", "hierarchical"]), default="basic", show_default=True)
 @click.option("--alpha", type=float, default=retrieval.DEFAULT_ALPHA, show_default=True)
-@click.option("--rag-k", type=int, default=pipeline.DEFAULT_RAG_K, show_default=True)
-@click.option("--pool", type=int, default=retrieval.DEFAULT_POOL, show_default=True,
+@click.option("--rag-k", type=click.IntRange(min=1), default=pipeline.DEFAULT_RAG_K, show_default=True)
+@click.option("--pool", type=click.IntRange(min=1), default=retrieval.DEFAULT_POOL, show_default=True,
               help="Hybrid candidate pool size per method.")
-@click.option("--vote-k", type=int, default=retrieval.DEFAULT_VOTE_K, show_default=True,
+@click.option("--vote-k", type=click.IntRange(min=1), default=retrieval.DEFAULT_VOTE_K, show_default=True,
               help="Neighbours consulted by the image method.")
 @click.option("--taxonomy", "rendered_path", required=True, type=click.Path(exists=True, dir_okay=False),
               help="Rendered taxonomy JSONL from `taxonomy build`.")
@@ -305,15 +309,10 @@ def cmd_classify(manifest_path: str, method_name: str, mode: str, database: str,
         if needs_index:
             if not index_dir:
                 raise MissingIndexError(f"--index-dir is required for method {method.label}")
-            kw_index, vec_index, _ = retrieval.load_index(index_dir)
+            kw_index, vec_index, index_meta = retrieval.load_index(index_dir)
             ctx.keyword_index = kw_index
             ctx.vector_index = vec_index
-            if offline:
-                ctx.embedder = providers.OfflineHashEmbedder(dim=vec_index.dim)
-            else:
-                if not endpoint or not embed_model:
-                    raise click.UsageError("remote embedding needs --endpoint and --embed-model (or env)")
-                ctx.embedder = providers.RemoteEmbeddingProvider(endpoint, embed_model, api_key=api_key)
+            ctx.embedder = _make_embedder(offline, vec_index.dim, endpoint, embed_model, api_key)
             if embed_cache:
                 ctx.embedding_cache = providers.EmbeddingCache(embed_cache)
             if method.query_kind in (pipeline.QueryKind.RAG_VECTOR, pipeline.QueryKind.RAG_HYBRID) \
@@ -321,6 +320,11 @@ def cmd_classify(manifest_path: str, method_name: str, mode: str, database: str,
                 if not endpoint or not chat_model:
                     raise click.UsageError("RAG selection needs --endpoint and --chat-model (or env)")
                 ctx.chat = providers.RemoteChatProvider(endpoint, chat_model, api_key=api_key)
+            built = index_meta.get("config", {})
+            for field, wanted in (("database", database), ("embedder", ctx.embedder.provider_id)):
+                if built.get(field) != wanted:
+                    raise IconclassifyError(f"{index_dir} was built with {field} {built.get(field)!r}, "
+                                            f"but this run uses {wanted!r}; rebuild the index or match it")
         else:
             if not refs_path:
                 raise MissingIndexError("--refs is required for the image method")

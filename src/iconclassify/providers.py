@@ -13,7 +13,7 @@ import hashlib
 import json
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from importlib import resources
@@ -21,11 +21,11 @@ from pathlib import Path
 from typing import Optional, Protocol, Sequence, Union
 
 import numpy as np
-import requests
 
 from .errors import (
     EmptyResponseError,
     EmptyTextError,
+    MalformedLineError,
     ProviderUnavailableError,
     ZeroVectorError,
 )
@@ -103,6 +103,8 @@ class _RetryingPoster:
         self._gate = threading.Semaphore(max_in_flight)
 
     def post(self, url: str, payload: dict) -> dict:
+        import requests  # only remote calls need it, and it is slow to import
+
         last_error = "no attempts made"
         for attempt in range(self.retries):
             if attempt:
@@ -237,25 +239,6 @@ class OfflineHashEmbedder:
 
 
 @dataclass(frozen=True)
-class EmbeddingProviderConfig:
-    kind: str  # "remote" or "offline-hash"
-    endpoint: Optional[str] = None
-    model: Optional[str] = None
-    api_key: Optional[str] = None
-    dim: int = DEFAULT_OFFLINE_DIM
-
-
-def make_embedding_provider(config: EmbeddingProviderConfig):
-    if config.kind == "offline-hash":
-        return OfflineHashEmbedder(dim=config.dim)
-    if config.kind == "remote":
-        if not config.endpoint or not config.model:
-            raise ValueError("remote embedding provider needs endpoint and model")
-        return RemoteEmbeddingProvider(config.endpoint, config.model, api_key=config.api_key)
-    raise ValueError(f"unknown embedding provider kind {config.kind!r}")
-
-
-@dataclass(frozen=True)
 class DescriptionRequest:
     image_id: str
     image_bytes: bytes
@@ -272,97 +255,99 @@ class DescriptionRecord:
     prompt_version: str = PROMPT_VERSION
 
 
-class DescriptionCache:
-    """Append-only JSONL cache of generated descriptions, keyed (image_id, mode).
+class _AppendOnlyCache:
+    """Append-only JSONL records, keyed by the subclass's `_decode(obj) -> (key,
+    value)`. The first record for a key wins, so interrupted runs resume.
 
-    The first record for a key wins; later puts for the same key are no-ops,
-    which makes interrupted batch runs safely resumable.
+    A crash mid-append can leave an unterminated final line: loading skips
+    it if it does not decode, and the next put first cuts it off (or ends
+    it, if it did). Any other bad line raises MalformedLineError.
     """
 
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
-        self._records: dict[tuple[str, str], DescriptionRecord] = {}
+        self._records: dict = {}
         self._lock = threading.Lock()
-        if self.path.is_file():
-            with open(self.path, encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    obj = json.loads(line)
-                    rec = DescriptionRecord(
-                        image_id=obj["image_id"],
-                        mode=DescriptionMode(obj["mode"]),
-                        text=obj["text"],
-                        model_id=obj.get("model_id", ""),
-                        created_at=obj.get("created_at", ""),
-                        prompt_version=obj.get("prompt_version", PROMPT_VERSION),
-                    )
-                    self._records.setdefault((rec.image_id, rec.mode.value), rec)
+        self._cut: Optional[int] = None  # byte offset of a torn final line
+        self._lead = ""  # "\n" when the final line decoded but is unterminated
+        if not self.path.is_file():
+            return
+        offset = 0
+        with open(self.path, "rb") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                ended = line.endswith(b"\n")  # only the final line can lack one
+                if line.strip():
+                    try:
+                        key, value = self._decode(json.loads(line))
+                        self._records.setdefault(key, value)
+                        self._lead = "" if ended else "\n"
+                    except (ValueError, KeyError, TypeError) as exc:
+                        if ended:
+                            raise MalformedLineError(line_no, f"{self.path}: bad cache record: {exc!r}") from exc
+                        self._cut = offset
+                offset += len(line)
 
     def __len__(self) -> int:
         return len(self._records)
+
+    def _put(self, key: tuple, value, line: str) -> None:
+        with self._lock:
+            if key in self._records:
+                return
+            self._records[key] = value
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            with open(self.path, "a", encoding="utf-8") as fh:
+                if self._cut is not None:
+                    fh.truncate(self._cut)
+                fh.write(self._lead + line + "\n")
+                fh.flush()
+            self._cut, self._lead = None, ""
+
+
+class DescriptionCache(_AppendOnlyCache):
+    """Cache of generated descriptions, keyed (image_id, mode)."""
+
+    def __init__(self, path: Union[str, Path]):  # benchmarks/tracing.py times this class's own __init__
+        super().__init__(path)
+
+    @staticmethod
+    def _decode(obj: dict) -> tuple[tuple[str, str], DescriptionRecord]:
+        rec = DescriptionRecord(
+            image_id=obj["image_id"],
+            mode=DescriptionMode(obj["mode"]),
+            text=obj["text"],
+            model_id=obj.get("model_id", ""),
+            created_at=obj.get("created_at", ""),
+            prompt_version=obj.get("prompt_version", PROMPT_VERSION),
+        )
+        return (rec.image_id, rec.mode.value), rec
 
     def get(self, image_id: str, mode: DescriptionMode) -> Optional[DescriptionRecord]:
         return self._records.get((image_id, mode.value))
 
     def put(self, record: DescriptionRecord) -> None:
-        key = (record.image_id, record.mode.value)
-        with self._lock:
-            if key in self._records:
-                return
-            self._records[key] = record
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps({
-                    "image_id": record.image_id,
-                    "mode": record.mode.value,
-                    "text": record.text,
-                    "model_id": record.model_id,
-                    "created_at": record.created_at,
-                    "prompt_version": record.prompt_version,
-                }, ensure_ascii=False) + "\n")
-                fh.flush()
+        line = json.dumps({**asdict(record), "mode": record.mode.value}, ensure_ascii=False)
+        self._put((record.image_id, record.mode.value), record, line)
 
 
-class EmbeddingCache:
-    """Append-only JSONL cache keyed by (provider id, sha256 of the text)."""
+class EmbeddingCache(_AppendOnlyCache):
+    """Cache of embeddings keyed by (provider id, sha256 of the text)."""
 
-    def __init__(self, path: Union[str, Path]):
-        self.path = Path(path)
-        self._records: dict[tuple[str, str], list[float]] = {}
-        self._lock = threading.Lock()
-        if self.path.is_file():
-            with open(self.path, encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    obj = json.loads(line)
-                    key = (obj["provider"], obj["hash"])
-                    self._records.setdefault(key, [float(x) for x in obj["vector"]])
+    @staticmethod
+    def _decode(obj: dict) -> tuple[tuple[str, str], list[float]]:
+        return (obj["provider"], obj["hash"]), [float(x) for x in obj["vector"]]
 
     @staticmethod
     def _digest(text: str) -> str:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-    def __len__(self) -> int:
-        return len(self._records)
 
     def get(self, provider_id: str, text: str) -> Optional[list[float]]:
         return self._records.get((provider_id, self._digest(text)))
 
     def put(self, provider_id: str, text: str, vector: Sequence[float]) -> None:
         key = (provider_id, self._digest(text))
-        with self._lock:
-            if key in self._records:
-                return
-            vec = [float(x) for x in vector]
-            self._records[key] = vec
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps({"provider": key[0], "hash": key[1], "vector": vec}) + "\n")
-                fh.flush()
+        vec = [float(x) for x in vector]
+        self._put(key, vec, json.dumps({"provider": key[0], "hash": key[1], "vector": vec}))
 
 
 def describe_image(

@@ -11,10 +11,10 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -127,6 +127,7 @@ def keyword_search(index: KeywordIndex, query: str, k: int) -> list[RankedHit]:
 
     Documents scoring 0 (no query term present) are excluded entirely.
     """
+    _require_k(k)
     terms = tokenize(query)
     scores: dict[str, float] = {}
     for term in terms:
@@ -154,7 +155,7 @@ class VectorIndex:
     dim: int
     ids: list[str]
     matrix: np.ndarray
-    norms: list[float] = field(default_factory=list)
+    norms: np.ndarray
 
 
 def build_vector_index(rows: Iterable[tuple[str, Sequence[float]]]) -> VectorIndex:
@@ -185,10 +186,11 @@ def build_vector_index(rows: Iterable[tuple[str, Sequence[float]]]) -> VectorInd
     if not ids:
         raise EmptyCorpusError("no vectors to index")
     matrix = np.vstack(vectors)
-    norms = [float(np.linalg.norm(matrix[i])) for i in range(len(ids))]
-    for doc_id, n in zip(ids, norms):
-        if n == 0.0:
-            raise ZeroVectorError(f"{doc_id!r}: zero vector cannot be indexed")
+    # each entry equals np.linalg.norm of its row: the same dot, then sqrt
+    norms = np.sqrt(np.vecdot(matrix, matrix))
+    bad = np.flatnonzero(~((norms > 0.0) & (norms < math.inf)))
+    if bad.size:
+        raise ZeroVectorError(f"{ids[bad[0]]!r}: zero or non-finite vector cannot be indexed")
     return VectorIndex(dim=dim, ids=ids, matrix=matrix, norms=norms)
 
 
@@ -205,27 +207,45 @@ def cosine_distance(u: Sequence[float], v: Sequence[float]) -> float:
     return 1.0 - float(np.dot(a, b)) / (na * nb)
 
 
+def _require_k(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+
+
+def _distances(index: VectorIndex, query: Sequence[float]) -> np.ndarray:
+    """cosine_distance(row, query) for every row, bit for bit: np.vecdot runs
+    each row through np.dot's kernel, where M @ q would sum in another order."""
+    q = np.asarray(query, dtype=np.float64)
+    if q.ndim != 1 or q.shape[0] != index.dim:
+        raise DimMismatchError(f"query dim {q.shape} != index dim {index.dim}")
+    qnorm = float(np.linalg.norm(q))
+    if not 0.0 < qnorm < math.inf:
+        raise ZeroVectorError("cannot search with a zero or non-finite query vector")
+    return 1.0 - np.vecdot(index.matrix, q) / (index.norms * qnorm)
+
+
+def _nearest(dist: np.ndarray, k: int) -> list[int]:
+    """Rows within the k smallest distances, plus every row tied with the
+    k-th, so that the caller's tie-break decides which of them make the cut.
+    Unordered; the caller sorts."""
+    _require_k(k)
+    k = min(k, dist.shape[0])
+    kth = np.partition(dist, k - 1)[k - 1]
+    return np.flatnonzero(dist <= kth).tolist()
+
+
 def vector_search(index: VectorIndex, query: Sequence[float], k: int) -> list[RankedHit]:
     """Exhaustive scan: top-k rows by ascending cosine distance.
 
     Hit scores are stored as similarity (1 - distance); ties break by
     ascending doc id.
     """
-    q = np.asarray(query, dtype=np.float64)
-    if q.ndim != 1 or q.shape[0] != index.dim:
-        raise DimMismatchError(f"query dim {q.shape} != index dim {index.dim}")
-    qnorm = float(np.linalg.norm(q))
-    if qnorm == 0.0:
-        raise ZeroVectorError("cannot search with a zero query vector")
-    scored = []
-    for i, doc_id in enumerate(index.ids):
-        # same expression shape as cosine_distance, with the row norm cached
-        dist = 1.0 - float(np.dot(index.matrix[i], q)) / (index.norms[i] * qnorm)
-        scored.append((dist, doc_id))
-    scored.sort()
+    dist = _distances(index, query)
+    rows = _nearest(dist, k)
+    scored = sorted(zip(dist[rows].tolist(), [index.ids[i] for i in rows]))
     return [
-        RankedHit(code=parse_code(doc_id), score=1.0 - dist, rank=i + 1)
-        for i, (dist, doc_id) in enumerate(scored[:k])
+        RankedHit(code=parse_code(doc_id), score=1.0 - d, rank=i + 1)
+        for i, (d, doc_id) in enumerate(scored[:k])
     ]
 
 
@@ -256,6 +276,7 @@ def hybrid_search(
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    _require_k(k)
     kw_hits = keyword_search(kw_index, query_text, pool)
     vec_hits = vector_search(vec_index, query_vector, pool)
     kw_raw = {h.code.raw: h.score for h in kw_hits}
@@ -276,42 +297,32 @@ def hybrid_search(
     ]
 
 
+def _read_jsonl(path: Union[str, Path]) -> Iterator[dict]:
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                yield json.loads(line)
+
+
 class ImageReferenceSet:
-    """Reference image vectors with their attached Iconclass labels."""
+    """Reference image vectors with their attached Iconclass labels: a
+    VectorIndex whose row i carries labels[i]."""
 
     def __init__(self, rows: Sequence[tuple[Sequence[float], Sequence[IconclassCode]]]):
         if not rows:
             raise EmptyReferenceSetError("reference set is empty")
-        self.vectors: list[np.ndarray] = []
-        self.labels: list[list[IconclassCode]] = []
-        dim: Optional[int] = None
-        for vec, codes in rows:
-            arr = np.asarray(vec, dtype=np.float64)
-            if dim is None:
-                dim = int(arr.shape[0])
-            elif arr.shape[0] != dim:
-                raise DimMismatchError(f"reference dim {arr.shape[0]} != {dim}")
-            if float(np.linalg.norm(arr)) == 0.0:
-                raise ZeroVectorError("zero reference vector")
-            self.vectors.append(arr)
-            self.labels.append(list(codes))
-        self.dim = dim
+        self.index = build_vector_index((f"reference {i}", vec) for i, (vec, _) in enumerate(rows))
+        self.labels: list[list[IconclassCode]] = [list(codes) for _, codes in rows]
+        self.dim = self.index.dim
+        self.vectors = self.index.matrix
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.labels)
 
     @classmethod
     def from_jsonl(cls, path: Union[str, Path]) -> "ImageReferenceSet":
         """Load records of the form {"vector": [...], "codes": ["73D231", ...]}."""
-        rows = []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                rows.append((obj["vector"], [parse_code(c) for c in obj["codes"]]))
-        return cls(rows)
+        return cls([(obj["vector"], [parse_code(c) for c in obj["codes"]]) for obj in _read_jsonl(path)])
 
 
 @dataclass(frozen=True)
@@ -331,15 +342,9 @@ def image_vote_classify(
     supporting neighbour is nearest, then to the lexicographically
     smallest notation. Returns the winner and the full vote table.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if len(refs) == 0:
-        raise EmptyReferenceSetError("reference set is empty")
-    distances = [
-        (cosine_distance(refs.vectors[i], query), i) for i in range(len(refs))
-    ]
-    distances.sort()
-    neighbors = distances[:k]
+    dist = _distances(refs.index, query)
+    rows = _nearest(dist, k)
+    neighbors = sorted(zip(dist[rows].tolist(), rows))[:k]
 
     votes: Counter[str] = Counter()
     best_rank: dict[str, int] = {}
@@ -411,24 +416,25 @@ def load_index(dir_path: Union[str, Path]) -> tuple[KeywordIndex, VectorIndex, d
     for p in (meta_path, kw_path, vec_path):
         if not p.is_file():
             raise MissingIndexError(f"missing index file {p}")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    kw_data = json.loads(kw_path.read_text(encoding="utf-8"))
-    kw_meta = meta["keyword"]
-    kw_index = KeywordIndex(
-        postings={t: [(d, int(tf)) for d, tf in plist] for t, plist in kw_data["postings"].items()},
-        doc_lengths={d: int(n) for d, n in kw_data["doc_lengths"].items()},
-        avg_doc_length=float(kw_meta["avg_doc_length"]),
-        doc_count=int(kw_meta["doc_count"]),
-        k1=float(kw_meta["k1"]),
-        b=float(kw_meta["b"]),
-    )
-    rows = []
-    with open(vec_path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            rows.append((obj["id"], obj["vector"]))
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        kw_data = json.loads(kw_path.read_text(encoding="utf-8"))
+        kw_meta = meta["keyword"]
+        kw_index = KeywordIndex(
+            postings={t: [(d, int(tf)) for d, tf in plist] for t, plist in kw_data["postings"].items()},
+            doc_lengths={d: int(n) for d, n in kw_data["doc_lengths"].items()},
+            avg_doc_length=float(kw_meta["avg_doc_length"]),
+            doc_count=int(kw_meta["doc_count"]),
+            k1=float(kw_meta["k1"]),
+            b=float(kw_meta["b"]),
+        )
+        rows = [(obj["id"], obj["vector"]) for obj in _read_jsonl(vec_path)]
+        vec_count = int(meta["vector"]["doc_count"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise MissingIndexError(f"{root}: unreadable index file: {exc!r}") from exc
+    # a crash while saving can leave vectors.jsonl short of what meta.json counts
+    if len(rows) != vec_count or {doc_id for doc_id, _ in rows} != kw_index.doc_lengths.keys():
+        raise MissingIndexError(f"{root}: incomplete index: its {len(rows)} vectors do not match its "
+                                f"{vec_count} keyword docs; rebuild it with `index build`")
     vec_index = build_vector_index(rows)
     return kw_index, vec_index, meta

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 import requests
@@ -225,6 +228,24 @@ def test_describe_ingests_then_hits_cache(runner, tmp_path):
     assert len(cache.read_text().splitlines()) == 12  # no duplicate records
 
 
+def test_describe_resumes_after_a_torn_cache_line(runner, tmp_path):
+    cache = tmp_path / "desc.jsonl"
+    args = ["describe", "--manifest", str(FIXTURES / "manifest.csv"), "--cache", str(cache), "--offline"]
+    assert runner.invoke(main, args).exit_code == 0
+    cache.write_bytes(cache.read_bytes()[:-20])  # the last append was cut short
+
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert "cached 11, ingested 1" in result.output
+    assert len(cache.read_text().splitlines()) == 12
+    assert all(json.loads(line) for line in cache.read_text().splitlines())
+
+    cache.write_text("{not json\n" + cache.read_text())
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert "line 1:" in result.output and "Traceback" not in result.output
+
+
 def test_describe_modes_are_cached_separately(runner, tmp_path):
     cache = tmp_path / "desc.jsonl"
     for mode in ("page", "illustration"):
@@ -380,6 +401,42 @@ def test_classify_rag_vector_offline(runner, tmp_path, workspace):
     for row in rows:
         assert len(row["candidates"]) <= 7
         assert row["predicted"] in {c["code"] for c in row["candidates"]}
+
+
+def test_classify_refuses_an_index_built_for_another_database_or_embedder(runner, tmp_path, workspace):
+    args = _classify_args(workspace, tmp_path / "x", database="basic")
+    args[args.index("--index-dir") + 1] = str(workspace / "index-hierarchical")
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert "built with database 'hierarchical'" in result.output
+    assert not (tmp_path / "x.jsonl").exists()
+
+    args = _classify_args(workspace, tmp_path / "y")
+    args.remove("--offline")
+    args += ["--endpoint", "http://h", "--embed-model", "embed"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert "built with embedder 'offline-hash-64'" in result.output
+    assert "'remote:embed'" in result.output
+
+
+@pytest.mark.parametrize("option", ["--rag-k", "--pool", "--vote-k"])
+def test_classify_rejects_k_below_one(runner, tmp_path, workspace, option):
+    for value in ("0", "-1"):
+        result = runner.invoke(
+            main, _classify_args(workspace, tmp_path / "x", method="rag-hybrid", extra=(option, value))
+        )
+        assert result.exit_code == 2
+        assert "Invalid value" in result.output
+    assert not (tmp_path / "x.jsonl").exists()
+
+
+def test_cli_import_leaves_requests_unloaded():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    code = "import sys, iconclassify.cli; print('requests' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_classify_unknown_method_is_usage_error(runner, tmp_path, workspace):

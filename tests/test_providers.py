@@ -8,6 +8,7 @@ import requests
 from iconclassify.errors import (
     EmptyResponseError,
     EmptyTextError,
+    MalformedLineError,
     ProviderUnavailableError,
 )
 from iconclassify.providers import (
@@ -16,7 +17,6 @@ from iconclassify.providers import (
     DescriptionRecord,
     DescriptionRequest,
     EmbeddingCache,
-    EmbeddingProviderConfig,
     OfflineHashEmbedder,
     RemoteChatProvider,
     RemoteEmbeddingProvider,
@@ -25,7 +25,6 @@ from iconclassify.providers import (
     describe_image,
     embed_many,
     embed_text,
-    make_embedding_provider,
     now_iso,
     offline_embed,
     offline_select,
@@ -137,20 +136,6 @@ def test_offline_hash_embedder_provider_id_and_batching():
     assert outs[1] == offline_embed("david goliath", 32)
     with pytest.raises(ValueError):
         OfflineHashEmbedder(dim=4)
-
-
-def test_make_embedding_provider():
-    offline = make_embedding_provider(EmbeddingProviderConfig(kind="offline-hash", dim=64))
-    assert isinstance(offline, OfflineHashEmbedder)
-    assert offline.dim == 64
-    remote = make_embedding_provider(
-        EmbeddingProviderConfig(kind="remote", endpoint="http://h", model="m")
-    )
-    assert remote.provider_id == "remote:m"
-    with pytest.raises(ValueError):
-        make_embedding_provider(EmbeddingProviderConfig(kind="remote"))
-    with pytest.raises(ValueError):
-        make_embedding_provider(EmbeddingProviderConfig(kind="???"))
 
 
 # ---------------------------------------------------------------- prompts
@@ -282,6 +267,86 @@ def test_embedding_cache_round_trips_floats(tmp_path):
     reloaded = EmbeddingCache(path)
     assert reloaded.get("offline-hash-32", "the building of the ark") == vec
     assert reloaded.get("offline-hash-32", "something else") is None
+
+
+# ---------------------------------------------------------------- torn cache lines
+
+def _desc_record(i: int) -> DescriptionRecord:
+    return DescriptionRecord(
+        image_id=f"img{i}", mode=DescriptionMode.FULL_PAGE,
+        text=f"description {i}", model_id="m", created_at="2024-01-01T00:00:00+00:00",
+    )
+
+
+# cache class, put record i, get record i
+CACHES = {
+    "description": (
+        DescriptionCache,
+        lambda cache, i: cache.put(_desc_record(i)),
+        lambda cache, i: cache.get(f"img{i}", DescriptionMode.FULL_PAGE),
+    ),
+    "embedding": (
+        EmbeddingCache,
+        lambda cache, i: cache.put("p", f"text {i}", [float(i), 0.5]),
+        lambda cache, i: cache.get("p", f"text {i}"),
+    ),
+}
+
+
+def _two_record_cache(kind, path):
+    make, put, _ = CACHES[kind]
+    cache = make(path)
+    put(cache, 1)
+    put(cache, 2)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("kind", sorted(CACHES))
+def test_cache_skips_torn_final_line_and_resumes(tmp_path, kind):
+    make, put, get = CACHES[kind]
+    path = tmp_path / "cache.jsonl"
+    whole = _two_record_cache(kind, path)
+    path.write_bytes(whole[:-9])  # a crash in the middle of appending record 2
+
+    cache = make(path)
+    assert len(cache) == 1
+    assert get(cache, 1) is not None and get(cache, 2) is None
+    put(cache, 2)
+    put(cache, 3)
+
+    reloaded = make(path)
+    assert len(reloaded) == 3
+    assert all(get(reloaded, i) is not None for i in (1, 2, 3))
+    # the fragment was cut off, so record 2 was written again in full
+    assert path.read_bytes().startswith(whole)
+
+
+@pytest.mark.parametrize("kind", sorted(CACHES))
+def test_cache_appends_after_an_unterminated_final_record(tmp_path, kind):
+    make, put, get = CACHES[kind]
+    path = tmp_path / "cache.jsonl"
+    whole = _two_record_cache(kind, path)
+    path.write_bytes(whole[:-1])  # record 2 complete, its newline lost
+
+    cache = make(path)
+    assert len(cache) == 2
+    put(cache, 3)
+    reloaded = make(path)
+    assert len(reloaded) == 3
+    assert all(get(reloaded, i) is not None for i in (1, 2, 3))
+
+
+@pytest.mark.parametrize("kind", sorted(CACHES))
+@pytest.mark.parametrize("bad", [b"not json\n", b'{"unrelated": 1}\n'])
+def test_cache_rejects_a_bad_inner_line_with_its_number(tmp_path, kind, bad):
+    make, _, _ = CACHES[kind]
+    path = tmp_path / "cache.jsonl"
+    whole = _two_record_cache(kind, path)
+    first, rest = whole.split(b"\n", 1)
+    path.write_bytes(first + b"\n" + bad + rest)
+    with pytest.raises(MalformedLineError) as info:
+        make(path)
+    assert info.value.line_no == 2
 
 
 # ---------------------------------------------------------------- candidate selection

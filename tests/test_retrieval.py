@@ -309,6 +309,77 @@ def test_vector_search_matches_per_doc_oracle():
         assert [h.score for h in hits] == [1.0 - dist for dist, _ in oracle]
 
 
+def test_vector_search_and_vote_are_exact_at_1536d():
+    # dense rows, k = every row: both scans must equal a sorted
+    # cosine_distance oracle bit for bit, text search tied by id and the
+    # vote by row; norms must equal np.linalg.norm of each row
+    rng = np.random.default_rng(1536)
+    n, dim = 400, 1536
+    vectors = rng.standard_normal((n, dim))
+    ids = [f"7{i}" for i in range(n)]
+    index = build_vector_index(zip(ids, vectors))
+    assert np.array_equal(index.norms, [np.linalg.norm(v) for v in vectors])
+    # one label per row, so the k=n vote table lists rows in neighbour order
+    refs = ImageReferenceSet([(vectors[i], [parse_code(ids[i])]) for i in range(n)])
+    for _ in range(5):
+        query = rng.standard_normal(dim).tolist()
+        dists = [cosine_distance(vectors[i], query) for i in range(n)]
+        by_id = sorted(zip(dists, ids))
+        hits = vector_search(index, query, n)
+        assert [(h.code.raw, h.score) for h in hits] == [(doc_id, 1.0 - dist) for dist, doc_id in by_id]
+        by_row = sorted(zip(dists, range(n)))
+        _, table = image_vote_classify(query, refs, k=n)
+        assert [(e.code.raw, e.best_rank) for e in table] == [
+            (ids[row], rank) for rank, (_, row) in enumerate(by_row, start=1)
+        ]
+
+
+def test_k_cutting_through_a_tie_keeps_the_smallest_ids():
+    near, tied, far = [1.0, 0.0], [0.6, 0.8], [-1.0, 0.1]
+    index = build_vector_index(
+        [("75", tied), ("79", near), ("71", tied), ("78", tied), ("70", far), ("72", tied)]
+    )
+    for k, expected in ((2, ["79", "71"]), (3, ["79", "71", "72"]), (5, ["79", "71", "72", "75", "78"])):
+        assert [h.code.raw for h in vector_search(index, [1.0, 0.0], k)] == expected
+
+
+def test_vote_k_cutting_through_a_tie_keeps_the_smallest_rows():
+    near, tied, far = [1.0, 0.0], [0.6, 0.8], [-1.0, 0.1]
+    labels = ["11Q", "73D2", "71B32", "71H14", "73D231", "71B3"]
+    vectors = [far, tied, tied, near, tied, tied]
+    refs = ImageReferenceSet([(v, [parse_code(c)]) for v, c in zip(vectors, labels)])
+    _, table = image_vote_classify([1.0, 0.0], refs, k=3)
+    # rows 3 (near), then tied rows 1 and 2; rows 4 and 5 tie too but rank later
+    assert [(e.code.raw, e.best_rank) for e in table] == [("71H14", 1), ("73D2", 2), ("71B32", 3)]
+
+
+def test_non_finite_vectors_are_rejected():
+    # a NaN distance would drop out of the top-k selection, leaving no neighbours
+    refs = ImageReferenceSet([(_ray(0), [parse_code("73D")])])
+    index = build_vector_index([("71B", [1.0, 0.0])])
+    for bad in ([math.nan, 1.0], [math.inf, 0.0]):
+        with pytest.raises(ZeroVectorError):
+            image_vote_classify(bad, refs, k=1)
+        with pytest.raises(ZeroVectorError):
+            vector_search(index, bad, 1)
+        with pytest.raises(ZeroVectorError):
+            ImageReferenceSet([(bad, [parse_code("73D")])])
+
+
+def test_searches_reject_k_below_one():
+    kw = build_keyword_index(TOY_DOCS)
+    vec = build_vector_index([("71B32", [1.0, 0.0]), ("73D2", [0.0, 1.0])])
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            keyword_search(kw, "ark", k)
+        with pytest.raises(ValueError):
+            vector_search(vec, [1.0, 0.0], k)
+        with pytest.raises(ValueError):
+            hybrid_search(kw, vec, "ark", [1.0, 0.0], k=k)
+        with pytest.raises(ValueError):
+            hybrid_search(kw, vec, "ark", [1.0, 0.0], pool=k)
+
+
 # ---------------------------------------------------------------- hybrid
 
 def test_hybrid_two_doc_fusion_values():
@@ -567,3 +638,28 @@ def test_load_index_reports_missing_files(tmp_path):
         load_index(tmp_path / "idx")
     with pytest.raises(MissingIndexError):
         load_index(tmp_path / "nowhere")
+
+
+def test_load_index_rejects_a_truncated_or_mismatched_index(tmp_path):
+    docs = _fixture_docs(DatabaseKind.BASIC)
+    kw = build_keyword_index(docs)
+    rng = np.random.default_rng(7)
+    vec = build_vector_index([(d, rng.standard_normal(8)) for d, _ in docs])
+    save_index(tmp_path / "idx", kw, vec)
+    vec_path = tmp_path / "idx" / "vectors.jsonl"
+    whole = vec_path.read_text()
+    lines = whole.splitlines(keepends=True)
+
+    vec_path.write_text("".join(lines[:2]))  # cut at a line boundary
+    with pytest.raises(MissingIndexError, match="incomplete index"):
+        load_index(tmp_path / "idx")
+    vec_path.write_text(whole[: len(whole) // 2])  # cut inside a record
+    with pytest.raises(MissingIndexError):
+        load_index(tmp_path / "idx")
+    renamed = json.loads(lines[0])
+    renamed["id"] = "99Z"
+    vec_path.write_text(json.dumps(renamed) + "\n" + "".join(lines[1:]))
+    with pytest.raises(MissingIndexError, match="incomplete index"):
+        load_index(tmp_path / "idx")
+    vec_path.write_text(whole)
+    assert load_index(tmp_path / "idx")[1].ids == vec.ids
