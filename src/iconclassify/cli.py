@@ -13,7 +13,7 @@ from typing import Optional
 import click
 
 from . import evaluation, pipeline, providers, retrieval, taxonomy
-from .errors import IconclassifyError, MalformedCodeError, MissingIndexError
+from .errors import IconclassifyError, MalformedCodeError, MalformedLineError, MissingIndexError
 
 # config file (JSON) supplies defaults; environment overrides it; flags win
 _ENV_ENDPOINT = "ICONCLASSIFY_ENDPOINT"
@@ -22,19 +22,31 @@ _ENV_CHAT_MODEL = "ICONCLASSIFY_CHAT_MODEL"
 _ENV_EMBED_MODEL = "ICONCLASSIFY_EMBED_MODEL"
 
 
-@click.group()
+class _Commands(click.Group):
+    """The one error boundary: an IconclassifyError ends as `Error: ...`, not a traceback."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except IconclassifyError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Commands)
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
               help="JSON file with per-command default values.")
 @click.pass_context
 def main(ctx: click.Context, config_path: Optional[str]):
     """Classify early modern religious images into Iconclass codes."""
     if config_path:
-        with open(config_path, encoding="utf-8") as fh:
-            ctx.default_map = json.load(fh)
-
-
-def _fail(exc: Exception) -> "click.ClickException":
-    return click.ClickException(str(exc))
+        try:
+            with open(config_path, encoding="utf-8") as fh:
+                defaults = json.load(fh)
+            if not isinstance(defaults, dict):
+                raise ValueError("expected a JSON object")
+        except ValueError as exc:
+            raise click.BadParameter(f"{config_path}: {exc}", param_hint="'--config'") from exc
+        ctx.default_map = defaults
 
 
 def _check_offline(offline: bool, endpoint: Optional[str], api_key: Optional[str]) -> None:
@@ -52,6 +64,13 @@ def _make_embedder(offline: bool, dim: int, endpoint: Optional[str],
     if not endpoint or not embed_model:
         raise click.UsageError("remote embedding needs --endpoint and --embed-model (or env)")
     return providers.RemoteEmbeddingProvider(endpoint, embed_model, api_key=api_key)
+
+
+def _make_chat(purpose: str, endpoint: Optional[str], chat_model: Optional[str],
+               api_key: Optional[str]) -> providers.ChatProvider:
+    if not endpoint or not chat_model:
+        raise click.UsageError(f"{purpose} needs --endpoint and --chat-model (or env)")
+    return providers.RemoteChatProvider(endpoint, chat_model, api_key=api_key)
 
 
 def _parse_prefix_filter(text: Optional[str]) -> Optional[tuple[str, ...]]:
@@ -76,18 +95,15 @@ def taxonomy_group():
 def cmd_taxonomy_build(source: str, prefix_filter: Optional[str], out_path: str):
     """Load, filter, and render the taxonomy into an indexable file."""
     keep = None if (prefix_filter or "").strip().lower() == "all" else _parse_prefix_filter(prefix_filter)
-    try:
-        tax = taxonomy.load_taxonomy(source, keep)
-        with open(out_path, "w", encoding="utf-8") as fh:
-            for entry in tax:
-                record = {
-                    "code": entry.code.raw,
-                    "basic": taxonomy.render_basic_doc(entry),
-                    "hierarchical": taxonomy.render_hierarchical_doc(entry, tax),
-                }
-                fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
-    except IconclassifyError as exc:
-        raise _fail(exc)
+    tax = taxonomy.load_taxonomy(source, keep)
+    with open(out_path, "w", encoding="utf-8") as fh:
+        for entry in tax:
+            record = {
+                "code": entry.code.raw,
+                "basic": taxonomy.render_basic_doc(entry),
+                "hierarchical": taxonomy.render_hierarchical_doc(entry, tax),
+            }
+            fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
     meta = {
         "entries": tax.stats.kept,
         "filtered": tax.stats.filtered,
@@ -103,20 +119,13 @@ def cmd_taxonomy_build(source: str, prefix_filter: Optional[str], out_path: str)
 def _load_rendered_taxonomy(path: str) -> dict[str, dict[str, str]]:
     """Read the output of `taxonomy build`: code -> {basic, hierarchical}."""
     docs: dict[str, dict[str, str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                obj = {}
-            if not isinstance(obj, dict) or not {"code", "basic", "hierarchical"} <= obj.keys():
-                raise MissingIndexError(
-                    f"{path}:{line_no}: not a rendered taxonomy file; run `taxonomy build` first"
-                )
+    try:
+        for line_no, obj in taxonomy.iter_jsonl(path):
+            if not {"code", "basic", "hierarchical"} <= obj.keys():
+                raise MalformedLineError(line_no, f"{path}: needs code, basic and hierarchical fields")
             docs[obj["code"]] = {"basic": obj["basic"], "hierarchical": obj["hierarchical"]}
+    except MalformedLineError as exc:
+        raise MissingIndexError(f"{exc}; not a rendered taxonomy file, run `taxonomy build` first") from exc
     if not docs:
         raise MissingIndexError(f"{path}: rendered taxonomy is empty")
     return docs
@@ -133,7 +142,8 @@ def index_group():
 @click.option("--database", type=click.Choice(["basic", "hierarchical"]), default="basic", show_default=True)
 @click.option("--index-dir", required=True, type=click.Path(file_okay=False))
 @click.option("--offline", is_flag=True, help="Use the deterministic hash embedder.")
-@click.option("--dim", type=int, default=providers.DEFAULT_OFFLINE_DIM, show_default=True,
+@click.option("--dim", type=click.IntRange(min=providers.MIN_OFFLINE_DIM),
+              default=providers.DEFAULT_OFFLINE_DIM, show_default=True,
               help="Offline embedding dimension.")
 @click.option("--endpoint", envvar=_ENV_ENDPOINT, default=None)
 @click.option("--embed-model", envvar=_ENV_EMBED_MODEL, default=None)
@@ -147,27 +157,24 @@ def cmd_index_build(rendered_path: str, database: str, index_dir: str, offline: 
                     api_key: Optional[str], embed_cache: Optional[str], k1: float, b: float):
     """Build keyword and vector indices over one taxonomy rendering."""
     _check_offline(offline, endpoint, api_key)
-    try:
-        docs = _load_rendered_taxonomy(rendered_path)
-        kind = taxonomy.DatabaseKind(database)
-        texts = [(code, fields[kind.value]) for code, fields in docs.items()]
-        kw_index = retrieval.build_keyword_index(texts, k1=k1, b=b)
-        embedder = _make_embedder(offline, dim, endpoint, embed_model, api_key)
-        cache = providers.EmbeddingCache(embed_cache) if embed_cache else None
-        vectors = providers.embed_many([t for _, t in texts], embedder, cache)
-        vec_index = retrieval.build_vector_index(
-            (code, vec) for (code, _), vec in zip(texts, vectors)
-        )
-        config = {
-            "database": kind.value,
-            "embedder": embedder.provider_id,
-            "k1": k1,
-            "b": b,
-            "doc_count": len(texts),
-        }
-        retrieval.save_index(index_dir, kw_index, vec_index, config=config)
-    except IconclassifyError as exc:
-        raise _fail(exc)
+    docs = _load_rendered_taxonomy(rendered_path)
+    kind = taxonomy.DatabaseKind(database)
+    texts = [(code, fields[kind.value]) for code, fields in docs.items()]
+    kw_index = retrieval.build_keyword_index(texts, k1=k1, b=b)
+    embedder = _make_embedder(offline, dim, endpoint, embed_model, api_key)
+    cache = providers.EmbeddingCache(embed_cache) if embed_cache else None
+    vectors = providers.embed_many([t for _, t in texts], embedder, cache)
+    vec_index = retrieval.build_vector_index(
+        (code, vec) for (code, _), vec in zip(texts, vectors)
+    )
+    config = {
+        "database": kind.value,
+        "embedder": embedder.provider_id,
+        "k1": k1,
+        "b": b,
+        "doc_count": len(texts),
+    }
+    retrieval.save_index(index_dir, kw_index, vec_index, config=config)
     click.echo(f"indexed {len(texts)} documents into {index_dir} ({kind.value})")
 
 
@@ -197,11 +204,8 @@ def cmd_describe(manifest_path: str, mode: str, cache_path: str, offline: bool,
     """Generate (or ingest) image descriptions for one mode, resumably."""
     _check_offline(offline, endpoint, api_key)
     desc_mode = providers.DescriptionMode(mode)
-    try:
-        rows = pipeline.read_manifest(manifest_path)
-        cache = providers.DescriptionCache(cache_path)
-    except IconclassifyError as exc:
-        raise _fail(exc)
+    rows = pipeline.read_manifest(manifest_path)
+    cache = providers.DescriptionCache(cache_path)
 
     cached = passed = generated = 0
     pending: list[pipeline.ManifestRow] = []
@@ -227,9 +231,7 @@ def cmd_describe(manifest_path: str, mode: str, cache_path: str, offline: bool,
             "description column to the manifest."
         )
     if pending:
-        if not endpoint or not chat_model:
-            raise click.UsageError("describe needs --endpoint and --chat-model (or env)")
-        chat = providers.RemoteChatProvider(endpoint, chat_model, api_key=api_key)
+        chat = _make_chat("describe", endpoint, chat_model, api_key)
         image_field = "page_image_path" if desc_mode is providers.DescriptionMode.FULL_PAGE \
             else "illustration_image_path"
 
@@ -299,56 +301,51 @@ def cmd_classify(manifest_path: str, method_name: str, mode: str, database: str,
         alpha=alpha,
         rag_k=rag_k,
     )
-    try:
-        rows = pipeline.read_manifest(manifest_path)
-        rendered = _load_rendered_taxonomy(rendered_path)
-        documents = {code: fields[method.database_kind.value] for code, fields in rendered.items()}
+    rows = pipeline.read_manifest(manifest_path)
+    rendered = _load_rendered_taxonomy(rendered_path)
+    documents = {code: fields[method.database_kind.value] for code, fields in rendered.items()}
 
-        ctx = pipeline.ClassifyContext(documents=documents, hybrid_pool=pool, vote_k=vote_k)
-        needs_index = method.query_kind is not pipeline.QueryKind.IMAGE
-        if needs_index:
-            if not index_dir:
-                raise MissingIndexError(f"--index-dir is required for method {method.label}")
-            kw_index, vec_index, index_meta = retrieval.load_index(index_dir)
-            ctx.keyword_index = kw_index
-            ctx.vector_index = vec_index
-            ctx.embedder = _make_embedder(offline, vec_index.dim, endpoint, embed_model, api_key)
-            if embed_cache:
-                ctx.embedding_cache = providers.EmbeddingCache(embed_cache)
-            if method.query_kind in (pipeline.QueryKind.RAG_VECTOR, pipeline.QueryKind.RAG_HYBRID) \
-                    and not offline:
-                if not endpoint or not chat_model:
-                    raise click.UsageError("RAG selection needs --endpoint and --chat-model (or env)")
-                ctx.chat = providers.RemoteChatProvider(endpoint, chat_model, api_key=api_key)
-            built = index_meta.get("config", {})
-            for field, wanted in (("database", database), ("embedder", ctx.embedder.provider_id)):
-                if built.get(field) != wanted:
-                    raise IconclassifyError(f"{index_dir} was built with {field} {built.get(field)!r}, "
-                                            f"but this run uses {wanted!r}; rebuild the index or match it")
-        else:
-            if not refs_path:
-                raise MissingIndexError("--refs is required for the image method")
-            ctx.references = retrieval.ImageReferenceSet.from_jsonl(refs_path)
-        if cache_path:
-            ctx.description_cache = providers.DescriptionCache(cache_path)
+    ctx = pipeline.ClassifyContext(documents=documents, hybrid_pool=pool, vote_k=vote_k)
+    needs_index = method.query_kind is not pipeline.QueryKind.IMAGE
+    if needs_index:
+        if not index_dir:
+            raise MissingIndexError(f"--index-dir is required for method {method.label}")
+        kw_index, vec_index, index_meta = retrieval.load_index(index_dir)
+        ctx.keyword_index = kw_index
+        ctx.vector_index = vec_index
+        ctx.embedder = _make_embedder(offline, vec_index.dim, endpoint, embed_model, api_key)
+        if embed_cache:
+            ctx.embedding_cache = providers.EmbeddingCache(embed_cache)
+        if method.query_kind in (pipeline.QueryKind.RAG_VECTOR, pipeline.QueryKind.RAG_HYBRID) \
+                and not offline:
+            ctx.chat = _make_chat("RAG selection", endpoint, chat_model, api_key)
+        built = index_meta.get("config", {})
+        for field, wanted in (("database", database), ("embedder", ctx.embedder.provider_id)):
+            if built.get(field) != wanted:
+                raise IconclassifyError(f"{index_dir} was built with {field} {built.get(field)!r}, "
+                                        f"but this run uses {wanted!r}; rebuild the index or match it")
+    else:
+        if not refs_path:
+            raise MissingIndexError("--refs is required for the image method")
+        ctx.references = retrieval.ImageReferenceSet.from_jsonl(refs_path)
+    if cache_path:
+        ctx.description_cache = providers.DescriptionCache(cache_path)
 
-        result = pipeline.classify_batch(rows, method, ctx, workers=max(1, workers))
-        pipeline.write_predictions_jsonl(result.predictions, out_prefix + ".jsonl")
-        pipeline.write_predictions_csv(result.predictions, out_prefix + ".csv")
-        meta_out = {
-            "method": method.to_dict(),
-            "offline": offline,
-            "hybrid_pool": pool,
-            "vote_k": vote_k,
-            "workers": workers,
-            "predictions": len(result.predictions),
-            "errors": [{"image_id": e.image_id, "error": e.error} for e in result.errors],
-        }
-        Path(out_prefix + ".meta.json").write_text(
-            json.dumps(meta_out, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-    except IconclassifyError as exc:
-        raise _fail(exc)
+    result = pipeline.classify_batch(rows, method, ctx, workers=max(1, workers))
+    pipeline.write_predictions_jsonl(result.predictions, out_prefix + ".jsonl")
+    pipeline.write_predictions_csv(result.predictions, out_prefix + ".csv")
+    meta_out = {
+        "method": method.to_dict(),
+        "offline": offline,
+        "hybrid_pool": pool,
+        "vote_k": vote_k,
+        "workers": workers,
+        "predictions": len(result.predictions),
+        "errors": [{"image_id": e.image_id, "error": e.error} for e in result.errors],
+    }
+    Path(out_prefix + ".meta.json").write_text(
+        json.dumps(meta_out, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
     for err in result.errors:
         click.echo(f"{err.image_id}: {err.error}", err=True)
     click.echo(f"wrote {len(result.predictions)} predictions, {len(result.errors)} errors")
@@ -363,33 +360,30 @@ def cmd_classify(manifest_path: str, method_name: str, mode: str, database: str,
 @click.option("--max-k", type=int, default=4, show_default=True)
 def cmd_evaluate(pred_path: str, out_dir: str, label: Optional[str], max_level: int, max_k: int):
     """Score predictions against ground truth; write report.json and report.txt."""
-    try:
-        rows = evaluation.read_predictions_csv(pred_path)
-        if not rows:
-            raise click.ClickException(f"{pred_path}: no prediction rows to evaluate")
-        records = []
-        pairs = []
-        for row in rows:
-            try:
-                pred = taxonomy.parse_code(row.predicted)
-                gt = taxonomy.parse_code(row.ground_truth)
-            except MalformedCodeError as exc:
-                raise click.ClickException(f"{row.image_id}: {exc}")
-            records.append(evaluation.evaluate_pair(row.image_id, pred, gt, group=row.group))
-            pairs.append((pred, gt))
-        report_label = label or Path(pred_path).stem
-        config = {"label": report_label, "max_level": max_level, "max_k": max_k}
-        report = evaluation.build_report(
-            report_label, records, pairs, max_level=max_level, max_k=max_k, config=config
-        )
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        (out / "report.txt").write_text(evaluation.render_report_text(report), encoding="utf-8")
-    except IconclassifyError as exc:
-        raise _fail(exc)
+    rows = evaluation.read_predictions_csv(pred_path)
+    if not rows:
+        raise click.ClickException(f"{pred_path}: no prediction rows to evaluate")
+    records = []
+    pairs = []
+    for row in rows:
+        try:
+            pred = taxonomy.parse_code(row.predicted)
+            gt = taxonomy.parse_code(row.ground_truth)
+        except MalformedCodeError as exc:
+            raise click.ClickException(f"{row.image_id}: {exc}")
+        records.append(evaluation.evaluate_pair(row.image_id, pred, gt, group=row.group))
+        pairs.append((pred, gt))
+    report_label = label or Path(pred_path).stem
+    config = {"label": report_label, "max_level": max_level, "max_k": max_k}
+    report = evaluation.build_report(
+        report_label, records, pairs, max_level=max_level, max_k=max_k, config=config
+    )
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "report.json").write_text(
+        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    (out / "report.txt").write_text(evaluation.render_report_text(report), encoding="utf-8")
     s = report["summary"]
     click.echo(
         f"{report_label}: n={report['count']} weighted={s['avg_weighted']:.5f} "

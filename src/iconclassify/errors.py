@@ -10,7 +10,7 @@ class MalformedCodeError(IconclassifyError):
 
 
 class MalformedLineError(IconclassifyError):
-    """A taxonomy, manifest or cache line could not be parsed.
+    """A line of a taxonomy or JSON-lines file could not be parsed.
 
     Carries the 1-based line number of the offending line.
     """

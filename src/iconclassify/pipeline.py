@@ -18,6 +18,7 @@ from typing import Optional, Sequence, Union
 
 from .errors import (
     IconclassifyError,
+    MalformedLineError,
     ManifestParseError,
     MissingDescriptionError,
     MissingIndexError,
@@ -46,7 +47,7 @@ from .retrieval import (
     keyword_search,
     vector_search,
 )
-from .taxonomy import DatabaseKind, IconclassCode
+from .taxonomy import DatabaseKind, IconclassCode, iter_jsonl
 
 DEFAULT_RAG_K = 5
 
@@ -336,27 +337,17 @@ def read_manifest(path: Union[str, Path]) -> list[ManifestRow]:
     if not p.is_file():
         raise ManifestParseError(f"manifest not found: {p}")
     base_dir = p.parent
-    rows: list[ManifestRow] = []
     if p.suffix in (".jsonl", ".ndjson"):
-        with open(p, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ManifestParseError(f"line {line_no}: invalid JSON: {exc}") from exc
-                if not isinstance(record, dict):
-                    raise ManifestParseError(f"line {line_no}: expected a JSON object")
-                rows.append(_row_from_record(record, line_no, base_dir))
+        try:
+            rows = [_row_from_record(rec, line_no, base_dir) for line_no, rec in iter_jsonl(p)]
+        except MalformedLineError as exc:
+            raise ManifestParseError(str(exc)) from exc
     else:
         with open(p, encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
             if not reader.fieldnames or "image_id" not in reader.fieldnames:
                 raise ManifestParseError("manifest CSV needs an image_id column")
-            for line_no, record in enumerate(reader, start=2):
-                rows.append(_row_from_record(record, line_no, base_dir))
+            rows = [_row_from_record(rec, line_no, base_dir) for line_no, rec in enumerate(reader, start=2)]
     seen: set[str] = set()
     for row in rows:
         if row.image_id in seen:

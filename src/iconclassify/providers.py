@@ -34,7 +34,7 @@ from .taxonomy import IconclassCode
 
 PROMPT_VERSION = "v1"
 DEFAULT_OFFLINE_DIM = 256
-_MIN_OFFLINE_DIM = 16
+MIN_OFFLINE_DIM = 16
 _HASH_PERSON = b"icx-gram"  # fixed blake2b personalization = the hash seed
 
 
@@ -75,8 +75,6 @@ class ChatProvider(Protocol):
 
 class EmbeddingProvider(Protocol):
     provider_id: str
-
-    def embed(self, text: str) -> list[float]: ...
 
     def embed_many(self, texts: Sequence[str]) -> list[list[float]]: ...
 
@@ -176,9 +174,6 @@ class RemoteEmbeddingProvider:
         self.provider_id = f"remote:{model}"
         self._poster = _RetryingPoster(api_key, timeout, retries, backoff, max_in_flight)
 
-    def embed(self, text: str) -> list[float]:
-        return self.embed_many([text])[0]
-
     def embed_many(self, texts: Sequence[str]) -> list[list[float]]:
         if not texts:
             return []
@@ -204,8 +199,8 @@ def offline_embed(text: str, dim: int = DEFAULT_OFFLINE_DIM) -> list[float]:
     platforms. Texts shorter than 3 characters have no grams and raise
     EmptyTextError.
     """
-    if dim < _MIN_OFFLINE_DIM:
-        raise ValueError(f"dim must be >= {_MIN_OFFLINE_DIM}, got {dim}")
+    if dim < MIN_OFFLINE_DIM:
+        raise ValueError(f"dim must be >= {MIN_OFFLINE_DIM}, got {dim}")
     s = text.lower()
     if len(s) < 3:
         raise EmptyTextError(f"need at least 3 characters to embed, got {len(s)}")
@@ -226,8 +221,8 @@ class OfflineHashEmbedder:
     """EmbeddingProvider backed by offline_embed."""
 
     def __init__(self, dim: int = DEFAULT_OFFLINE_DIM):
-        if dim < _MIN_OFFLINE_DIM:
-            raise ValueError(f"dim must be >= {_MIN_OFFLINE_DIM}, got {dim}")
+        if dim < MIN_OFFLINE_DIM:
+            raise ValueError(f"dim must be >= {MIN_OFFLINE_DIM}, got {dim}")
         self.dim = dim
         self.provider_id = f"offline-hash-{dim}"
 
@@ -389,16 +384,7 @@ def embed_text(
     cache: Optional[EmbeddingCache] = None,
 ) -> list[float]:
     """Embed one text, caching by (provider id, content hash)."""
-    if not text or not text.strip():
-        raise EmptyTextError("cannot embed empty text")
-    if cache is not None:
-        hit = cache.get(provider.provider_id, text)
-        if hit is not None:
-            return hit
-    vector = provider.embed(text)
-    if cache is not None:
-        cache.put(provider.provider_id, text, vector)
-    return vector
+    return embed_many([text], provider, cache)[0]
 
 
 def embed_many(

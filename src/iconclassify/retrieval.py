@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -23,11 +23,13 @@ from .errors import (
     DuplicateDocIdError,
     EmptyCorpusError,
     EmptyReferenceSetError,
+    MalformedCodeError,
+    MalformedLineError,
     MissingIndexError,
     UnknownDocError,
     ZeroVectorError,
 )
-from .taxonomy import IconclassCode, parse_code
+from .taxonomy import IconclassCode, iter_jsonl, parse_code
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
@@ -297,13 +299,6 @@ def hybrid_search(
     ]
 
 
-def _read_jsonl(path: Union[str, Path]) -> Iterator[dict]:
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                yield json.loads(line)
-
-
 class ImageReferenceSet:
     """Reference image vectors with their attached Iconclass labels: a
     VectorIndex whose row i carries labels[i]."""
@@ -322,7 +317,15 @@ class ImageReferenceSet:
     @classmethod
     def from_jsonl(cls, path: Union[str, Path]) -> "ImageReferenceSet":
         """Load records of the form {"vector": [...], "codes": ["73D231", ...]}."""
-        return cls([(obj["vector"], [parse_code(c) for c in obj["codes"]]) for obj in _read_jsonl(path)])
+        rows = []
+        for line_no, obj in iter_jsonl(path):
+            try:
+                vec = np.asarray(obj["vector"], dtype=np.float64)
+                codes = [parse_code(c) for c in obj["codes"]]
+            except (KeyError, TypeError, ValueError, AttributeError, MalformedCodeError) as exc:
+                raise MalformedLineError(line_no, f"{path}: bad reference record: {exc!r}") from exc
+            rows.append((vec, codes))
+        return cls(rows)
 
 
 @dataclass(frozen=True)
@@ -428,8 +431,10 @@ def load_index(dir_path: Union[str, Path]) -> tuple[KeywordIndex, VectorIndex, d
             k1=float(kw_meta["k1"]),
             b=float(kw_meta["b"]),
         )
-        rows = [(obj["id"], obj["vector"]) for obj in _read_jsonl(vec_path)]
+        rows = [(obj["id"], obj["vector"]) for _, obj in iter_jsonl(vec_path)]
         vec_count = int(meta["vector"]["doc_count"])
+    except MalformedLineError as exc:
+        raise MissingIndexError(f"{exc}; rebuild the index with `index build`") from exc
     except (ValueError, KeyError, TypeError) as exc:
         raise MissingIndexError(f"{root}: unreadable index file: {exc!r}") from exc
     # a crash while saving can leave vectors.jsonl short of what meta.json counts

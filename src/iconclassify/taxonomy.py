@@ -169,16 +169,38 @@ class Taxonomy:
         return self._entries.get(raw)
 
 
+def _json_object(line: str, line_no: int, where: str = "") -> dict:
+    """Decode one JSON line that must hold an object; `where` prefixes the error."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise MalformedLineError(line_no, f"{where}invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise MalformedLineError(line_no, f"{where}expected a JSON object")
+    return obj
+
+
+def iter_jsonl(path: Union[str, Path]) -> Iterator[tuple[int, dict]]:
+    """(line number, object) for each non-blank line of a JSON-lines file.
+    Bad UTF-8, bad JSON or a line that is not an object raises
+    MalformedLineError naming the file and the line."""
+    with open(path, "rb") as fh:  # decoded line by line, so a bad byte gets its own line number
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise MalformedLineError(line_no, f"{path}: not UTF-8: {exc}") from exc
+            if line:
+                yield line_no, _json_object(line, line_no, f"{path}: ")
+
+
 def _parse_line(line: str, line_no: int) -> tuple[str, str]:
     """One source line -> (code text, description). Two formats are accepted:
     tab-separated "code<TAB>description", or a JSON object with code/txt fields.
     """
     if line.lstrip().startswith("{"):
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedLineError(line_no, f"invalid JSON: {exc}") from exc
-        if not isinstance(obj, dict) or "code" not in obj or "txt" not in obj:
+        obj = _json_object(line, line_no)
+        if "code" not in obj or "txt" not in obj:
             raise MalformedLineError(line_no, "JSON record needs 'code' and 'txt' fields")
         return str(obj["code"]), str(obj["txt"])
     if "\t" not in line:

@@ -606,3 +606,97 @@ def test_config_file_supplies_defaults_and_flags_win(runner, tmp_path):
     ])
     assert result.exit_code == 0
     assert len(json.loads((tmp_path / "r2" / "report.json").read_text())["level_accuracy"]) == 5
+
+
+# ---------------------------------------------------------------- malformed input
+
+def _cut_line(text, n):
+    """text with its line n (1-based) cut in half."""
+    lines = text.splitlines()
+    lines[n - 1] = lines[n - 1][: len(lines[n - 1]) // 2]
+    return "\n".join(lines) + "\n"
+
+
+def _cut_rendered_taxonomy(workspace, tmp_path):
+    cut = tmp_path / "cut.jsonl"
+    cut.write_text(_cut_line((workspace / "rendered.jsonl").read_text(), 3))
+    return ["index", "build", "--taxonomy", str(cut), "--index-dir", str(tmp_path / "idx"),
+            "--offline"], ["cut.jsonl", "line 3"]
+
+
+def _cut_manifest(workspace, tmp_path):
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text('{"image_id": "a", "description": "the ark"}\n\n{"image_id": "b", "desc\n')
+    return ["describe", "--manifest", str(manifest), "--cache", str(tmp_path / "c.jsonl"),
+            "--offline"], ["manifest.jsonl", "line 3"]
+
+
+def _image_args(workspace, tmp_path, refs_text):
+    refs = tmp_path / "refs.jsonl"
+    refs.write_text(refs_text)
+    return ["classify", "--manifest", str(FIXTURES / "manifest.csv"), "--method", "image",
+            "--taxonomy", str(workspace / "rendered.jsonl"), "--refs", str(refs), "--offline",
+            "--out", str(tmp_path / "x")]
+
+
+def _cut_refs(workspace, tmp_path):
+    text = _cut_line((FIXTURES / "refs.jsonl").read_text(), 2)
+    return _image_args(workspace, tmp_path, text), ["refs.jsonl", "line 2"]
+
+
+def _refs_without_codes(workspace, tmp_path):
+    text = (FIXTURES / "refs.jsonl").read_text() + '{"vector": [1, 0, 0, 0, 0, 0, 0, 0]}\n'
+    line = len(text.splitlines())
+    return _image_args(workspace, tmp_path, text), ["refs.jsonl", f"line {line}", "codes"]
+
+
+def _refs_with_a_bad_code(workspace, tmp_path):
+    text = '{"vector": [1, 0, 0, 0, 0, 0, 0, 0], "codes": ["71B32", "x1"]}\n'
+    return _image_args(workspace, tmp_path, text), ["refs.jsonl", "line 1", "x1"]
+
+
+def _cut_vectors(workspace, tmp_path):
+    index = tmp_path / "index"
+    index.mkdir()
+    for name in ("meta.json", "keyword.json"):
+        (index / name).write_bytes((workspace / "index-basic" / name).read_bytes())
+    (index / "vectors.jsonl").write_text(_cut_line((workspace / "index-basic" / "vectors.jsonl").read_text(), 5))
+    args = _classify_args(workspace, tmp_path / "x")
+    args[args.index("--index-dir") + 1] = str(index)
+    return args, ["vectors.jsonl", "line 5"]
+
+
+def _config_args(tmp_path, text):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    preds = tmp_path / "p.csv"
+    preds.write_text("image_id,predicted_code,ground_truth_code\na,73D231,73D231\n")
+    return ["--config", str(config), "evaluate", "--predictions", str(preds), "--out", str(tmp_path / "r")]
+
+
+def _bad_config(workspace, tmp_path):
+    return _config_args(tmp_path, '{"evaluate": \n'), ["--config", "config.json", "Expecting value"]
+
+
+def _non_object_config(workspace, tmp_path):
+    return _config_args(tmp_path, '[{"evaluate": {}}]\n'), ["--config", "config.json", "object"]
+
+
+def _dim_below_the_offline_minimum(workspace, tmp_path):
+    return ["index", "build", "--taxonomy", str(workspace / "rendered.jsonl"),
+            "--index-dir", str(tmp_path / "idx"), "--offline", "--dim", "8"], ["--dim", "x>=16"]
+
+
+@pytest.mark.parametrize("case", [
+    _cut_rendered_taxonomy, _cut_manifest, _cut_refs, _refs_without_codes, _refs_with_a_bad_code,
+    _cut_vectors, _bad_config, _non_object_config, _dim_below_the_offline_minimum,
+], ids=lambda case: case.__name__.strip("_"))
+def test_malformed_input_ends_as_a_one_line_error(runner, tmp_path, workspace, case):
+    args, needles = case(workspace, tmp_path)
+    result = runner.invoke(main, args)
+    assert result.exit_code != 0
+    assert isinstance(result.exception, SystemExit), repr(result.exception)  # not an uncaught error
+    assert "Traceback" not in result.output
+    for needle in needles:
+        assert needle in result.output
+    assert not (tmp_path / "x.jsonl").exists()

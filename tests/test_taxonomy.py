@@ -13,6 +13,7 @@ from iconclassify.taxonomy import (
     DatabaseKind,
     IconclassCode,
     common_depth,
+    iter_jsonl,
     load_taxonomy,
     parent_chain,
     parse_code,
@@ -239,6 +240,34 @@ def test_load_from_file(fixtures_dir):
     tax = load_taxonomy(fixtures_dir / "taxonomy.tsv")
     assert len(tax) == 50
     assert tax.stats.filtered == 2
+
+
+def test_iter_jsonl_skips_blank_lines_but_counts_them(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"a": 1}\n\n   \n{"b": 2}\r\n{"c": 3}')
+    assert list(iter_jsonl(path)) == [(1, {"a": 1}), (4, {"b": 2}), (5, {"c": 3})]
+
+
+@pytest.mark.parametrize("bad, reason", [
+    ('[1, 2]', "expected a JSON object"),
+    ('"text"', "expected a JSON object"),
+    ('{"cut": ', "invalid JSON"),
+    ('not json', "invalid JSON"),
+])
+def test_iter_jsonl_rejects_a_line_that_is_not_an_object(tmp_path, bad, reason):
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"a": 1}\n\n' + bad + '\n{"b": 2}\n')
+    with pytest.raises(MalformedLineError) as info:
+        list(iter_jsonl(path))
+    assert info.value.line_no == 3
+    assert str(info.value).startswith(f"line 3: {path}: {reason}")
+
+
+def test_iter_jsonl_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(b'{"a": 1}\n{"b": "\xff"}\n')
+    with pytest.raises(MalformedLineError, match="line 2: .*not UTF-8"):
+        list(iter_jsonl(path))
 
 
 # --------------------------------------------------------------- rendering
