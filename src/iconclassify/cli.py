@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional
 
@@ -42,11 +41,21 @@ def main(ctx: click.Context, config_path: Optional[str]):
         try:
             with open(config_path, encoding="utf-8") as fh:
                 defaults = json.load(fh)
-            if not isinstance(defaults, dict):
-                raise ValueError("expected a JSON object")
+            _check_defaults(defaults, ctx.command)
         except ValueError as exc:
             raise click.BadParameter(f"{config_path}: {exc}", param_hint="'--config'") from exc
         ctx.default_map = defaults
+
+
+def _check_defaults(value, command: click.Command, path: tuple[str, ...] = ()) -> None:
+    """click looks up a command's defaults in the entry under its name, and a
+    group's subcommands' in entries under theirs; each must be an object."""
+    if not isinstance(value, dict):
+        raise ValueError("expected a JSON object" + (f" under {'.'.join(path)}" if path else ""))
+    if isinstance(command, click.Group):
+        for name, sub in command.commands.items():
+            if name in value:
+                _check_defaults(value[name], sub, path + (name,))
 
 
 def _check_offline(offline: bool, endpoint: Optional[str], api_key: Optional[str]) -> None:
@@ -197,7 +206,7 @@ def _read_image(path: Optional[str], image_id: str) -> bytes:
 @click.option("--endpoint", envvar=_ENV_ENDPOINT, default=None)
 @click.option("--chat-model", envvar=_ENV_CHAT_MODEL, default=None)
 @click.option("--api-key", envvar=_ENV_API_KEY, default=None)
-@click.option("--workers", type=int, default=4, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=4, show_default=True)
 def cmd_describe(manifest_path: str, mode: str, cache_path: str, offline: bool,
                  endpoint: Optional[str], chat_model: Optional[str],
                  api_key: Optional[str], workers: int):
@@ -235,21 +244,17 @@ def cmd_describe(manifest_path: str, mode: str, cache_path: str, offline: bool,
         image_field = "page_image_path" if desc_mode is providers.DescriptionMode.FULL_PAGE \
             else "illustration_image_path"
 
-        def work(row: pipeline.ManifestRow) -> Optional[str]:
-            try:
-                image = _read_image(getattr(row, image_field), row.image_id)
-                providers.describe_image(
-                    providers.DescriptionRequest(row.image_id, image, desc_mode), chat, cache
-                )
-                return None
-            except Exception as exc:
-                return f"{row.image_id}: {type(exc).__name__}: {exc}"
+        def describe(row: pipeline.ManifestRow) -> providers.DescriptionRecord:
+            image = _read_image(getattr(row, image_field), row.image_id)
+            return providers.describe_image(
+                providers.DescriptionRequest(row.image_id, image, desc_mode), chat, cache
+            )
 
-        with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-            failures = [msg for msg in pool.map(work, pending) if msg]
+        failures = [out for out in pipeline.run_rows(describe, pending, workers)
+                    if isinstance(out, pipeline.ItemError)]
         generated = len(pending) - len(failures)
-        for msg in failures:
-            click.echo(msg, err=True)
+        for err in failures:
+            click.echo(f"{err.image_id}: {err.error}", err=True)
         if failures:
             click.echo(f"described {generated}, cached {cached}, ingested {passed}, "
                        f"failed {len(failures)}")
@@ -282,7 +287,7 @@ def cmd_describe(manifest_path: str, mode: str, cache_path: str, offline: bool,
 @click.option("--chat-model", envvar=_ENV_CHAT_MODEL, default=None)
 @click.option("--embed-model", envvar=_ENV_EMBED_MODEL, default=None)
 @click.option("--api-key", envvar=_ENV_API_KEY, default=None)
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--out", "out_prefix", required=True,
               help="Output prefix; writes <out>.jsonl, <out>.csv, <out>.meta.json.")
 def cmd_classify(manifest_path: str, method_name: str, mode: str, database: str,
@@ -331,7 +336,7 @@ def cmd_classify(manifest_path: str, method_name: str, mode: str, database: str,
     if cache_path:
         ctx.description_cache = providers.DescriptionCache(cache_path)
 
-    result = pipeline.classify_batch(rows, method, ctx, workers=max(1, workers))
+    result = pipeline.classify_batch(rows, method, ctx, workers=workers)
     pipeline.write_predictions_jsonl(result.predictions, out_prefix + ".jsonl")
     pipeline.write_predictions_csv(result.predictions, out_prefix + ".csv")
     meta_out = {

@@ -58,7 +58,7 @@ class EmptyReferenceSetError(IconclassifyError):
 
 
 class ProviderUnavailableError(IconclassifyError):
-    """A remote provider kept failing after all retries."""
+    """A remote call failed with a status it does not retry, or on every attempt."""
 
 
 class EmptyResponseError(IconclassifyError):

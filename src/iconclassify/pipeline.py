@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import (
     IconclassifyError,
@@ -264,6 +264,21 @@ def classify(row: ManifestRow, method: MethodSpec, ctx: ClassifyContext) -> Pred
     )
 
 
+def run_rows(fn: Callable[[ManifestRow], object], rows: Sequence[ManifestRow], workers: int) -> list:
+    """Call `fn` on every row from a pool of `workers` threads, returning the
+    results in row order. A row whose call raises yields an ItemError
+    instead, so one bad row never stops the others."""
+
+    def guarded(row: ManifestRow) -> object:
+        try:
+            return fn(row)
+        except Exception as exc:  # per-item isolation is the batch contract
+            return ItemError(image_id=row.image_id, error=f"{type(exc).__name__}: {exc}")
+
+    with futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(guarded, rows))
+
+
 def classify_batch(
     rows: Sequence[ManifestRow],
     method: MethodSpec,
@@ -272,27 +287,12 @@ def classify_batch(
 ) -> BatchResult:
     """Classify every manifest row, collecting per-item failures instead of
     aborting. Output order follows the manifest regardless of worker count."""
-    slots: list[Union[Prediction, ItemError, None]] = [None] * len(rows)
-
-    def run(i: int) -> None:
-        try:
-            slots[i] = classify(rows[i], method, ctx)
-        except Exception as exc:  # per-item isolation is the batch contract
-            slots[i] = ItemError(image_id=rows[i].image_id, error=f"{type(exc).__name__}: {exc}")
-
-    if workers > 1 and len(rows) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(len(rows))))
-    else:
-        for i in range(len(rows)):
-            run(i)
-
     result = BatchResult()
-    for slot in slots:
-        if isinstance(slot, Prediction):
-            result.predictions.append(slot)
-        elif isinstance(slot, ItemError):
-            result.errors.append(slot)
+    for out in run_rows(lambda row: classify(row, method, ctx), rows, workers):
+        if isinstance(out, ItemError):
+            result.errors.append(out)
+        else:
+            result.predictions.append(out)
     return result
 
 

@@ -87,58 +87,53 @@ def _sniff_mime(image_bytes: bytes) -> str:
     return "image/jpeg"
 
 
-class _RetryingPoster:
-    """Shared POST-with-retries helper: 3 attempts, exponential backoff,
-    bounded concurrent in-flight requests."""
+_ATTEMPTS = 3
+_BACKOFF_S = 0.5  # the first wait; it doubles after each retry
+_EMBED_CHUNK = 2048  # inputs per embeddings request, OpenAI's cap
 
-    def __init__(self, api_key: Optional[str], timeout: float, retries: int, backoff: float, max_in_flight: int):
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
-        self.headers = {"Content-Type": "application/json"}
-        if api_key:
-            self.headers["Authorization"] = f"Bearer {api_key}"
-        self._gate = threading.Semaphore(max_in_flight)
 
-    def post(self, url: str, payload: dict) -> dict:
-        import requests  # only remote calls need it, and it is slow to import
+def _post(url: str, payload: dict, api_key: Optional[str], timeout: float) -> dict:
+    """POST `payload` as JSON and return the decoded JSON reply.
 
-        last_error = "no attempts made"
-        for attempt in range(self.retries):
-            if attempt:
-                time.sleep(self.backoff * (2 ** (attempt - 1)))
+    A connection error, a 200 whose body is not JSON, 408, 429 and 5xx are
+    retried, 3 attempts in all, after waits of 0.5 s and then 1.0 s; a
+    `Retry-After` header in whole seconds replaces that wait. Any other
+    status fails at once. Either way the failure is a ProviderUnavailableError.
+    """
+    import requests  # only remote calls need it, and it is slow to import
+
+    headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}  # json= sets Content-Type
+    for attempt in range(_ATTEMPTS):
+        if attempt:
+            time.sleep(wait)
+        wait = _BACKOFF_S * 2**attempt
+        try:
+            resp = requests.post(url, json=payload, headers=headers, timeout=timeout)
+        except requests.RequestException as exc:
+            last_error = str(exc)
+            continue
+        if resp.status_code == 200:
             try:
-                with self._gate:
-                    resp = requests.post(url, json=payload, headers=self.headers, timeout=self.timeout)
-            except requests.RequestException as exc:
-                last_error = str(exc)
+                return resp.json()
+            except ValueError as exc:
+                last_error = f"invalid JSON body: {exc}"
                 continue
-            if resp.status_code == 200:
-                try:
-                    return resp.json()
-                except ValueError as exc:
-                    last_error = f"invalid JSON body: {exc}"
-                    continue
-            last_error = f"HTTP {resp.status_code}"
-        raise ProviderUnavailableError(f"{url}: {last_error} (after {self.retries} attempts)")
+        last_error = f"HTTP {resp.status_code}"
+        if resp.status_code < 500 and resp.status_code not in (408, 429):
+            raise ProviderUnavailableError(f"{url}: {last_error}")
+        retry_after = resp.headers.get("Retry-After", "").strip()
+        if retry_after.isascii() and retry_after.isdigit():
+            wait = float(retry_after)
+    raise ProviderUnavailableError(f"{url}: {last_error} (after {_ATTEMPTS} attempts)")
 
 
 class RemoteChatProvider:
     """Chat-completions client; images travel as base64 data URLs."""
 
-    def __init__(
-        self,
-        endpoint: str,
-        model: str,
-        api_key: Optional[str] = None,
-        timeout: float = 120.0,
-        retries: int = 3,
-        backoff: float = 0.5,
-        max_in_flight: int = 4,
-    ):
+    def __init__(self, endpoint: str, model: str, api_key: Optional[str] = None):
         self.endpoint = endpoint.rstrip("/")
         self.model_id = model
-        self._poster = _RetryingPoster(api_key, timeout, retries, backoff, max_in_flight)
+        self._api_key = api_key
 
     def complete(self, prompt: str, image_bytes: Optional[bytes] = None) -> str:
         content: list[dict] = [{"type": "text", "text": prompt}]
@@ -147,7 +142,7 @@ class RemoteChatProvider:
             url = f"data:{_sniff_mime(image_bytes)};base64,{b64}"
             content.append({"type": "image_url", "image_url": {"url": url}})
         payload = {"model": self.model_id, "messages": [{"role": "user", "content": content}]}
-        data = self._poster.post(f"{self.endpoint}/chat/completions", payload)
+        data = _post(f"{self.endpoint}/chat/completions", payload, self._api_key, timeout=120.0)
         try:
             text = data["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
@@ -159,35 +154,28 @@ class RemoteChatProvider:
 
 
 class RemoteEmbeddingProvider:
-    def __init__(
-        self,
-        endpoint: str,
-        model: str,
-        api_key: Optional[str] = None,
-        timeout: float = 60.0,
-        retries: int = 3,
-        backoff: float = 0.5,
-        max_in_flight: int = 4,
-    ):
+    def __init__(self, endpoint: str, model: str, api_key: Optional[str] = None):
         self.endpoint = endpoint.rstrip("/")
         self.model = model
         self.provider_id = f"remote:{model}"
-        self._poster = _RetryingPoster(api_key, timeout, retries, backoff, max_in_flight)
+        self._api_key = api_key
 
     def embed_many(self, texts: Sequence[str]) -> list[list[float]]:
-        if not texts:
-            return []
-        payload = {"model": self.model, "input": list(texts)}
-        data = self._poster.post(f"{self.endpoint}/embeddings", payload)
-        try:
-            items = sorted(data["data"], key=lambda d: d["index"])
-            vectors = [[float(x) for x in item["embedding"]] for item in items]
-        except (KeyError, TypeError) as exc:
-            raise EmptyResponseError(f"malformed embedding response: {exc}") from exc
-        if len(vectors) != len(texts):
-            raise EmptyResponseError(
-                f"embedding response has {len(vectors)} vectors for {len(texts)} inputs"
-            )
+        vectors: list[list[float]] = []
+        for start in range(0, len(texts), _EMBED_CHUNK):
+            chunk = list(texts[start : start + _EMBED_CHUNK])
+            payload = {"model": self.model, "input": chunk}
+            data = _post(f"{self.endpoint}/embeddings", payload, self._api_key, timeout=60.0)
+            try:
+                items = sorted(data["data"], key=lambda d: d["index"])
+                got = [[float(x) for x in item["embedding"]] for item in items]
+            except (KeyError, TypeError) as exc:
+                raise EmptyResponseError(f"malformed embedding response: {exc}") from exc
+            if len(got) != len(chunk):
+                raise EmptyResponseError(
+                    f"embedding response has {len(got)} vectors for {len(chunk)} inputs"
+                )
+            vectors += got
         return vectors
 
 

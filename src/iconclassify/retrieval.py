@@ -26,6 +26,7 @@ from .errors import (
     MalformedCodeError,
     MalformedLineError,
     MissingIndexError,
+    NoCandidatesError,
     UnknownDocError,
     ZeroVectorError,
 )
@@ -324,6 +325,8 @@ class ImageReferenceSet:
                 codes = [parse_code(c) for c in obj["codes"]]
             except (KeyError, TypeError, ValueError, AttributeError, MalformedCodeError) as exc:
                 raise MalformedLineError(line_no, f"{path}: bad reference record: {exc!r}") from exc
+            if not codes:
+                raise MalformedLineError(line_no, f"{path}: reference record has no codes")
             rows.append((vec, codes))
         return cls(rows)
 
@@ -362,6 +365,8 @@ def image_vote_classify(
             by_raw.setdefault(code.raw, code)
             if code.raw not in best_rank or rank < best_rank[code.raw]:
                 best_rank[code.raw] = rank
+    if not votes:
+        raise NoCandidatesError(f"none of the {len(neighbors)} nearest references carries a code")
     order = sorted(votes, key=lambda raw: (-votes[raw], best_rank[raw], raw))
     table = [VoteEntry(code=by_raw[raw], votes=votes[raw], best_rank=best_rank[raw]) for raw in order]
     return by_raw[order[0]], table

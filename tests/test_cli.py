@@ -273,6 +273,17 @@ def test_describe_offline_without_descriptions_explains(runner, tmp_path):
     assert "Re-run without --offline" in result.output
 
 
+def test_describe_rejects_workers_below_one(runner, tmp_path):
+    for value in ("0", "-3"):
+        result = runner.invoke(main, [
+            "describe", "--manifest", str(FIXTURES / "manifest.csv"),
+            "--cache", str(tmp_path / "c.jsonl"), "--offline", "--workers", value,
+        ])
+        assert result.exit_code == 2
+        assert "Invalid value" in result.output
+    assert not (tmp_path / "c.jsonl").exists()
+
+
 def test_describe_remote_needs_model(runner, tmp_path):
     manifest = tmp_path / "m.csv"
     manifest.write_text("image_id\nimgX\n")
@@ -420,7 +431,7 @@ def test_classify_refuses_an_index_built_for_another_database_or_embedder(runner
     assert "'remote:embed'" in result.output
 
 
-@pytest.mark.parametrize("option", ["--rag-k", "--pool", "--vote-k"])
+@pytest.mark.parametrize("option", ["--rag-k", "--pool", "--vote-k", "--workers"])
 def test_classify_rejects_k_below_one(runner, tmp_path, workspace, option):
     for value in ("0", "-1"):
         result = runner.invoke(
@@ -650,6 +661,12 @@ def _refs_without_codes(workspace, tmp_path):
     return _image_args(workspace, tmp_path, text), ["refs.jsonl", f"line {line}", "codes"]
 
 
+def _refs_with_empty_codes(workspace, tmp_path):
+    text = "".join(json.dumps({**json.loads(line), "codes": []}) + "\n"
+                   for line in (FIXTURES / "refs.jsonl").read_text().splitlines())
+    return _image_args(workspace, tmp_path, text), ["refs.jsonl", "line 1", "no codes"]
+
+
 def _refs_with_a_bad_code(workspace, tmp_path):
     text = '{"vector": [1, 0, 0, 0, 0, 0, 0, 0], "codes": ["71B32", "x1"]}\n'
     return _image_args(workspace, tmp_path, text), ["refs.jsonl", "line 1", "x1"]
@@ -682,14 +699,23 @@ def _non_object_config(workspace, tmp_path):
     return _config_args(tmp_path, '[{"evaluate": {}}]\n'), ["--config", "config.json", "object"]
 
 
+def _nested_non_object_config(workspace, tmp_path):
+    return _config_args(tmp_path, '{"evaluate": 3}\n'), ["--config", "config.json", "object under evaluate"]
+
+
+def _subcommand_non_object_config(workspace, tmp_path):
+    return _config_args(tmp_path, '{"index": {"build": []}}\n'), ["--config", "config.json", "under index.build"]
+
+
 def _dim_below_the_offline_minimum(workspace, tmp_path):
     return ["index", "build", "--taxonomy", str(workspace / "rendered.jsonl"),
             "--index-dir", str(tmp_path / "idx"), "--offline", "--dim", "8"], ["--dim", "x>=16"]
 
 
 @pytest.mark.parametrize("case", [
-    _cut_rendered_taxonomy, _cut_manifest, _cut_refs, _refs_without_codes, _refs_with_a_bad_code,
-    _cut_vectors, _bad_config, _non_object_config, _dim_below_the_offline_minimum,
+    _cut_rendered_taxonomy, _cut_manifest, _cut_refs, _refs_without_codes, _refs_with_empty_codes,
+    _refs_with_a_bad_code, _cut_vectors, _bad_config, _non_object_config, _nested_non_object_config,
+    _subcommand_non_object_config, _dim_below_the_offline_minimum,
 ], ids=lambda case: case.__name__.strip("_"))
 def test_malformed_input_ends_as_a_one_line_error(runner, tmp_path, workspace, case):
     args, needles = case(workspace, tmp_path)

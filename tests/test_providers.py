@@ -73,14 +73,23 @@ class CountingEmbedder:
 
 
 class FakeResponse:
-    def __init__(self, status_code=200, body=None):
+    def __init__(self, status_code=200, body=None, headers=None):
         self.status_code = status_code
         self._body = body if body is not None else {}
+        self.headers = headers or {}
 
     def json(self):
         if isinstance(self._body, Exception):
             raise self._body
         return self._body
+
+
+@pytest.fixture(autouse=True)
+def sleeps(monkeypatch):
+    """The waits between remote attempts, recorded instead of slept."""
+    waits = []
+    monkeypatch.setattr("iconclassify.providers.time.sleep", waits.append)
+    return waits
 
 
 # ---------------------------------------------------------------- offline embedding
@@ -456,13 +465,13 @@ def test_remote_chat_retries_then_succeeds(monkeypatch):
         return FakeResponse(body={"choices": [{"message": {"content": "a woodcut"}}]})
 
     monkeypatch.setattr(requests, "post", fake_post)
-    chat = RemoteChatProvider("http://host/v1", "m", backoff=0.0)
+    chat = RemoteChatProvider("http://host/v1", "m")
     assert chat.complete("hi") == "a woodcut"
     assert len(attempts) == 3
     assert attempts[0] == "http://host/v1/chat/completions"
 
 
-def test_remote_chat_gives_up_after_three_attempts(monkeypatch):
+def test_remote_chat_gives_up_after_three_attempts(monkeypatch, sleeps):
     attempts = []
 
     def fake_post(url, json=None, headers=None, timeout=None):
@@ -470,10 +479,37 @@ def test_remote_chat_gives_up_after_three_attempts(monkeypatch):
         return FakeResponse(status_code=503)
 
     monkeypatch.setattr(requests, "post", fake_post)
-    chat = RemoteChatProvider("http://host", "m", backoff=0.0)
+    chat = RemoteChatProvider("http://host", "m")
     with pytest.raises(ProviderUnavailableError, match="HTTP 503"):
         chat.complete("hi")
     assert len(attempts) == 3
+    assert sleeps == [0.5, 1.0]
+
+
+@pytest.mark.parametrize("status", [400, 401])
+def test_remote_fails_at_once_on_a_client_error(monkeypatch, sleeps, status):
+    attempts = []
+
+    def fake_post(url, json=None, headers=None, timeout=None):
+        attempts.append(url)
+        return FakeResponse(status_code=status)
+
+    monkeypatch.setattr(requests, "post", fake_post)
+    with pytest.raises(ProviderUnavailableError, match=f"HTTP {status}"):
+        RemoteChatProvider("http://host", "m").complete("hi")
+    assert len(attempts) == 1
+    assert sleeps == []
+
+
+@pytest.mark.parametrize("retry_after, waits", [("7", [7.0]), ("Wed, 21 Oct 2015 07:28:00 GMT", [0.5])])
+def test_remote_waits_as_retry_after_asks(monkeypatch, sleeps, retry_after, waits):
+    replies = [
+        FakeResponse(status_code=429, headers={"Retry-After": retry_after}),
+        FakeResponse(body={"choices": [{"message": {"content": "a woodcut"}}]}),
+    ]
+    monkeypatch.setattr(requests, "post", lambda url, json=None, headers=None, timeout=None: replies.pop(0))
+    assert RemoteChatProvider("http://host", "m").complete("hi") == "a woodcut"
+    assert sleeps == waits
 
 
 def test_remote_chat_attaches_image_as_data_url(monkeypatch):
@@ -485,7 +521,7 @@ def test_remote_chat_attaches_image_as_data_url(monkeypatch):
         return FakeResponse(body={"choices": [{"message": {"content": "ok"}}]})
 
     monkeypatch.setattr(requests, "post", fake_post)
-    chat = RemoteChatProvider("http://host", "vision-model", api_key="sk-test", backoff=0.0)
+    chat = RemoteChatProvider("http://host", "vision-model", api_key="sk-test")
     chat.complete("look", image_bytes=PNG_STUB)
     content = seen["payload"]["messages"][0]["content"]
     assert content[0] == {"type": "text", "text": "look"}
@@ -501,7 +537,7 @@ def test_remote_chat_rejects_malformed_or_empty_body(monkeypatch):
         monkeypatch.setattr(
             requests, "post", lambda url, json=None, headers=None, timeout=None, b=body: FakeResponse(body=b)
         )
-        chat = RemoteChatProvider("http://host", "m", backoff=0.0)
+        chat = RemoteChatProvider("http://host", "m")
         with pytest.raises(EmptyResponseError):
             chat.complete("hi")
 
@@ -516,7 +552,7 @@ def test_remote_embeddings_sorts_by_index(monkeypatch):
     monkeypatch.setattr(
         requests, "post", lambda url, json=None, headers=None, timeout=None: FakeResponse(body=body)
     )
-    emb = RemoteEmbeddingProvider("http://host", "embed-model", backoff=0.0)
+    emb = RemoteEmbeddingProvider("http://host", "embed-model")
     assert emb.embed_many(["a", "b"]) == [[1.0, 0.0], [0.0, 1.0]]
     assert emb.provider_id == "remote:embed-model"
 
@@ -526,7 +562,7 @@ def test_remote_embeddings_rejects_wrong_count(monkeypatch):
     monkeypatch.setattr(
         requests, "post", lambda url, json=None, headers=None, timeout=None: FakeResponse(body=body)
     )
-    emb = RemoteEmbeddingProvider("http://host", "m", backoff=0.0)
+    emb = RemoteEmbeddingProvider("http://host", "m")
     with pytest.raises(EmptyResponseError):
         emb.embed_many(["a", "b"])
     assert emb.embed_many([]) == []
@@ -542,6 +578,23 @@ def test_remote_retries_on_invalid_json(monkeypatch):
         return FakeResponse(body={"data": [{"index": 0, "embedding": [1.0]}]})
 
     monkeypatch.setattr(requests, "post", fake_post)
-    emb = RemoteEmbeddingProvider("http://host", "m", backoff=0.0)
+    emb = RemoteEmbeddingProvider("http://host", "m")
     assert emb.embed_many(["a"]) == [[1.0]]
     assert len(calls) == 2
+
+
+def test_remote_embeddings_chunk_at_2048_inputs(monkeypatch):
+    inputs = []
+
+    def fake_post(url, json=None, headers=None, timeout=None):
+        inputs.append(json["input"])
+        # each chunk's vectors come back in reverse, indexed within the chunk
+        data = [{"index": i, "embedding": [float(text[1:])]} for i, text in enumerate(json["input"])]
+        return FakeResponse(body={"data": data[::-1]})
+
+    monkeypatch.setattr(requests, "post", fake_post)
+    texts = [f"t{i}" for i in range(2049)]
+    vectors = RemoteEmbeddingProvider("http://host", "m").embed_many(texts)
+    assert [len(chunk) for chunk in inputs] == [2048, 1]
+    assert inputs[0] + inputs[1] == texts
+    assert vectors == [[float(i)] for i in range(2049)]

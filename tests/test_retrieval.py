@@ -11,6 +11,7 @@ from iconclassify.errors import (
     EmptyCorpusError,
     EmptyReferenceSetError,
     MissingIndexError,
+    NoCandidatesError,
     UnknownDocError,
     ZeroVectorError,
 )
@@ -496,6 +497,12 @@ def test_image_vote_plurality_wins():
     winner, table = image_vote_classify(_ray(1), refs, k=3)
     assert winner.raw == "71B32"
     assert table[0] == table[0].__class__(code=table[0].code, votes=2, best_rank=1)
+
+
+def test_image_vote_among_unlabelled_neighbours_has_no_candidates():
+    refs = ImageReferenceSet([(_ray(0), []), (_ray(10), []), (_ray(90), [parse_code("73D2")])])
+    with pytest.raises(NoCandidatesError):
+        image_vote_classify(_ray(1), refs, k=2)
 
 
 def test_image_vote_unanimous():
