@@ -361,8 +361,8 @@ def cmd_classify(manifest_path: str, method_name: str, mode: str, database: str,
               help="CSV with image_id, predicted_code, ground_truth_code.")
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 @click.option("--label", default=None, help="Report label (default: predictions file stem).")
-@click.option("--max-level", type=int, default=9, show_default=True)
-@click.option("--max-k", type=int, default=4, show_default=True)
+@click.option("--max-level", type=click.IntRange(min=1), default=9, show_default=True)
+@click.option("--max-k", type=click.IntRange(min=0), default=4, show_default=True)
 def cmd_evaluate(pred_path: str, out_dir: str, label: Optional[str], max_level: int, max_k: int):
     """Score predictions against ground truth; write report.json and report.txt."""
     rows = evaluation.read_predictions_csv(pred_path)

@@ -9,6 +9,7 @@ run without network access.
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import json
 import threading
@@ -179,6 +180,14 @@ class RemoteEmbeddingProvider:
         return vectors
 
 
+@functools.lru_cache(maxsize=1 << 16)  # (gram, dim) pairs; a paper-scale build meets about 2k
+def _gram_slot(gram: str, dim: int) -> tuple[int, float]:
+    """The bucket and the sign one 3-gram adds to an offline embedding."""
+    digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8, person=_HASH_PERSON).digest()
+    h = int.from_bytes(digest, "big")
+    return h % dim, 1.0 if h < (1 << 63) else -1.0  # top bit picks the sign
+
+
 def offline_embed(text: str, dim: int = DEFAULT_OFFLINE_DIM) -> list[float]:
     """Deterministic embedding: hashed character 3-grams of the lowercased
     text, signed counts, L2-normalized.
@@ -192,17 +201,13 @@ def offline_embed(text: str, dim: int = DEFAULT_OFFLINE_DIM) -> list[float]:
     s = text.lower()
     if len(s) < 3:
         raise EmptyTextError(f"need at least 3 characters to embed, got {len(s)}")
-    vec = np.zeros(dim, dtype=np.float64)
-    for i in range(len(s) - 2):
-        gram = s[i : i + 3]
-        digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8, person=_HASH_PERSON).digest()
-        h = int.from_bytes(digest, "big")
-        sign = 1.0 if h < (1 << 63) else -1.0  # top bit picks the sign
-        vec[h % dim] += sign
+    buckets, signs = zip(*[_gram_slot(s[i : i + 3], dim) for i in range(len(s) - 2)])
+    # sums of +-1.0 are small integers, exact in any order
+    vec = np.bincount(buckets, weights=signs, minlength=dim)
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         raise ZeroVectorError("gram signs cancelled; text has no usable direction")
-    return [float(x) for x in vec / norm]
+    return (vec / norm).tolist()
 
 
 class OfflineHashEmbedder:

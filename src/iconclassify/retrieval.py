@@ -168,33 +168,45 @@ def build_vector_index(rows: Iterable[tuple[str, Sequence[float]]]) -> VectorInd
     (a zero row has no direction, so cosine queries would always fail).
     """
     ids: list[str] = []
-    vectors: list[np.ndarray] = []
-    dim: Optional[int] = None
+    vectors: list[Sequence[float]] = []
     seen: set[str] = set()
     for doc_id, vec in rows:
         if doc_id in seen:
+            _stack(ids, vectors)  # a bad row before the duplicate is reported first
             raise DuplicateDocIdError(f"duplicate doc id {doc_id!r}")
         seen.add(doc_id)
-        arr = np.asarray(vec, dtype=np.float64)
-        if arr.ndim != 1:
-            raise DimMismatchError(f"{doc_id!r}: vector must be one-dimensional")
-        if dim is None:
-            dim = int(arr.shape[0])
-        elif arr.shape[0] != dim:
-            raise DimMismatchError(
-                f"{doc_id!r}: dim {arr.shape[0]} != index dim {dim}"
-            )
         ids.append(doc_id)
-        vectors.append(arr)
+        vectors.append(vec)
     if not ids:
         raise EmptyCorpusError("no vectors to index")
-    matrix = np.vstack(vectors)
+    matrix = _stack(ids, vectors)
     # each entry equals np.linalg.norm of its row: the same dot, then sqrt
     norms = np.sqrt(np.vecdot(matrix, matrix))
     bad = np.flatnonzero(~((norms > 0.0) & (norms < math.inf)))
     if bad.size:
         raise ZeroVectorError(f"{ids[bad[0]]!r}: zero or non-finite vector cannot be indexed")
-    return VectorIndex(dim=dim, ids=ids, matrix=matrix, norms=norms)
+    return VectorIndex(dim=matrix.shape[1], ids=ids, matrix=matrix, norms=norms)
+
+
+def _stack(ids: list[str], vectors: list[Sequence[float]]) -> np.ndarray:
+    """The rows as one float64 matrix, converted in one call. Rows that do
+    not stack are converted one by one, so that the first row that is not
+    1-d, or whose dim differs from the first row's, is the one named."""
+    try:
+        matrix = np.array(vectors, dtype=np.float64)
+        if matrix.ndim == 2:
+            return matrix
+    except (ValueError, TypeError):
+        pass
+    arrays: list[np.ndarray] = []
+    for doc_id, vec in zip(ids, vectors):
+        arr = np.asarray(vec, dtype=np.float64)
+        if arr.ndim != 1:
+            raise DimMismatchError(f"{doc_id!r}: vector must be one-dimensional")
+        if arrays and arr.shape[0] != arrays[0].shape[0]:
+            raise DimMismatchError(f"{doc_id!r}: dim {arr.shape[0]} != index dim {arrays[0].shape[0]}")
+        arrays.append(arr)
+    return np.vstack(arrays)
 
 
 def cosine_distance(u: Sequence[float], v: Sequence[float]) -> float:
@@ -402,16 +414,14 @@ def save_index(
     (out / "meta.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    keyword = {
-        "postings": {t: [[d, tf] for d, tf in plist] for t, plist in kw_index.postings.items()},
-        "doc_lengths": kw_index.doc_lengths,
-    }
+    # json encodes each (doc_id, tf) tuple as an array
+    keyword = {"postings": kw_index.postings, "doc_lengths": kw_index.doc_lengths}
     (out / "keyword.json").write_text(
         json.dumps(keyword, sort_keys=True) + "\n", encoding="utf-8"
     )
     with open(out / "vectors.jsonl", "w", encoding="utf-8") as fh:
         for i, doc_id in enumerate(vec_index.ids):
-            rec = {"id": doc_id, "vector": [float(x) for x in vec_index.matrix[i]]}
+            rec = {"id": doc_id, "vector": vec_index.matrix[i].tolist()}  # one row at a time keeps RSS flat
             fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
 

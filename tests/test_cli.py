@@ -595,6 +595,18 @@ def test_evaluate_respects_max_level_and_k(runner, tmp_path):
     assert report["config"] == {"label": "p", "max_level": 3, "max_k": 2}
 
 
+@pytest.mark.parametrize("flag, value", [("--max-level", "0"), ("--max-k", "-2")])
+def test_evaluate_rejects_out_of_range_levels_and_k(runner, tmp_path, flag, value):
+    preds = tmp_path / "p.csv"
+    preds.write_text("image_id,predicted_code,ground_truth_code\na,73D231,73D231\n")
+    result = runner.invoke(main, [
+        "evaluate", "--predictions", str(preds), "--out", str(tmp_path / "report"), flag, value,
+    ])
+    assert result.exit_code == 2
+    assert flag in result.output
+    assert not (tmp_path / "report" / "report.json").exists()
+
+
 # ---------------------------------------------------------------- config file
 
 def test_config_file_supplies_defaults_and_flags_win(runner, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -135,6 +136,29 @@ def test_offline_embed_rejects_short_text():
         offline_embed("ab")
     with pytest.raises(EmptyTextError):
         offline_embed("")
+
+
+def _per_gram_embed(text, dim):
+    """The reference offline embedding: one blake2b and one += per 3-gram, in text order."""
+    s = text.lower()
+    vec = np.zeros(dim, dtype=np.float64)
+    for i in range(len(s) - 2):
+        digest = hashlib.blake2b(s[i : i + 3].encode("utf-8"), digest_size=8, person=b"icx-gram").digest()
+        h = int.from_bytes(digest, "big")
+        vec[h % dim] += 1.0 if h < (1 << 63) else -1.0
+    return vec / np.linalg.norm(vec)
+
+
+def test_offline_embed_equals_the_per_gram_loop_bit_for_bit():
+    long_text = "Mariä Himmelfahrt; Noah, Noah, Noah and the ark of Noah"
+    # more distinct grams than buckets at dim 16, so buckets collide
+    assert len({long_text.lower()[i : i + 3] for i in range(len(long_text) - 2)}) > 16
+    texts = [long_text, "Mariä Himmelfahrt", "ark", "aaaaaaa", "Christ washes Peter's feet"]
+    for text in texts:
+        for dim in (16, 64, 512, 16):  # interleaved: one text's grams at every dim in turn
+            got = offline_embed(text, dim)
+            assert all(type(x) is float for x in got)
+            assert np.array(got).tobytes() == _per_gram_embed(text, dim).tobytes(), (text, dim)
 
 
 def test_offline_hash_embedder_provider_id_and_batching():

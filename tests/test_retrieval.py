@@ -256,6 +256,27 @@ def test_build_vector_index_rejects_bad_rows():
         build_vector_index([])
 
 
+@pytest.mark.parametrize("bad", [[1.0], [[1.0, 0.0], [0.0, 1.0]], 1.0], ids=["ragged", "2-d", "scalar"])
+def test_build_vector_index_names_the_first_row_that_does_not_stack(bad):
+    rows = [("71B", [1.0, 0.0]), ("73D", [0.0, 1.0]), ("11H", bad), ("25F", [1.0])]
+    with pytest.raises(DimMismatchError, match="^'11H'"):
+        build_vector_index(rows)
+
+
+@pytest.mark.parametrize("rows", [
+    [("71B", [[1.0, 0.0]]), ("73D", [[0.0, 1.0]])],  # every row 2-d: stacks to 3-d
+    [("71B", 1.0), ("73D", 2.0)],  # every row a scalar: stacks to 1-d
+], ids=["all-2-d", "all-scalar"])
+def test_build_vector_index_rejects_rows_that_stack_to_the_wrong_rank(rows):
+    with pytest.raises(DimMismatchError, match="^'71B'"):
+        build_vector_index(rows)
+
+
+def test_build_vector_index_reports_a_bad_row_before_a_later_duplicate():
+    with pytest.raises(DimMismatchError, match="^'73D'"):
+        build_vector_index([("71B", [1.0, 0.0]), ("73D", [1.0]), ("71B", [0.0, 1.0])])
+
+
 def test_vector_search_self_query_is_rank_one():
     docs = [("71B32", [1.0, 0.0, 0.0]), ("71B33", [0.0, 1.0, 0.0]), ("73D2", [0.6, 0.8, 0.0])]
     index = build_vector_index(docs)
@@ -578,6 +599,14 @@ def test_reference_set_rejects_zero_and_ragged_rows():
         )
 
 
+def test_reference_set_names_the_ragged_row():
+    with pytest.raises(DimMismatchError, match="^'reference 2'"):
+        ImageReferenceSet(
+            [([1.0, 0.0], [parse_code("73D")]), ([0.0, 1.0], [parse_code("25F")]),
+             (np.array([1.0]), [parse_code("71B")]), ([1.0, 1.0, 1.0], [parse_code("11H")])]
+        )
+
+
 def test_reference_set_from_jsonl(fixtures_dir):
     refs = ImageReferenceSet.from_jsonl(fixtures_dir / "refs.jsonl")
     assert len(refs) == 24
@@ -633,6 +662,24 @@ def test_saved_data_files_are_byte_stable(tmp_path):
     meta_a.pop("created_at")
     meta_b.pop("created_at")
     assert meta_a == meta_b
+
+
+def test_saved_data_files_match_format_1_text(tmp_path):
+    # tf 2 for "noah" in 71B, "ark" shared by all three docs, and floats
+    # whose shortest round-trip text is easy to get wrong
+    kw = build_keyword_index([("71B", "Noah noah ark"), ("73D", "ark of Noah"), ("11H", "ark")])
+    vec = build_vector_index([("71B", [0.1, 1 / 3]), ("73D", [5e-324, -1.0]), ("11H", [-0.0, 2.5])])
+    save_index(tmp_path / "idx", kw, vec)
+    assert (tmp_path / "idx" / "keyword.json").read_text(encoding="utf-8") == (
+        '{"doc_lengths": {"11H": 1, "71B": 3, "73D": 3}, '
+        '"postings": {"ark": [["71B", 1], ["73D", 1], ["11H", 1]], '
+        '"noah": [["71B", 2], ["73D", 1]], "of": [["73D", 1]]}}\n'
+    )
+    assert (tmp_path / "idx" / "vectors.jsonl").read_text(encoding="utf-8") == (
+        '{"id":"71B","vector":[0.1,0.3333333333333333]}\n'
+        '{"id":"73D","vector":[5e-324,-1.0]}\n'
+        '{"id":"11H","vector":[-0.0,2.5]}\n'
+    )
 
 
 def test_load_index_reports_missing_files(tmp_path):
