@@ -2,98 +2,4 @@
 into hierarchical Iconclass codes via keyword, vector, hybrid, and
 retrieval-augmented search, with hierarchical evaluation metrics."""
 
-from .errors import IconclassifyError
-from .evaluation import (
-    LevelComparison,
-    MatchType,
-    classify_match,
-    compare,
-    evaluate_pair,
-    hierarchical_metrics,
-    level_accuracy,
-    truncation_report,
-    weighted_score,
-)
-from .pipeline import (
-    ClassifyContext,
-    ManifestRow,
-    MethodSpec,
-    Prediction,
-    QueryKind,
-    classify,
-    classify_batch,
-    standard_method_matrix,
-)
-from .providers import (
-    DescriptionMode,
-    OfflineHashEmbedder,
-    offline_embed,
-    offline_select,
-)
-from .retrieval import (
-    ImageReferenceSet,
-    RankedHit,
-    build_keyword_index,
-    build_vector_index,
-    bm25_score,
-    cosine_distance,
-    hybrid_search,
-    image_vote_classify,
-    keyword_search,
-    vector_search,
-)
-from .taxonomy import (
-    DatabaseKind,
-    IconclassCode,
-    Taxonomy,
-    common_depth,
-    load_taxonomy,
-    parent_chain,
-    parse_code,
-    truncate_code,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ClassifyContext",
-    "DatabaseKind",
-    "DescriptionMode",
-    "IconclassCode",
-    "IconclassifyError",
-    "ImageReferenceSet",
-    "LevelComparison",
-    "ManifestRow",
-    "MatchType",
-    "MethodSpec",
-    "OfflineHashEmbedder",
-    "Prediction",
-    "QueryKind",
-    "RankedHit",
-    "Taxonomy",
-    "bm25_score",
-    "build_keyword_index",
-    "build_vector_index",
-    "classify",
-    "classify_batch",
-    "classify_match",
-    "common_depth",
-    "compare",
-    "cosine_distance",
-    "evaluate_pair",
-    "hierarchical_metrics",
-    "hybrid_search",
-    "image_vote_classify",
-    "keyword_search",
-    "level_accuracy",
-    "load_taxonomy",
-    "offline_embed",
-    "offline_select",
-    "parent_chain",
-    "parse_code",
-    "standard_method_matrix",
-    "truncate_code",
-    "truncation_report",
-    "vector_search",
-    "weighted_score",
-]

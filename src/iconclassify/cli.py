@@ -83,10 +83,16 @@ def _make_chat(purpose: str, endpoint: Optional[str], chat_model: Optional[str],
 
 
 def _parse_prefix_filter(text: Optional[str]) -> Optional[tuple[str, ...]]:
+    """--prefix-filter as the top-level categories to keep; None keeps every category."""
     if text is None:
         return taxonomy.DEFAULT_PREFIX_FILTER
+    if text.strip().lower() == "all":
+        return None
     cleaned = tuple(part.strip() for part in text.split(",") if part.strip())
-    return cleaned or None
+    if not cleaned:
+        raise click.BadParameter("name at least one top-level category, or 'all'",
+                                 param_hint="'--prefix-filter'")
+    return cleaned
 
 
 @main.group("taxonomy")
@@ -103,16 +109,18 @@ def taxonomy_group():
               help="Output JSONL with basic and hierarchical renderings per entry.")
 def cmd_taxonomy_build(source: str, prefix_filter: Optional[str], out_path: str):
     """Load, filter, and render the taxonomy into an indexable file."""
-    keep = None if (prefix_filter or "").strip().lower() == "all" else _parse_prefix_filter(prefix_filter)
+    keep = _parse_prefix_filter(prefix_filter)
     tax = taxonomy.load_taxonomy(source, keep)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for entry in tax:
-            record = {
-                "code": entry.code.raw,
-                "basic": taxonomy.render_basic_doc(entry),
-                "hierarchical": taxonomy.render_hierarchical_doc(entry, tax),
-            }
-            fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
+    # every entry is rendered before --out is opened, so a failure leaves no partial file
+    lines = []
+    for entry in tax:
+        record = {
+            "code": entry.code.raw,
+            "basic": taxonomy.render_basic_doc(entry),
+            "hierarchical": taxonomy.render_hierarchical_doc(entry, tax),
+        }
+        lines.append(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
+    Path(out_path).write_text("".join(lines), encoding="utf-8")
     meta = {
         "entries": tax.stats.kept,
         "filtered": tax.stats.filtered,
@@ -159,30 +167,22 @@ def index_group():
 @click.option("--api-key", envvar=_ENV_API_KEY, default=None)
 @click.option("--embed-cache", type=click.Path(dir_okay=False), default=None,
               help="JSONL embedding cache (recommended for remote runs).")
-@click.option("--k1", type=float, default=retrieval.DEFAULT_K1, show_default=True)
-@click.option("--b", type=float, default=retrieval.DEFAULT_B, show_default=True)
 def cmd_index_build(rendered_path: str, database: str, index_dir: str, offline: bool,
                     dim: int, endpoint: Optional[str], embed_model: Optional[str],
-                    api_key: Optional[str], embed_cache: Optional[str], k1: float, b: float):
+                    api_key: Optional[str], embed_cache: Optional[str]):
     """Build keyword and vector indices over one taxonomy rendering."""
     _check_offline(offline, endpoint, api_key)
     docs = _load_rendered_taxonomy(rendered_path)
     kind = taxonomy.DatabaseKind(database)
     texts = [(code, fields[kind.value]) for code, fields in docs.items()]
-    kw_index = retrieval.build_keyword_index(texts, k1=k1, b=b)
+    kw_index = retrieval.build_keyword_index(texts)
     embedder = _make_embedder(offline, dim, endpoint, embed_model, api_key)
     cache = providers.EmbeddingCache(embed_cache) if embed_cache else None
     vectors = providers.embed_many([t for _, t in texts], embedder, cache)
     vec_index = retrieval.build_vector_index(
         (code, vec) for (code, _), vec in zip(texts, vectors)
     )
-    config = {
-        "database": kind.value,
-        "embedder": embedder.provider_id,
-        "k1": k1,
-        "b": b,
-        "doc_count": len(texts),
-    }
+    config = {"database": kind.value, "embedder": embedder.provider_id}
     retrieval.save_index(index_dir, kw_index, vec_index, config=config)
     click.echo(f"indexed {len(texts)} documents into {index_dir} ({kind.value})")
 
@@ -268,7 +268,7 @@ def cmd_describe(manifest_path: str, mode: str, cache_path: str, offline: bool,
               type=click.Choice([k.value for k in pipeline.QueryKind]))
 @click.option("--mode", type=click.Choice(["page", "illustration"]), default="page", show_default=True)
 @click.option("--database", type=click.Choice(["basic", "hierarchical"]), default="basic", show_default=True)
-@click.option("--alpha", type=float, default=retrieval.DEFAULT_ALPHA, show_default=True)
+@click.option("--alpha", type=click.FloatRange(0.0, 1.0), default=retrieval.DEFAULT_ALPHA, show_default=True)
 @click.option("--rag-k", type=click.IntRange(min=1), default=pipeline.DEFAULT_RAG_K, show_default=True)
 @click.option("--pool", type=click.IntRange(min=1), default=retrieval.DEFAULT_POOL, show_default=True,
               help="Hybrid candidate pool size per method.")

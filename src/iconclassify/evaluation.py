@@ -33,14 +33,6 @@ class MatchType(Enum):
         return self.value
 
 
-# half of the base score is the floor for partial matches
-_FLOORS = {
-    MatchType.PARTIAL_A: 42.5,
-    MatchType.PARTIAL_B: 35.0,
-    MatchType.PARTIAL_C: 30.0,
-}
-
-
 @dataclass(frozen=True)
 class LevelComparison:
     matched: int
@@ -110,7 +102,7 @@ def weighted_score(c: LevelComparison) -> float:
     else:
         # partly wrong predictions also pay for their incorrect levels
         raw = match.base_score * (m / g) * (m / p)
-    return max(raw, _FLOORS[match])
+    return max(raw, match.base_score / 2)
 
 
 @dataclass(frozen=True)
@@ -259,21 +251,24 @@ def read_predictions_csv(path: Union[str, Path]) -> list[PredictionRow]:
     if not p.is_file():
         raise ManifestParseError(f"predictions file not found: {p}")
     rows: list[PredictionRow] = []
-    with open(p, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        needed = {"image_id", "predicted_code", "ground_truth_code"}
-        if not reader.fieldnames or not needed.issubset(reader.fieldnames):
-            raise ManifestParseError(
-                "predictions CSV needs columns image_id, predicted_code, ground_truth_code"
-            )
-        for line_no, rec in enumerate(reader, start=2):
-            image_id = (rec.get("image_id") or "").strip()
-            predicted = (rec.get("predicted_code") or "").strip()
-            gt = (rec.get("ground_truth_code") or "").strip()
-            if not image_id or not predicted or not gt:
-                raise ManifestParseError(f"line {line_no}: incomplete prediction row")
-            group = (rec.get("group") or "").strip() or None
-            rows.append(PredictionRow(image_id, predicted, gt, group))
+    try:
+        with open(p, encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            needed = {"image_id", "predicted_code", "ground_truth_code"}
+            if not reader.fieldnames or not needed.issubset(reader.fieldnames):
+                raise ManifestParseError(
+                    "predictions CSV needs columns image_id, predicted_code, ground_truth_code"
+                )
+            for line_no, rec in enumerate(reader, start=2):
+                image_id = (rec.get("image_id") or "").strip()
+                predicted = (rec.get("predicted_code") or "").strip()
+                gt = (rec.get("ground_truth_code") or "").strip()
+                if not image_id or not predicted or not gt:
+                    raise ManifestParseError(f"line {line_no}: incomplete prediction row")
+                group = (rec.get("group") or "").strip() or None
+                rows.append(PredictionRow(image_id, predicted, gt, group))
+    except UnicodeDecodeError as exc:
+        raise ManifestParseError(f"{p}: not UTF-8: {exc}") from exc
     return rows
 
 

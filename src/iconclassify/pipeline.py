@@ -343,11 +343,14 @@ def read_manifest(path: Union[str, Path]) -> list[ManifestRow]:
         except MalformedLineError as exc:
             raise ManifestParseError(str(exc)) from exc
     else:
-        with open(p, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if not reader.fieldnames or "image_id" not in reader.fieldnames:
-                raise ManifestParseError("manifest CSV needs an image_id column")
-            rows = [_row_from_record(rec, line_no, base_dir) for line_no, rec in enumerate(reader, start=2)]
+        try:
+            with open(p, encoding="utf-8", newline="") as fh:
+                reader = csv.DictReader(fh)
+                if not reader.fieldnames or "image_id" not in reader.fieldnames:
+                    raise ManifestParseError("manifest CSV needs an image_id column")
+                rows = [_row_from_record(rec, line_no, base_dir) for line_no, rec in enumerate(reader, start=2)]
+        except UnicodeDecodeError as exc:
+            raise ManifestParseError(f"{p}: not UTF-8: {exc}") from exc
     seen: set[str] = set()
     for row in rows:
         if row.image_id in seen:

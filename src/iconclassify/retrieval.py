@@ -60,13 +60,9 @@ class KeywordIndex:
     doc_lengths: dict[str, int]
     avg_doc_length: float
     doc_count: int
-    k1: float = DEFAULT_K1
-    b: float = DEFAULT_B
 
 
-def build_keyword_index(
-    docs: Iterable[tuple[str, str]], k1: float = DEFAULT_K1, b: float = DEFAULT_B
-) -> KeywordIndex:
+def build_keyword_index(docs: Iterable[tuple[str, str]]) -> KeywordIndex:
     """Build an inverted index with term frequencies and document lengths."""
     postings: dict[str, list[tuple[str, int]]] = {}
     doc_lengths: dict[str, int] = {}
@@ -85,8 +81,6 @@ def build_keyword_index(
         doc_lengths=doc_lengths,
         avg_doc_length=avg,
         doc_count=len(doc_lengths),
-        k1=k1,
-        b=b,
     )
 
 
@@ -94,9 +88,9 @@ def _idf(n_docs: int, df: int) -> float:
     return math.log(1 + (n_docs - df + 0.5) / (df + 0.5))
 
 
-def _term_score(idf: float, tf: int, doc_len: int, avg_len: float, k1: float, b: float) -> float:
-    denom = tf + k1 * (1 - b + b * doc_len / avg_len)
-    return idf * (tf * (k1 + 1)) / denom
+def _term_score(idf: float, tf: int, doc_len: int, avg_len: float) -> float:
+    denom = tf + DEFAULT_K1 * (1 - DEFAULT_B + DEFAULT_B * doc_len / avg_len)
+    return idf * (tf * (DEFAULT_K1 + 1)) / denom
 
 
 def bm25_score(index: KeywordIndex, query_terms: Sequence[str], doc_id: str) -> float:
@@ -121,7 +115,7 @@ def bm25_score(index: KeywordIndex, query_terms: Sequence[str], doc_id: str) -> 
         if tf == 0:
             continue
         idf = _idf(index.doc_count, len(plist))
-        score += _term_score(idf, tf, doc_len, index.avg_doc_length, index.k1, index.b)
+        score += _term_score(idf, tf, doc_len, index.avg_doc_length)
     return score
 
 
@@ -139,9 +133,7 @@ def keyword_search(index: KeywordIndex, query: str, k: int) -> list[RankedHit]:
             continue
         idf = _idf(index.doc_count, len(plist))
         for doc_id, tf in plist:
-            contrib = _term_score(
-                idf, tf, index.doc_lengths[doc_id], index.avg_doc_length, index.k1, index.b
-            )
+            contrib = _term_score(idf, tf, index.doc_lengths[doc_id], index.avg_doc_length)
             scores[doc_id] = scores.get(doc_id, 0.0) + contrib
     ranked = sorted(
         ((doc_id, s) for doc_id, s in scores.items() if s > 0.0),
@@ -321,8 +313,6 @@ class ImageReferenceSet:
             raise EmptyReferenceSetError("reference set is empty")
         self.index = build_vector_index((f"reference {i}", vec) for i, (vec, _) in enumerate(rows))
         self.labels: list[list[IconclassCode]] = [list(codes) for _, codes in rows]
-        self.dim = self.index.dim
-        self.vectors = self.index.matrix
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -402,8 +392,8 @@ def save_index(
         "format": 1,
         "created_at": datetime.now(timezone.utc).isoformat(),
         "keyword": {
-            "k1": kw_index.k1,
-            "b": kw_index.b,
+            "k1": DEFAULT_K1,
+            "b": DEFAULT_B,
             "doc_count": kw_index.doc_count,
             "avg_doc_length": kw_index.avg_doc_length,
         },
@@ -436,15 +426,17 @@ def load_index(dir_path: Union[str, Path]) -> tuple[KeywordIndex, VectorIndex, d
             raise MissingIndexError(f"missing index file {p}")
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        kw_data = json.loads(kw_path.read_text(encoding="utf-8"))
         kw_meta = meta["keyword"]
+        # scores always use the constants, so an index recorded with others would rank silently wrong
+        if (kw_meta["k1"], kw_meta["b"]) != (DEFAULT_K1, DEFAULT_B):
+            raise MissingIndexError(f"{root}: index was built with BM25 k1={kw_meta['k1']}, b={kw_meta['b']}, "
+                                    f"not {DEFAULT_K1}, {DEFAULT_B}; rebuild it with `index build`")
+        kw_data = json.loads(kw_path.read_text(encoding="utf-8"))
         kw_index = KeywordIndex(
             postings={t: [(d, int(tf)) for d, tf in plist] for t, plist in kw_data["postings"].items()},
             doc_lengths={d: int(n) for d, n in kw_data["doc_lengths"].items()},
             avg_doc_length=float(kw_meta["avg_doc_length"]),
             doc_count=int(kw_meta["doc_count"]),
-            k1=float(kw_meta["k1"]),
-            b=float(kw_meta["b"]),
         )
         rows = [(obj["id"], obj["vector"]) for _, obj in iter_jsonl(vec_path)]
         vec_count = int(meta["vector"]["doc_count"])

@@ -149,9 +149,8 @@ class LoadStats:
 class Taxonomy:
     """An in-memory code -> entry mapping with load statistics."""
 
-    def __init__(self, entries: dict[str, TaxonomyEntry], prefix_filter: Optional[tuple[str, ...]], stats: LoadStats):
+    def __init__(self, entries: dict[str, TaxonomyEntry], stats: LoadStats):
         self._entries = entries
-        self.prefix_filter = prefix_filter
         self.stats = stats
 
     def __len__(self) -> int:
@@ -180,18 +179,26 @@ def _json_object(line: str, line_no: int, where: str = "") -> dict:
     return obj
 
 
-def iter_jsonl(path: Union[str, Path]) -> Iterator[tuple[int, dict]]:
-    """(line number, object) for each non-blank line of a JSON-lines file.
-    Bad UTF-8, bad JSON or a line that is not an object raises
+def _lines(path: Union[str, Path]) -> Iterator[tuple[int, str]]:
+    """(line number, text) for each line of a UTF-8 file; bad UTF-8 raises
     MalformedLineError naming the file and the line."""
     with open(path, "rb") as fh:  # decoded line by line, so a bad byte gets its own line number
         for line_no, raw in enumerate(fh, start=1):
             try:
-                line = raw.decode("utf-8").strip()
+                line = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise MalformedLineError(line_no, f"{path}: not UTF-8: {exc}") from exc
-            if line:
-                yield line_no, _json_object(line, line_no, f"{path}: ")
+            yield line_no, line
+
+
+def iter_jsonl(path: Union[str, Path]) -> Iterator[tuple[int, dict]]:
+    """(line number, object) for each non-blank line of a JSON-lines file.
+    Bad UTF-8, bad JSON or a line that is not an object raises
+    MalformedLineError naming the file and the line."""
+    for line_no, line in _lines(path):
+        line = line.strip()
+        if line:
+            yield line_no, _json_object(line, line_no, f"{path}: ")
 
 
 def _parse_line(line: str, line_no: int) -> tuple[str, str]:
@@ -218,15 +225,12 @@ def load_taxonomy(
     Pass prefix_filter=None to keep everything. Blank lines are skipped.
     Raises MalformedLineError (with line number) or DuplicateCodeError.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            return load_taxonomy(list(fh), prefix_filter)
-
+    numbered = _lines(source) if isinstance(source, (str, Path)) else enumerate(source, start=1)
     keep = tuple(prefix_filter) if prefix_filter is not None else None
     entries: dict[str, TaxonomyEntry] = {}
     stats = LoadStats()
-    for line_no, line in enumerate(source, start=1):
-        line = line.rstrip("\n")
+    for line_no, line in numbered:
+        line = line.rstrip("\r\n")
         if not line.strip():
             continue
         stats.lines += 1
@@ -250,7 +254,7 @@ def load_taxonomy(
         log.warning("taxonomy source is empty")
     elif stats.kept == 0:
         log.warning("all %d taxonomy entries were filtered out", stats.lines)
-    return Taxonomy(entries, keep, stats)
+    return Taxonomy(entries, stats)
 
 
 def render_basic_doc(entry: TaxonomyEntry) -> str:

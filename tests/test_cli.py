@@ -99,6 +99,32 @@ def test_taxonomy_build_reports_orphan_branches(runner, tmp_path):
     ])
     assert result.exit_code == 1
     assert "missing ancestor" in result.output
+    assert not (tmp_path / "all.jsonl").exists()
+    assert not (tmp_path / "all.jsonl.meta.json").exists()
+
+    earlier = tmp_path / "earlier.jsonl"
+    earlier.write_bytes(b'{"code": "7"}\n')
+    result = runner.invoke(main, [
+        "taxonomy", "build",
+        "--taxonomy", str(FIXTURES / "taxonomy.tsv"),
+        "--prefix-filter", "all",
+        "--out", str(earlier),
+    ])
+    assert result.exit_code == 1
+    assert earlier.read_bytes() == b'{"code": "7"}\n'
+
+
+@pytest.mark.parametrize("value", ["", ",", " , "])
+def test_taxonomy_build_rejects_an_empty_prefix_filter(runner, tmp_path, value):
+    result = runner.invoke(main, [
+        "taxonomy", "build",
+        "--taxonomy", str(FIXTURES / "taxonomy.tsv"),
+        "--prefix-filter", value,
+        "--out", str(tmp_path / "o.jsonl"),
+    ])
+    assert result.exit_code == 2
+    assert "--prefix-filter" in result.output
+    assert not (tmp_path / "o.jsonl").exists()
 
 
 def test_taxonomy_build_single_prefix(runner, tmp_path):
@@ -442,12 +468,27 @@ def test_classify_rejects_k_below_one(runner, tmp_path, workspace, option):
     assert not (tmp_path / "x.jsonl").exists()
 
 
-def test_cli_import_leaves_requests_unloaded():
+def test_classify_rejects_alpha_outside_zero_to_one(runner, tmp_path, workspace):
+    for value in ("-0.5", "1.5"):
+        result = runner.invoke(
+            main, _classify_args(workspace, tmp_path / "x", method="hybrid", extra=("--alpha", value))
+        )
+        assert result.exit_code == 2
+        assert "--alpha" in result.output
+    assert not (tmp_path / "x.jsonl").exists()
+
+
+@pytest.mark.parametrize("module, unloaded", [
+    ("iconclassify.cli", ["requests"]),
+    ("iconclassify.taxonomy", ["numpy", "requests"]),
+    ("iconclassify.evaluation", ["numpy", "requests"]),
+], ids=["cli", "taxonomy", "evaluation"])
+def test_cli_import_leaves_requests_unloaded(module, unloaded):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    code = "import sys, iconclassify.cli; print('requests' in sys.modules)"
+    code = f"import sys, {module}; print([name for name in {unloaded!r} if name in sys.modules])"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_classify_unknown_method_is_usage_error(runner, tmp_path, workspace):
@@ -719,6 +760,27 @@ def _subcommand_non_object_config(workspace, tmp_path):
     return _config_args(tmp_path, '{"index": {"build": []}}\n'), ["--config", "config.json", "under index.build"]
 
 
+def _non_utf8_taxonomy(workspace, tmp_path):
+    source = tmp_path / "raw.tsv"
+    source.write_bytes(b"7\tBible\n71\tOld Testament \xff\n")
+    return ["taxonomy", "build", "--taxonomy", str(source), "--out", str(tmp_path / "o.jsonl")], \
+        ["raw.tsv", "line 2", "not UTF-8"]
+
+
+def _non_utf8_manifest(workspace, tmp_path):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_bytes(b"image_id,description\na,the ark \xff\n")
+    return ["describe", "--manifest", str(manifest), "--cache", str(tmp_path / "c.jsonl"),
+            "--offline"], ["manifest.csv", "not UTF-8"]
+
+
+def _non_utf8_predictions(workspace, tmp_path):
+    preds = tmp_path / "preds.csv"
+    preds.write_bytes(b"image_id,predicted_code,ground_truth_code\na\xff,73D231,73D231\n")
+    return ["evaluate", "--predictions", str(preds), "--out", str(tmp_path / "r")], \
+        ["preds.csv", "not UTF-8"]
+
+
 def _dim_below_the_offline_minimum(workspace, tmp_path):
     return ["index", "build", "--taxonomy", str(workspace / "rendered.jsonl"),
             "--index-dir", str(tmp_path / "idx"), "--offline", "--dim", "8"], ["--dim", "x>=16"]
@@ -727,7 +789,8 @@ def _dim_below_the_offline_minimum(workspace, tmp_path):
 @pytest.mark.parametrize("case", [
     _cut_rendered_taxonomy, _cut_manifest, _cut_refs, _refs_without_codes, _refs_with_empty_codes,
     _refs_with_a_bad_code, _cut_vectors, _bad_config, _non_object_config, _nested_non_object_config,
-    _subcommand_non_object_config, _dim_below_the_offline_minimum,
+    _subcommand_non_object_config, _non_utf8_taxonomy, _non_utf8_manifest, _non_utf8_predictions,
+    _dim_below_the_offline_minimum,
 ], ids=lambda case: case.__name__.strip("_"))
 def test_malformed_input_ends_as_a_one_line_error(runner, tmp_path, workspace, case):
     args, needles = case(workspace, tmp_path)

@@ -574,7 +574,7 @@ def test_image_vote_total_votes_property():
     k = 10
     _, table = image_vote_classify(_ray(33.0), refs, k=k)
     dists = sorted(
-        (cosine_distance(refs.vectors[i], _ray(33.0)), i) for i in range(len(refs))
+        (cosine_distance(refs.index.matrix[i], _ray(33.0)), i) for i in range(len(refs))
     )
     expected = sum(len({c.raw for c in refs.labels[i]}) for _, i in dists[:k])
     assert sum(e.votes for e in table) == expected
@@ -610,7 +610,7 @@ def test_reference_set_names_the_ragged_row():
 def test_reference_set_from_jsonl(fixtures_dir):
     refs = ImageReferenceSet.from_jsonl(fixtures_dir / "refs.jsonl")
     assert len(refs) == 24
-    assert refs.dim == 8
+    assert refs.index.dim == 8
 
 
 def test_image_vote_on_reference_fixture(fixtures_dir):
@@ -624,13 +624,13 @@ def test_image_vote_on_reference_fixture(fixtures_dir):
 
 def test_save_and_load_round_trip_queries(tmp_path):
     docs = _fixture_docs(DatabaseKind.BASIC)
-    kw = build_keyword_index(docs, k1=1.4, b=0.6)
+    kw = build_keyword_index(docs)
     rng = np.random.default_rng(5)
     vec = build_vector_index([(d, rng.standard_normal(8)) for d, _ in docs])
     save_index(tmp_path / "idx", kw, vec, config={"database": "basic"})
     kw2, vec2, meta = load_index(tmp_path / "idx")
 
-    assert meta["keyword"]["k1"] == 1.4
+    assert (meta["keyword"]["k1"], meta["keyword"]["b"]) == (1.2, 0.75)
     assert meta["keyword"]["doc_count"] == len(docs)
     assert meta["vector"]["dim"] == 8
     assert meta["config"] == {"database": "basic"}
@@ -717,3 +717,15 @@ def test_load_index_rejects_a_truncated_or_mismatched_index(tmp_path):
         load_index(tmp_path / "idx")
     vec_path.write_text(whole)
     assert load_index(tmp_path / "idx")[1].ids == vec.ids
+
+
+@pytest.mark.parametrize("field, value", [("k1", 1.4), ("b", 0.6)])
+def test_load_index_refuses_other_bm25_parameters(tmp_path, field, value):
+    # scoring uses k1 = 1.2 and b = 0.75 whatever the index records
+    save_index(tmp_path / "idx", build_keyword_index([("71B", "ark")]), build_vector_index([("71B", [1.0])]))
+    meta_path = tmp_path / "idx" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["keyword"][field] = value
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(MissingIndexError, match=f"{field}={value}.*rebuild"):
+        load_index(tmp_path / "idx")
