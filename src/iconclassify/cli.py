@@ -82,6 +82,10 @@ def _make_chat(purpose: str, endpoint: Optional[str], chat_model: Optional[str],
     return providers.RemoteChatProvider(endpoint, chat_model, api_key=api_key)
 
 
+def _write_json(path: Path, obj: dict) -> None:
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def _parse_prefix_filter(text: Optional[str]) -> Optional[tuple[str, ...]]:
     """--prefix-filter as the top-level categories to keep; None keeps every category."""
     if text is None:
@@ -120,6 +124,7 @@ def cmd_taxonomy_build(source: str, prefix_filter: Optional[str], out_path: str)
             "hierarchical": taxonomy.render_hierarchical_doc(entry, tax),
         }
         lines.append(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
+    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     Path(out_path).write_text("".join(lines), encoding="utf-8")
     meta = {
         "entries": tax.stats.kept,
@@ -127,20 +132,18 @@ def cmd_taxonomy_build(source: str, prefix_filter: Optional[str], out_path: str)
         "lines": tax.stats.lines,
         "prefix_filter": list(keep) if keep else None,
     }
-    Path(out_path + ".meta.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(Path(out_path + ".meta.json"), meta)
     click.echo(f"{tax.stats.kept} entries written ({tax.stats.filtered} filtered out)")
 
 
-def _load_rendered_taxonomy(path: str) -> dict[str, dict[str, str]]:
-    """Read the output of `taxonomy build`: code -> {basic, hierarchical}."""
-    docs: dict[str, dict[str, str]] = {}
+def _load_rendered_taxonomy(path: str, kind: taxonomy.DatabaseKind) -> dict[str, str]:
+    """Read the output of `taxonomy build`: code -> the `kind` rendering."""
+    docs: dict[str, str] = {}
     try:
         for line_no, obj in taxonomy.iter_jsonl(path):
             if not {"code", "basic", "hierarchical"} <= obj.keys():
                 raise MalformedLineError(line_no, f"{path}: needs code, basic and hierarchical fields")
-            docs[obj["code"]] = {"basic": obj["basic"], "hierarchical": obj["hierarchical"]}
+            docs[obj["code"]] = obj[kind.value]
     except MalformedLineError as exc:
         raise MissingIndexError(f"{exc}; not a rendered taxonomy file, run `taxonomy build` first") from exc
     if not docs:
@@ -172,19 +175,16 @@ def cmd_index_build(rendered_path: str, database: str, index_dir: str, offline: 
                     api_key: Optional[str], embed_cache: Optional[str]):
     """Build keyword and vector indices over one taxonomy rendering."""
     _check_offline(offline, endpoint, api_key)
-    docs = _load_rendered_taxonomy(rendered_path)
     kind = taxonomy.DatabaseKind(database)
-    texts = [(code, fields[kind.value]) for code, fields in docs.items()]
-    kw_index = retrieval.build_keyword_index(texts)
+    docs = _load_rendered_taxonomy(rendered_path, kind)
+    kw_index = retrieval.build_keyword_index(docs.items())
     embedder = _make_embedder(offline, dim, endpoint, embed_model, api_key)
     cache = providers.EmbeddingCache(embed_cache) if embed_cache else None
-    vectors = providers.embed_many([t for _, t in texts], embedder, cache)
-    vec_index = retrieval.build_vector_index(
-        (code, vec) for (code, _), vec in zip(texts, vectors)
-    )
+    vectors = providers.embed_many(list(docs.values()), embedder, cache)
+    vec_index = retrieval.build_vector_index(zip(docs, vectors))
     config = {"database": kind.value, "embedder": embedder.provider_id}
     retrieval.save_index(index_dir, kw_index, vec_index, config=config)
-    click.echo(f"indexed {len(texts)} documents into {index_dir} ({kind.value})")
+    click.echo(f"indexed {len(docs)} documents into {index_dir} ({kind.value})")
 
 
 def _read_image(path: Optional[str], image_id: str) -> bytes:
@@ -246,9 +246,7 @@ def cmd_describe(manifest_path: str, mode: str, cache_path: str, offline: bool,
 
         def describe(row: pipeline.ManifestRow) -> providers.DescriptionRecord:
             image = _read_image(getattr(row, image_field), row.image_id)
-            return providers.describe_image(
-                providers.DescriptionRequest(row.image_id, image, desc_mode), chat, cache
-            )
+            return providers.describe_image(row.image_id, image, desc_mode, chat, cache)
 
         failures = [out for out in pipeline.run_rows(describe, pending, workers)
                     if isinstance(out, pipeline.ItemError)]
@@ -299,6 +297,7 @@ def cmd_classify(manifest_path: str, method_name: str, mode: str, database: str,
                  workers: int, out_prefix: str):
     """Classify every manifest row with one method; write predictions."""
     _check_offline(offline, endpoint, api_key)
+    Path(out_prefix).parent.mkdir(parents=True, exist_ok=True)
     method = pipeline.MethodSpec(
         query_kind=pipeline.QueryKind(method_name),
         description_mode=providers.DescriptionMode(mode),
@@ -307,9 +306,7 @@ def cmd_classify(manifest_path: str, method_name: str, mode: str, database: str,
         rag_k=rag_k,
     )
     rows = pipeline.read_manifest(manifest_path)
-    rendered = _load_rendered_taxonomy(rendered_path)
-    documents = {code: fields[method.database_kind.value] for code, fields in rendered.items()}
-
+    documents = _load_rendered_taxonomy(rendered_path, method.database_kind)
     ctx = pipeline.ClassifyContext(documents=documents, hybrid_pool=pool, vote_k=vote_k)
     needs_index = method.query_kind is not pipeline.QueryKind.IMAGE
     if needs_index:
@@ -348,9 +345,7 @@ def cmd_classify(manifest_path: str, method_name: str, mode: str, database: str,
         "predictions": len(result.predictions),
         "errors": [{"image_id": e.image_id, "error": e.error} for e in result.errors],
     }
-    Path(out_prefix + ".meta.json").write_text(
-        json.dumps(meta_out, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(Path(out_prefix + ".meta.json"), meta_out)
     for err in result.errors:
         click.echo(f"{err.image_id}: {err.error}", err=True)
     click.echo(f"wrote {len(result.predictions)} predictions, {len(result.errors)} errors")
@@ -385,9 +380,7 @@ def cmd_evaluate(pred_path: str, out_dir: str, label: Optional[str], max_level: 
     )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(out / "report.json", report)
     (out / "report.txt").write_text(evaluation.render_report_text(report), encoding="utf-8")
     s = report["summary"]
     click.echo(

@@ -8,14 +8,13 @@ truncation sweeps) is derived from those three counts.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .errors import ManifestParseError
-from .taxonomy import IconclassCode, common_depth, truncate_code
+from .taxonomy import IconclassCode, common_depth, iter_csv, truncate_code
 
 
 class MatchType(Enum):
@@ -91,17 +90,10 @@ def weighted_score(c: LevelComparison) -> float:
     floor at half the base score for partial matches."""
     match = classify_match(c)
     m, p, g = c.matched, c.pred_levels, c.gt_levels
-    if match is MatchType.FULL:
-        return 100.0
-    if match is MatchType.EXTRA:
-        return 90.0
-    if match is MatchType.NO_MATCH:
-        return 0.0
-    if match is MatchType.PARTIAL_A:
-        raw = match.base_score * (m / g)
-    else:
+    raw = match.base_score * (m / g)
+    if match not in (MatchType.EXTRA, MatchType.PARTIAL_A):
         # partly wrong predictions also pay for their incorrect levels
-        raw = match.base_score * (m / g) * (m / p)
+        raw *= m / p
     return max(raw, match.base_score / 2)
 
 
@@ -247,29 +239,21 @@ class PredictionRow:
 def read_predictions_csv(path: Union[str, Path]) -> list[PredictionRow]:
     """Read the classifier's CSV projection. Header is required; every row
     needs a non-empty prediction and ground truth."""
-    p = Path(path)
-    if not p.is_file():
-        raise ManifestParseError(f"predictions file not found: {p}")
     rows: list[PredictionRow] = []
-    try:
-        with open(p, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            needed = {"image_id", "predicted_code", "ground_truth_code"}
-            if not reader.fieldnames or not needed.issubset(reader.fieldnames):
-                raise ManifestParseError(
-                    "predictions CSV needs columns image_id, predicted_code, ground_truth_code"
-                )
-            for line_no, rec in enumerate(reader, start=2):
-                image_id = (rec.get("image_id") or "").strip()
-                predicted = (rec.get("predicted_code") or "").strip()
-                gt = (rec.get("ground_truth_code") or "").strip()
-                if not image_id or not predicted or not gt:
-                    raise ManifestParseError(f"line {line_no}: incomplete prediction row")
-                group = (rec.get("group") or "").strip() or None
-                rows.append(PredictionRow(image_id, predicted, gt, group))
-    except UnicodeDecodeError as exc:
-        raise ManifestParseError(f"{p}: not UTF-8: {exc}") from exc
+    for line_no, rec in iter_csv(path, ("image_id", "predicted_code", "ground_truth_code")):
+        image_id = (rec.get("image_id") or "").strip()
+        predicted = (rec.get("predicted_code") or "").strip()
+        gt = (rec.get("ground_truth_code") or "").strip()
+        if not image_id or not predicted or not gt:
+            raise ManifestParseError(f"line {line_no}: {path}: incomplete prediction row")
+        group = (rec.get("group") or "").strip() or None
+        rows.append(PredictionRow(image_id, predicted, gt, group))
     return rows
+
+
+def _means(agg: MethodReport) -> dict[str, float]:
+    """The avg_* fields of an aggregate, as the report's summary shows them."""
+    return {name: value for name, value in asdict(agg).items() if name.startswith("avg_")}
 
 
 def build_report(
@@ -285,38 +269,15 @@ def build_report(
     report = {
         "label": label,
         "count": summary.count,
-        "summary": {
-            "avg_weighted": summary.avg_weighted,
-            "avg_precision": summary.avg_precision,
-            "avg_recall": summary.avg_recall,
-            "avg_f1": summary.avg_f1,
-        },
+        "summary": _means(summary),
         "match_counts": summary.match_counts,
-        "level_accuracy": [
-            {"level": r.level, "objects": r.objects, "percent": r.percent}
-            for r in level_accuracy(records, max_level)
-        ],
-        "truncation": [
-            {
-                "k": r.k,
-                "precision": r.precision,
-                "recall": r.recall,
-                "f1": r.f1,
-                "avg_levels": r.avg_levels,
-            }
-            for r in truncation_report(pairs, max_k)
-        ],
+        "level_accuracy": [asdict(r) for r in level_accuracy(records, max_level)],
+        "truncation": [asdict(r) for r in truncation_report(pairs, max_k)],
     }
     groups = sorted({r.group for r in records if r.group})
     if groups:
         report["groups"] = {
-            g: {
-                "count": agg.count,
-                "avg_weighted": agg.avg_weighted,
-                "avg_precision": agg.avg_precision,
-                "avg_recall": agg.avg_recall,
-                "avg_f1": agg.avg_f1,
-            }
+            g: {"count": agg.count, **_means(agg)}
             for g in groups
             for agg in [aggregate([r for r in records if r.group == g], g)]
         }
@@ -325,17 +286,23 @@ def build_report(
     return report
 
 
+_MEANS_HEADER = f"{'count':>6}{'weighted':>11}{'precision':>11}{'recall':>9}{'f1':>9}"
+
+
+def _means_cells(count: int, means: dict) -> str:
+    """The count and avg_* columns under _MEANS_HEADER."""
+    return (
+        f"{count:>6}{means['avg_weighted']:>11.5f}{means['avg_precision']:>11.4f}"
+        f"{means['avg_recall']:>9.4f}{means['avg_f1']:>9.4f}"
+    )
+
+
 def render_report_text(report: dict) -> str:
     """Aligned plain-text tables mirroring the JSON report."""
     lines = []
-    s = report["summary"]
     lines.append("== Summary ==")
-    lines.append(f"{'method':<34}{'count':>6}{'weighted':>11}{'precision':>11}{'recall':>9}{'f1':>9}")
-    lines.append(
-        f"{report['label']:<34}{report['count']:>6}"
-        f"{s['avg_weighted']:>11.5f}{s['avg_precision']:>11.4f}"
-        f"{s['avg_recall']:>9.4f}{s['avg_f1']:>9.4f}"
-    )
+    lines.append(f"{'method':<34}{_MEANS_HEADER}")
+    lines.append(f"{report['label']:<34}{_means_cells(report['count'], report['summary'])}")
     lines.append("")
     lines.append("== Match types ==")
     names = [mt.name.lower() for mt in _MATCH_ORDER]
@@ -358,10 +325,7 @@ def render_report_text(report: dict) -> str:
     if "groups" in report:
         lines.append("")
         lines.append("== Groups ==")
-        lines.append(f"{'group':<20}{'count':>6}{'weighted':>11}{'precision':>11}{'recall':>9}{'f1':>9}")
+        lines.append(f"{'group':<20}{_MEANS_HEADER}")
         for g, agg in sorted(report["groups"].items()):
-            lines.append(
-                f"{g:<20}{agg['count']:>6}{agg['avg_weighted']:>11.5f}"
-                f"{agg['avg_precision']:>11.4f}{agg['avg_recall']:>9.4f}{agg['avg_f1']:>9.4f}"
-            )
+            lines.append(f"{g:<20}{_means_cells(agg['count'], agg)}")
     return "\n".join(lines) + "\n"

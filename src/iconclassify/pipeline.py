@@ -11,13 +11,12 @@ from __future__ import annotations
 import csv
 import json
 from concurrent import futures
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import (
-    IconclassifyError,
     MalformedLineError,
     ManifestParseError,
     MissingDescriptionError,
@@ -47,7 +46,7 @@ from .retrieval import (
     keyword_search,
     vector_search,
 )
-from .taxonomy import DatabaseKind, IconclassCode, iter_jsonl
+from .taxonomy import DatabaseKind, IconclassCode, iter_csv, iter_jsonl
 
 DEFAULT_RAG_K = 5
 
@@ -190,67 +189,56 @@ def _check_in_taxonomy(code: IconclassCode, ctx: ClassifyContext, image_id: str)
         )
 
 
-def classify(row: ManifestRow, method: MethodSpec, ctx: ClassifyContext) -> Prediction:
-    """Run one method for one manifest row and return its Prediction."""
+_FUSED = (QueryKind.HYBRID, QueryKind.RAG_HYBRID)
+
+
+def _search(description: str, method: MethodSpec, ctx: ClassifyContext) -> list[RankedHit]:
+    """The ranked hits of a text method (every kind but IMAGE) for one description."""
     kind = method.query_kind
-    if kind is QueryKind.IMAGE:
-        refs = _require(ctx.references, "image reference set", method)
-        query = _load_query_vector(row)
-        code, table = image_vote_classify(query, refs, k=ctx.vote_k)
-        _check_in_taxonomy(code, ctx, row.image_id)
-        candidates = [
-            RankedHit(code=entry.code, score=float(entry.votes), rank=i + 1)
-            for i, entry in enumerate(table)
-        ]
-        return Prediction(
-            image_id=row.image_id,
-            method=method,
-            predicted=code,
-            candidates=candidates,
-            ground_truth=row.ground_truth,
-            group=row.group,
-        )
-
-    description = _description_for(row, method.description_mode, ctx)
-
-    if kind is QueryKind.KEYWORD:
+    if kind is QueryKind.KEYWORD or kind in _FUSED:
         kw = _require(ctx.keyword_index, "keyword index", method)
-        hits = keyword_search(kw, description, method.rag_k)
-    elif kind in (QueryKind.VECTOR, QueryKind.RAG_VECTOR):
-        vec = _require(ctx.vector_index, "vector index", method)
-        embedder = _require(ctx.embedder, "embedding provider", method)
-        qvec = embed_text(description, embedder, ctx.embedding_cache)
-        hits = vector_search(vec, qvec, method.rag_k)
-    else:  # HYBRID and RAG_HYBRID
-        kw = _require(ctx.keyword_index, "keyword index", method)
-        vec = _require(ctx.vector_index, "vector index", method)
-        embedder = _require(ctx.embedder, "embedding provider", method)
-        qvec = embed_text(description, embedder, ctx.embedding_cache)
-        hits = hybrid_search(
+        if kind is QueryKind.KEYWORD:
+            return keyword_search(kw, description, method.rag_k)
+    vec = _require(ctx.vector_index, "vector index", method)
+    embedder = _require(ctx.embedder, "embedding provider", method)
+    qvec = embed_text(description, embedder, ctx.embedding_cache)
+    if kind in _FUSED:
+        return hybrid_search(
             kw, vec, description, qvec,
             alpha=method.alpha, k=method.rag_k, pool=ctx.hybrid_pool,
         )
+    return vector_search(vec, qvec, method.rag_k)
 
-    if not hits:
-        raise NoCandidatesError(f"{row.image_id}: search returned no candidates")
 
+def classify(row: ManifestRow, method: MethodSpec, ctx: ClassifyContext) -> Prediction:
+    """Run one method for one manifest row and return its Prediction."""
+    kind = method.query_kind
     fallback = False
-    if kind in (QueryKind.RAG_VECTOR, QueryKind.RAG_HYBRID):
-        docs = _require(ctx.documents, "taxonomy documents", method)
-        cands = []
-        for h in hits:
-            text = docs.get(h.code.raw)
-            if text is None:
-                raise MissingIndexError(
-                    f"{row.image_id}: candidate {h.code.raw} missing from taxonomy documents"
-                )
-            cands.append((h.code, text))
-        if ctx.chat is not None:
-            predicted, fallback = select_with_llm(description, cands, ctx.chat)
-        else:
-            predicted, fallback = offline_select(description, cands)
+    if kind is QueryKind.IMAGE:
+        refs = _require(ctx.references, "image reference set", method)
+        predicted, table = image_vote_classify(_load_query_vector(row), refs, k=ctx.vote_k)
+        hits = [
+            RankedHit(code=entry.code, score=float(entry.votes), rank=i + 1)
+            for i, entry in enumerate(table)
+        ]
     else:
+        description = _description_for(row, method.description_mode, ctx)
+        hits = _search(description, method, ctx)
+        if not hits:
+            raise NoCandidatesError(f"{row.image_id}: search returned no candidates")
         predicted = hits[0].code
+        if kind in (QueryKind.RAG_VECTOR, QueryKind.RAG_HYBRID):
+            docs = _require(ctx.documents, "taxonomy documents", method)
+            missing = [h.code.raw for h in hits if h.code.raw not in docs]
+            if missing:
+                raise MissingIndexError(
+                    f"{row.image_id}: candidate {missing[0]} missing from taxonomy documents"
+                )
+            cands = [(h.code, docs[h.code.raw]) for h in hits]
+            if ctx.chat is not None:
+                predicted, fallback = select_with_llm(description, cands, ctx.chat)
+            else:
+                predicted, fallback = offline_select(description, cands)
 
     _check_in_taxonomy(predicted, ctx, row.image_id)
     return Prediction(
@@ -296,24 +284,15 @@ def classify_batch(
     return result
 
 
-_MANIFEST_FIELDS = (
-    "image_id",
-    "page_image_path",
-    "illustration_image_path",
-    "ground_truth",
-    "vector_path",
-    "description",
-    "group",
-)
 _PATH_FIELDS = ("page_image_path", "illustration_image_path", "vector_path")
 
 
-def _row_from_record(record: dict, line_no: int, base_dir: Path) -> ManifestRow:
+def _row_from_record(record: dict, line_no: int, path: Path) -> ManifestRow:
     image_id = (record.get("image_id") or "").strip()
     if not image_id:
-        raise ManifestParseError(f"line {line_no}: missing image_id")
+        raise ManifestParseError(f"line {line_no}: {path}: missing image_id")
     kwargs = {}
-    for name in _MANIFEST_FIELDS[1:]:
+    for name in [f.name for f in fields(ManifestRow)[1:]]:
         value = record.get(name)
         if value is None:
             continue
@@ -321,7 +300,7 @@ def _row_from_record(record: dict, line_no: int, base_dir: Path) -> ManifestRow:
         if not value:
             continue
         if name in _PATH_FIELDS and not Path(value).is_absolute():
-            value = str(base_dir / value)  # paths resolve relative to the manifest
+            value = str(path.parent / value)  # paths resolve relative to the manifest
         kwargs[name] = value
     return ManifestRow(image_id=image_id, **kwargs)
 
@@ -336,21 +315,13 @@ def read_manifest(path: Union[str, Path]) -> list[ManifestRow]:
     p = Path(path)
     if not p.is_file():
         raise ManifestParseError(f"manifest not found: {p}")
-    base_dir = p.parent
     if p.suffix in (".jsonl", ".ndjson"):
         try:
-            rows = [_row_from_record(rec, line_no, base_dir) for line_no, rec in iter_jsonl(p)]
+            rows = [_row_from_record(rec, line_no, p) for line_no, rec in iter_jsonl(p)]
         except MalformedLineError as exc:
             raise ManifestParseError(str(exc)) from exc
     else:
-        try:
-            with open(p, encoding="utf-8", newline="") as fh:
-                reader = csv.DictReader(fh)
-                if not reader.fieldnames or "image_id" not in reader.fieldnames:
-                    raise ManifestParseError("manifest CSV needs an image_id column")
-                rows = [_row_from_record(rec, line_no, base_dir) for line_no, rec in enumerate(reader, start=2)]
-        except UnicodeDecodeError as exc:
-            raise ManifestParseError(f"{p}: not UTF-8: {exc}") from exc
+        rows = [_row_from_record(rec, line_no, p) for line_no, rec in iter_csv(p, ("image_id",))]
     seen: set[str] = set()
     for row in rows:
         if row.image_id in seen:

@@ -227,13 +227,6 @@ class OfflineHashEmbedder:
 
 
 @dataclass(frozen=True)
-class DescriptionRequest:
-    image_id: str
-    image_bytes: bytes
-    mode: DescriptionMode
-
-
-@dataclass(frozen=True)
 class DescriptionRecord:
     image_id: str
     mode: DescriptionMode
@@ -339,7 +332,9 @@ class EmbeddingCache(_AppendOnlyCache):
 
 
 def describe_image(
-    request: DescriptionRequest,
+    image_id: str,
+    image_bytes: bytes,
+    mode: DescriptionMode,
     provider: ChatProvider,
     cache: Optional[DescriptionCache] = None,
 ) -> DescriptionRecord:
@@ -349,19 +344,19 @@ def describe_image(
     provider calls. On a miss, the mode's prompt template plus the image
     goes to the chat provider and the result is cached.
     """
-    if not request.image_bytes:
-        raise ValueError(f"{request.image_id}: image_bytes is empty")
+    if not image_bytes:
+        raise ValueError(f"{image_id}: image_bytes is empty")
     if cache is not None:
-        hit = cache.get(request.image_id, request.mode)
+        hit = cache.get(image_id, mode)
         if hit is not None:
             return hit
-    prompt = prompt_for_mode(request.mode)
-    text = provider.complete(prompt, image_bytes=request.image_bytes).strip()
+    prompt = prompt_for_mode(mode)
+    text = provider.complete(prompt, image_bytes=image_bytes).strip()
     if not text:
-        raise EmptyResponseError(f"{request.image_id}: empty description")
+        raise EmptyResponseError(f"{image_id}: empty description")
     record = DescriptionRecord(
-        image_id=request.image_id,
-        mode=request.mode,
+        image_id=image_id,
+        mode=mode,
         text=text,
         model_id=provider.model_id,
         created_at=now_iso(),
@@ -389,24 +384,19 @@ def embed_many(
     for t in texts:
         if not t or not t.strip():
             raise EmptyTextError("cannot embed empty text")
-    out: list[Optional[list[float]]] = [None] * len(texts)
-    misses: list[int] = []
-    if cache is not None:
-        for i, t in enumerate(texts):
-            hit = cache.get(provider.provider_id, t)
-            if hit is not None:
-                out[i] = hit
-            else:
-                misses.append(i)
-    else:
-        misses = list(range(len(texts)))
+    out = [cache.get(provider.provider_id, t) if cache is not None else None for t in texts]
+    misses = [i for i, vec in enumerate(out) if vec is None]
     if misses:
         fresh = provider.embed_many([texts[i] for i in misses])
+        if len(fresh) != len(misses):
+            raise EmptyResponseError(
+                f"{provider.provider_id} returned {len(fresh)} vectors for {len(misses)} texts"
+            )
         for i, vec in zip(misses, fresh):
             out[i] = vec
             if cache is not None:
                 cache.put(provider.provider_id, texts[i], vec)
-    return [v for v in out if v is not None]
+    return out
 
 
 def select_with_llm(

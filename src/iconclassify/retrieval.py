@@ -54,6 +54,11 @@ class RankedHit:
     rank: int
 
 
+def _hits(ranked: Iterable[tuple[str, float]]) -> list[RankedHit]:
+    """Hits from (doc id, score) pairs that are already in rank order."""
+    return [RankedHit(code=parse_code(doc_id), score=s, rank=i + 1) for i, (doc_id, s) in enumerate(ranked)]
+
+
 @dataclass
 class KeywordIndex:
     postings: dict[str, list[tuple[str, int]]]
@@ -139,10 +144,7 @@ def keyword_search(index: KeywordIndex, query: str, k: int) -> list[RankedHit]:
         ((doc_id, s) for doc_id, s in scores.items() if s > 0.0),
         key=lambda pair: (-pair[1], pair[0]),
     )
-    return [
-        RankedHit(code=parse_code(doc_id), score=s, rank=i + 1)
-        for i, (doc_id, s) in enumerate(ranked[:k])
-    ]
+    return _hits(ranked[:k])
 
 
 @dataclass
@@ -250,10 +252,7 @@ def vector_search(index: VectorIndex, query: Sequence[float], k: int) -> list[Ra
     dist = _distances(index, query)
     rows = _nearest(dist, k)
     scored = sorted(zip(dist[rows].tolist(), [index.ids[i] for i in rows]))
-    return [
-        RankedHit(code=parse_code(doc_id), score=1.0 - d, rank=i + 1)
-        for i, (d, doc_id) in enumerate(scored[:k])
-    ]
+    return _hits((doc_id, 1.0 - d) for d, doc_id in scored[:k])
 
 
 def _minmax(values: dict[str, float]) -> dict[str, float]:
@@ -298,10 +297,7 @@ def hybrid_search(
         for doc_id in union
     }
     ranked = sorted(fused.items(), key=lambda pair: (-pair[1], pair[0]))
-    return [
-        RankedHit(code=parse_code(doc_id), score=s, rank=i + 1)
-        for i, (doc_id, s) in enumerate(ranked[:k])
-    ]
+    return _hits(ranked[:k])
 
 
 class ImageReferenceSet:

@@ -9,6 +9,7 @@ one per level, are its segments.
 
 from __future__ import annotations
 
+import csv
 import json
 import logging
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ from .errors import (
     DuplicateCodeError,
     MalformedCodeError,
     MalformedLineError,
+    ManifestParseError,
     MissingAncestorError,
 )
 
@@ -199,6 +201,25 @@ def iter_jsonl(path: Union[str, Path]) -> Iterator[tuple[int, dict]]:
         line = line.strip()
         if line:
             yield line_no, _json_object(line, line_no, f"{path}: ")
+
+
+def iter_csv(path: Union[str, Path], columns: tuple[str, ...]) -> Iterator[tuple[int, dict]]:
+    """(line number, record) for each row of a UTF-8 CSV file whose header
+    names every one of `columns`; a leading byte-order mark is skipped. The
+    line number is the row's last physical line, so a quoted field that
+    spans lines counts every line. A missing file, a missing column or bad
+    UTF-8 raises ManifestParseError naming the file."""
+    if not Path(path).is_file():
+        raise ManifestParseError(f"{path}: not found")
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            reader = csv.DictReader(fh)
+            if not reader.fieldnames or not set(columns) <= set(reader.fieldnames):
+                raise ManifestParseError(f"{path}: CSV needs columns {', '.join(columns)}")
+            for record in reader:
+                yield reader.line_num, record
+    except UnicodeDecodeError as exc:
+        raise ManifestParseError(f"{path}: not UTF-8: {exc}") from exc
 
 
 def _parse_line(line: str, line_no: int) -> tuple[str, str]:

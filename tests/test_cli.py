@@ -299,6 +299,16 @@ def test_describe_offline_without_descriptions_explains(runner, tmp_path):
     assert "Re-run without --offline" in result.output
 
 
+def test_describe_ingests_a_manifest_that_begins_with_a_byte_order_mark(runner, tmp_path):
+    manifest = tmp_path / "m.csv"
+    manifest.write_bytes(b"\xef\xbb\xbfimage_id,description\nimgX,the ark\n")  # a spreadsheet's "CSV UTF-8"
+    cache = tmp_path / "c.jsonl"
+    result = runner.invoke(main, ["describe", "--manifest", str(manifest), "--cache", str(cache), "--offline"])
+    assert result.exit_code == 0, result.output
+    assert "ingested 1" in result.output
+    assert json.loads(cache.read_text())["image_id"] == "imgX"
+
+
 def test_describe_rejects_workers_below_one(runner, tmp_path):
     for value in ("0", "-3"):
         result = runner.invoke(main, [
@@ -404,6 +414,21 @@ def test_classify_outputs_are_byte_identical_across_runs(runner, tmp_path, works
         assert result.exit_code == 0, result.output
     for suffix in (".jsonl", ".csv", ".meta.json"):
         assert (tmp_path / ("r1" + suffix)).read_bytes() == (tmp_path / ("r2" + suffix)).read_bytes()
+
+
+def test_out_parent_directories_are_created(runner, tmp_path, workspace):
+    rendered = tmp_path / "new" / "sub" / "rendered.jsonl"
+    result = runner.invoke(main, [
+        "taxonomy", "build", "--taxonomy", str(FIXTURES / "taxonomy.tsv"), "--out", str(rendered),
+    ])
+    assert result.exit_code == 0, result.output
+    assert rendered.read_bytes() == (workspace / "rendered.jsonl").read_bytes()
+
+    prefix = tmp_path / "new" / "other" / "x"
+    result = runner.invoke(main, _classify_args(workspace, prefix))
+    assert result.exit_code == 0, result.output
+    for suffix in (".jsonl", ".csv", ".meta.json"):
+        assert (prefix.parent / ("x" + suffix)).is_file()
 
 
 def test_classify_image_method(runner, tmp_path, workspace):
@@ -781,6 +806,20 @@ def _non_utf8_predictions(workspace, tmp_path):
         ["preds.csv", "not UTF-8"]
 
 
+def _multi_line_manifest(workspace, tmp_path):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text('image_id,description\na,"the ark\nof Noah"\n,the flood\n')
+    return ["describe", "--manifest", str(manifest), "--cache", str(tmp_path / "c.jsonl"),
+            "--offline"], ["manifest.csv", "line 4", "missing image_id"]
+
+
+def _multi_line_predictions(workspace, tmp_path):
+    preds = tmp_path / "preds.csv"
+    preds.write_text('image_id,predicted_code,ground_truth_code,group\na,73D231,73D231,"set\na"\nb,,73D231,x\n')
+    return ["evaluate", "--predictions", str(preds), "--out", str(tmp_path / "r")], \
+        ["preds.csv", "line 4", "incomplete prediction row"]
+
+
 def _dim_below_the_offline_minimum(workspace, tmp_path):
     return ["index", "build", "--taxonomy", str(workspace / "rendered.jsonl"),
             "--index-dir", str(tmp_path / "idx"), "--offline", "--dim", "8"], ["--dim", "x>=16"]
@@ -790,7 +829,7 @@ def _dim_below_the_offline_minimum(workspace, tmp_path):
     _cut_rendered_taxonomy, _cut_manifest, _cut_refs, _refs_without_codes, _refs_with_empty_codes,
     _refs_with_a_bad_code, _cut_vectors, _bad_config, _non_object_config, _nested_non_object_config,
     _subcommand_non_object_config, _non_utf8_taxonomy, _non_utf8_manifest, _non_utf8_predictions,
-    _dim_below_the_offline_minimum,
+    _multi_line_manifest, _multi_line_predictions, _dim_below_the_offline_minimum,
 ], ids=lambda case: case.__name__.strip("_"))
 def test_malformed_input_ends_as_a_one_line_error(runner, tmp_path, workspace, case):
     args, needles = case(workspace, tmp_path)

@@ -142,6 +142,31 @@ def test_weighted_partial_b_and_c_scaling():
     assert weighted_score(LevelComparison(5, 6, 6)) == pytest.approx(60 * (5 / 6) * (5 / 6))
 
 
+def _weighted_reference(c: LevelComparison) -> float:
+    """The score stated case by case, with an early return per terminal type."""
+    match = classify_match(c)
+    m, p, g = c.matched, c.pred_levels, c.gt_levels
+    if match is MatchType.FULL:
+        return 100.0
+    if match is MatchType.EXTRA:
+        return 90.0
+    if match is MatchType.NO_MATCH:
+        return 0.0
+    if match is MatchType.PARTIAL_A:
+        raw = match.base_score * (m / g)
+    else:
+        raw = match.base_score * (m / g) * (m / p)
+    return max(raw, match.base_score / 2)
+
+
+def test_weighted_score_equals_the_case_by_case_formula_bit_for_bit():
+    for p in range(1, 13):
+        for g in range(1, 13):
+            for m in range(0, min(p, g) + 1):
+                c = LevelComparison(m, p, g)
+                assert weighted_score(c).hex() == _weighted_reference(c).hex(), c
+
+
 def test_weighted_score_bounds_everywhere():
     for p in range(1, 10):
         for g in range(1, 10):
@@ -388,6 +413,35 @@ def test_build_report_structure():
     a = json.dumps(report, sort_keys=True)
     b = json.dumps(build_report("demo-method", records, pairs, max_level=7, max_k=2), sort_keys=True)
     assert a == b
+
+
+def test_build_report_values_are_pinned():
+    records, pairs = _report_inputs()
+    report = build_report("demo-method", records, pairs, max_level=7, max_k=2)
+    level_rows = [(1, 3, 75.0), (2, 3, 75.0), (3, 3, 75.0), (4, 3, 75.0), (5, 2, 50.0), (6, 1, 25.0), (7, 0, 0.0)]
+    assert report == {
+        "label": "demo-method",
+        "count": 4,
+        "summary": {"avg_weighted": 49.77857142857143, "avg_precision": 0.7,
+                    "avg_recall": 0.6285714285714286, "avg_f1": 0.6583333333333333},
+        "match_counts": {"extra": 0, "full": 1, "partial_a": 1, "partial_b": 0,
+                         "partial_c": 1, "no_match": 1},
+        "level_accuracy": [{"level": lv, "objects": n, "percent": pc} for lv, n, pc in level_rows],
+        "truncation": [
+            {"k": 0, "precision": 0.7, "recall": 0.6285714285714286, "f1": 0.6583333333333333,
+             "avg_levels": 4.75},
+            {"k": 1, "precision": 0.75, "recall": 0.5511904761904762, "f1": 0.6313131313131313,
+             "avg_levels": 3.75},
+            {"k": 2, "precision": 0.75, "recall": 0.42380952380952375, "f1": 0.5375,
+             "avg_levels": 2.75},
+        ],
+        "groups": {
+            "set-a": {"count": 2, "avg_weighted": 80.35714285714286, "avg_precision": 1.0,
+                      "avg_recall": 0.8571428571428572, "avg_f1": 0.9166666666666666},
+            "set-b": {"count": 2, "avg_weighted": 19.200000000000003, "avg_precision": 0.4,
+                      "avg_recall": 0.4, "avg_f1": 0.4000000000000001},
+        },
+    }
 
 
 def test_build_report_optional_sections():

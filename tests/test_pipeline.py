@@ -254,6 +254,20 @@ def test_classify_requires_context_members():
         classify(row, MethodSpec(QueryKind.VECTOR), ClassifyContext(vector_index=_fixture_context().vector_index))
     with pytest.raises(MissingIndexError, match="reference set"):
         classify(ManifestRow(image_id="q"), MethodSpec(QueryKind.IMAGE), ClassifyContext())
+    full = _fixture_context()
+    for kind in (QueryKind.HYBRID, QueryKind.RAG_HYBRID):
+        # with several members missing, the keyword index is named first, then the vector index
+        for ctx, what in (
+            (ClassifyContext(), "keyword index"),
+            (ClassifyContext(keyword_index=full.keyword_index), "vector index"),
+            (ClassifyContext(keyword_index=full.keyword_index, vector_index=full.vector_index),
+             "embedding provider"),
+        ):
+            with pytest.raises(MissingIndexError, match=what):
+                classify(row, MethodSpec(kind), ctx)
+    full.documents = None
+    with pytest.raises(MissingIndexError, match="taxonomy documents"):
+        classify(row, MethodSpec(QueryKind.RAG_HYBRID), full)
 
 
 # ---------------------------------------------------------------- classify, RAG

@@ -16,7 +16,6 @@ from iconclassify.providers import (
     DescriptionCache,
     DescriptionMode,
     DescriptionRecord,
-    DescriptionRequest,
     EmbeddingCache,
     OfflineHashEmbedder,
     RemoteChatProvider,
@@ -203,9 +202,8 @@ def test_selection_prompt_numbers_candidates_and_keeps_braces():
 def test_describe_image_calls_provider_once_then_caches(tmp_path):
     cache = DescriptionCache(tmp_path / "desc.jsonl")
     chat = CountingChat()
-    request = DescriptionRequest(image_id="img001", image_bytes=PNG_STUB, mode=DescriptionMode.FULL_PAGE)
-    first = describe_image(request, chat, cache)
-    second = describe_image(request, chat, cache)
+    first = describe_image("img001", PNG_STUB, DescriptionMode.FULL_PAGE, chat, cache)
+    second = describe_image("img001", PNG_STUB, DescriptionMode.FULL_PAGE, chat, cache)
     assert chat.calls == 1
     assert first.text == "a woodcut of Noah's ark"
     assert second is first or second.text == first.text
@@ -220,9 +218,7 @@ def test_describe_image_modes_cache_separately(tmp_path):
     cache = DescriptionCache(tmp_path / "desc.jsonl")
     chat = CountingChat(replies=("page view", "crop view"))
     for mode in (DescriptionMode.FULL_PAGE, DescriptionMode.ILLUSTRATION):
-        describe_image(
-            DescriptionRequest(image_id="img001", image_bytes=PNG_STUB, mode=mode), chat, cache
-        )
+        describe_image("img001", PNG_STUB, mode, chat, cache)
     assert chat.calls == 2
     assert cache.get("img001", DescriptionMode.FULL_PAGE).text == "page view"
     assert cache.get("img001", DescriptionMode.ILLUSTRATION).text == "crop view"
@@ -230,15 +226,9 @@ def test_describe_image_modes_cache_separately(tmp_path):
 
 def test_describe_image_rejects_empty_inputs(tmp_path):
     with pytest.raises(ValueError):
-        describe_image(
-            DescriptionRequest(image_id="x", image_bytes=b"", mode=DescriptionMode.FULL_PAGE),
-            CountingChat(),
-        )
+        describe_image("x", b"", DescriptionMode.FULL_PAGE, CountingChat())
     with pytest.raises(EmptyResponseError):
-        describe_image(
-            DescriptionRequest(image_id="x", image_bytes=PNG_STUB, mode=DescriptionMode.FULL_PAGE),
-            CountingChat(replies=("   ",)),
-        )
+        describe_image("x", PNG_STUB, DescriptionMode.FULL_PAGE, CountingChat(replies=("   ",)))
 
 
 def test_description_cache_persists_and_first_record_wins(tmp_path):
@@ -290,6 +280,18 @@ def test_embed_many_batches_only_misses(tmp_path):
     assert [v[0] for v in outs] == [1.0, 2.0, 3.0]  # manifest order kept
     assert embedder.batches[-1] == ["a", "ccc"]     # cached text not re-sent
     assert embedder.calls == 2
+
+
+def test_embed_many_rejects_a_provider_that_replies_short(tmp_path):
+    class ShortEmbedder(CountingEmbedder):
+        def embed_many(self, texts):
+            return super().embed_many(texts)[:-1]
+
+    cache = EmbeddingCache(tmp_path / "emb.jsonl")
+    embed_text("ccc", CountingEmbedder(), cache)  # the last text is a cache hit
+    with pytest.raises(EmptyResponseError, match="1 vectors for 2 texts"):
+        embed_many(["a", "bb", "ccc"], ShortEmbedder(), cache)
+    assert len(cache) == 1  # the short reply cached nothing
 
 
 def test_embedding_cache_round_trips_floats(tmp_path):
