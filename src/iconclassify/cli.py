@@ -20,6 +20,9 @@ _ENV_API_KEY = "ICONCLASSIFY_API_KEY"
 _ENV_CHAT_MODEL = "ICONCLASSIFY_CHAT_MODEL"
 _ENV_EMBED_MODEL = "ICONCLASSIFY_EMBED_MODEL"
 
+_DATABASES = [kind.value for kind in taxonomy.DatabaseKind]  # also the rendering fields of `taxonomy build`
+_MODES = [mode.value for mode in providers.DescriptionMode]
+
 
 class _Commands(click.Group):
     """The one error boundary: an IconclassifyError ends as `Error: ...`, not a traceback."""
@@ -118,11 +121,8 @@ def cmd_taxonomy_build(source: str, prefix_filter: Optional[str], out_path: str)
     # every entry is rendered before --out is opened, so a failure leaves no partial file
     lines = []
     for entry in tax:
-        record = {
-            "code": entry.code.raw,
-            "basic": taxonomy.render_basic_doc(entry),
-            "hierarchical": taxonomy.render_hierarchical_doc(entry, tax),
-        }
+        record = {kind.value: taxonomy.render_doc(entry, tax, kind) for kind in taxonomy.DatabaseKind}
+        record["code"] = entry.code.raw
         lines.append(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
     Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     Path(out_path).write_text("".join(lines), encoding="utf-8")
@@ -141,8 +141,8 @@ def _load_rendered_taxonomy(path: str, kind: taxonomy.DatabaseKind) -> dict[str,
     docs: dict[str, str] = {}
     try:
         for line_no, obj in taxonomy.iter_jsonl(path):
-            if not {"code", "basic", "hierarchical"} <= obj.keys():
-                raise MalformedLineError(line_no, f"{path}: needs code, basic and hierarchical fields")
+            if not {"code", *_DATABASES} <= obj.keys():
+                raise MalformedLineError(line_no, f"{path}: needs code, {' and '.join(_DATABASES)} fields")
             docs[obj["code"]] = obj[kind.value]
     except MalformedLineError as exc:
         raise MissingIndexError(f"{exc}; not a rendered taxonomy file, run `taxonomy build` first") from exc
@@ -159,7 +159,7 @@ def index_group():
 @index_group.command("build")
 @click.option("--taxonomy", "rendered_path", required=True, type=click.Path(exists=True, dir_okay=False),
               help="Rendered taxonomy JSONL from `taxonomy build`.")
-@click.option("--database", type=click.Choice(["basic", "hierarchical"]), default="basic", show_default=True)
+@click.option("--database", type=click.Choice(_DATABASES), default=taxonomy.DatabaseKind.BASIC.value, show_default=True)
 @click.option("--index-dir", required=True, type=click.Path(file_okay=False))
 @click.option("--offline", is_flag=True, help="Use the deterministic hash embedder.")
 @click.option("--dim", type=click.IntRange(min=providers.MIN_OFFLINE_DIM),
@@ -198,7 +198,7 @@ def _read_image(path: Optional[str], image_id: str) -> bytes:
 
 @main.command("describe")
 @click.option("--manifest", "manifest_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--mode", type=click.Choice(["page", "illustration"]), default="page", show_default=True)
+@click.option("--mode", type=click.Choice(_MODES), default=providers.DescriptionMode.FULL_PAGE.value, show_default=True)
 @click.option("--cache", "cache_path", required=True, type=click.Path(dir_okay=False),
               help="Description cache (JSONL, append-only).")
 @click.option("--offline", is_flag=True,
@@ -264,8 +264,8 @@ def cmd_describe(manifest_path: str, mode: str, cache_path: str, offline: bool,
 @click.option("--manifest", "manifest_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--method", "method_name", required=True,
               type=click.Choice([k.value for k in pipeline.QueryKind]))
-@click.option("--mode", type=click.Choice(["page", "illustration"]), default="page", show_default=True)
-@click.option("--database", type=click.Choice(["basic", "hierarchical"]), default="basic", show_default=True)
+@click.option("--mode", type=click.Choice(_MODES), default=providers.DescriptionMode.FULL_PAGE.value, show_default=True)
+@click.option("--database", type=click.Choice(_DATABASES), default=taxonomy.DatabaseKind.BASIC.value, show_default=True)
 @click.option("--alpha", type=click.FloatRange(0.0, 1.0), default=retrieval.DEFAULT_ALPHA, show_default=True)
 @click.option("--rag-k", type=click.IntRange(min=1), default=pipeline.DEFAULT_RAG_K, show_default=True)
 @click.option("--pool", type=click.IntRange(min=1), default=retrieval.DEFAULT_POOL, show_default=True,

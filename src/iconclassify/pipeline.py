@@ -288,21 +288,22 @@ _PATH_FIELDS = ("page_image_path", "illustration_image_path", "vector_path")
 
 
 def _row_from_record(record: dict, line_no: int, path: Path) -> ManifestRow:
-    image_id = (record.get("image_id") or "").strip()
-    if not image_id:
-        raise ManifestParseError(f"line {line_no}: {path}: missing image_id")
     kwargs = {}
-    for name in [f.name for f in fields(ManifestRow)[1:]]:
+    for name in [f.name for f in fields(ManifestRow)]:
         value = record.get(name)
         if value is None:
             continue
+        if isinstance(value, bool) or not isinstance(value, (str, int)):  # JSON lines can hold any value
+            raise ManifestParseError(f"line {line_no}: {path}: {name} must be a string")
         value = str(value).strip()
         if not value:
             continue
         if name in _PATH_FIELDS and not Path(value).is_absolute():
             value = str(path.parent / value)  # paths resolve relative to the manifest
         kwargs[name] = value
-    return ManifestRow(image_id=image_id, **kwargs)
+    if "image_id" not in kwargs:
+        raise ManifestParseError(f"line {line_no}: {path}: missing image_id")
+    return ManifestRow(**kwargs)
 
 
 def read_manifest(path: Union[str, Path]) -> list[ManifestRow]:

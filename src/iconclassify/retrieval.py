@@ -11,7 +11,7 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
@@ -63,8 +63,15 @@ def _hits(ranked: Iterable[tuple[str, float]]) -> list[RankedHit]:
 class KeywordIndex:
     postings: dict[str, list[tuple[str, int]]]
     doc_lengths: dict[str, int]
-    avg_doc_length: float
-    doc_count: int
+    doc_count: int = field(init=False)
+    avg_doc_length: float = field(init=False)
+
+    def __post_init__(self):
+        if not self.doc_lengths:
+            raise EmptyCorpusError("no documents to index")
+        self.doc_count = len(self.doc_lengths)
+        # a sum of ints is exact in any order, so a loaded index gets the built mean bit for bit
+        self.avg_doc_length = sum(self.doc_lengths.values()) / self.doc_count
 
 
 def build_keyword_index(docs: Iterable[tuple[str, str]]) -> KeywordIndex:
@@ -78,15 +85,7 @@ def build_keyword_index(docs: Iterable[tuple[str, str]]) -> KeywordIndex:
         doc_lengths[doc_id] = len(terms)
         for term, tf in Counter(terms).items():
             postings.setdefault(term, []).append((doc_id, tf))
-    if not doc_lengths:
-        raise EmptyCorpusError("no documents to index")
-    avg = sum(doc_lengths.values()) / len(doc_lengths)
-    return KeywordIndex(
-        postings=postings,
-        doc_lengths=doc_lengths,
-        avg_doc_length=avg,
-        doc_count=len(doc_lengths),
-    )
+    return KeywordIndex(postings, doc_lengths)
 
 
 def _idf(n_docs: int, df: int) -> float:
@@ -149,10 +148,13 @@ def keyword_search(index: KeywordIndex, query: str, k: int) -> list[RankedHit]:
 
 @dataclass
 class VectorIndex:
-    dim: int
     ids: list[str]
     matrix: np.ndarray
     norms: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
 
 
 def build_vector_index(rows: Iterable[tuple[str, Sequence[float]]]) -> VectorIndex:
@@ -179,7 +181,7 @@ def build_vector_index(rows: Iterable[tuple[str, Sequence[float]]]) -> VectorInd
     bad = np.flatnonzero(~((norms > 0.0) & (norms < math.inf)))
     if bad.size:
         raise ZeroVectorError(f"{ids[bad[0]]!r}: zero or non-finite vector cannot be indexed")
-    return VectorIndex(dim=matrix.shape[1], ids=ids, matrix=matrix, norms=norms)
+    return VectorIndex(ids=ids, matrix=matrix, norms=norms)
 
 
 def _stack(ids: list[str], vectors: list[Sequence[float]]) -> np.ndarray:
@@ -288,8 +290,6 @@ def hybrid_search(
     kw_raw = {h.code.raw: h.score for h in kw_hits}
     vec_raw = {h.code.raw: h.score for h in vec_hits}
     union = sorted(set(kw_raw) | set(vec_raw))
-    if not union:
-        return []
     kw_norm = _minmax({doc_id: kw_raw.get(doc_id, 0.0) for doc_id in union})
     vec_norm = _minmax({doc_id: vec_raw.get(doc_id, 0.0) for doc_id in union})
     fused = {
@@ -354,15 +354,10 @@ def image_vote_classify(
     best_rank: dict[str, int] = {}
     by_raw: dict[str, IconclassCode] = {}
     for rank, (_, row_idx) in enumerate(neighbors, start=1):
-        seen_here: set[str] = set()
-        for code in refs.labels[row_idx]:
-            if code.raw in seen_here:
-                continue
-            seen_here.add(code.raw)
-            votes[code.raw] += 1
-            by_raw.setdefault(code.raw, code)
-            if code.raw not in best_rank or rank < best_rank[code.raw]:
-                best_rank[code.raw] = rank
+        for raw, code in {code.raw: code for code in refs.labels[row_idx]}.items():
+            votes[raw] += 1
+            by_raw.setdefault(raw, code)
+            best_rank.setdefault(raw, rank)  # neighbours come nearest first
     if not votes:
         raise NoCandidatesError(f"none of the {len(neighbors)} nearest references carries a code")
     order = sorted(votes, key=lambda raw: (-votes[raw], best_rank[raw], raw))
@@ -378,12 +373,21 @@ def save_index(
 ) -> None:
     """Persist both indices to a directory.
 
-    Layout: meta.json (params, counts, creation info), keyword.json
-    (postings and doc lengths), vectors.jsonl (one id + component-array
-    record per doc, floats as decimal text that round-trips exactly).
+    Layout: keyword.json (postings and doc lengths), vectors.jsonl (one id +
+    vector record per doc, floats as decimal text that round-trips exactly),
+    and last meta.json (params, counts, creation info): it marks a finished save.
     """
     out = Path(dir_path)
     out.mkdir(parents=True, exist_ok=True)
+    # json encodes each (doc_id, tf) tuple as an array
+    keyword = {"postings": kw_index.postings, "doc_lengths": kw_index.doc_lengths}
+    (out / "keyword.json").write_text(
+        json.dumps(keyword, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    with open(out / "vectors.jsonl", "w", encoding="utf-8") as fh:
+        for i, doc_id in enumerate(vec_index.ids):
+            rec = {"id": doc_id, "vector": vec_index.matrix[i].tolist()}  # one row at a time keeps RSS flat
+            fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
     meta = {
         "format": 1,
         "created_at": datetime.now(timezone.utc).isoformat(),
@@ -400,49 +404,38 @@ def save_index(
     (out / "meta.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    # json encodes each (doc_id, tf) tuple as an array
-    keyword = {"postings": kw_index.postings, "doc_lengths": kw_index.doc_lengths}
-    (out / "keyword.json").write_text(
-        json.dumps(keyword, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    with open(out / "vectors.jsonl", "w", encoding="utf-8") as fh:
-        for i, doc_id in enumerate(vec_index.ids):
-            rec = {"id": doc_id, "vector": vec_index.matrix[i].tolist()}  # one row at a time keeps RSS flat
-            fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
 
 def load_index(dir_path: Union[str, Path]) -> tuple[KeywordIndex, VectorIndex, dict]:
-    """Load indices saved by save_index; queries reproduce the originals exactly."""
+    """Load save_index's files, checked against meta.json; queries reproduce the originals exactly."""
     root = Path(dir_path)
-    meta_path = root / "meta.json"
-    kw_path = root / "keyword.json"
-    vec_path = root / "vectors.jsonl"
-    for p in (meta_path, kw_path, vec_path):
+    for p in (root / "meta.json", root / "keyword.json", root / "vectors.jsonl"):
         if not p.is_file():
             raise MissingIndexError(f"missing index file {p}")
     try:
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        kw_meta = meta["keyword"]
+        meta = json.loads((root / "meta.json").read_text(encoding="utf-8"))
+        kw_meta, vec_meta = meta["keyword"], meta["vector"]
         # scores always use the constants, so an index recorded with others would rank silently wrong
         if (kw_meta["k1"], kw_meta["b"]) != (DEFAULT_K1, DEFAULT_B):
             raise MissingIndexError(f"{root}: index was built with BM25 k1={kw_meta['k1']}, b={kw_meta['b']}, "
                                     f"not {DEFAULT_K1}, {DEFAULT_B}; rebuild it with `index build`")
-        kw_data = json.loads(kw_path.read_text(encoding="utf-8"))
+        recorded = (kw_meta["doc_count"], kw_meta["avg_doc_length"], vec_meta["doc_count"], vec_meta["dim"])
+        kw_data = json.loads((root / "keyword.json").read_text(encoding="utf-8"))
         kw_index = KeywordIndex(
             postings={t: [(d, int(tf)) for d, tf in plist] for t, plist in kw_data["postings"].items()},
             doc_lengths={d: int(n) for d, n in kw_data["doc_lengths"].items()},
-            avg_doc_length=float(kw_meta["avg_doc_length"]),
-            doc_count=int(kw_meta["doc_count"]),
         )
-        rows = [(obj["id"], obj["vector"]) for _, obj in iter_jsonl(vec_path)]
-        vec_count = int(meta["vector"]["doc_count"])
+        rows = [(obj["id"], obj["vector"]) for _, obj in iter_jsonl(root / "vectors.jsonl")]
+        vec_index = build_vector_index(rows)
     except MalformedLineError as exc:
         raise MissingIndexError(f"{exc}; rebuild the index with `index build`") from exc
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, EmptyCorpusError) as exc:
         raise MissingIndexError(f"{root}: unreadable index file: {exc!r}") from exc
-    # a crash while saving can leave vectors.jsonl short of what meta.json counts
-    if len(rows) != vec_count or {doc_id for doc_id, _ in rows} != kw_index.doc_lengths.keys():
-        raise MissingIndexError(f"{root}: incomplete index: its {len(rows)} vectors do not match its "
-                                f"{vec_count} keyword docs; rebuild it with `index build`")
-    vec_index = build_vector_index(rows)
+    # a save that dies part way leaves files that disagree with meta.json or with each other
+    found = (kw_index.doc_count, kw_index.avg_doc_length, len(vec_index.ids), vec_index.dim)
+    same_ids = set(vec_index.ids) == kw_index.doc_lengths.keys()
+    if found != recorded or not same_ids:
+        raise MissingIndexError(f"{root}: incomplete index: meta.json records (docs, mean length, vectors, dim) "
+                                f"{recorded}, but its files hold {found}{'' if same_ids else ' under other ids'}; "
+                                "rebuild it with `index build`")
     return kw_index, vec_index, meta

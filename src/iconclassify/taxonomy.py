@@ -170,7 +170,7 @@ class Taxonomy:
         return self._entries.get(raw)
 
 
-def _json_object(line: str, line_no: int, where: str = "") -> dict:
+def _json_object(line: str, line_no: int, where: str) -> dict:
     """Decode one JSON line that must hold an object; `where` prefixes the error."""
     try:
         obj = json.loads(line)
@@ -182,12 +182,13 @@ def _json_object(line: str, line_no: int, where: str = "") -> dict:
 
 
 def _lines(path: Union[str, Path]) -> Iterator[tuple[int, str]]:
-    """(line number, text) for each line of a UTF-8 file; bad UTF-8 raises
-    MalformedLineError naming the file and the line."""
+    """(line number, text) for each line of a UTF-8 file; a leading byte-order
+    mark is skipped, and bad UTF-8 raises MalformedLineError naming the file
+    and the line."""
     with open(path, "rb") as fh:  # decoded line by line, so a bad byte gets its own line number
         for line_no, raw in enumerate(fh, start=1):
             try:
-                line = raw.decode("utf-8")
+                line = raw.decode("utf-8-sig" if line_no == 1 else "utf-8")
             except UnicodeDecodeError as exc:
                 raise MalformedLineError(line_no, f"{path}: not UTF-8: {exc}") from exc
             yield line_no, line
@@ -222,17 +223,18 @@ def iter_csv(path: Union[str, Path], columns: tuple[str, ...]) -> Iterator[tuple
         raise ManifestParseError(f"{path}: not UTF-8: {exc}") from exc
 
 
-def _parse_line(line: str, line_no: int) -> tuple[str, str]:
+def _parse_line(line: str, line_no: int, where: str) -> tuple[str, str]:
     """One source line -> (code text, description). Two formats are accepted:
     tab-separated "code<TAB>description", or a JSON object with code/txt fields.
+    `where` prefixes the error.
     """
     if line.lstrip().startswith("{"):
-        obj = _json_object(line, line_no)
+        obj = _json_object(line, line_no, where)
         if "code" not in obj or "txt" not in obj:
-            raise MalformedLineError(line_no, "JSON record needs 'code' and 'txt' fields")
+            raise MalformedLineError(line_no, f"{where}JSON record needs 'code' and 'txt' fields")
         return str(obj["code"]), str(obj["txt"])
     if "\t" not in line:
-        raise MalformedLineError(line_no, "expected code<TAB>description")
+        raise MalformedLineError(line_no, f"{where}expected code<TAB>description")
     code_text, desc = line.split("\t", 1)
     return code_text, desc
 
@@ -244,9 +246,12 @@ def load_taxonomy(
     """Load taxonomy entries, keeping only codes whose top level is in prefix_filter.
 
     Pass prefix_filter=None to keep everything. Blank lines are skipped.
-    Raises MalformedLineError (with line number) or DuplicateCodeError.
+    Raises MalformedLineError (with line number) or DuplicateCodeError; when
+    the source is a path, the error names the file.
     """
-    numbered = _lines(source) if isinstance(source, (str, Path)) else enumerate(source, start=1)
+    is_path = isinstance(source, (str, Path))
+    numbered = _lines(source) if is_path else enumerate(source, start=1)
+    where = f"{source}: " if is_path else ""
     keep = tuple(prefix_filter) if prefix_filter is not None else None
     entries: dict[str, TaxonomyEntry] = {}
     stats = LoadStats()
@@ -255,19 +260,19 @@ def load_taxonomy(
         if not line.strip():
             continue
         stats.lines += 1
-        code_text, desc = _parse_line(line, line_no)
+        code_text, desc = _parse_line(line, line_no, where)
         try:
             code = parse_code(code_text)
         except MalformedCodeError as exc:
-            raise MalformedLineError(line_no, str(exc)) from exc
+            raise MalformedLineError(line_no, f"{where}{exc}") from exc
         text = desc.strip()
         if not text:
-            raise MalformedLineError(line_no, f"{code.raw}: empty description")
+            raise MalformedLineError(line_no, f"{where}{code.raw}: empty description")
         if keep is not None and code.top not in keep:
             stats.filtered += 1
             continue
         if code.raw in entries:
-            raise DuplicateCodeError(f"duplicate code {code.raw!r} at line {line_no}")
+            raise DuplicateCodeError(f"{where}duplicate code {code.raw!r} at line {line_no}")
         entries[code.raw] = TaxonomyEntry(code=code, text=text)
         stats.kept += 1
 

@@ -162,6 +162,30 @@ def test_taxonomy_build_rejects_duplicates(runner, tmp_path):
     assert result.exit_code != 0
 
 
+def test_taxonomy_build_skips_a_byte_order_mark(runner, tmp_path):
+    text = (FIXTURES / "taxonomy.tsv").read_bytes()
+    (tmp_path / "bom.tsv").write_bytes(b"\xef\xbb\xbf" + text)
+    (tmp_path / "plain.tsv").write_bytes(text)
+    for name in ("bom", "plain"):
+        result = runner.invoke(main, [
+            "taxonomy", "build", "--taxonomy", str(tmp_path / f"{name}.tsv"), "--out", str(tmp_path / f"{name}.jsonl"),
+        ])
+        assert result.exit_code == 0, result.output
+    assert (tmp_path / "bom.jsonl").read_bytes() == (tmp_path / "plain.jsonl").read_bytes()
+
+
+def test_rendering_and_mode_choices_come_from_the_enums():
+    from iconclassify.providers import DescriptionMode
+    from iconclassify.taxonomy import DatabaseKind
+
+    for command in (main.commands["index"].commands["build"], main.commands["classify"]):
+        [database] = [p for p in command.params if p.name == "database"]
+        assert list(database.type.choices) == [kind.value for kind in DatabaseKind]
+    for command in (main.commands["describe"], main.commands["classify"]):
+        [mode] = [p for p in command.params if p.name == "mode"]
+        assert list(mode.type.choices) == [m.value for m in DescriptionMode]
+
+
 # ---------------------------------------------------------------- index build
 
 def test_index_build_is_deterministic(runner, tmp_path, workspace):
@@ -309,6 +333,16 @@ def test_describe_ingests_a_manifest_that_begins_with_a_byte_order_mark(runner, 
     assert json.loads(cache.read_text())["image_id"] == "imgX"
 
 
+def test_describe_ingests_a_jsonl_manifest_that_begins_with_a_byte_order_mark(runner, tmp_path):
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_bytes(b'\xef\xbb\xbf{"image_id": "imgX", "description": "the ark"}\n')
+    cache = tmp_path / "c.jsonl"
+    result = runner.invoke(main, ["describe", "--manifest", str(manifest), "--cache", str(cache), "--offline"])
+    assert result.exit_code == 0, result.output
+    assert "ingested 1" in result.output
+    assert json.loads(cache.read_text())["image_id"] == "imgX"
+
+
 def test_describe_rejects_workers_below_one(runner, tmp_path):
     for value in ("0", "-3"):
         result = runner.invoke(main, [
@@ -414,6 +448,33 @@ def test_classify_outputs_are_byte_identical_across_runs(runner, tmp_path, works
         assert result.exit_code == 0, result.output
     for suffix in (".jsonl", ".csv", ".meta.json"):
         assert (tmp_path / ("r1" + suffix)).read_bytes() == (tmp_path / ("r2" + suffix)).read_bytes()
+
+
+def test_classify_reuses_its_embedding_cache(runner, tmp_path, workspace):
+    cache = tmp_path / "emb.jsonl"
+    for name in ("r1", "r2"):
+        result = runner.invoke(main, _classify_args(
+            workspace, tmp_path / name, method="hybrid", extra=("--embed-cache", str(cache))))
+        assert result.exit_code == 0, result.output
+        if name == "r1":
+            first = cache.read_bytes()
+            assert len(first.splitlines()) == 12
+    assert cache.read_bytes() == first  # the second run embedded nothing
+    for suffix in (".jsonl", ".csv", ".meta.json"):
+        assert (tmp_path / ("r1" + suffix)).read_bytes() == (tmp_path / ("r2" + suffix)).read_bytes()
+
+
+def test_classify_reports_a_failed_row_and_goes_on(runner, tmp_path, workspace):
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("image_id,description\nimgA,the building of the ark\nimgB,\n")
+    args = _classify_args(workspace, tmp_path / "x")
+    args[args.index("--manifest") + 1] = str(manifest)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert "imgB: MissingDescriptionError: " in result.output
+    assert "wrote 1 predictions, 1 errors" in result.output
+    [error] = json.loads((tmp_path / "x.meta.json").read_text())["errors"]
+    assert error["image_id"] == "imgB" and error["error"].startswith("MissingDescriptionError: ")
 
 
 def test_out_parent_directories_are_created(runner, tmp_path, workspace):
@@ -761,6 +822,90 @@ def _cut_vectors(workspace, tmp_path):
     return args, ["vectors.jsonl", "line 5"]
 
 
+def _index_with_another_builds_meta(workspace, tmp_path):
+    index = tmp_path / "index"
+    index.mkdir()
+    for name in ("keyword.json", "vectors.jsonl"):
+        (index / name).write_bytes((workspace / "index-hierarchical" / name).read_bytes())
+    (index / "meta.json").write_bytes((workspace / "index-basic" / "meta.json").read_bytes())
+    args = _classify_args(workspace, tmp_path / "x")
+    args[args.index("--index-dir") + 1] = str(index)
+    return args, ["incomplete index", "(50, 5.94, 50, 64)", "(50, 14.34, 50, 64)", "index build"]
+
+
+def _keyword_file_without_postings(workspace, tmp_path):
+    index = tmp_path / "index"
+    index.mkdir()
+    for name in ("meta.json", "vectors.jsonl"):
+        (index / name).write_bytes((workspace / "index-basic" / name).read_bytes())
+    kw = json.loads((workspace / "index-basic" / "keyword.json").read_text())
+    (index / "keyword.json").write_text(json.dumps({"doc_lengths": kw["doc_lengths"]}))
+    args = _classify_args(workspace, tmp_path / "x")
+    args[args.index("--index-dir") + 1] = str(index)
+    return args, ["unreadable index file", "postings"]
+
+
+def _rendered_taxonomy_args(workspace, tmp_path, text):
+    rendered = tmp_path / "rendered.jsonl"
+    rendered.write_text(text)
+    args = _classify_args(workspace, tmp_path / "x")
+    args[args.index("--taxonomy") + 1] = str(rendered)
+    return args
+
+
+def _rendered_taxonomy_without_a_rendering(workspace, tmp_path):
+    lines = (workspace / "rendered.jsonl").read_text().splitlines(keepends=True)
+    record = json.loads(lines[1])
+    del record["hierarchical"]
+    text = lines[0] + json.dumps(record) + "\n" + "".join(lines[2:])
+    return _rendered_taxonomy_args(workspace, tmp_path, text), \
+        ["rendered.jsonl", "line 2", "needs code, basic and hierarchical fields", "taxonomy build"]
+
+
+def _empty_rendered_taxonomy(workspace, tmp_path):
+    return _rendered_taxonomy_args(workspace, tmp_path, "\n"), ["rendered.jsonl", "rendered taxonomy is empty"]
+
+
+def _raw_taxonomy_args(tmp_path, text):
+    source = tmp_path / "raw.tsv"
+    source.write_text(text)
+    return ["taxonomy", "build", "--taxonomy", str(source), "--out", str(tmp_path / "o.jsonl")]
+
+
+def _raw_taxonomy_with_a_bad_code(workspace, tmp_path):
+    return _raw_taxonomy_args(tmp_path, "7\tBible\n7x\tbad\n"), ["line 2: ", "raw.tsv: '7x': invalid character"]
+
+
+def _raw_taxonomy_json_without_txt(workspace, tmp_path):
+    return _raw_taxonomy_args(tmp_path, '7\tBible\n{"code": "71"}\n'), \
+        ["line 2: ", "raw.tsv: JSON record needs 'code' and 'txt' fields"]
+
+
+def _raw_taxonomy_with_a_duplicate_code(workspace, tmp_path):
+    return _raw_taxonomy_args(tmp_path, "7\tBible\n7\tagain\n"), ["raw.tsv: duplicate code '7' at line 2"]
+
+
+def _manifest_line(tmp_path, record):
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text('{"image_id": "a", "description": "the ark"}\n' + json.dumps(record) + "\n")
+    return ["describe", "--manifest", str(manifest), "--cache", str(tmp_path / "c.jsonl"), "--offline"]
+
+
+def _manifest_with_a_boolean_image_id(workspace, tmp_path):
+    return _manifest_line(tmp_path, {"image_id": True}), \
+        ["line 2: ", "manifest.jsonl: image_id must be a string"]
+
+
+def _manifest_with_a_fractional_image_id(workspace, tmp_path):
+    return _manifest_line(tmp_path, {"image_id": 5.5}), \
+        ["line 2: ", "manifest.jsonl: image_id must be a string"]
+
+
+def _manifest_with_a_list_description(workspace, tmp_path):
+    return _manifest_line(tmp_path, {"image_id": "b", "description": ["noah", "ark"]}), \
+        ["line 2: ", "manifest.jsonl: description must be a string"]
+
+
 def _config_args(tmp_path, text):
     config = tmp_path / "config.json"
     config.write_text(text)
@@ -830,6 +975,10 @@ def _dim_below_the_offline_minimum(workspace, tmp_path):
     _refs_with_a_bad_code, _cut_vectors, _bad_config, _non_object_config, _nested_non_object_config,
     _subcommand_non_object_config, _non_utf8_taxonomy, _non_utf8_manifest, _non_utf8_predictions,
     _multi_line_manifest, _multi_line_predictions, _dim_below_the_offline_minimum,
+    _index_with_another_builds_meta, _keyword_file_without_postings, _rendered_taxonomy_without_a_rendering,
+    _empty_rendered_taxonomy, _raw_taxonomy_with_a_bad_code, _raw_taxonomy_json_without_txt,
+    _raw_taxonomy_with_a_duplicate_code, _manifest_with_a_boolean_image_id, _manifest_with_a_fractional_image_id,
+    _manifest_with_a_list_description,
 ], ids=lambda case: case.__name__.strip("_"))
 def test_malformed_input_ends_as_a_one_line_error(runner, tmp_path, workspace, case):
     args, needles = case(workspace, tmp_path)

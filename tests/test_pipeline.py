@@ -185,6 +185,13 @@ def test_read_manifest_empty_csv(tmp_path):
     assert read_manifest(path) == []
 
 
+def test_read_manifest_jsonl_writes_integers_in_decimal(tmp_path):
+    path = tmp_path / "m.jsonl"
+    path.write_text('{"image_id": 5, "ground_truth": "73D2", "group": 0}\n{"image_id": 0}\n')
+    rows = read_manifest(path)
+    assert [(r.image_id, r.group) for r in rows] == [("5", "0"), ("0", None)]
+
+
 def test_read_manifest_keeps_absolute_paths(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("image_id,vector_path\nx,/abs/v.json\n")
@@ -341,6 +348,14 @@ def test_classify_rag_requires_documents():
     text = "the building of the ark"
     with pytest.raises(MissingIndexError, match="taxonomy documents"):
         classify(ManifestRow(image_id="q", description=text), MethodSpec(QueryKind.RAG_VECTOR), ctx)
+
+
+def test_classify_rag_names_a_candidate_missing_from_the_documents():
+    ctx = _fixture_context()
+    del ctx.documents["71B32"]
+    row = ManifestRow(image_id="q", description="the building of the ark and the embarkation")
+    with pytest.raises(MissingIndexError, match="^q: candidate 71B32 missing from taxonomy documents$"):
+        classify(row, MethodSpec(QueryKind.RAG_HYBRID), ctx)
 
 
 # ---------------------------------------------------------------- classify, image method

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -17,6 +18,8 @@ from iconclassify.errors import (
 )
 from iconclassify.retrieval import (
     ImageReferenceSet,
+    KeywordIndex,
+    VectorIndex,
     _idf,
     bm25_score,
     build_keyword_index,
@@ -73,6 +76,14 @@ def test_build_keyword_index_counts():
     assert index.doc_count == 2
     assert index.postings["noah"] == [("d1", 1)]
     assert index.postings["flood"] == [("d2", 1)]
+
+
+def test_keyword_index_works_out_its_count_and_mean_length():
+    index = KeywordIndex({"ark": [("d1", 1)]}, {"d1": 1, "d2": 0, "d3": 1})
+    assert (index.doc_count, index.avg_doc_length) == (3, 2 / 3)
+    assert [f.name for f in dataclasses.fields(KeywordIndex) if f.init] == ["postings", "doc_lengths"]
+    with pytest.raises(EmptyCorpusError):
+        KeywordIndex({}, {})
 
 
 def test_build_keyword_index_rejects_duplicates():
@@ -243,6 +254,12 @@ def test_build_vector_index_shape_and_norms():
     assert index.dim == 2
     assert index.ids == ["a", "b"]
     assert index.norms[0] == pytest.approx(5.0)
+
+
+def test_vector_index_dim_is_the_matrix_width():
+    index = build_vector_index([("a", [3.0, 4.0, 0.0])])
+    assert index.dim == index.matrix.shape[1] == 3
+    assert [f.name for f in dataclasses.fields(VectorIndex)] == ["ids", "matrix", "norms"]
 
 
 def test_build_vector_index_rejects_bad_rows():
@@ -729,3 +746,44 @@ def test_load_index_refuses_other_bm25_parameters(tmp_path, field, value):
     meta_path.write_text(json.dumps(meta))
     with pytest.raises(MissingIndexError, match=f"{field}={value}.*rebuild"):
         load_index(tmp_path / "idx")
+
+
+@pytest.mark.parametrize("section, field, value", [
+    ("keyword", "doc_count", 49), ("keyword", "avg_doc_length", 5.94), ("vector", "doc_count", 51),
+    ("vector", "dim", 4),
+])
+def test_load_index_refuses_a_meta_json_that_disagrees_with_its_files(tmp_path, section, field, value):
+    kw = build_keyword_index(_fixture_docs(DatabaseKind.HIERARCHICAL))
+    rng = np.random.default_rng(3)
+    save_index(tmp_path / "idx", kw, build_vector_index([(d, rng.standard_normal(8)) for d in kw.doc_lengths]))
+    meta_path = tmp_path / "idx" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta[section][field] = value
+    meta_path.write_text(json.dumps(meta))
+    recorded = (meta["keyword"]["doc_count"], meta["keyword"]["avg_doc_length"], meta["vector"]["doc_count"],
+                meta["vector"]["dim"])
+    with pytest.raises(MissingIndexError, match="incomplete index") as info:
+        load_index(tmp_path / "idx")
+    assert f"records (docs, mean length, vectors, dim) {recorded}, " in str(info.value)
+    assert f"files hold (50, {kw.avg_doc_length}, 50, 8);" in str(info.value)
+
+
+def test_save_index_writes_meta_json_last(tmp_path):
+    (tmp_path / "idx" / "vectors.jsonl").mkdir(parents=True)  # the vector file cannot be written
+    with pytest.raises(OSError):
+        save_index(tmp_path / "idx", build_keyword_index([("71B", "ark")]), build_vector_index([("71B", [1.0])]))
+    assert (tmp_path / "idx" / "keyword.json").is_file()
+    assert not (tmp_path / "idx" / "meta.json").exists()
+
+
+@pytest.mark.parametrize("name, text, reason", [
+    ("keyword.json", '{"doc_lengths": {"71B": 1}}', "KeyError('postings')"),
+    ("keyword.json", '{"postings": {}, "doc_lengths": {}}', "no documents to index"),
+    ("vectors.jsonl", "", "no vectors to index"),
+], ids=["keyword_without_postings", "keyword_without_docs", "no_vectors"])
+def test_load_index_refuses_an_unreadable_file(tmp_path, name, text, reason):
+    save_index(tmp_path / "idx", build_keyword_index([("71B", "ark")]), build_vector_index([("71B", [1.0])]))
+    (tmp_path / "idx" / name).write_text(text)
+    with pytest.raises(MissingIndexError, match="unreadable index file") as info:
+        load_index(tmp_path / "idx")
+    assert reason in str(info.value)

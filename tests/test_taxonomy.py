@@ -242,6 +242,43 @@ def test_load_from_file(fixtures_dir):
     assert tax.stats.filtered == 2
 
 
+@pytest.mark.parametrize("line, reason", [
+    ("7x\tbad", "'7x': invalid character 'x'"),
+    ('{"code": "71"}', "JSON record needs 'code' and 'txt' fields"),
+    ("71\t  ", "71: empty description"),
+    ("no tab here", "expected code<TAB>description"),
+], ids=["bad_code", "json_without_txt", "empty_description", "no_tab"])
+def test_load_errors_name_the_file_of_a_path_source(tmp_path, line, reason):
+    path = tmp_path / "raw.tsv"
+    path.write_text(f"7\tBible\n{line}\n")
+    with pytest.raises(MalformedLineError) as info:
+        load_taxonomy(path)
+    assert str(info.value) == f"line 2: {path}: {reason}"
+    with pytest.raises(MalformedLineError) as info:
+        load_taxonomy(["7\tBible", line])
+    assert str(info.value) == f"line 2: {reason}"
+
+
+def test_load_duplicate_error_names_the_file_of_a_path_source(tmp_path):
+    path = tmp_path / "raw.tsv"
+    path.write_text("7\tBible\n7\tBible again\n")
+    with pytest.raises(DuplicateCodeError) as info:
+        load_taxonomy(path)
+    assert str(info.value) == f"{path}: duplicate code '7' at line 2"
+    with pytest.raises(DuplicateCodeError) as info:
+        load_taxonomy(["7\tBible", "7\tBible again"])
+    assert str(info.value) == "duplicate code '7' at line 2"
+
+
+def test_a_leading_byte_order_mark_is_skipped(tmp_path):
+    raw = tmp_path / "raw.tsv"
+    raw.write_bytes(b"\xef\xbb\xbf7\tBible\n71\tOld Testament\n")
+    assert [e.code.raw for e in load_taxonomy(raw)] == ["7", "71"]
+    records = tmp_path / "records.jsonl"
+    records.write_bytes(b'\xef\xbb\xbf{"a": 1}\n{"b": "\xef\xbb\xbf"}\n')
+    assert list(iter_jsonl(records)) == [(1, {"a": 1}), (2, {"b": "\ufeff"})]  # only the file's first mark
+
+
 def test_iter_jsonl_skips_blank_lines_but_counts_them(tmp_path):
     path = tmp_path / "records.jsonl"
     path.write_text('{"a": 1}\n\n   \n{"b": 2}\r\n{"c": 3}')
