@@ -12,7 +12,7 @@ from typing import Optional
 import click
 
 from . import evaluation, pipeline, providers, retrieval, taxonomy
-from .errors import IconclassifyError, MalformedCodeError, MalformedLineError, MissingIndexError
+from .errors import IconclassifyError, MalformedLineError, MissingIndexError
 
 # config file (JSON) supplies defaults; environment overrides it; flags win
 _ENV_ENDPOINT = "ICONCLASSIFY_ENDPOINT"
@@ -366,11 +366,7 @@ def cmd_evaluate(pred_path: str, out_dir: str, label: Optional[str], max_level: 
     records = []
     pairs = []
     for row in rows:
-        try:
-            pred = taxonomy.parse_code(row.predicted)
-            gt = taxonomy.parse_code(row.ground_truth)
-        except MalformedCodeError as exc:
-            raise click.ClickException(f"{row.image_id}: {exc}")
+        pred, gt = taxonomy.parse_code(row.predicted), taxonomy.parse_code(row.ground_truth)  # both checked on read
         records.append(evaluation.evaluate_pair(row.image_id, pred, gt, group=row.group))
         pairs.append((pred, gt))
     report_label = label or Path(pred_path).stem

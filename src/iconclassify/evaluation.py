@@ -13,8 +13,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .errors import ManifestParseError
-from .taxonomy import IconclassCode, common_depth, iter_csv, truncate_code
+from .errors import MalformedCodeError, ManifestParseError
+from .taxonomy import IconclassCode, common_depth, iter_csv, parse_code, truncate_code
 
 
 class MatchType(Enum):
@@ -238,7 +238,7 @@ class PredictionRow:
 
 def read_predictions_csv(path: Union[str, Path]) -> list[PredictionRow]:
     """Read the classifier's CSV projection. Header is required; every row
-    needs a non-empty prediction and ground truth."""
+    needs a well-formed prediction and ground truth."""
     rows: list[PredictionRow] = []
     for line_no, rec in iter_csv(path, ("image_id", "predicted_code", "ground_truth_code")):
         image_id = (rec.get("image_id") or "").strip()
@@ -246,6 +246,10 @@ def read_predictions_csv(path: Union[str, Path]) -> list[PredictionRow]:
         gt = (rec.get("ground_truth_code") or "").strip()
         if not image_id or not predicted or not gt:
             raise ManifestParseError(f"line {line_no}: {path}: incomplete prediction row")
+        try:
+            parse_code(predicted), parse_code(gt)
+        except MalformedCodeError as exc:
+            raise ManifestParseError(f"line {line_no}: {path}: {image_id}: {exc}") from exc
         group = (rec.get("group") or "").strip() or None
         rows.append(PredictionRow(image_id, predicted, gt, group))
     return rows

@@ -316,19 +316,17 @@ def read_manifest(path: Union[str, Path]) -> list[ManifestRow]:
     p = Path(path)
     if not p.is_file():
         raise ManifestParseError(f"manifest not found: {p}")
-    if p.suffix in (".jsonl", ".ndjson"):
-        try:
-            rows = [_row_from_record(rec, line_no, p) for line_no, rec in iter_jsonl(p)]
-        except MalformedLineError as exc:
-            raise ManifestParseError(str(exc)) from exc
-    else:
-        rows = [_row_from_record(rec, line_no, p) for line_no, rec in iter_csv(p, ("image_id",))]
-    seen: set[str] = set()
-    for row in rows:
-        if row.image_id in seen:
-            raise ManifestParseError(f"duplicate image_id {row.image_id!r}")
-        seen.add(row.image_id)
-    return rows
+    records = iter_jsonl(p) if p.suffix in (".jsonl", ".ndjson") else iter_csv(p, ("image_id",))
+    rows: dict[str, ManifestRow] = {}
+    try:
+        for line_no, rec in records:
+            row = _row_from_record(rec, line_no, p)
+            if row.image_id in rows:
+                raise ManifestParseError(f"line {line_no}: {p}: duplicate image_id {row.image_id!r}")
+            rows[row.image_id] = row
+    except MalformedLineError as exc:
+        raise ManifestParseError(str(exc)) from exc
+    return list(rows.values())
 
 
 def write_predictions_jsonl(predictions: Sequence[Prediction], path: Union[str, Path]) -> None:

@@ -145,10 +145,9 @@ class RemoteChatProvider:
         payload = {"model": self.model_id, "messages": [{"role": "user", "content": content}]}
         data = _post(f"{self.endpoint}/chat/completions", payload, self._api_key, timeout=120.0)
         try:
-            text = data["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
+            text = (data["choices"][0]["message"]["content"] or "").strip()
+        except (KeyError, IndexError, TypeError, AttributeError) as exc:  # AttributeError: content is not text
             raise EmptyResponseError(f"malformed chat response: {exc}") from exc
-        text = (text or "").strip()
         if not text:
             raise EmptyResponseError("chat provider returned empty text")
         return text
@@ -169,8 +168,10 @@ class RemoteEmbeddingProvider:
             data = _post(f"{self.endpoint}/embeddings", payload, self._api_key, timeout=60.0)
             try:
                 items = sorted(data["data"], key=lambda d: d["index"])
+                if not all(isinstance(item["embedding"], list) for item in items):
+                    raise TypeError("an embedding is not a list")  # float() would read "12" as [1.0, 2.0]
                 got = [[float(x) for x in item["embedding"]] for item in items]
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:  # ValueError: an entry is not a number
                 raise EmptyResponseError(f"malformed embedding response: {exc}") from exc
             if len(got) != len(chunk):
                 raise EmptyResponseError(
@@ -415,16 +416,10 @@ def select_with_llm(
         raise ValueError("candidates must be non-empty")
     prompt = build_selection_prompt(description, candidates)
     response = provider.complete(prompt)
-    best: Optional[tuple[int, int, IconclassCode]] = None
-    for code, _ in candidates:
-        pos = response.find(code.raw)
-        if pos < 0:
-            continue
-        key = (pos, -len(code.raw))
-        if best is None or key < (best[0], best[1]):
-            best = (pos, -len(code.raw), code)
-    if best is not None:
-        return best[2], False
+    found = [(pos, -len(code.raw), i) for i, (code, _) in enumerate(candidates)
+             if (pos := response.find(code.raw)) >= 0]
+    if found:
+        return candidates[min(found)[2]][0], False
     return candidates[0][0], True
 
 
@@ -438,13 +433,10 @@ def offline_select(
     if not candidates:
         raise ValueError("candidates must be non-empty")
     desc_tokens = set(tokenize(description))
-    best_j = -1.0
-    best_code = candidates[0][0]
-    for code, text in candidates:
-        cand_tokens = set(tokenize(text))
+
+    def jaccard(candidate: tuple[IconclassCode, str]) -> float:
+        cand_tokens = set(tokenize(candidate[1]))
         union = desc_tokens | cand_tokens
-        j = len(desc_tokens & cand_tokens) / len(union) if union else 0.0
-        if j > best_j:
-            best_j = j
-            best_code = code
-    return best_code, False
+        return len(desc_tokens & cand_tokens) / len(union) if union else 0.0
+
+    return max(candidates, key=jaccard)[0], False

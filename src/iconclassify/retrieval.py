@@ -128,7 +128,6 @@ def keyword_search(index: KeywordIndex, query: str, k: int) -> list[RankedHit]:
 
     Documents scoring 0 (no query term present) are excluded entirely.
     """
-    _require_k(k)
     terms = tokenize(query)
     scores: dict[str, float] = {}
     for term in terms:
@@ -139,11 +138,9 @@ def keyword_search(index: KeywordIndex, query: str, k: int) -> list[RankedHit]:
         for doc_id, tf in plist:
             contrib = _term_score(idf, tf, index.doc_lengths[doc_id], index.avg_doc_length)
             scores[doc_id] = scores.get(doc_id, 0.0) + contrib
-    ranked = sorted(
-        ((doc_id, s) for doc_id, s in scores.items() if s > 0.0),
-        key=lambda pair: (-pair[1], pair[0]),
-    )
-    return _hits(ranked[:k])
+    ids = [doc_id for doc_id, s in scores.items() if s > 0.0]
+    top = _top(ids, -np.array([scores[doc_id] for doc_id in ids]), k)
+    return _hits((doc_id, -cost) for cost, doc_id in top)
 
 
 @dataclass
@@ -235,14 +232,16 @@ def _distances(index: VectorIndex, query: Sequence[float]) -> np.ndarray:
     return 1.0 - np.vecdot(index.matrix, q) / (index.norms * qnorm)
 
 
-def _nearest(dist: np.ndarray, k: int) -> list[int]:
-    """Rows within the k smallest distances, plus every row tied with the
-    k-th, so that the caller's tie-break decides which of them make the cut.
-    Unordered; the caller sorts."""
+def _top(keys: Sequence, cost: np.ndarray, k: int) -> list[tuple[float, object]]:
+    """The k (cost, key) pairs of smallest cost, ties broken by key, in that
+    order. np.partition finds the k-th cost; only the rows within it are
+    sorted, every row tied with it included, so that the key decides the cut."""
     _require_k(k)
-    k = min(k, dist.shape[0])
-    kth = np.partition(dist, k - 1)[k - 1]
-    return np.flatnonzero(dist <= kth).tolist()
+    if not cost.size:
+        return []
+    kth = np.partition(cost, min(k, cost.size) - 1)[min(k, cost.size) - 1]
+    rows = np.flatnonzero(cost <= kth).tolist()
+    return sorted(zip(cost[rows].tolist(), [keys[i] for i in rows]))[:k]
 
 
 def vector_search(index: VectorIndex, query: Sequence[float], k: int) -> list[RankedHit]:
@@ -251,19 +250,18 @@ def vector_search(index: VectorIndex, query: Sequence[float], k: int) -> list[Ra
     Hit scores are stored as similarity (1 - distance); ties break by
     ascending doc id.
     """
-    dist = _distances(index, query)
-    rows = _nearest(dist, k)
-    scored = sorted(zip(dist[rows].tolist(), [index.ids[i] for i in rows]))
-    return _hits((doc_id, 1.0 - d) for d, doc_id in scored[:k])
+    top = _top(index.ids, _distances(index, query), k)
+    return _hits((doc_id, 1.0 - d) for d, doc_id in top)
 
 
-def _minmax(values: dict[str, float]) -> dict[str, float]:
-    lo = min(values.values())
-    hi = max(values.values())
+def _minmax(values: list[float]) -> np.ndarray:
+    # numpy's elementwise - and / round as Python's float ops do
+    v = np.array(values)
+    lo, hi = v.min(), v.max()
     if hi > lo:
-        return {doc_id: (v - lo) / (hi - lo) for doc_id, v in values.items()}
+        return (v - lo) / (hi - lo)
     # degenerate pool: every doc tied; positive scores normalize to 1
-    return {doc_id: (1.0 if v > 0 else 0.0) for doc_id, v in values.items()}
+    return (v > 0).astype(np.float64)
 
 
 def hybrid_search(
@@ -290,14 +288,10 @@ def hybrid_search(
     kw_raw = {h.code.raw: h.score for h in kw_hits}
     vec_raw = {h.code.raw: h.score for h in vec_hits}
     union = sorted(set(kw_raw) | set(vec_raw))
-    kw_norm = _minmax({doc_id: kw_raw.get(doc_id, 0.0) for doc_id in union})
-    vec_norm = _minmax({doc_id: vec_raw.get(doc_id, 0.0) for doc_id in union})
-    fused = {
-        doc_id: alpha * vec_norm[doc_id] + (1.0 - alpha) * kw_norm[doc_id]
-        for doc_id in union
-    }
-    ranked = sorted(fused.items(), key=lambda pair: (-pair[1], pair[0]))
-    return _hits(ranked[:k])
+    vec_norm = _minmax([vec_raw.get(doc_id, 0.0) for doc_id in union])
+    kw_norm = _minmax([kw_raw.get(doc_id, 0.0) for doc_id in union])
+    fused = alpha * vec_norm + (1.0 - alpha) * kw_norm
+    return _hits((doc_id, -cost) for cost, doc_id in _top(union, -fused, k))
 
 
 class ImageReferenceSet:
@@ -346,9 +340,7 @@ def image_vote_classify(
     supporting neighbour is nearest, then to the lexicographically
     smallest notation. Returns the winner and the full vote table.
     """
-    dist = _distances(refs.index, query)
-    rows = _nearest(dist, k)
-    neighbors = sorted(zip(dist[rows].tolist(), rows))[:k]
+    neighbors = _top(range(len(refs)), _distances(refs.index, query), k)
 
     votes: Counter[str] = Counter()
     best_rank: dict[str, int] = {}

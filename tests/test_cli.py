@@ -906,6 +906,17 @@ def _manifest_with_a_list_description(workspace, tmp_path):
         ["line 2: ", "manifest.jsonl: description must be a string"]
 
 
+def _manifest_with_a_repeated_image_id(workspace, tmp_path):
+    return _manifest_line(tmp_path, {"image_id": "a"}), ["line 2: ", "manifest.jsonl: duplicate image_id 'a'"]
+
+
+def _predictions_with_a_bad_code(workspace, tmp_path):
+    preds = tmp_path / "preds.csv"
+    preds.write_text("image_id,predicted_code,ground_truth_code\nimgA,73D231,73D231\nimgB,7x,73D231\n")
+    return ["evaluate", "--predictions", str(preds), "--out", str(tmp_path / "r")], \
+        ["line 3: ", "preds.csv: imgB: '7x': invalid character 'x'"]
+
+
 def _config_args(tmp_path, text):
     config = tmp_path / "config.json"
     config.write_text(text)
@@ -978,7 +989,7 @@ def _dim_below_the_offline_minimum(workspace, tmp_path):
     _index_with_another_builds_meta, _keyword_file_without_postings, _rendered_taxonomy_without_a_rendering,
     _empty_rendered_taxonomy, _raw_taxonomy_with_a_bad_code, _raw_taxonomy_json_without_txt,
     _raw_taxonomy_with_a_duplicate_code, _manifest_with_a_boolean_image_id, _manifest_with_a_fractional_image_id,
-    _manifest_with_a_list_description,
+    _manifest_with_a_list_description, _manifest_with_a_repeated_image_id, _predictions_with_a_bad_code,
 ], ids=lambda case: case.__name__.strip("_"))
 def test_malformed_input_ends_as_a_one_line_error(runner, tmp_path, workspace, case):
     args, needles = case(workspace, tmp_path)

@@ -557,7 +557,8 @@ def test_remote_chat_attaches_image_as_data_url(monkeypatch):
 
 
 def test_remote_chat_rejects_malformed_or_empty_body(monkeypatch):
-    bodies = [{"choices": []}, {"choices": [{"message": {"content": "  "}}]}, {}]
+    bodies = [{"choices": []}, {"choices": [{"message": {"content": "  "}}]}, {},
+              {"choices": [{"message": {"content": ["a woodcut"]}}]}, {"choices": [{"message": {"content": 7}}]}]
 
     for body in bodies:
         monkeypatch.setattr(
@@ -592,6 +593,16 @@ def test_remote_embeddings_rejects_wrong_count(monkeypatch):
     with pytest.raises(EmptyResponseError):
         emb.embed_many(["a", "b"])
     assert emb.embed_many([]) == []
+
+
+@pytest.mark.parametrize("embedding", [["abc"], "abc", "12"])
+def test_remote_embeddings_reject_a_non_numeric_vector(monkeypatch, embedding):
+    body = {"data": [{"index": 0, "embedding": embedding}]}
+    monkeypatch.setattr(
+        requests, "post", lambda url, json=None, headers=None, timeout=None: FakeResponse(body=body)
+    )
+    with pytest.raises(EmptyResponseError, match="malformed embedding response"):
+        RemoteEmbeddingProvider("http://host", "m").embed_many(["a"])
 
 
 def test_remote_retries_on_invalid_json(monkeypatch):

@@ -507,6 +507,54 @@ def test_hybrid_rejects_alpha_out_of_range():
             hybrid_search(kw, vec, "ark", [1.0, 0.0], alpha=alpha)
 
 
+def test_keyword_and_hybrid_k_cutting_through_a_tie_keep_the_smallest_ids():
+    # the four "ark flood" docs tie on both scores; "79" alone also holds "noah"
+    near, tied, far = [1.0, 0.0], [0.6, 0.8], [-1.0, 0.1]
+    rows = [("75", "ark flood", tied), ("79", "ark noah", near), ("71", "ark flood", tied),
+            ("78", "ark flood", tied), ("70", "dove peace", far), ("72", "ark flood", tied)]
+    kw = build_keyword_index((d, text) for d, text, _ in rows)
+    vec = build_vector_index((d, v) for d, _, v in rows)
+    for k, expected in ((2, ["79", "71"]), (3, ["79", "71", "72"]), (5, ["79", "71", "72", "75", "78"])):
+        assert [h.code.raw for h in keyword_search(kw, "ark noah", k)] == expected
+        assert [h.code.raw for h in hybrid_search(kw, vec, "ark noah", near, k=k, pool=len(rows))] == expected
+
+
+def _hybrid_by_dicts(kw, vec, text, query_vec, alpha, k, pool):
+    """The min-max fusion over dicts of Python floats: the reference that
+    hybrid_search's array fusion must equal bit for bit."""
+    kw_raw = {h.code.raw: h.score for h in keyword_search(kw, text, pool)}
+    vec_raw = {h.code.raw: h.score for h in vector_search(vec, query_vec, pool)}
+    union = sorted(set(kw_raw) | set(vec_raw))
+
+    def minmax(values):
+        lo, hi = min(values.values()), max(values.values())
+        if hi > lo:
+            return {d: (v - lo) / (hi - lo) for d, v in values.items()}
+        return {d: (1.0 if v > 0 else 0.0) for d, v in values.items()}
+
+    kw_norm = minmax({d: kw_raw.get(d, 0.0) for d in union})
+    vec_norm = minmax({d: vec_raw.get(d, 0.0) for d in union})
+    fused = {d: alpha * vec_norm[d] + (1.0 - alpha) * kw_norm[d] for d in union}
+    ranked = sorted(fused.items(), key=lambda pair: (-pair[1], pair[0]))
+    return [(d, i + 1, float.hex(s)) for i, (d, s) in enumerate(ranked[:k])]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 0.75, 1.0])
+def test_hybrid_array_fusion_equals_the_dict_fusion_bit_for_bit(alpha):
+    docs = _fixture_docs(DatabaseKind.HIERARCHICAL)
+    kw = build_keyword_index(docs)
+    rng = np.random.default_rng(17)
+    vec = build_vector_index([(d, rng.standard_normal(12)) for d, _ in docs])
+    # "zebra" matches no doc, so its keyword pool is all 0: a degenerate min-max
+    for text in ("Noah ark flood", "the washing of the feet", "David slings a stone", "zebra"):
+        query_vec = rng.standard_normal(12)
+        for pool in (1, 3, len(docs)):
+            for k in (5, len(docs)):
+                hits = hybrid_search(kw, vec, text, query_vec, alpha=alpha, k=k, pool=pool)
+                assert [(h.code.raw, h.rank, float.hex(h.score)) for h in hits] == \
+                    _hybrid_by_dicts(kw, vec, text, query_vec, alpha, k, pool)
+
+
 def test_hybrid_pool_limits_candidates():
     kw = build_keyword_index(TOY_DOCS)
     vec = build_vector_index(
