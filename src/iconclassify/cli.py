@@ -14,7 +14,7 @@ import click
 from . import evaluation, pipeline, providers, retrieval, taxonomy
 from .errors import IconclassifyError, MalformedLineError, MissingIndexError
 
-# config file (JSON) supplies defaults; environment overrides it; flags win
+# provider settings may also come from the environment; flags win
 _ENV_ENDPOINT = "ICONCLASSIFY_ENDPOINT"
 _ENV_API_KEY = "ICONCLASSIFY_API_KEY"
 _ENV_CHAT_MODEL = "ICONCLASSIFY_CHAT_MODEL"
@@ -35,30 +35,8 @@ class _Commands(click.Group):
 
 
 @click.group(cls=_Commands)
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
-              help="JSON file with per-command default values.")
-@click.pass_context
-def main(ctx: click.Context, config_path: Optional[str]):
+def main():
     """Classify early modern religious images into Iconclass codes."""
-    if config_path:
-        try:
-            with open(config_path, encoding="utf-8") as fh:
-                defaults = json.load(fh)
-            _check_defaults(defaults, ctx.command)
-        except ValueError as exc:
-            raise click.BadParameter(f"{config_path}: {exc}", param_hint="'--config'") from exc
-        ctx.default_map = defaults
-
-
-def _check_defaults(value, command: click.Command, path: tuple[str, ...] = ()) -> None:
-    """click looks up a command's defaults in the entry under its name, and a
-    group's subcommands' in entries under theirs; each must be an object."""
-    if not isinstance(value, dict):
-        raise ValueError("expected a JSON object" + (f" under {'.'.join(path)}" if path else ""))
-    if isinstance(command, click.Group):
-        for name, sub in command.commands.items():
-            if name in value:
-                _check_defaults(value[name], sub, path + (name,))
 
 
 def _check_offline(offline: bool, endpoint: Optional[str], api_key: Optional[str]) -> None:

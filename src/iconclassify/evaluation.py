@@ -238,21 +238,23 @@ class PredictionRow:
 
 def read_predictions_csv(path: Union[str, Path]) -> list[PredictionRow]:
     """Read the classifier's CSV projection. Header is required; every row
-    needs a well-formed prediction and ground truth."""
-    rows: list[PredictionRow] = []
+    needs a well-formed prediction and ground truth, and a unique image_id."""
+    rows: dict[str, PredictionRow] = {}
     for line_no, rec in iter_csv(path, ("image_id", "predicted_code", "ground_truth_code")):
         image_id = (rec.get("image_id") or "").strip()
         predicted = (rec.get("predicted_code") or "").strip()
         gt = (rec.get("ground_truth_code") or "").strip()
         if not image_id or not predicted or not gt:
             raise ManifestParseError(f"line {line_no}: {path}: incomplete prediction row")
+        if image_id in rows:
+            raise ManifestParseError(f"line {line_no}: {path}: duplicate image_id {image_id!r}")
         try:
             parse_code(predicted), parse_code(gt)
         except MalformedCodeError as exc:
             raise ManifestParseError(f"line {line_no}: {path}: {image_id}: {exc}") from exc
         group = (rec.get("group") or "").strip() or None
-        rows.append(PredictionRow(image_id, predicted, gt, group))
-    return rows
+        rows[image_id] = PredictionRow(image_id, predicted, gt, group)
+    return list(rows.values())
 
 
 def _means(agg: MethodReport) -> dict[str, float]:

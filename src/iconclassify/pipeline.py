@@ -30,6 +30,7 @@ from .providers import (
     EmbeddingCache,
     EmbeddingProvider,
     embed_text,
+    number_list,
     offline_select,
     select_with_llm,
 )
@@ -88,17 +89,17 @@ class MethodSpec:
         }
 
 
-def standard_method_matrix(alpha: float = DEFAULT_ALPHA, rag_k: int = DEFAULT_RAG_K) -> list[MethodSpec]:
+def standard_method_matrix() -> list[MethodSpec]:
     """The 15 canonical method combinations, in report order: the image
     baseline, then keyword/vector/hybrid crossed with both description
     modes and both databases, then RAG over the two strongest setups."""
-    specs = [MethodSpec(QueryKind.IMAGE, DescriptionMode.ILLUSTRATION, DatabaseKind.BASIC, alpha, rag_k)]
+    specs = [MethodSpec(QueryKind.IMAGE, DescriptionMode.ILLUSTRATION, DatabaseKind.BASIC)]
     for kind in (QueryKind.KEYWORD, QueryKind.VECTOR, QueryKind.HYBRID):
         for mode in (DescriptionMode.ILLUSTRATION, DescriptionMode.FULL_PAGE):
             for db in (DatabaseKind.BASIC, DatabaseKind.HIERARCHICAL):
-                specs.append(MethodSpec(kind, mode, db, alpha, rag_k))
-    specs.append(MethodSpec(QueryKind.RAG_VECTOR, DescriptionMode.FULL_PAGE, DatabaseKind.BASIC, alpha, rag_k))
-    specs.append(MethodSpec(QueryKind.RAG_HYBRID, DescriptionMode.FULL_PAGE, DatabaseKind.HIERARCHICAL, alpha, rag_k))
+                specs.append(MethodSpec(kind, mode, db))
+    specs.append(MethodSpec(QueryKind.RAG_VECTOR, DescriptionMode.FULL_PAGE, DatabaseKind.BASIC))
+    specs.append(MethodSpec(QueryKind.RAG_HYBRID, DescriptionMode.FULL_PAGE, DatabaseKind.HIERARCHICAL))
     return specs
 
 
@@ -172,7 +173,7 @@ def _load_query_vector(row: ManifestRow) -> list[float]:
         data = json.load(fh)
     if isinstance(data, dict):
         data = data["vector"]
-    return [float(x) for x in data]
+    return number_list(data)
 
 
 def _require(value, what: str, method: MethodSpec):

@@ -153,6 +153,17 @@ class RemoteChatProvider:
         return text
 
 
+def number_list(value) -> list[float]:
+    """A JSON array of numbers as floats. Anything else, strings and booleans
+    included, raises TypeError: float() alone reads "1.5" and true as numbers."""
+    try:
+        if isinstance(value, list) and set(map(type, value)) <= {int, float}:
+            return [float(x) for x in value]
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise TypeError("expected a list of numbers")
+
+
 class RemoteEmbeddingProvider:
     def __init__(self, endpoint: str, model: str, api_key: Optional[str] = None):
         self.endpoint = endpoint.rstrip("/")
@@ -168,10 +179,8 @@ class RemoteEmbeddingProvider:
             data = _post(f"{self.endpoint}/embeddings", payload, self._api_key, timeout=60.0)
             try:
                 items = sorted(data["data"], key=lambda d: d["index"])
-                if not all(isinstance(item["embedding"], list) for item in items):
-                    raise TypeError("an embedding is not a list")  # float() would read "12" as [1.0, 2.0]
-                got = [[float(x) for x in item["embedding"]] for item in items]
-            except (KeyError, TypeError, ValueError) as exc:  # ValueError: an entry is not a number
+                got = [number_list(item["embedding"]) for item in items]
+            except (KeyError, TypeError) as exc:
                 raise EmptyResponseError(f"malformed embedding response: {exc}") from exc
             if len(got) != len(chunk):
                 raise EmptyResponseError(
@@ -317,7 +326,7 @@ class EmbeddingCache(_AppendOnlyCache):
 
     @staticmethod
     def _decode(obj: dict) -> tuple[tuple[str, str], list[float]]:
-        return (obj["provider"], obj["hash"]), [float(x) for x in obj["vector"]]
+        return (obj["provider"], obj["hash"]), number_list(obj["vector"])
 
     @staticmethod
     def _digest(text: str) -> str:

@@ -208,8 +208,9 @@ def iter_csv(path: Union[str, Path], columns: tuple[str, ...]) -> Iterator[tuple
     """(line number, record) for each row of a UTF-8 CSV file whose header
     names every one of `columns`; a leading byte-order mark is skipped. The
     line number is the row's last physical line, so a quoted field that
-    spans lines counts every line. A missing file, a missing column or bad
-    UTF-8 raises ManifestParseError naming the file."""
+    spans lines counts every line. A missing file, a missing column, bad
+    UTF-8 or a row the csv module rejects raises ManifestParseError naming
+    the file."""
     if not Path(path).is_file():
         raise ManifestParseError(f"{path}: not found")
     try:
@@ -221,6 +222,9 @@ def iter_csv(path: Union[str, Path], columns: tuple[str, ...]) -> Iterator[tuple
                 yield reader.line_num, record
     except UnicodeDecodeError as exc:
         raise ManifestParseError(f"{path}: not UTF-8: {exc}") from exc
+    except csv.Error as exc:  # an oversized field; before Python 3.11, also a NUL byte
+        # DictReader sets its own line_num only after a row parses; its csv.reader's counts the bad line
+        raise ManifestParseError(f"line {reader.reader.line_num}: {path}: {exc}") from exc
 
 
 def _parse_line(line: str, line_no: int, where: str) -> tuple[str, str]:

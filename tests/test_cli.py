@@ -1,7 +1,9 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import requests
@@ -403,6 +405,25 @@ def test_describe_remote_reports_missing_images(runner, tmp_path):
     assert "no image path" in result.output
 
 
+def test_describe_reports_an_empty_image_file_and_calls_no_model(runner, tmp_path, monkeypatch):
+    (tmp_path / "page.png").write_bytes(b"")
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("image_id,page_image_path\nimgX,page.png\n")
+
+    def no_call(*args, **kwargs):
+        raise AssertionError("describe called the model for an empty image")
+
+    monkeypatch.setattr(requests, "post", no_call)
+    cache = tmp_path / "c.jsonl"
+    result = runner.invoke(main, [
+        "describe", "--manifest", str(manifest), "--cache", str(cache),
+        "--endpoint", "http://h", "--chat-model", "vision",
+    ])
+    assert result.exit_code == 1
+    assert "imgX: IconclassifyError: imgX: image file is empty" in result.output
+    assert not cache.exists()
+
+
 # ---------------------------------------------------------------- classify
 
 def _classify_args(workspace, out_prefix, method="keyword", database="basic", extra=()):
@@ -734,30 +755,6 @@ def test_evaluate_rejects_out_of_range_levels_and_k(runner, tmp_path, flag, valu
     assert not (tmp_path / "report" / "report.json").exists()
 
 
-# ---------------------------------------------------------------- config file
-
-def test_config_file_supplies_defaults_and_flags_win(runner, tmp_path):
-    preds = tmp_path / "p.csv"
-    preds.write_text("image_id,predicted_code,ground_truth_code\na,73D231,73D231\n")
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"evaluate": {"max_level": 3}}))
-
-    result = runner.invoke(main, [
-        "--config", str(config),
-        "evaluate", "--predictions", str(preds), "--out", str(tmp_path / "r1"),
-    ])
-    assert result.exit_code == 0, result.output
-    assert len(json.loads((tmp_path / "r1" / "report.json").read_text())["level_accuracy"]) == 3
-
-    result = runner.invoke(main, [
-        "--config", str(config),
-        "evaluate", "--predictions", str(preds), "--out", str(tmp_path / "r2"),
-        "--max-level", "5",
-    ])
-    assert result.exit_code == 0
-    assert len(json.loads((tmp_path / "r2" / "report.json").read_text())["level_accuracy"]) == 5
-
-
 # ---------------------------------------------------------------- malformed input
 
 def _cut_line(text, n):
@@ -917,28 +914,18 @@ def _predictions_with_a_bad_code(workspace, tmp_path):
         ["line 3: ", "preds.csv: imgB: '7x': invalid character 'x'"]
 
 
-def _config_args(tmp_path, text):
-    config = tmp_path / "config.json"
-    config.write_text(text)
-    preds = tmp_path / "p.csv"
-    preds.write_text("image_id,predicted_code,ground_truth_code\na,73D231,73D231\n")
-    return ["--config", str(config), "evaluate", "--predictions", str(preds), "--out", str(tmp_path / "r")]
+def _predictions_with_a_repeated_image_id(workspace, tmp_path):
+    preds = tmp_path / "preds.csv"
+    preds.write_text("image_id,predicted_code,ground_truth_code\na,71B32,71B32\na,71B32,71B32\nb,73D2,71B32\n")
+    return ["evaluate", "--predictions", str(preds), "--out", str(tmp_path / "r")], \
+        ["line 3: ", "preds.csv: duplicate image_id 'a'"]
 
 
-def _bad_config(workspace, tmp_path):
-    return _config_args(tmp_path, '{"evaluate": \n'), ["--config", "config.json", "Expecting value"]
-
-
-def _non_object_config(workspace, tmp_path):
-    return _config_args(tmp_path, '[{"evaluate": {}}]\n'), ["--config", "config.json", "object"]
-
-
-def _nested_non_object_config(workspace, tmp_path):
-    return _config_args(tmp_path, '{"evaluate": 3}\n'), ["--config", "config.json", "object under evaluate"]
-
-
-def _subcommand_non_object_config(workspace, tmp_path):
-    return _config_args(tmp_path, '{"index": {"build": []}}\n'), ["--config", "config.json", "under index.build"]
+def _manifest_with_an_oversized_field(workspace, tmp_path):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("image_id,description\na,the ark\nb," + "x" * 200_000 + "\n")
+    return ["describe", "--manifest", str(manifest), "--cache", str(tmp_path / "c.jsonl"),
+            "--offline"], ["line 3: ", "manifest.csv: field larger than field limit"]
 
 
 def _non_utf8_taxonomy(workspace, tmp_path):
@@ -983,13 +970,13 @@ def _dim_below_the_offline_minimum(workspace, tmp_path):
 
 @pytest.mark.parametrize("case", [
     _cut_rendered_taxonomy, _cut_manifest, _cut_refs, _refs_without_codes, _refs_with_empty_codes,
-    _refs_with_a_bad_code, _cut_vectors, _bad_config, _non_object_config, _nested_non_object_config,
-    _subcommand_non_object_config, _non_utf8_taxonomy, _non_utf8_manifest, _non_utf8_predictions,
+    _refs_with_a_bad_code, _cut_vectors, _non_utf8_taxonomy, _non_utf8_manifest, _non_utf8_predictions,
     _multi_line_manifest, _multi_line_predictions, _dim_below_the_offline_minimum,
     _index_with_another_builds_meta, _keyword_file_without_postings, _rendered_taxonomy_without_a_rendering,
     _empty_rendered_taxonomy, _raw_taxonomy_with_a_bad_code, _raw_taxonomy_json_without_txt,
     _raw_taxonomy_with_a_duplicate_code, _manifest_with_a_boolean_image_id, _manifest_with_a_fractional_image_id,
     _manifest_with_a_list_description, _manifest_with_a_repeated_image_id, _predictions_with_a_bad_code,
+    _predictions_with_a_repeated_image_id, _manifest_with_an_oversized_field,
 ], ids=lambda case: case.__name__.strip("_"))
 def test_malformed_input_ends_as_a_one_line_error(runner, tmp_path, workspace, case):
     args, needles = case(workspace, tmp_path)
@@ -1000,3 +987,51 @@ def test_malformed_input_ends_as_a_one_line_error(runner, tmp_path, workspace, c
     for needle in needles:
         assert needle in result.output
     assert not (tmp_path / "x.jsonl").exists()
+
+
+# ---------------------------------------------------------------- command surface
+
+def _parameters(command, path=()):
+    """{command path: [(parameter name, environment variable)]} for `command` and every subcommand."""
+    found = {" ".join(path): [(p.name, getattr(p, "envvar", None)) for p in command.params]}
+    for name, sub in getattr(command, "commands", {}).items():
+        found.update(_parameters(sub, path + (name,)))
+    return found
+
+
+def test_command_surface_is_pinned():
+    endpoint, api_key = ("endpoint", "ICONCLASSIFY_ENDPOINT"), ("api_key", "ICONCLASSIFY_API_KEY")
+    chat_model, embed_model = ("chat_model", "ICONCLASSIFY_CHAT_MODEL"), ("embed_model", "ICONCLASSIFY_EMBED_MODEL")
+
+    def plain(*names):
+        return [(name, None) for name in names]
+
+    assert _parameters(main) == {
+        "": [],
+        "taxonomy": [],
+        "taxonomy build": plain("source", "prefix_filter", "out_path"),
+        "index": [],
+        "index build": [*plain("rendered_path", "database", "index_dir", "offline", "dim"),
+                        endpoint, embed_model, api_key, *plain("embed_cache")],
+        "describe": [*plain("manifest_path", "mode", "cache_path", "offline"),
+                     endpoint, chat_model, api_key, *plain("workers")],
+        "classify": [*plain("manifest_path", "method_name", "mode", "database", "alpha", "rag_k", "pool",
+                            "vote_k", "rendered_path", "index_dir", "refs_path", "cache_path", "embed_cache",
+                            "offline"),
+                     endpoint, chat_model, embed_model, api_key, *plain("workers", "out_prefix")],
+        "evaluate": plain("pred_path", "out_dir", "label", "max_level", "max_k"),
+    }
+
+
+def test_readme_quick_start_runs(runner, tmp_path, monkeypatch):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("iconclassify ")]
+    assert len(commands) == 5
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "fixtures").symlink_to(FIXTURES)
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        result = runner.invoke(main, shlex.split(command)[1:])
+        assert result.exit_code == 0, f"{command}\n{result.output}"
+    assert json.loads((tmp_path / "report" / "report.json").read_text())["count"] == 12

@@ -392,6 +392,16 @@ def test_classify_image_reads_both_vector_file_shapes(tmp_path):
         assert pred.predicted.raw == "73D"
 
 
+@pytest.mark.parametrize("text", ['{"vector": ["1.5", true, 0]}', '[1.0, false]', '"10"', '{"vector": null}'])
+def test_classify_image_rejects_a_query_vector_that_is_not_a_list_of_numbers(tmp_path, text):
+    path = tmp_path / "q.json"
+    path.write_text(text)
+    ctx = ClassifyContext(references=ImageReferenceSet([([1.0, 0.0], [parse_code("73D")])]))
+    result = classify_batch([ManifestRow(image_id="q", vector_path=str(path))], MethodSpec(QueryKind.IMAGE), ctx)
+    assert result.predictions == []
+    assert [(e.image_id, e.error) for e in result.errors] == [("q", "TypeError: expected a list of numbers")]
+
+
 def test_classify_rejects_prediction_outside_taxonomy(tmp_path):
     vec_file = tmp_path / "v.json"
     vec_file.write_text("[1.0, 0.0]")

@@ -304,6 +304,15 @@ def test_embedding_cache_round_trips_floats(tmp_path):
     assert reloaded.get("offline-hash-32", "something else") is None
 
 
+@pytest.mark.parametrize("vector", ['"12"', '[true, "1.5"]', '[[1.0], 2.0]', "null", "[1%s]" % ("0" * 400)],
+                         ids=["string", "boolean_and_string", "nested", "null", "integer_beyond_float"])
+def test_embedding_cache_rejects_a_vector_that_is_not_a_list_of_numbers(tmp_path, vector):
+    path = tmp_path / "emb.jsonl"
+    path.write_text('{"provider": "p", "hash": "h", "vector": %s}\n' % vector)
+    with pytest.raises(MalformedLineError, match="line 1: .*bad cache record"):
+        EmbeddingCache(path)
+
+
 # ---------------------------------------------------------------- torn cache lines
 
 def _desc_record(i: int) -> DescriptionRecord:
@@ -595,7 +604,7 @@ def test_remote_embeddings_rejects_wrong_count(monkeypatch):
     assert emb.embed_many([]) == []
 
 
-@pytest.mark.parametrize("embedding", [["abc"], "abc", "12"])
+@pytest.mark.parametrize("embedding", [["abc"], "abc", "12", ["1.5", True, "nan"], [1.5, True]])
 def test_remote_embeddings_reject_a_non_numeric_vector(monkeypatch, embedding):
     body = {"data": [{"index": 0, "embedding": embedding}]}
     monkeypatch.setattr(

@@ -231,6 +231,13 @@ def test_load_empty_source_warns(caplog):
     assert any("empty" in rec.message for rec in caplog.records)
 
 
+def test_load_warns_when_the_prefix_filter_keeps_nothing(caplog):
+    with caplog.at_level(logging.WARNING):
+        tax = load_taxonomy(["2\tnature", "25\tearth"], prefix_filter=("7",))
+    assert len(tax) == 0 and tax.stats.filtered == 2
+    assert "all 2 taxonomy entries were filtered out" in caplog.text
+
+
 def test_load_trims_description_whitespace():
     tax = load_taxonomy(["7\t  Bible  "])
     assert tax.get("7").text == "Bible"
