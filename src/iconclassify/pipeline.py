@@ -16,6 +16,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
+import numpy as np
+
 from .errors import (
     MalformedLineError,
     ManifestParseError,
@@ -30,7 +32,6 @@ from .providers import (
     EmbeddingCache,
     EmbeddingProvider,
     embed_text,
-    number_list,
     offline_select,
     select_with_llm,
 )
@@ -45,6 +46,7 @@ from .retrieval import (
     hybrid_search,
     image_vote_classify,
     keyword_search,
+    number_list,
     vector_search,
 )
 from .taxonomy import DatabaseKind, IconclassCode, iter_csv, iter_jsonl
@@ -87,20 +89,6 @@ class MethodSpec:
             "rag_k": self.rag_k,
             "label": self.label,
         }
-
-
-def standard_method_matrix() -> list[MethodSpec]:
-    """The 15 canonical method combinations, in report order: the image
-    baseline, then keyword/vector/hybrid crossed with both description
-    modes and both databases, then RAG over the two strongest setups."""
-    specs = [MethodSpec(QueryKind.IMAGE, DescriptionMode.ILLUSTRATION, DatabaseKind.BASIC)]
-    for kind in (QueryKind.KEYWORD, QueryKind.VECTOR, QueryKind.HYBRID):
-        for mode in (DescriptionMode.ILLUSTRATION, DescriptionMode.FULL_PAGE):
-            for db in (DatabaseKind.BASIC, DatabaseKind.HIERARCHICAL):
-                specs.append(MethodSpec(kind, mode, db))
-    specs.append(MethodSpec(QueryKind.RAG_VECTOR, DescriptionMode.FULL_PAGE, DatabaseKind.BASIC))
-    specs.append(MethodSpec(QueryKind.RAG_HYBRID, DescriptionMode.FULL_PAGE, DatabaseKind.HIERARCHICAL))
-    return specs
 
 
 @dataclass(frozen=True)
@@ -166,7 +154,7 @@ def _description_for(row: ManifestRow, mode: DescriptionMode, ctx: ClassifyConte
     )
 
 
-def _load_query_vector(row: ManifestRow) -> list[float]:
+def _load_query_vector(row: ManifestRow) -> np.ndarray:
     if not row.vector_path:
         raise ManifestParseError(f"{row.image_id}: vector_path is required for the image method")
     with open(row.vector_path, encoding="utf-8") as fh:

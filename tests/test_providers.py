@@ -69,7 +69,7 @@ class CountingEmbedder:
     def embed_many(self, texts):
         self.calls += 1
         self.batches.append(list(texts))
-        return [[float(len(t)), 1.0, 0.0, 0.0] for t in texts]
+        return [np.array([float(len(t)), 1.0, 0.0, 0.0]) for t in texts]
 
 
 class FakeResponse:
@@ -97,7 +97,7 @@ def sleeps(monkeypatch):
 def test_offline_embed_is_unit_norm_and_deterministic():
     a = offline_embed("Christ washes Peter's feet")
     b = offline_embed("Christ washes Peter's feet")
-    assert a == b
+    assert a.tolist() == b.tolist()
     assert len(a) == 256
     assert math.isclose(float(np.linalg.norm(a)), 1.0, abs_tol=1e-9)
 
@@ -111,11 +111,11 @@ def test_offline_embed_frozen_components():
         -0.35355339059327373, 0.35355339059327373, 0.35355339059327373,
         0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
     ]
-    assert offline_embed("noah's ark", dim=16) == expected
+    assert offline_embed("noah's ark", dim=16).tolist() == expected
 
 
 def test_offline_embed_is_case_insensitive():
-    assert offline_embed("NOAH'S ARK") == offline_embed("noah's ark")
+    assert offline_embed("NOAH'S ARK").tolist() == offline_embed("noah's ark").tolist()
 
 
 def test_offline_embed_groups_related_texts():
@@ -156,16 +156,16 @@ def test_offline_embed_equals_the_per_gram_loop_bit_for_bit():
     for text in texts:
         for dim in (16, 64, 512, 16):  # interleaved: one text's grams at every dim in turn
             got = offline_embed(text, dim)
-            assert all(type(x) is float for x in got)
-            assert np.array(got).tobytes() == _per_gram_embed(text, dim).tobytes(), (text, dim)
+            assert got.dtype == np.float64 and got.shape == (dim,)
+            assert got.tobytes() == _per_gram_embed(text, dim).tobytes(), (text, dim)
 
 
 def test_offline_hash_embedder_provider_id_and_batching():
     embedder = OfflineHashEmbedder(dim=32)
     assert embedder.provider_id == "offline-hash-32"
     outs = embedder.embed_many(["noah ark", "david goliath"])
-    assert outs[0] == offline_embed("noah ark", 32)
-    assert outs[1] == offline_embed("david goliath", 32)
+    assert outs[0].tolist() == offline_embed("noah ark", 32).tolist()
+    assert outs[1].tolist() == offline_embed("david goliath", 32).tolist()
     with pytest.raises(ValueError):
         OfflineHashEmbedder(dim=4)
 
@@ -258,7 +258,7 @@ def test_embed_text_caches_by_content(tmp_path):
     v1 = embed_text("story of noah", embedder, cache)
     v2 = embed_text("story of noah", embedder, cache)
     assert embedder.calls == 1
-    assert v1 == v2
+    assert v1.tolist() == v2.tolist()
     # a different provider id misses the cache
     other = CountingEmbedder()
     other.provider_id = "fake-embed-2"
@@ -300,8 +300,19 @@ def test_embedding_cache_round_trips_floats(tmp_path):
     vec = offline_embed("the building of the ark", 32)
     cache.put("offline-hash-32", "the building of the ark", vec)
     reloaded = EmbeddingCache(path)
-    assert reloaded.get("offline-hash-32", "the building of the ark") == vec
+    assert reloaded.get("offline-hash-32", "the building of the ark").tolist() == vec.tolist()
     assert reloaded.get("offline-hash-32", "something else") is None
+
+
+def test_embedding_cache_line_bytes_are_pinned(tmp_path):
+    # the cache holds paid results, so an array must write the text a list of the same floats always wrote
+    path = tmp_path / "emb.jsonl"
+    EmbeddingCache(path).put("p", "the ark", np.array([0.1, 1 / 3, 5e-324, -0.0]))
+    digest = hashlib.sha256(b"the ark").hexdigest()
+    assert path.read_text() == (
+        '{"provider": "p", "hash": "%s", "vector": [0.1, 0.3333333333333333, 5e-324, -0.0]}\n' % digest
+    )
+    assert EmbeddingCache(path).get("p", "the ark").tobytes() == np.array([0.1, 1 / 3, 5e-324, -0.0]).tobytes()
 
 
 @pytest.mark.parametrize("vector", ['"12"', '[true, "1.5"]', '[[1.0], 2.0]', "null", "[1%s]" % ("0" * 400)],
@@ -589,7 +600,7 @@ def test_remote_embeddings_sorts_by_index(monkeypatch):
         requests, "post", lambda url, json=None, headers=None, timeout=None: FakeResponse(body=body)
     )
     emb = RemoteEmbeddingProvider("http://host", "embed-model")
-    assert emb.embed_many(["a", "b"]) == [[1.0, 0.0], [0.0, 1.0]]
+    assert [v.tolist() for v in emb.embed_many(["a", "b"])] == [[1.0, 0.0], [0.0, 1.0]]
     assert emb.provider_id == "remote:embed-model"
 
 
@@ -601,7 +612,7 @@ def test_remote_embeddings_rejects_wrong_count(monkeypatch):
     emb = RemoteEmbeddingProvider("http://host", "m")
     with pytest.raises(EmptyResponseError):
         emb.embed_many(["a", "b"])
-    assert emb.embed_many([]) == []
+    assert embed_many([], emb) == []  # no texts, no request: the stub's one-vector reply would fail
 
 
 @pytest.mark.parametrize("embedding", [["abc"], "abc", "12", ["1.5", True, "nan"], [1.5, True]])
@@ -625,7 +636,7 @@ def test_remote_retries_on_invalid_json(monkeypatch):
 
     monkeypatch.setattr(requests, "post", fake_post)
     emb = RemoteEmbeddingProvider("http://host", "m")
-    assert emb.embed_many(["a"]) == [[1.0]]
+    assert [v.tolist() for v in emb.embed_many(["a"])] == [[1.0]]
     assert len(calls) == 2
 
 
@@ -640,7 +651,34 @@ def test_remote_embeddings_chunk_at_2048_inputs(monkeypatch):
 
     monkeypatch.setattr(requests, "post", fake_post)
     texts = [f"t{i}" for i in range(2049)]
-    vectors = RemoteEmbeddingProvider("http://host", "m").embed_many(texts)
+    vectors = embed_many(texts, RemoteEmbeddingProvider("http://host", "m"))
     assert [len(chunk) for chunk in inputs] == [2048, 1]
     assert inputs[0] + inputs[1] == texts
-    assert vectors == [[float(i)] for i in range(2049)]
+    assert [v.tolist() for v in vectors] == [[float(i)] for i in range(2049)]
+
+
+def _embeddings_reply(texts):
+    return FakeResponse(body={"data": [{"index": i, "embedding": [float(t[1:]), 1.0]} for i, t in enumerate(texts)]})
+
+
+def test_embed_many_caches_each_chunk_as_it_returns(monkeypatch, tmp_path):
+    posted = []
+
+    def two_chunks_then_503(url, json=None, headers=None, timeout=None):
+        posted.append(json["input"])
+        return _embeddings_reply(json["input"]) if len(posted) <= 2 else FakeResponse(status_code=503)
+
+    monkeypatch.setattr(requests, "post", two_chunks_then_503)
+    texts = [f"t{i}" for i in range(5000)]
+    path = tmp_path / "emb.jsonl"
+    with pytest.raises(ProviderUnavailableError, match="HTTP 503"):
+        embed_many(texts, RemoteEmbeddingProvider("http://host", "m"), EmbeddingCache(path))
+    assert len(path.read_text().splitlines()) == 4096  # both chunks that returned are kept
+
+    posted.clear()
+    monkeypatch.setattr(requests, "post", lambda url, json=None, headers=None, timeout=None:
+                        posted.append(json["input"]) or _embeddings_reply(json["input"]))
+    vectors = embed_many(texts, RemoteEmbeddingProvider("http://host", "m"), EmbeddingCache(path))
+    assert posted == [texts[4096:]]  # the rerun asks only for the 904 texts that never returned
+    assert [v.tolist() for v in vectors] == [[float(i), 1.0] for i in range(5000)]
+    assert len(path.read_text().splitlines()) == 5000

@@ -11,6 +11,7 @@ from iconclassify.errors import (
     DuplicateDocIdError,
     EmptyCorpusError,
     EmptyReferenceSetError,
+    MalformedLineError,
     MissingIndexError,
     NoCandidatesError,
     UnknownDocError,
@@ -676,6 +677,15 @@ def test_reference_set_from_jsonl(fixtures_dir):
     refs = ImageReferenceSet.from_jsonl(fixtures_dir / "refs.jsonl")
     assert len(refs) == 24
     assert refs.index.dim == 8
+
+
+def test_reference_set_rejects_a_vector_of_strings_and_booleans(tmp_path):
+    # read leniently, ["1.5", true, "2"] would load as [1.5, 1.0, 2.0] and win the vote
+    path = tmp_path / "refs.jsonl"
+    path.write_text('{"vector": [0.0, 1.0, 0.0], "codes": ["73D"]}\n'
+                    '{"vector": ["1.5", true, "2"], "codes": ["71B"]}\n')
+    with pytest.raises(MalformedLineError, match=r"^line 2: .*refs\.jsonl: bad reference record"):
+        ImageReferenceSet.from_jsonl(path)
 
 
 def test_image_vote_on_reference_fixture(fixtures_dir):

@@ -15,7 +15,6 @@ from iconclassify.taxonomy import (
     common_depth,
     iter_jsonl,
     load_taxonomy,
-    parent_chain,
     parse_code,
     render_basic_doc,
     render_doc,
@@ -88,17 +87,6 @@ def test_every_segment_reparses_to_its_own_ladder():
 
 # ---------------------------------------------------------- chain operations
 
-def test_parent_chain_of_ladder():
-    chain = parent_chain(parse_code("73D231"))
-    assert [c.raw for c in chain] == ["7", "73", "73D", "73D2", "73D23", "73D231"]
-    assert all(isinstance(c, IconclassCode) for c in chain)
-
-
-def test_parent_chain_of_root_is_itself():
-    chain = parent_chain(parse_code("7"))
-    assert [c.raw for c in chain] == ["7"]
-
-
 def test_common_depth_partial_overlap():
     assert common_depth(parse_code("71H14"), parse_code("71H1442")) == 5
 
@@ -155,11 +143,11 @@ def test_parser_properties_random_codes():
         code = parse_code(raw)
         assert code.raw == raw
         assert code.segments[-1] == raw
-        # chain length equals level count; every element reparses to itself
-        chain = parent_chain(code)
-        assert len(chain) == code.levels
-        for i, elem in enumerate(chain):
-            assert parse_code(elem.raw).segments == code.segments[: i + 1]
+        # one segment per level; every segment reparses to the code's own prefix
+        assert len(code.segments) == code.levels
+        for i, seg in enumerate(code.segments):
+            assert parse_code(seg).raw == seg
+            assert parse_code(seg).segments == code.segments[: i + 1]
         # joining per-level increments reproduces the raw notation
         assert _increment_join(code) == raw
         # truncation composes and floors
