@@ -293,14 +293,17 @@ def cmd_classify(manifest_path: str, method_name: str, mode: str, database: str,
         kw_index, vec_index, index_meta = retrieval.load_index(index_dir)
         ctx.keyword_index = kw_index
         ctx.vector_index = vec_index
-        ctx.embedder = _make_embedder(offline, vec_index.dim, endpoint, embed_model, api_key)
-        if embed_cache:
-            ctx.embedding_cache = providers.EmbeddingCache(embed_cache)
+        wanted_config = {"database": database}
+        if method.query_kind is not pipeline.QueryKind.KEYWORD:  # every other text method embeds its query
+            ctx.embedder = _make_embedder(offline, vec_index.dim, endpoint, embed_model, api_key)
+            wanted_config["embedder"] = ctx.embedder.provider_id
+            if embed_cache:
+                ctx.embedding_cache = providers.EmbeddingCache(embed_cache)
         if method.query_kind in (pipeline.QueryKind.RAG_VECTOR, pipeline.QueryKind.RAG_HYBRID) \
                 and not offline:
             ctx.chat = _make_chat("RAG selection", endpoint, chat_model, api_key)
         built = index_meta.get("config", {})
-        for field, wanted in (("database", database), ("embedder", ctx.embedder.provider_id)):
+        for field, wanted in wanted_config.items():
             if built.get(field) != wanted:
                 raise IconclassifyError(f"{index_dir} was built with {field} {built.get(field)!r}, "
                                         f"but this run uses {wanted!r}; rebuild the index or match it")
@@ -341,24 +344,14 @@ def cmd_evaluate(pred_path: str, out_dir: str, label: Optional[str], max_level: 
     rows = evaluation.read_predictions_csv(pred_path)
     if not rows:
         raise click.ClickException(f"{pred_path}: no prediction rows to evaluate")
-    records = []
-    pairs = []
-    for row in rows:
-        pred, gt = taxonomy.parse_code(row.predicted), taxonomy.parse_code(row.ground_truth)  # both checked on read
-        records.append(evaluation.evaluate_pair(row.image_id, pred, gt, group=row.group))
-        pairs.append((pred, gt))
-    report_label = label or Path(pred_path).stem
-    config = {"label": report_label, "max_level": max_level, "max_k": max_k}
-    report = evaluation.build_report(
-        report_label, records, pairs, max_level=max_level, max_k=max_k, config=config
-    )
+    report = evaluation.build_report(label or Path(pred_path).stem, rows, max_level=max_level, max_k=max_k)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "report.json", report)
     (out / "report.txt").write_text(evaluation.render_report_text(report), encoding="utf-8")
     s = report["summary"]
     click.echo(
-        f"{report_label}: n={report['count']} weighted={s['avg_weighted']:.5f} "
+        f"{report['label']}: n={report['count']} weighted={s['avg_weighted']:.5f} "
         f"precision={s['avg_precision']:.4f} recall={s['avg_recall']:.4f} f1={s['avg_f1']:.4f}"
     )
 

@@ -27,10 +27,6 @@ class MatchType(Enum):
     PARTIAL_C = 60  # deep enough (or deeper), partly wrong
     NO_MATCH = 0
 
-    @property
-    def base_score(self) -> int:
-        return self.value
-
 
 @dataclass(frozen=True)
 class LevelComparison:
@@ -90,11 +86,11 @@ def weighted_score(c: LevelComparison) -> float:
     floor at half the base score for partial matches."""
     match = classify_match(c)
     m, p, g = c.matched, c.pred_levels, c.gt_levels
-    raw = match.base_score * (m / g)
+    raw = match.value * (m / g)
     if match not in (MatchType.EXTRA, MatchType.PARTIAL_A):
         # partly wrong predictions also pay for their incorrect levels
         raw *= m / p
-    return max(raw, match.base_score / 2)
+    return max(raw, match.value / 2)
 
 
 @dataclass(frozen=True)
@@ -150,6 +146,15 @@ class MethodReport:
     match_counts: dict[str, int]
 
 
+def _mean(values: Sequence[float]) -> float:
+    """Sum left to right from 0.0, then divide. `sum()` of floats compensates
+    its rounding from Python 3.12 on, so it would change the report's bits."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
+
+
 def aggregate(records: Sequence[EvalRecord], label: str) -> MethodReport:
     """Arithmetic means over per-image metrics, plus match-type counts."""
     if not records:
@@ -161,10 +166,10 @@ def aggregate(records: Sequence[EvalRecord], label: str) -> MethodReport:
     return MethodReport(
         label=label,
         count=n,
-        avg_weighted=sum(r.weighted for r in records) / n,
-        avg_precision=sum(r.precision for r in records) / n,
-        avg_recall=sum(r.recall for r in records) / n,
-        avg_f1=sum(r.f1 for r in records) / n,
+        avg_weighted=_mean([r.weighted for r in records]),
+        avg_precision=_mean([r.precision for r in records]),
+        avg_recall=_mean([r.recall for r in records]),
+        avg_f1=_mean([r.f1 for r in records]),
         match_counts=counts,
     )
 
@@ -206,33 +211,19 @@ def truncation_report(
     if not pairs:
         raise ValueError("cannot build a truncation report for zero pairs")
     rows = []
-    n = len(pairs)
     for k in range(max_k + 1):
-        p_sum = r_sum = f_sum = level_sum = 0.0
-        for pred, gt in pairs:
-            cut = truncate_code(pred, k)
-            precision, recall, f1 = hierarchical_metrics(compare(cut, gt))
-            p_sum += precision
-            r_sum += recall
-            f_sum += f1
-            level_sum += cut.levels
-        rows.append(
-            TruncationRow(
-                k=k,
-                precision=p_sum / n,
-                recall=r_sum / n,
-                f1=f_sum / n,
-                avg_levels=level_sum / n,
-            )
-        )
+        cuts = [truncate_code(pred, k) for pred, _ in pairs]
+        metrics = [hierarchical_metrics(compare(cut, gt)) for cut, (_, gt) in zip(cuts, pairs)]
+        precision, recall, f1 = (_mean(column) for column in zip(*metrics))
+        rows.append(TruncationRow(k, precision, recall, f1, _mean([cut.levels for cut in cuts])))
     return rows
 
 
 @dataclass(frozen=True)
 class PredictionRow:
     image_id: str
-    predicted: str
-    ground_truth: str
+    predicted: IconclassCode
+    ground_truth: IconclassCode
     group: Optional[str] = None
 
 
@@ -249,11 +240,11 @@ def read_predictions_csv(path: Union[str, Path]) -> list[PredictionRow]:
         if image_id in rows:
             raise ManifestParseError(f"line {line_no}: {path}: duplicate image_id {image_id!r}")
         try:
-            parse_code(predicted), parse_code(gt)
+            codes = parse_code(predicted), parse_code(gt)
         except MalformedCodeError as exc:
             raise ManifestParseError(f"line {line_no}: {path}: {image_id}: {exc}") from exc
         group = (rec.get("group") or "").strip() or None
-        rows[image_id] = PredictionRow(image_id, predicted, gt, group)
+        rows[image_id] = PredictionRow(image_id, *codes, group)
     return list(rows.values())
 
 
@@ -262,15 +253,10 @@ def _means(agg: MethodReport) -> dict[str, float]:
     return {name: value for name, value in asdict(agg).items() if name.startswith("avg_")}
 
 
-def build_report(
-    label: str,
-    records: Sequence[EvalRecord],
-    pairs: Sequence[tuple[IconclassCode, IconclassCode]],
-    max_level: int = 9,
-    max_k: int = 4,
-    config: Optional[dict] = None,
-) -> dict:
-    """Assemble the full JSON-ready report for one method run."""
+def build_report(label: str, rows: Sequence[PredictionRow], max_level: int = 9, max_k: int = 4) -> dict:
+    """Score every prediction row and assemble the JSON-ready report for one method run."""
+    records = [evaluate_pair(r.image_id, r.predicted, r.ground_truth, r.group) for r in rows]
+    pairs = [(r.predicted, r.ground_truth) for r in rows]
     summary = aggregate(records, label)
     report = {
         "label": label,
@@ -279,6 +265,7 @@ def build_report(
         "match_counts": summary.match_counts,
         "level_accuracy": [asdict(r) for r in level_accuracy(records, max_level)],
         "truncation": [asdict(r) for r in truncation_report(pairs, max_k)],
+        "config": {"label": label, "max_level": max_level, "max_k": max_k},
     }
     groups = sorted({r.group for r in records if r.group})
     if groups:
@@ -287,8 +274,6 @@ def build_report(
             for g in groups
             for agg in [aggregate([r for r in records if r.group == g], g)]
         }
-    if config:
-        report["config"] = config
     return report
 
 

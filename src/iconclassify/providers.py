@@ -9,9 +9,11 @@ run without network access.
 from __future__ import annotations
 
 import base64
+import fcntl
 import functools
 import hashlib
 import json
+import os
 import threading
 import time
 from dataclasses import asdict, dataclass
@@ -237,31 +239,26 @@ class _AppendOnlyCache:
 
     A crash mid-append can leave an unterminated final line: loading skips
     it if it does not decode, and the next put first cuts it off (or ends
-    it, if it did). Any other bad line raises MalformedLineError.
+    it, if it did). Any other bad line raises MalformedLineError. Each put
+    holds an exclusive lock on the file and reads its tail under that lock,
+    so writers in other processes never cut away each other's records.
     """
 
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
         self._records: dict = {}
         self._lock = threading.Lock()
-        self._cut: Optional[int] = None  # byte offset of a torn final line
-        self._lead = ""  # "\n" when the final line decoded but is unterminated
         if not self.path.is_file():
             return
-        offset = 0
         with open(self.path, "rb") as fh:
             for line_no, line in enumerate(fh, start=1):
-                ended = line.endswith(b"\n")  # only the final line can lack one
                 if line.strip():
                     try:
                         key, value = self._decode(json.loads(line))
                         self._records.setdefault(key, value)
-                        self._lead = "" if ended else "\n"
                     except (ValueError, KeyError, TypeError) as exc:
-                        if ended:
+                        if line.endswith(b"\n"):  # only the final line can lack one
                             raise MalformedLineError(line_no, f"{self.path}: bad cache record: {exc!r}") from exc
-                        self._cut = offset
-                offset += len(line)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -272,12 +269,21 @@ class _AppendOnlyCache:
                 return
             self._records[key] = value
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as fh:
-                if self._cut is not None:
-                    fh.truncate(self._cut)
-                fh.write(self._lead + line + "\n")
-                fh.flush()
-            self._cut, self._lead = None, ""
+            with open(self.path, "a+b") as fh:
+                fcntl.flock(fh, fcntl.LOCK_EX)  # released when the file closes
+                end = fh.seek(0, os.SEEK_END)
+                fh.seek(max(end - 1, 0))
+                lead = b""
+                if fh.read(1) not in (b"", b"\n"):  # a torn final line, maybe another writer's
+                    fh.seek(0)
+                    start = fh.read().rfind(b"\n") + 1
+                    fh.seek(start)
+                    try:
+                        self._decode(json.loads(fh.read()))
+                        lead = b"\n"  # it decodes: end it
+                    except (ValueError, KeyError, TypeError):
+                        fh.truncate(start)  # it does not: cut it off
+                fh.write(lead + line.encode("utf-8") + b"\n")
 
 
 class DescriptionCache(_AppendOnlyCache):

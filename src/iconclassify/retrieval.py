@@ -311,6 +311,8 @@ class ImageReferenceSet:
         for line_no, obj in iter_jsonl(path):
             try:
                 vec = number_list(obj["vector"])
+                if not isinstance(obj["codes"], list):  # a string would be read as one code per character
+                    raise TypeError("codes must be a list")
                 codes = [parse_code(c) for c in obj["codes"]]
             except (KeyError, TypeError, ValueError, AttributeError, MalformedCodeError) as exc:
                 raise MalformedLineError(line_no, f"{path}: bad reference record: {exc!r}") from exc

@@ -566,13 +566,43 @@ def test_classify_refuses_an_index_built_for_another_database_or_embedder(runner
     assert "built with database 'hierarchical'" in result.output
     assert not (tmp_path / "x.jsonl").exists()
 
-    args = _classify_args(workspace, tmp_path / "y")
+    args = _classify_args(workspace, tmp_path / "y", method="vector")
     args.remove("--offline")
     args += ["--endpoint", "http://h", "--embed-model", "embed"]
     result = runner.invoke(main, args)
     assert result.exit_code == 1
     assert "built with embedder 'offline-hash-64'" in result.output
     assert "'remote:embed'" in result.output
+
+
+def test_classify_keyword_needs_no_embedding_settings(runner, tmp_path, workspace):
+    # keyword search never embeds a query, so neither the run's embedder nor the index's matters
+    result = runner.invoke(main, _classify_args(workspace, tmp_path / "offline"))
+    assert result.exit_code == 0, result.output
+
+    args = _classify_args(workspace, tmp_path / "remote")
+    args.remove("--offline")
+    result = runner.invoke(main, args, env={"ICONCLASSIFY_ENDPOINT": None, "ICONCLASSIFY_EMBED_MODEL": None})
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "remote.csv").read_bytes() == (tmp_path / "offline.csv").read_bytes()
+
+    index = tmp_path / "index"
+    index.mkdir()
+    for name in ("keyword.json", "vectors.jsonl"):
+        (index / name).write_bytes((workspace / "index-basic" / name).read_bytes())
+    meta = json.loads((workspace / "index-basic" / "meta.json").read_text())
+    meta["config"]["embedder"] = "remote:embed"
+    (index / "meta.json").write_text(json.dumps(meta))
+    args = _classify_args(workspace, tmp_path / "remote-index")
+    args[args.index("--index-dir") + 1] = str(index)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "remote-index.csv").read_bytes() == (tmp_path / "offline.csv").read_bytes()
+
+    args[args.index("--method") + 1] = "vector"  # a method that embeds still checks the embedder
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert "built with embedder 'remote:embed'" in result.output
 
 
 @pytest.mark.parametrize("option", ["--rag-k", "--pool", "--vote-k", "--workers"])

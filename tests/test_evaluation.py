@@ -5,9 +5,9 @@ import pytest
 
 from iconclassify.errors import ManifestParseError
 from iconclassify.evaluation import (
-    EvalRecord,
     LevelComparison,
     MatchType,
+    PredictionRow,
     aggregate,
     build_report,
     classify_match,
@@ -103,7 +103,7 @@ def test_classify_match_from_codes():
 
 
 def test_match_enum_value_is_base_score():
-    assert [mt.base_score for mt in MatchType] == [100, 90, 85, 70, 60, 0]
+    assert [mt.value for mt in MatchType] == [100, 90, 85, 70, 60, 0]
     assert MatchType.PARTIAL_B.value == 70
 
 
@@ -153,10 +153,10 @@ def _weighted_reference(c: LevelComparison) -> float:
     if match is MatchType.NO_MATCH:
         return 0.0
     if match is MatchType.PARTIAL_A:
-        raw = match.base_score * (m / g)
+        raw = match.value * (m / g)
     else:
-        raw = match.base_score * (m / g) * (m / p)
-    return max(raw, match.base_score / 2)
+        raw = match.value * (m / g) * (m / p)
+    return max(raw, match.value / 2)
 
 
 def test_weighted_score_equals_the_case_by_case_formula_bit_for_bit():
@@ -176,8 +176,8 @@ def test_weighted_score_bounds_everywhere():
                 assert 0.0 <= w <= 100.0
                 match = classify_match(c)
                 if match in (MatchType.PARTIAL_A, MatchType.PARTIAL_B, MatchType.PARTIAL_C):
-                    assert w >= match.base_score / 2
-                    assert w <= match.base_score
+                    assert w >= match.value / 2
+                    assert w <= match.value
 
 
 def test_weighted_partial_a_monotone_in_matched():
@@ -353,7 +353,8 @@ def test_read_predictions_csv(tmp_path):
     )
     rows = read_predictions_csv(path)
     assert len(rows) == 2
-    assert rows[0].predicted == "71B32"
+    assert rows[0].predicted == parse_code("71B32")
+    assert rows[1].ground_truth == parse_code("73D231")
     assert rows[0].group == "set-a"
     assert rows[1].group is None
 
@@ -383,24 +384,23 @@ def test_read_predictions_csv_missing_file(tmp_path):
 
 # ---------------------------------------------------------------- reports
 
-def _report_inputs():
+def _report_rows(grouped: bool = True) -> list[PredictionRow]:
     pairs = [
         _pair("73D231", "73D231"),
         _pair("71H14", "71H1442"),
         _pair("111", "731111"),
         _pair("71B32", "71B33"),
     ]
-    groups = ["set-a", "set-a", "set-b", "set-b"]
-    records = [
-        evaluate_pair(f"img{i}", pred, gt, group=g)
+    groups = ["set-a", "set-a", "set-b", "set-b"] if grouped else [None] * 4
+    return [
+        PredictionRow(f"img{i}", pred, gt, g)
         for i, ((pred, gt), g) in enumerate(zip(pairs, groups))
     ]
-    return records, pairs
 
 
 def test_build_report_structure():
-    records, pairs = _report_inputs()
-    report = build_report("demo-method", records, pairs, max_level=7, max_k=2)
+    rows = _report_rows()
+    report = build_report("demo-method", rows, max_level=7, max_k=2)
     assert report["label"] == "demo-method"
     assert report["count"] == 4
     assert set(report["summary"]) == {"avg_weighted", "avg_precision", "avg_recall", "avg_f1"}
@@ -408,16 +408,15 @@ def test_build_report_structure():
     assert len(report["truncation"]) == 3
     assert sorted(report["groups"]) == ["set-a", "set-b"]
     assert report["groups"]["set-a"]["count"] == 2
-    assert "config" not in report
+    assert report["config"] == {"label": "demo-method", "max_level": 7, "max_k": 2}
     # deterministic serialization
     a = json.dumps(report, sort_keys=True)
-    b = json.dumps(build_report("demo-method", records, pairs, max_level=7, max_k=2), sort_keys=True)
+    b = json.dumps(build_report("demo-method", rows, max_level=7, max_k=2), sort_keys=True)
     assert a == b
 
 
 def test_build_report_values_are_pinned():
-    records, pairs = _report_inputs()
-    report = build_report("demo-method", records, pairs, max_level=7, max_k=2)
+    report = build_report("demo-method", _report_rows(), max_level=7, max_k=2)
     level_rows = [(1, 3, 75.0), (2, 3, 75.0), (3, 3, 75.0), (4, 3, 75.0), (5, 2, 50.0), (6, 1, 25.0), (7, 0, 0.0)]
     assert report == {
         "label": "demo-method",
@@ -441,43 +440,37 @@ def test_build_report_values_are_pinned():
             "set-b": {"count": 2, "avg_weighted": 19.200000000000003, "avg_precision": 0.4,
                       "avg_recall": 0.4, "avg_f1": 0.4000000000000001},
         },
+        "config": {"label": "demo-method", "max_level": 7, "max_k": 2},
     }
 
 
 def test_build_report_optional_sections():
-    records, pairs = _report_inputs()
-    no_group_records = [
-        EvalRecord(
-            image_id=r.image_id, comparison=r.comparison, precision=r.precision,
-            recall=r.recall, f1=r.f1, match_type=r.match_type, weighted=r.weighted,
-        )
-        for r in records
-    ]
-    report = build_report("demo", no_group_records, pairs, config={"alpha": 0.75})
+    report = build_report("demo", _report_rows(grouped=False))
     assert "groups" not in report
-    assert report["config"] == {"alpha": 0.75}
+    assert report["config"] == {"label": "demo", "max_level": 9, "max_k": 4}
 
 
 def test_render_report_text_sections():
-    records, pairs = _report_inputs()
-    text = render_report_text(build_report("demo-method", records, pairs))
+    rows = _report_rows()
+    text = render_report_text(build_report("demo-method", rows))
     for header in ("== Summary ==", "== Match types ==", "== Accuracy by level ==",
                    "== Truncation sweep ==", "== Groups =="):
         assert header in text
     assert "demo-method" in text
-    avg = sum(r.weighted for r in records) / len(records)
+    avg = sum(evaluate_pair(r.image_id, r.predicted, r.ground_truth).weighted for r in rows) / len(rows)
     assert f"{avg:.5f}" in text
     assert text.endswith("\n")
 
 
+def test_golden_predictions_rescore_to_the_golden_report_byte_for_byte(fixtures_dir):
+    # every mean sums left to right, so the bytes are the same on every Python (sum() is not from 3.12)
+    golden = fixtures_dir / "golden" / "rag-vector-page-basic"
+    report = build_report("rag-vector/page/basic", read_predictions_csv(golden / "predictions.csv"),
+                          max_level=9, max_k=4)
+    assert (json.dumps(report, indent=2, sort_keys=True) + "\n").encode() == (golden / "report.json").read_bytes()
+    assert render_report_text(report).encode() == (golden / "report.txt").read_bytes()
+
+
 def test_render_report_text_without_groups():
-    records, pairs = _report_inputs()
-    stripped = [
-        EvalRecord(
-            image_id=r.image_id, comparison=r.comparison, precision=r.precision,
-            recall=r.recall, f1=r.f1, match_type=r.match_type, weighted=r.weighted,
-        )
-        for r in records
-    ]
-    text = render_report_text(build_report("demo", stripped, pairs))
+    text = render_report_text(build_report("demo", _report_rows(grouped=False)))
     assert "== Groups ==" not in text

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -389,6 +392,42 @@ def test_cache_appends_after_an_unterminated_final_record(tmp_path, kind):
     reloaded = make(path)
     assert len(reloaded) == 3
     assert all(get(reloaded, i) is not None for i in (1, 2, 3))
+
+
+# loads the cache named by argv[1], says so, waits for a line on stdin, then puts record argv[2]
+_WRITER = """
+import sys
+from iconclassify.providers import DescriptionCache, DescriptionMode, DescriptionRecord
+cache = DescriptionCache(sys.argv[1])
+print("loaded", flush=True)
+sys.stdin.readline()
+cache.put(DescriptionRecord(image_id=sys.argv[2], mode=DescriptionMode.FULL_PAGE,
+                            text="t", model_id="m", created_at="c"))
+"""
+
+
+@pytest.mark.parametrize("cut", [9, 1], ids=["torn", "unterminated"])
+def test_cache_keeps_every_record_of_two_writer_processes(tmp_path, cut):
+    path = tmp_path / "cache.jsonl"
+    path.write_bytes(_two_record_cache("description", path)[:-cut])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    writers = [
+        subprocess.Popen([sys.executable, "-c", _WRITER, str(path), image_id], env=env,
+                         stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        for image_id in ("x", "y")
+    ]
+    for writer in writers:  # both have read the file as it was before either writes
+        assert writer.stdout.readline() == "loaded\n"
+    for writer in writers:  # x appends first, then y
+        writer.communicate("go\n", timeout=60)
+        assert writer.returncode == 0
+
+    cache = DescriptionCache(path)
+    kept = ["img1", "x", "y"] + (["img2"] if cut == 1 else [])
+    assert len(cache) == len(kept)
+    assert all(cache.get(image_id, DescriptionMode.FULL_PAGE) is not None for image_id in kept)
+    lines = path.read_bytes().split(b"\n")
+    assert lines[-1] == b"" and all(lines[:-1])  # one record per line, each ended
 
 
 @pytest.mark.parametrize("kind", sorted(CACHES))

@@ -688,6 +688,15 @@ def test_reference_set_rejects_a_vector_of_strings_and_booleans(tmp_path):
         ImageReferenceSet.from_jsonl(path)
 
 
+def test_reference_set_rejects_codes_given_as_a_string(tmp_path):
+    # read as a sequence, "71" would load as the codes 7 and 1
+    path = tmp_path / "refs.jsonl"
+    path.write_text('{"vector": [0.0, 1.0], "codes": ["73D"]}\n'
+                    '{"vector": [1.0, 0.0], "codes": "71"}\n')
+    with pytest.raises(MalformedLineError, match=r"^line 2: .*refs\.jsonl: bad reference record.*codes must be a list"):
+        ImageReferenceSet.from_jsonl(path)
+
+
 def test_image_vote_on_reference_fixture(fixtures_dir):
     refs = ImageReferenceSet.from_jsonl(fixtures_dir / "refs.jsonl")
     query = json.loads((fixtures_dir / "vectors" / "img001.json").read_text())
