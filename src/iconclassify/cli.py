@@ -6,19 +6,14 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Optional
 
 import click
 
 from . import evaluation, pipeline, providers, retrieval, taxonomy
-from .errors import IconclassifyError, MalformedLineError, MissingIndexError
-
-# provider settings may also come from the environment; flags win
-_ENV_ENDPOINT = "ICONCLASSIFY_ENDPOINT"
-_ENV_API_KEY = "ICONCLASSIFY_API_KEY"
-_ENV_CHAT_MODEL = "ICONCLASSIFY_CHAT_MODEL"
-_ENV_EMBED_MODEL = "ICONCLASSIFY_EMBED_MODEL"
+from .errors import IconclassifyError, MalformedCodeError, MalformedLineError, MissingIndexError
 
 _DATABASES = [kind.value for kind in taxonomy.DatabaseKind]  # also the rendering fields of `taxonomy build`
 _MODES = [mode.value for mode in providers.DescriptionMode]
@@ -39,11 +34,21 @@ def main():
     """Classify early modern religious images into Iconclass codes."""
 
 
+def _provider_options(*models: str):
+    """--endpoint, each of `models`, then --api-key; each also read from ICONCLASSIFY_<NAME>, and a flag wins."""
+    def decorate(fn):
+        for name in reversed(("endpoint", *models, "api-key")):
+            envvar = "ICONCLASSIFY_" + name.upper().replace("-", "_")
+            fn = click.option(f"--{name}", envvar=envvar, default=None)(fn)
+        return fn
+    return decorate
+
+
 def _check_offline(offline: bool, endpoint: Optional[str], api_key: Optional[str]) -> None:
     if offline and (endpoint or api_key):
         raise click.UsageError(
             "offline mode forbids network settings; unset --endpoint/--api-key "
-            f"(or the {_ENV_ENDPOINT}/{_ENV_API_KEY} variables)"
+            "(or the ICONCLASSIFY_ENDPOINT/ICONCLASSIFY_API_KEY variables)"
         )
 
 
@@ -115,13 +120,24 @@ def cmd_taxonomy_build(source: str, prefix_filter: Optional[str], out_path: str)
 
 
 def _load_rendered_taxonomy(path: str, kind: taxonomy.DatabaseKind) -> dict[str, str]:
-    """Read the output of `taxonomy build`: code -> the `kind` rendering."""
+    """Read the output of `taxonomy build`: code -> the `kind` rendering. Each
+    code must parse and appear once, and every field must be a string."""
     docs: dict[str, str] = {}
     try:
         for line_no, obj in taxonomy.iter_jsonl(path):
-            if not {"code", *_DATABASES} <= obj.keys():
-                raise MalformedLineError(line_no, f"{path}: needs code, {' and '.join(_DATABASES)} fields")
-            docs[obj["code"]] = obj[kind.value]
+            if not all(isinstance(obj.get(name), str) for name in ("code", *_DATABASES)):
+                fields = " and ".join(_DATABASES)
+                raise MalformedLineError(line_no, f"{path}: needs code, {fields} fields, each a string")
+            code = obj["code"]
+            try:
+                parsed = taxonomy.parse_code(code)
+            except MalformedCodeError as exc:
+                raise MalformedLineError(line_no, f"{path}: {exc}") from exc
+            if parsed.raw != code:  # " 71" parses, but its hits would come back as "71"
+                raise MalformedLineError(line_no, f"{path}: {code!r}: whitespace around the code")
+            if code in docs:
+                raise MalformedLineError(line_no, f"{path}: duplicate code {code!r}")
+            docs[code] = obj[kind.value]
     except MalformedLineError as exc:
         raise MissingIndexError(f"{exc}; not a rendered taxonomy file, run `taxonomy build` first") from exc
     if not docs:
@@ -143,9 +159,7 @@ def index_group():
 @click.option("--dim", type=click.IntRange(min=providers.MIN_OFFLINE_DIM),
               default=providers.DEFAULT_OFFLINE_DIM, show_default=True,
               help="Offline embedding dimension.")
-@click.option("--endpoint", envvar=_ENV_ENDPOINT, default=None)
-@click.option("--embed-model", envvar=_ENV_EMBED_MODEL, default=None)
-@click.option("--api-key", envvar=_ENV_API_KEY, default=None)
+@_provider_options("embed-model")
 @click.option("--embed-cache", type=click.Path(dir_okay=False), default=None,
               help="JSONL embedding cache (recommended for remote runs).")
 def cmd_index_build(rendered_path: str, database: str, index_dir: str, offline: bool,
@@ -181,9 +195,7 @@ def _read_image(path: Optional[str], image_id: str) -> bytes:
               help="Description cache (JSONL, append-only).")
 @click.option("--offline", is_flag=True,
               help="No model calls: only cached or manifest-supplied descriptions are accepted.")
-@click.option("--endpoint", envvar=_ENV_ENDPOINT, default=None)
-@click.option("--chat-model", envvar=_ENV_CHAT_MODEL, default=None)
-@click.option("--api-key", envvar=_ENV_API_KEY, default=None)
+@_provider_options("chat-model")
 @click.option("--workers", type=click.IntRange(min=1), default=4, show_default=True)
 def cmd_describe(manifest_path: str, mode: str, cache_path: str, offline: bool,
                  endpoint: Optional[str], chat_model: Optional[str],
@@ -194,11 +206,15 @@ def cmd_describe(manifest_path: str, mode: str, cache_path: str, offline: bool,
     rows = pipeline.read_manifest(manifest_path)
     cache = providers.DescriptionCache(cache_path)
 
-    cached = passed = generated = 0
+    cached = passed = 0
+    others: Counter[str] = Counter()  # cached records that another chat model wrote
     pending: list[pipeline.ManifestRow] = []
     for row in rows:
-        if cache.get(row.image_id, desc_mode) is not None:
+        hit = cache.get(row.image_id, desc_mode)
+        if hit is not None:
             cached += 1
+            if chat_model and hit.model_id not in ("", chat_model, "manifest"):  # "" names no model
+                others[hit.model_id] += 1
         elif row.description:
             cache.put(providers.DescriptionRecord(
                 image_id=row.image_id,
@@ -217,6 +233,7 @@ def cmd_describe(manifest_path: str, mode: str, cache_path: str, offline: bool,
             "descriptions require a real model. Re-run without --offline, or add a "
             "description column to the manifest."
         )
+    described, failures = [], []
     if pending:
         chat = _make_chat("describe", endpoint, chat_model, api_key)
         image_field = "page_image_path" if desc_mode is providers.DescriptionMode.FULL_PAGE \
@@ -226,16 +243,16 @@ def cmd_describe(manifest_path: str, mode: str, cache_path: str, offline: bool,
             image = _read_image(getattr(row, image_field), row.image_id)
             return providers.describe_image(row.image_id, image, desc_mode, chat, cache)
 
-        failures = [out for out in pipeline.run_rows(describe, pending, workers)
-                    if isinstance(out, pipeline.ItemError)]
-        generated = len(pending) - len(failures)
+        described, failures = pipeline.run_rows(describe, pending, workers)
         for err in failures:
             click.echo(f"{err.image_id}: {err.error}", err=True)
-        if failures:
-            click.echo(f"described {generated}, cached {cached}, ingested {passed}, "
-                       f"failed {len(failures)}")
-            sys.exit(1)
-    click.echo(f"described {generated}, cached {cached}, ingested {passed}")
+    by_model = ", ".join(f"{n} by {model}" for model, n in sorted(others.items()))
+    cached_text = f"cached {cached} ({by_model})" if by_model else f"cached {cached}"
+    summary = f"described {len(described)}, {cached_text}, ingested {passed}"
+    if failures:
+        click.echo(f"{summary}, failed {len(failures)}")
+        sys.exit(1)
+    click.echo(summary)
 
 
 @main.command("classify")
@@ -259,10 +276,7 @@ def cmd_describe(manifest_path: str, mode: str, cache_path: str, offline: bool,
               help="Description cache from `describe`.")
 @click.option("--embed-cache", type=click.Path(dir_okay=False), default=None)
 @click.option("--offline", is_flag=True)
-@click.option("--endpoint", envvar=_ENV_ENDPOINT, default=None)
-@click.option("--chat-model", envvar=_ENV_CHAT_MODEL, default=None)
-@click.option("--embed-model", envvar=_ENV_EMBED_MODEL, default=None)
-@click.option("--api-key", envvar=_ENV_API_KEY, default=None)
+@_provider_options("chat-model", "embed-model")
 @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--out", "out_prefix", required=True,
               help="Output prefix; writes <out>.jsonl, <out>.csv, <out>.meta.json.")

@@ -135,17 +135,6 @@ _MATCH_ORDER = (
 )
 
 
-@dataclass
-class MethodReport:
-    label: str
-    count: int
-    avg_weighted: float
-    avg_precision: float
-    avg_recall: float
-    avg_f1: float
-    match_counts: dict[str, int]
-
-
 def _mean(values: Sequence[float]) -> float:
     """Sum left to right from 0.0, then divide. `sum()` of floats compensates
     its rounding from Python 3.12 on, so it would change the report's bits."""
@@ -155,23 +144,18 @@ def _mean(values: Sequence[float]) -> float:
     return total / len(values)
 
 
-def aggregate(records: Sequence[EvalRecord], label: str) -> MethodReport:
-    """Arithmetic means over per-image metrics, plus match-type counts."""
+def aggregate(records: Sequence[EvalRecord]) -> dict:
+    """The count and the arithmetic means of the per-image metrics, as the
+    report prints them for a method or a group."""
     if not records:
         raise ValueError("cannot aggregate zero records")
-    n = len(records)
-    counts = {mt.name.lower(): 0 for mt in _MATCH_ORDER}
-    for rec in records:
-        counts[rec.match_type.name.lower()] += 1
-    return MethodReport(
-        label=label,
-        count=n,
-        avg_weighted=_mean([r.weighted for r in records]),
-        avg_precision=_mean([r.precision for r in records]),
-        avg_recall=_mean([r.recall for r in records]),
-        avg_f1=_mean([r.f1 for r in records]),
-        match_counts=counts,
-    )
+    return {
+        "count": len(records),
+        "avg_weighted": _mean([r.weighted for r in records]),
+        "avg_precision": _mean([r.precision for r in records]),
+        "avg_recall": _mean([r.recall for r in records]),
+        "avg_f1": _mean([r.f1 for r in records]),
+    }
 
 
 @dataclass(frozen=True)
@@ -248,32 +232,24 @@ def read_predictions_csv(path: Union[str, Path]) -> list[PredictionRow]:
     return list(rows.values())
 
 
-def _means(agg: MethodReport) -> dict[str, float]:
-    """The avg_* fields of an aggregate, as the report's summary shows them."""
-    return {name: value for name, value in asdict(agg).items() if name.startswith("avg_")}
-
-
 def build_report(label: str, rows: Sequence[PredictionRow], max_level: int = 9, max_k: int = 4) -> dict:
     """Score every prediction row and assemble the JSON-ready report for one method run."""
     records = [evaluate_pair(r.image_id, r.predicted, r.ground_truth, r.group) for r in rows]
     pairs = [(r.predicted, r.ground_truth) for r in rows]
-    summary = aggregate(records, label)
+    summary = aggregate(records)
+    count = summary.pop("count")
     report = {
         "label": label,
-        "count": summary.count,
-        "summary": _means(summary),
-        "match_counts": summary.match_counts,
+        "count": count,
+        "summary": summary,
+        "match_counts": {mt.name.lower(): sum(r.match_type is mt for r in records) for mt in _MATCH_ORDER},
         "level_accuracy": [asdict(r) for r in level_accuracy(records, max_level)],
         "truncation": [asdict(r) for r in truncation_report(pairs, max_k)],
         "config": {"label": label, "max_level": max_level, "max_k": max_k},
     }
     groups = sorted({r.group for r in records if r.group})
     if groups:
-        report["groups"] = {
-            g: {"count": agg.count, **_means(agg)}
-            for g in groups
-            for agg in [aggregate([r for r in records if r.group == g], g)]
-        }
+        report["groups"] = {g: aggregate([r for r in records if r.group == g]) for g in groups}
     return report
 
 

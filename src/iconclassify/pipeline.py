@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 from concurrent import futures
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
@@ -121,8 +121,8 @@ class ItemError:
 
 @dataclass
 class BatchResult:
-    predictions: list[Prediction] = field(default_factory=list)
-    errors: list[ItemError] = field(default_factory=list)
+    predictions: list[Prediction]
+    errors: list[ItemError]
 
 
 @dataclass
@@ -241,10 +241,10 @@ def classify(row: ManifestRow, method: MethodSpec, ctx: ClassifyContext) -> Pred
     )
 
 
-def run_rows(fn: Callable[[ManifestRow], object], rows: Sequence[ManifestRow], workers: int) -> list:
-    """Call `fn` on every row from a pool of `workers` threads, returning the
-    results in row order. A row whose call raises yields an ItemError
-    instead, so one bad row never stops the others."""
+def run_rows(fn: Callable[[ManifestRow], object], rows: Sequence[ManifestRow], workers: int) -> tuple[list, list]:
+    """Call `fn` on every row from a pool of `workers` threads. Returns the
+    results and the ItemErrors of the rows whose call raised, each in row
+    order, so one bad row never stops the others."""
 
     def guarded(row: ManifestRow) -> object:
         try:
@@ -252,8 +252,11 @@ def run_rows(fn: Callable[[ManifestRow], object], rows: Sequence[ManifestRow], w
         except Exception as exc:  # per-item isolation is the batch contract
             return ItemError(image_id=row.image_id, error=f"{type(exc).__name__}: {exc}")
 
+    results, errors = [], []
     with futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(guarded, rows))
+        for out in pool.map(guarded, rows):
+            (errors if isinstance(out, ItemError) else results).append(out)
+    return results, errors
 
 
 def classify_batch(
@@ -264,13 +267,7 @@ def classify_batch(
 ) -> BatchResult:
     """Classify every manifest row, collecting per-item failures instead of
     aborting. Output order follows the manifest regardless of worker count."""
-    result = BatchResult()
-    for out in run_rows(lambda row: classify(row, method, ctx), rows, workers):
-        if isinstance(out, ItemError):
-            result.errors.append(out)
-        else:
-            result.predictions.append(out)
-    return result
+    return BatchResult(*run_rows(lambda row: classify(row, method, ctx), rows, workers))
 
 
 _PATH_FIELDS = ("page_image_path", "illustration_image_path", "vector_path")

@@ -172,8 +172,9 @@ class RemoteEmbeddingProvider:
             got = [number_list(item["embedding"]) for item in items]
         except (KeyError, TypeError) as exc:
             raise EmptyResponseError(f"malformed embedding response: {exc}") from exc
-        if len(got) != len(texts):
-            raise EmptyResponseError(f"embedding response has {len(got)} vectors for {len(texts)} inputs")
+        if [item["index"] for item in items] != list(range(len(texts))):  # each input gets exactly one vector
+            raise EmptyResponseError(f"embedding response has {len(got)} vectors, "
+                                     f"but its indices are not 0 to {len(texts) - 1}")
         return got
 
 
@@ -294,11 +295,14 @@ class DescriptionCache(_AppendOnlyCache):
 
     @staticmethod
     def _decode(obj: dict) -> tuple[tuple[str, str], DescriptionRecord]:
+        model_id = obj.get("model_id", "")
+        if not all(isinstance(value, str) for value in (obj["image_id"], obj["text"], model_id)):
+            raise TypeError("image_id, text and model_id must be strings")
         rec = DescriptionRecord(
             image_id=obj["image_id"],
             mode=DescriptionMode(obj["mode"]),
             text=obj["text"],
-            model_id=obj.get("model_id", ""),
+            model_id=model_id,
             created_at=obj.get("created_at", ""),
             prompt_version=obj.get("prompt_version", PROMPT_VERSION),
         )

@@ -53,14 +53,14 @@ class IconclassCode:
 def parse_code(text: str) -> IconclassCode:
     """Parse a notation string into its per-level segments.
 
-    Raises MalformedCodeError for empty input, a non-digit first character,
-    lowercase or whitespace outside parentheses, unbalanced or empty
-    parentheses, or an empty "(+)" key.
+    Raises MalformedCodeError for empty input, a first character other than
+    0-9, lowercase, whitespace or a non-ASCII character outside parentheses,
+    unbalanced or empty parentheses, or an empty "(+)" key.
     """
     raw = text.strip()
     if not raw:
         raise MalformedCodeError("empty code")
-    if not raw[0].isdigit():
+    if not "0" <= raw[0] <= "9":
         raise MalformedCodeError(f"{raw!r}: codes start with a digit")
 
     segments: list[str] = []
@@ -90,7 +90,7 @@ def parse_code(text: str) -> IconclassCode:
             i = end + 1
         elif ch == ")":
             raise MalformedCodeError(f"{raw!r}: unbalanced parenthesis")
-        elif ch.isdigit() or ("A" <= ch <= "Z"):
+        elif "0" <= ch <= "9" or "A" <= ch <= "Z":
             segments.append(prefix + ch)
             prefix = segments[-1]
             i += 1
@@ -228,7 +228,10 @@ def _parse_line(line: str, line_no: int, where: str) -> tuple[str, str]:
         obj = _json_object(line, line_no, where)
         if "code" not in obj or "txt" not in obj:
             raise MalformedLineError(line_no, f"{where}JSON record needs 'code' and 'txt' fields")
-        return str(obj["code"]), str(obj["txt"])
+        for name in ("code", "txt"):
+            if not isinstance(obj[name], str):
+                raise MalformedLineError(line_no, f"{where}JSON record's {name!r} must be a string")
+        return obj["code"], obj["txt"]
     if "\t" not in line:
         raise MalformedLineError(line_no, f"{where}expected code<TAB>description")
     code_text, desc = line.split("\t", 1)

@@ -404,6 +404,23 @@ def test_describe_remote_generates(runner, tmp_path, monkeypatch):
     assert record["model_id"] == "vision"
 
 
+def test_describe_names_the_other_models_whose_records_it_served(runner, tmp_path):
+    writers = {"a": "llava", "b": "gpt-4o", "c": "llava", "d": "manifest", "e": "other-model"}
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("image_id\n" + "".join(f"{image_id}\n" for image_id in writers))
+    cache = tmp_path / "c.jsonl"
+    cache.write_text("".join(
+        json.dumps({"image_id": image_id, "mode": "page", "text": "the ark", "model_id": model}) + "\n"
+        for image_id, model in writers.items()
+    ))
+    args = ["describe", "--manifest", str(manifest), "--cache", str(cache)]
+    result = runner.invoke(main, [*args, "--endpoint", "http://h", "--chat-model", "other-model"])
+    assert result.exit_code == 0, result.output
+    assert result.output == "described 0, cached 5 (1 by gpt-4o, 2 by llava), ingested 0\n"
+    result = runner.invoke(main, [*args, "--offline"], env={"ICONCLASSIFY_CHAT_MODEL": None})
+    assert result.output == "described 0, cached 5, ingested 0\n"  # no chat model, no run's own model to compare
+
+
 def test_describe_remote_reports_missing_images(runner, tmp_path):
     manifest = tmp_path / "m.csv"
     manifest.write_text("image_id\nimgX\n")
@@ -900,6 +917,36 @@ def _rendered_taxonomy_without_a_rendering(workspace, tmp_path):
         ["rendered.jsonl", "line 2", "needs code, basic and hierarchical fields", "taxonomy build"]
 
 
+def _index_build_over_an_edited_line_2(workspace, tmp_path, **changes):
+    """`index build` over the workspace's rendered taxonomy with fields of its second record replaced."""
+    lines = (workspace / "rendered.jsonl").read_text().splitlines(keepends=True)
+    lines[1] = json.dumps({**json.loads(lines[1]), **changes}) + "\n"
+    rendered = tmp_path / "rendered.jsonl"
+    rendered.write_text("".join(lines))
+    return ["index", "build", "--taxonomy", str(rendered), "--index-dir", str(tmp_path / "idx"), "--offline"]
+
+
+def _rendered_taxonomy_with_a_number_for_a_rendering(workspace, tmp_path):
+    return _index_build_over_an_edited_line_2(workspace, tmp_path, basic=5), \
+        ["rendered.jsonl", "line 2", "needs code, basic and hierarchical fields, each a string"]
+
+
+def _rendered_taxonomy_with_a_number_for_a_code(workspace, tmp_path):
+    return _index_build_over_an_edited_line_2(workspace, tmp_path, code=71), \
+        ["rendered.jsonl", "line 2", "needs code, basic and hierarchical fields, each a string"]
+
+
+def _rendered_taxonomy_with_a_code_that_does_not_parse(workspace, tmp_path):
+    return _index_build_over_an_edited_line_2(workspace, tmp_path, code="7 1"), \
+        ["rendered.jsonl", "line 2", "'7 1': invalid character ' '"]
+
+
+def _rendered_taxonomy_with_a_repeated_code(workspace, tmp_path):
+    first = json.loads((workspace / "rendered.jsonl").read_text().splitlines()[0])["code"]
+    return _index_build_over_an_edited_line_2(workspace, tmp_path, code=first), \
+        ["rendered.jsonl", "line 2", f"duplicate code {first!r}"]
+
+
 def _empty_rendered_taxonomy(workspace, tmp_path):
     return _rendered_taxonomy_args(workspace, tmp_path, "\n"), ["rendered.jsonl", "rendered taxonomy is empty"]
 
@@ -1014,6 +1061,8 @@ def _dim_below_the_offline_minimum(workspace, tmp_path):
     _refs_with_a_bad_code, _cut_vectors, _non_utf8_taxonomy, _non_utf8_manifest, _non_utf8_predictions,
     _multi_line_manifest, _multi_line_predictions, _dim_below_the_offline_minimum,
     _index_with_another_builds_meta, _keyword_file_without_postings, _rendered_taxonomy_without_a_rendering,
+    _rendered_taxonomy_with_a_number_for_a_rendering, _rendered_taxonomy_with_a_number_for_a_code,
+    _rendered_taxonomy_with_a_code_that_does_not_parse, _rendered_taxonomy_with_a_repeated_code,
     _empty_rendered_taxonomy, _raw_taxonomy_with_a_bad_code, _raw_taxonomy_json_without_txt,
     _raw_taxonomy_with_a_duplicate_code, _manifest_with_a_boolean_image_id, _manifest_with_a_fractional_image_id,
     _manifest_with_a_list_description, _manifest_with_a_repeated_image_id, _predictions_with_a_bad_code,

@@ -207,32 +207,32 @@ def test_metrics_match_random_code_pairs():
 # ---------------------------------------------------------------- aggregation
 
 def test_aggregate_means_and_counts():
-    records = [
-        evaluate_pair("a", *_pair("73D231", "73D231")),  # full, 100
-        evaluate_pair("b", *_pair("111", "731111")),     # no match, 0
-    ]
-    report = aggregate(records, "demo")
-    assert report.count == 2
-    assert report.avg_weighted == 50.0
-    assert report.avg_precision == 0.5
-    assert report.match_counts["full"] == 1
-    assert report.match_counts["no_match"] == 1
-    assert sum(report.match_counts.values()) == 2
-    assert set(report.match_counts) == {
+    pairs = [_pair("73D231", "73D231"), _pair("111", "731111")]  # full, 100; no match, 0
+    records = [evaluate_pair(image_id, *pair) for image_id, pair in zip("ab", pairs)]
+    summary = aggregate(records)
+    assert summary["count"] == 2
+    assert summary["avg_weighted"] == 50.0
+    assert summary["avg_precision"] == 0.5
+    counts = build_report("demo", [PredictionRow(i, *pair) for i, pair in zip("ab", pairs)])["match_counts"]
+    assert counts["full"] == 1
+    assert counts["no_match"] == 1
+    assert sum(counts.values()) == 2
+    assert set(counts) == {
         "full", "extra", "partial_a", "partial_b", "partial_c", "no_match",
     }
 
 
 def test_aggregate_single_record():
-    report = aggregate([evaluate_pair("a", *_pair("71H14", "71H1442"))], "one")
-    assert report.avg_weighted == pytest.approx(85 * 5 / 7)
-    assert report.avg_recall == pytest.approx(5 / 7)
-    assert report.match_counts["partial_a"] == 1
+    pair = _pair("71H14", "71H1442")
+    summary = aggregate([evaluate_pair("a", *pair)])
+    assert summary["avg_weighted"] == pytest.approx(85 * 5 / 7)
+    assert summary["avg_recall"] == pytest.approx(5 / 7)
+    assert build_report("one", [PredictionRow("a", *pair)])["match_counts"]["partial_a"] == 1
 
 
 def test_aggregate_rejects_empty():
     with pytest.raises(ValueError):
-        aggregate([], "none")
+        aggregate([])
 
 
 def test_evaluate_pair_carries_group():

@@ -253,6 +253,15 @@ def test_description_cache_persists_and_first_record_wins(tmp_path):
     assert len(path.read_text().strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("field, value", [("text", 5), ("text", None), ("image_id", 7), ("model_id", 5)])
+def test_description_cache_rejects_a_text_field_that_is_not_a_string(tmp_path, field, value):
+    record = {"image_id": "img1", "mode": "page", "text": "the ark", "model_id": "m", field: value}
+    path = tmp_path / "desc.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    with pytest.raises(MalformedLineError, match="line 1: .*bad cache record.*must be strings"):
+        DescriptionCache(path)
+
+
 # ---------------------------------------------------------------- embedding cache
 
 def test_embed_text_caches_by_content(tmp_path):
@@ -641,6 +650,17 @@ def test_remote_embeddings_sorts_by_index(monkeypatch):
     emb = RemoteEmbeddingProvider("http://host", "embed-model")
     assert [v.tolist() for v in emb.embed_many(["a", "b"])] == [[1.0, 0.0], [0.0, 1.0]]
     assert emb.provider_id == "remote:embed-model"
+
+
+@pytest.mark.parametrize("indices", [[0, 0], [5, 7]], ids=["repeated", "out_of_range"])
+def test_remote_embeddings_rejects_indices_that_do_not_cover_the_inputs(monkeypatch, indices):
+    body = {"data": [{"index": i, "embedding": [1.0, float(n)]} for n, i in enumerate(indices)]}
+    monkeypatch.setattr(
+        requests, "post", lambda url, json=None, headers=None, timeout=None: FakeResponse(body=body)
+    )
+    emb = RemoteEmbeddingProvider("http://host", "m")
+    with pytest.raises(EmptyResponseError, match="indices are not 0 to 1"):
+        emb.embed_many(["a", "b"])
 
 
 def test_remote_embeddings_rejects_wrong_count(monkeypatch):

@@ -71,6 +71,9 @@ def test_parse_single_level():
     "73D2)",        # unbalanced close
     "73D2(A(B))",   # nested parenthesis
     "73-D2",        # punctuation outside parentheses
+    "7\u00b2",       # a superscript two is a Unicode digit, not 0-9
+    "\u06631",       # so is an Arabic-Indic three
+    "73D\uff12",     # and a full-width two
 ])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(MalformedCodeError):
@@ -240,9 +243,11 @@ def test_load_from_file(fixtures_dir):
 @pytest.mark.parametrize("line, reason", [
     ("7x\tbad", "'7x': invalid character 'x'"),
     ('{"code": "71"}', "JSON record needs 'code' and 'txt' fields"),
+    ('{"code": "71", "txt": null}', "JSON record's 'txt' must be a string"),
+    ('{"code": 71, "txt": "Old Testament"}', "JSON record's 'code' must be a string"),
     ("71\t  ", "71: empty description"),
     ("no tab here", "expected code<TAB>description"),
-], ids=["bad_code", "json_without_txt", "empty_description", "no_tab"])
+], ids=["bad_code", "json_without_txt", "json_null_txt", "json_number_code", "empty_description", "no_tab"])
 def test_load_errors_name_the_file_of_a_path_source(tmp_path, line, reason):
     path = tmp_path / "raw.tsv"
     path.write_text(f"7\tBible\n{line}\n")
