@@ -7,6 +7,7 @@ All scans are exhaustive and rule-based, so results are reproducible.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -59,6 +60,18 @@ def _hits(ranked: Iterable[tuple[str, float]]) -> list[RankedHit]:
     return [RankedHit(code=parse_code(doc_id), score=s, rank=i + 1) for i, (doc_id, s) in enumerate(ranked)]
 
 
+@dataclass(frozen=True)
+class _RowSpace:
+    """The postings as arrays. Row i is the i-th doc id in sorted order, so a
+    row's number is its rank among the ids and breaks score ties by doc id."""
+
+    ids: list[str]
+    spans: dict[str, tuple[int, int]]  # term -> its slice of rows and tfs
+    rows: np.ndarray  # int32
+    tfs: np.ndarray  # float64
+    lengths: np.ndarray  # float64, per row
+
+
 @dataclass
 class KeywordIndex:
     postings: dict[str, list[tuple[str, int]]]
@@ -72,6 +85,27 @@ class KeywordIndex:
         self.doc_count = len(self.doc_lengths)
         # a sum of ints is exact in any order, so a loaded index gets the built mean bit for bit
         self.avg_doc_length = sum(self.doc_lengths.values()) / self.doc_count
+
+    @functools.cached_property
+    def _row_space(self) -> _RowSpace:
+        """Built on the first search, streamed from the postings: no Python
+        list of all postings is held. Two threads may both build it; they
+        build equal values."""
+        ids = sorted(self.doc_lengths)
+        row_of = {doc_id: i for i, doc_id in enumerate(ids)}
+        spans: dict[str, tuple[int, int]] = {}
+        end = 0
+        for term, plist in self.postings.items():
+            spans[term] = (end, end + len(plist))
+            end += len(plist)
+        plists = self.postings.values()
+        return _RowSpace(
+            ids=ids,
+            spans=spans,
+            rows=np.fromiter((row_of[d] for plist in plists for d, _ in plist), dtype=np.int32, count=end),
+            tfs=np.fromiter((tf for plist in plists for _, tf in plist), dtype=np.float64, count=end),
+            lengths=np.fromiter(map(self.doc_lengths.__getitem__, ids), dtype=np.float64, count=len(ids)),
+        )
 
 
 def build_keyword_index(docs: Iterable[tuple[str, str]]) -> KeywordIndex:
@@ -92,7 +126,8 @@ def _idf(n_docs: int, df: int) -> float:
     return math.log(1 + (n_docs - df + 0.5) / (df + 0.5))
 
 
-def _term_score(idf: float, tf: int, doc_len: int, avg_len: float) -> float:
+def _term_score(idf: float, tf: int | np.ndarray, doc_len: int | np.ndarray, avg_len: float) -> float | np.ndarray:
+    """One term's BM25 share, for one document or, elementwise, for arrays of them."""
     denom = tf + DEFAULT_K1 * (1 - DEFAULT_B + DEFAULT_B * doc_len / avg_len)
     return idf * (tf * (DEFAULT_K1 + 1)) / denom
 
@@ -123,24 +158,30 @@ def bm25_score(index: KeywordIndex, query_terms: Sequence[str], doc_id: str) -> 
     return score
 
 
+def _keyword_top(index: KeywordIndex, query: str, k: int) -> list[tuple[str, float]]:
+    """(doc id, score) of the top k by BM25. Each query term, repeats
+    included, adds `_term_score` of its whole posting slice to the scores
+    in one array op. numpy's elementwise ops round as Python's do and the
+    terms add up in the same order, so each score equals `bm25_score` bit for bit."""
+    space = index._row_space
+    scores = np.zeros(len(space.ids))
+    for term in tokenize(query):
+        if term not in space.spans:
+            continue
+        lo, hi = space.spans[term]
+        rows = space.rows[lo:hi]
+        idf = _idf(index.doc_count, hi - lo)
+        scores[rows] += _term_score(idf, space.tfs[lo:hi], space.lengths[rows], index.avg_doc_length)
+    hit = np.flatnonzero(scores > 0.0)
+    return [(space.ids[row], -cost) for cost, row in _top(hit, -scores[hit], k)]
+
+
 def keyword_search(index: KeywordIndex, query: str, k: int) -> list[RankedHit]:
     """Top-k documents by BM25 score, ties broken by ascending doc id.
 
     Documents scoring 0 (no query term present) are excluded entirely.
     """
-    terms = tokenize(query)
-    scores: dict[str, float] = {}
-    for term in terms:
-        plist = index.postings.get(term)
-        if not plist:
-            continue
-        idf = _idf(index.doc_count, len(plist))
-        for doc_id, tf in plist:
-            contrib = _term_score(idf, tf, index.doc_lengths[doc_id], index.avg_doc_length)
-            scores[doc_id] = scores.get(doc_id, 0.0) + contrib
-    ids = [doc_id for doc_id, s in scores.items() if s > 0.0]
-    top = _top(ids, -np.array([scores[doc_id] for doc_id in ids]), k)
-    return _hits((doc_id, -cost) for cost, doc_id in top)
+    return _hits(_keyword_top(index, query, k))
 
 
 @dataclass
@@ -241,14 +282,18 @@ def _top(keys: Sequence, cost: np.ndarray, k: int) -> list[tuple[float, object]]
     return sorted(zip(cost[rows].tolist(), [keys[i] for i in rows]))[:k]
 
 
+def _vector_top(index: VectorIndex, query: Sequence[float], k: int) -> list[tuple[str, float]]:
+    """(doc id, similarity) of the k rows nearest by cosine distance."""
+    return [(doc_id, 1.0 - d) for d, doc_id in _top(index.ids, _distances(index, query), k)]
+
+
 def vector_search(index: VectorIndex, query: Sequence[float], k: int) -> list[RankedHit]:
     """Exhaustive scan: top-k rows by ascending cosine distance.
 
     Hit scores are stored as similarity (1 - distance); ties break by
     ascending doc id.
     """
-    top = _top(index.ids, _distances(index, query), k)
-    return _hits((doc_id, 1.0 - d) for d, doc_id in top)
+    return _hits(_vector_top(index, query, k))
 
 
 def _minmax(values: list[float]) -> np.ndarray:
@@ -280,10 +325,8 @@ def hybrid_search(
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     _require_k(k)
-    kw_hits = keyword_search(kw_index, query_text, pool)
-    vec_hits = vector_search(vec_index, query_vector, pool)
-    kw_raw = {h.code.raw: h.score for h in kw_hits}
-    vec_raw = {h.code.raw: h.score for h in vec_hits}
+    kw_raw = dict(_keyword_top(kw_index, query_text, pool))
+    vec_raw = dict(_vector_top(vec_index, query_vector, pool))
     union = sorted(set(kw_raw) | set(vec_raw))
     vec_norm = _minmax([vec_raw.get(doc_id, 0.0) for doc_id in union])
     kw_norm = _minmax([kw_raw.get(doc_id, 0.0) for doc_id in union])

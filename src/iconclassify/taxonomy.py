@@ -55,7 +55,7 @@ def parse_code(text: str) -> IconclassCode:
 
     Raises MalformedCodeError for empty input, a first character other than
     0-9, lowercase, whitespace or a non-ASCII character outside parentheses,
-    unbalanced or empty parentheses, or an empty "(+)" key.
+    unbalanced or empty parentheses, or a "(+…)" key that is not ASCII digits.
     """
     raw = text.strip()
     if not raw:
@@ -77,8 +77,8 @@ def parse_code(text: str) -> IconclassCode:
                 raise MalformedCodeError(f"{raw!r}: nested parenthesis")
             if inner.startswith("+"):
                 key = inner[1:]
-                if not key:
-                    raise MalformedCodeError(f"{raw!r}: empty key qualifier")
+                if not (key.isascii() and key.isdigit()):  # "" is not a digit; "３" is, but not ASCII
+                    raise MalformedCodeError(f"{raw!r}: key qualifier {key!r} is not a run of digits 0-9")
                 # a key adds one level per character after the "+"
                 for j in range(1, len(key) + 1):
                     segments.append(f"{prefix}(+{key[:j]})")

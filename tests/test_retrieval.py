@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from iconclassify import retrieval
 from iconclassify.errors import (
     DimMismatchError,
     DuplicateDocIdError,
@@ -218,6 +219,41 @@ def test_keyword_search_matches_score_all_oracle():
             hits = keyword_search(index, query, len(docs))
             assert [(h.code.raw, h.score) for h in hits] == oracle
             assert [h.rank for h in hits] == list(range(1, len(oracle) + 1))
+
+
+# inserted out of id order; "the" is in every doc, and 72 and 75 tie on every query
+SCAN_DOCS = [
+    ("79", "the feast of mariä himmelfahrt"),
+    ("75", "the ark of noah"),
+    ("71", "the ark the flood the rain"),
+    ("73", "the dove of peace"),
+    ("72", "the ark of noah"),
+    ("70", "mariä the queen"),
+]
+
+
+def _bm25_scan(index, query, k):
+    """Every doc scored by bm25_score, best first, ties by id: (id, rank, score hex)."""
+    terms = tokenize(query)
+    scored = [(doc_id, bm25_score(index, terms, doc_id)) for doc_id in index.doc_lengths]
+    ranked = sorted((pair for pair in scored if pair[1] > 0.0), key=lambda pair: (-pair[1], pair[0]))
+    return [(doc_id, i + 1, float.hex(score)) for i, (doc_id, score) in enumerate(ranked[:k])]
+
+
+def test_keyword_search_equals_a_bm25_scan_before_and_after_a_round_trip(tmp_path):
+    built = build_keyword_index(SCAN_DOCS)
+    save_index(tmp_path, built, build_vector_index((d, [1.0, float(i)]) for i, (d, _) in enumerate(SCAN_DOCS)))
+    loaded, _, _ = load_index(tmp_path)
+    assert list(loaded.doc_lengths) == sorted(built.doc_lengths) != list(built.doc_lengths)
+    (first, _, score1), (second, _, score2) = _bm25_scan(built, "noah", 2)
+    assert (first, second) == ("72", "75") and score1 == score2  # so k = 1 cuts a tie
+    queries = ["the ark ark noah", "the", "Mariä", "noah", "the flood of mariä the rain", "zebra"]
+    for query in queries:
+        for k in (1, 2, 3, len(SCAN_DOCS) + 2):
+            expected = _bm25_scan(built, query, k)
+            for index in (built, loaded):
+                hits = keyword_search(index, query, k)
+                assert [(h.code.raw, h.rank, float.hex(h.score)) for h in hits] == expected, (query, k)
 
 
 def test_keyword_search_hits_carry_parsed_codes():
@@ -554,6 +590,20 @@ def test_hybrid_array_fusion_equals_the_dict_fusion_bit_for_bit(alpha):
                 hits = hybrid_search(kw, vec, text, query_vec, alpha=alpha, k=k, pool=pool)
                 assert [(h.code.raw, h.rank, float.hex(h.score)) for h in hits] == \
                     _hybrid_by_dicts(kw, vec, text, query_vec, alpha, k, pool)
+
+
+def test_hybrid_parses_only_the_codes_it_returns(monkeypatch):
+    rng = random.Random(19)
+    words = ["ark", "noah", "flood", "dove", "raven", "peter", "paul", "supper", "basin", "cross"]
+    docs = [(f"7{i}", " ".join(rng.choices(words, k=rng.randint(3, 9)))) for i in range(300)]
+    kw = build_keyword_index(docs)
+    vectors = np.random.default_rng(19).standard_normal((len(docs), 8))
+    vec = build_vector_index((d, v) for (d, _), v in zip(docs, vectors))
+    parsed = []
+    monkeypatch.setattr(retrieval, "parse_code", lambda text: parsed.append(text) or parse_code(text))
+    hits = hybrid_search(kw, vec, "noah and the flood", np.ones(8), k=5, pool=100)
+    assert len(hits) == 5
+    assert parsed == [h.code.raw for h in hits]
 
 
 def test_hybrid_pool_limits_candidates():

@@ -1,5 +1,6 @@
 import logging
 import random
+import re
 
 import pytest
 
@@ -78,6 +79,13 @@ def test_parse_single_level():
 def test_parse_rejects_malformed(bad):
     with pytest.raises(MalformedCodeError):
         parse_code(bad)
+
+
+@pytest.mark.parametrize("key", [" 3", "3 ", "\uff13", "\u00b2", "1a", "-1"])
+def test_parse_rejects_a_key_qualifier_that_is_not_ascii_digits(key):
+    # each would otherwise parse into key levels of its own, such as "73D2(+ )"
+    with pytest.raises(MalformedCodeError, match=re.escape(repr(key))):
+        parse_code(f"73D2(+{key})")
 
 
 def test_every_segment_reparses_to_its_own_ladder():
