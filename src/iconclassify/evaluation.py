@@ -8,7 +8,7 @@ truncation sweeps) is derived from those three counts.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -18,10 +18,11 @@ from .taxonomy import IconclassCode, common_depth, iter_csv, parse_code, truncat
 
 
 class MatchType(Enum):
-    """Prediction-vs-truth relationship; the enum value is the base score."""
+    """Prediction-vs-truth relationship; the enum value is the base score.
+    Members are declared in the order the report lists them."""
 
-    FULL = 100
     EXTRA = 90
+    FULL = 100
     PARTIAL_A = 85  # too shallow, but every predicted level correct
     PARTIAL_B = 70  # too shallow and partly wrong
     PARTIAL_C = 60  # deep enough (or deeper), partly wrong
@@ -125,16 +126,6 @@ def evaluate_pair(
     )
 
 
-_MATCH_ORDER = (
-    MatchType.EXTRA,
-    MatchType.FULL,
-    MatchType.PARTIAL_A,
-    MatchType.PARTIAL_B,
-    MatchType.PARTIAL_C,
-    MatchType.NO_MATCH,
-)
-
-
 def _mean(values: Sequence[float]) -> float:
     """Sum left to right from 0.0, then divide. `sum()` of floats compensates
     its rounding from Python 3.12 on, so it would change the report's bits."""
@@ -158,14 +149,7 @@ def aggregate(records: Sequence[EvalRecord]) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class LevelAccuracyRow:
-    level: int
-    objects: int
-    percent: float
-
-
-def level_accuracy(records: Sequence[EvalRecord], max_level: int = 9) -> list[LevelAccuracyRow]:
+def level_accuracy(records: Sequence[EvalRecord], max_level: int = 9) -> list[dict]:
     """For each level, how many records matched at least that deep."""
     if not records:
         raise ValueError("cannot compute level accuracy for zero records")
@@ -173,23 +157,14 @@ def level_accuracy(records: Sequence[EvalRecord], max_level: int = 9) -> list[Le
     rows = []
     for level in range(1, max_level + 1):
         objects = sum(1 for r in records if r.comparison.matched >= level)
-        rows.append(LevelAccuracyRow(level=level, objects=objects, percent=100.0 * objects / total))
+        rows.append({"level": level, "objects": objects, "percent": 100.0 * objects / total})
     return rows
-
-
-@dataclass(frozen=True)
-class TruncationRow:
-    k: int
-    precision: float
-    recall: float
-    f1: float
-    avg_levels: float
 
 
 def truncation_report(
     pairs: Sequence[tuple[IconclassCode, IconclassCode]],
     max_k: int = 4,
-) -> list[TruncationRow]:
+) -> list[dict]:
     """Re-evaluate after chopping k trailing levels off each prediction,
     for k = 0..max_k. Truncation never goes below one level."""
     if not pairs:
@@ -199,7 +174,8 @@ def truncation_report(
         cuts = [truncate_code(pred, k) for pred, _ in pairs]
         metrics = [hierarchical_metrics(compare(cut, gt)) for cut, (_, gt) in zip(cuts, pairs)]
         precision, recall, f1 = (_mean(column) for column in zip(*metrics))
-        rows.append(TruncationRow(k, precision, recall, f1, _mean([cut.levels for cut in cuts])))
+        avg = _mean([cut.levels for cut in cuts])
+        rows.append({"k": k, "precision": precision, "recall": recall, "f1": f1, "avg_levels": avg})
     return rows
 
 
@@ -242,9 +218,9 @@ def build_report(label: str, rows: Sequence[PredictionRow], max_level: int = 9, 
         "label": label,
         "count": count,
         "summary": summary,
-        "match_counts": {mt.name.lower(): sum(r.match_type is mt for r in records) for mt in _MATCH_ORDER},
-        "level_accuracy": [asdict(r) for r in level_accuracy(records, max_level)],
-        "truncation": [asdict(r) for r in truncation_report(pairs, max_k)],
+        "match_counts": {mt.name.lower(): sum(r.match_type is mt for r in records) for mt in MatchType},
+        "level_accuracy": level_accuracy(records, max_level),
+        "truncation": truncation_report(pairs, max_k),
         "config": {"label": label, "max_level": max_level, "max_k": max_k},
     }
     groups = sorted({r.group for r in records if r.group})
@@ -272,7 +248,7 @@ def render_report_text(report: dict) -> str:
     lines.append(f"{report['label']:<34}{_means_cells(report['count'], report['summary'])}")
     lines.append("")
     lines.append("== Match types ==")
-    names = [mt.name.lower() for mt in _MATCH_ORDER]
+    names = [mt.name.lower() for mt in MatchType]
     counts = report["match_counts"]
     lines.append("".join(f"{n:>11}" for n in names))
     lines.append("".join(f"{counts[n]:>11}" for n in names))

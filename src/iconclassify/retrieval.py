@@ -196,12 +196,16 @@ class VectorIndex:
 
 
 def number_list(value) -> np.ndarray:
-    """A JSON array of numbers as a 1-d float64 array: the one reader of a
-    vector from outside the program. Anything else, strings and booleans
-    included, raises TypeError: float() alone reads "1.5" and true as numbers."""
+    """A JSON array of finite numbers as a 1-d float64 array: the one reader
+    of a vector from outside the program. Anything else, strings, booleans,
+    NaN and Infinity included, raises TypeError: float() alone reads "1.5"
+    and true as numbers, and json reads NaN, Infinity and 1e999 as floats."""
     try:
         if isinstance(value, list) and set(map(type, value)) <= {int, float}:
-            return np.array(value, dtype=np.float64)
+            vec = np.array(value, dtype=np.float64)
+            if np.isfinite(vec).all():
+                return vec
+            raise TypeError("expected finite numbers, not NaN or Infinity")
     except OverflowError:  # an integer beyond the float range
         pass
     raise TypeError("expected a list of numbers")
@@ -361,6 +365,11 @@ class ImageReferenceSet:
                 raise MalformedLineError(line_no, f"{path}: bad reference record: {exc!r}") from exc
             if not codes:
                 raise MalformedLineError(line_no, f"{path}: reference record has no codes")
+            # the checks the constructor makes too, here so that the error names the line
+            if rows and vec.size != rows[0][0].size:
+                raise MalformedLineError(line_no, f"{path}: dim {vec.size} != reference set dim {rows[0][0].size}")
+            if not 0.0 < np.vecdot(vec, vec) < math.inf:
+                raise MalformedLineError(line_no, f"{path}: zero or non-finite vector cannot be indexed")
             rows.append((vec, codes))
         return cls(rows)
 
@@ -449,6 +458,8 @@ def load_index(dir_path: Union[str, Path]) -> tuple[KeywordIndex, VectorIndex, d
     try:
         meta = json.loads((root / "meta.json").read_text(encoding="utf-8"))
         kw_meta, vec_meta = meta["keyword"], meta["vector"]
+        if not isinstance(meta.get("config", {}), dict):  # classify reads its fields by name
+            raise TypeError("config must be an object")
         # scores always use the constants, so an index recorded with others would rank silently wrong
         if (kw_meta["k1"], kw_meta["b"]) != (DEFAULT_K1, DEFAULT_B):
             raise MissingIndexError(f"{root}: index was built with BM25 k1={kw_meta['k1']}, b={kw_meta['b']}, "

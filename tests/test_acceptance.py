@@ -357,7 +357,7 @@ def test_criterion_8_truncation_properties(capsys):
         ]
         rows = truncation_report(pairs, max_k=4)
         for prev, cur in zip(rows, rows[1:]):
-            assert cur.recall <= prev.recall
+            assert cur["recall"] <= prev["recall"]
 
         # all predictions at least 5 levels deep: every k=0..4 step stays
         # above the one-level floor, so avg_levels drops by exactly 1
@@ -369,7 +369,7 @@ def test_criterion_8_truncation_properties(capsys):
                 deep.append((pred, parse_code(gt_raw)))
         deep_rows = truncation_report(deep, max_k=4)
         for k, row in enumerate(deep_rows):
-            assert row.avg_levels == deep_rows[0].avg_levels - k
+            assert row["avg_levels"] == deep_rows[0]["avg_levels"] - k
 
         # the k=0 row is the untruncated aggregate, bitwise
         n = len(pairs)
@@ -381,7 +381,7 @@ def test_criterion_8_truncation_properties(capsys):
             f_sum += f1
             level_sum += pred.levels
         head = rows[0]
-        assert (head.precision, head.recall, head.f1, head.avg_levels) == (
+        assert (head["precision"], head["recall"], head["f1"], head["avg_levels"]) == (
             p_sum / n, r_sum / n, f_sum / n, level_sum / n)
 
 

@@ -900,6 +900,18 @@ def _keyword_file_without_postings(workspace, tmp_path):
     return args, ["unreadable index file", "postings"]
 
 
+def _index_config_that_is_not_an_object(workspace, tmp_path):
+    index = tmp_path / "index"
+    index.mkdir()
+    for name in ("keyword.json", "vectors.jsonl"):
+        (index / name).write_bytes((workspace / "index-basic" / name).read_bytes())
+    meta = json.loads((workspace / "index-basic" / "meta.json").read_text())
+    (index / "meta.json").write_text(json.dumps({**meta, "config": []}))
+    args = _classify_args(workspace, tmp_path / "x")
+    args[args.index("--index-dir") + 1] = str(index)
+    return args, ["unreadable index file", "config must be an object"]
+
+
 def _rendered_taxonomy_args(workspace, tmp_path, text):
     rendered = tmp_path / "rendered.jsonl"
     rendered.write_text(text)
@@ -1060,7 +1072,8 @@ def _dim_below_the_offline_minimum(workspace, tmp_path):
     _cut_rendered_taxonomy, _cut_manifest, _cut_refs, _refs_without_codes, _refs_with_empty_codes,
     _refs_with_a_bad_code, _cut_vectors, _non_utf8_taxonomy, _non_utf8_manifest, _non_utf8_predictions,
     _multi_line_manifest, _multi_line_predictions, _dim_below_the_offline_minimum,
-    _index_with_another_builds_meta, _keyword_file_without_postings, _rendered_taxonomy_without_a_rendering,
+    _index_with_another_builds_meta, _keyword_file_without_postings, _index_config_that_is_not_an_object,
+    _rendered_taxonomy_without_a_rendering,
     _rendered_taxonomy_with_a_number_for_a_rendering, _rendered_taxonomy_with_a_number_for_a_code,
     _rendered_taxonomy_with_a_code_that_does_not_parse, _rendered_taxonomy_with_a_repeated_code,
     _empty_rendered_taxonomy, _raw_taxonomy_with_a_bad_code, _raw_taxonomy_json_without_txt,

@@ -103,7 +103,7 @@ def test_classify_match_from_codes():
 
 
 def test_match_enum_value_is_base_score():
-    assert [mt.value for mt in MatchType] == [100, 90, 85, 70, 60, 0]
+    assert [mt.value for mt in MatchType] == [90, 100, 85, 70, 60, 0]
     assert MatchType.PARTIAL_B.value == 70
 
 
@@ -262,20 +262,20 @@ def _ten_records():
 
 def test_level_accuracy_hand_counted_table():
     rows = level_accuracy(_ten_records(), max_level=9)
-    assert [r.objects for r in rows] == [9, 8, 7, 6, 4, 1, 0, 0, 0]
-    assert [r.percent for r in rows] == [90.0, 80.0, 70.0, 60.0, 40.0, 10.0, 0.0, 0.0, 0.0]
-    assert [r.level for r in rows] == list(range(1, 10))
+    assert [r["objects"] for r in rows] == [9, 8, 7, 6, 4, 1, 0, 0, 0]
+    assert [r["percent"] for r in rows] == [90.0, 80.0, 70.0, 60.0, 40.0, 10.0, 0.0, 0.0, 0.0]
+    assert [r["level"] for r in rows] == list(range(1, 10))
 
 
 def test_level_accuracy_is_non_increasing():
     rows = level_accuracy(_ten_records())
-    objects = [r.objects for r in rows]
+    objects = [r["objects"] for r in rows]
     assert objects == sorted(objects, reverse=True)
 
 
 def test_level_accuracy_exact_matches_only():
     rows = level_accuracy([evaluate_pair("a", *_pair("73D", "73D"))], max_level=3)
-    assert [(r.level, r.objects, r.percent) for r in rows] == [
+    assert [(r["level"], r["objects"], r["percent"]) for r in rows] == [
         (1, 1, 100.0), (2, 1, 100.0), (3, 1, 100.0),
     ]
 
@@ -303,23 +303,23 @@ def test_truncation_k0_equals_untruncated():
         precision, recall, f1 = hierarchical_metrics(compare(pred, gt))
         p, r, f = p + precision, r + recall, f + f1
     n = len(pairs)
-    assert rows[0].k == 0
-    assert rows[0].precision == pytest.approx(p / n)
-    assert rows[0].recall == pytest.approx(r / n)
-    assert rows[0].f1 == pytest.approx(f / n)
+    assert rows[0]["k"] == 0
+    assert rows[0]["precision"] == pytest.approx(p / n)
+    assert rows[0]["recall"] == pytest.approx(r / n)
+    assert rows[0]["f1"] == pytest.approx(f / n)
 
 
 def test_truncation_avg_levels_steps_down_by_one():
     # every prediction is at least 5 levels deep, so each k removes
     # exactly one level on average
     rows = truncation_report(_deep_pairs(), max_k=4)
-    start = rows[0].avg_levels
-    assert [r.avg_levels for r in rows] == pytest.approx([start - k for k in range(5)])
+    start = rows[0]["avg_levels"]
+    assert [r["avg_levels"] for r in rows] == pytest.approx([start - k for k in range(5)])
 
 
 def test_truncation_recall_never_increases():
     rows = truncation_report(_deep_pairs(), max_k=4)
-    recalls = [r.recall for r in rows]
+    recalls = [r["recall"] for r in rows]
     assert all(a >= b - 1e-12 for a, b in zip(recalls, recalls[1:]))
 
 
@@ -327,14 +327,14 @@ def test_truncation_can_repair_a_wrong_tail():
     # last level wrong: cutting it turns a partly-wrong prediction into a
     # clean shallow one, so precision jumps to 1
     rows = truncation_report([_pair("73D232", "73D231")], max_k=1)
-    assert rows[0].precision == pytest.approx(5 / 6)
-    assert rows[1].precision == 1.0
-    assert rows[1].recall == pytest.approx(5 / 6)
+    assert rows[0]["precision"] == pytest.approx(5 / 6)
+    assert rows[1]["precision"] == 1.0
+    assert rows[1]["recall"] == pytest.approx(5 / 6)
 
 
 def test_truncation_floors_at_one_level():
     rows = truncation_report([_pair("73", "73D231")], max_k=4)
-    assert [r.avg_levels for r in rows] == [2.0, 1.0, 1.0, 1.0, 1.0]
+    assert [r["avg_levels"] for r in rows] == [2.0, 1.0, 1.0, 1.0, 1.0]
 
 
 def test_truncation_rejects_empty():

@@ -684,6 +684,23 @@ def test_remote_embeddings_reject_a_non_numeric_vector(monkeypatch, embedding):
         RemoteEmbeddingProvider("http://host", "m").embed_many(["a"])
 
 
+def test_a_non_finite_embedding_is_refused_and_not_cached(monkeypatch, tmp_path):
+    # json reads NaN and 1e999 as floats; cached, they would be served to every rerun
+    body = json.loads('{"data":[{"index":0,"embedding":[NaN,1.0]},{"index":1,"embedding":[1e999,0.5]}]}')
+    posted = []
+    monkeypatch.setattr(requests, "post", lambda url, json=None, headers=None, timeout=None:
+                        posted.append(url) or FakeResponse(body=body))
+    path = tmp_path / "emb.jsonl"
+    with pytest.raises(EmptyResponseError, match="malformed embedding response.*NaN or Infinity"):
+        embed_many(["a", "b"], RemoteEmbeddingProvider("http://host", "m"), EmbeddingCache(path))
+    assert len(posted) == 1
+    assert not path.exists() or path.read_text() == ""
+    # a line an older version cached this way stops the load, naming the file and the line
+    path.write_text(json.dumps({"provider": "remote:m", "hash": "0" * 64, "vector": [math.nan, 1.0]}) + "\n")
+    with pytest.raises(MalformedLineError, match=r"^line 1: .*emb\.jsonl: bad cache record.*NaN or Infinity"):
+        EmbeddingCache(path)
+
+
 def test_remote_retries_on_invalid_json(monkeypatch):
     calls = []
 

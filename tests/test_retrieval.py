@@ -747,6 +747,28 @@ def test_reference_set_rejects_codes_given_as_a_string(tmp_path):
         ImageReferenceSet.from_jsonl(path)
 
 
+def test_reference_set_rejects_a_nan_vector(tmp_path):
+    path = tmp_path / "refs.jsonl"
+    path.write_text('{"vector": [0.0, 1.0], "codes": ["73D"]}\n'
+                    '{"vector": [NaN, 1.0], "codes": ["71B"]}\n')
+    with pytest.raises(MalformedLineError, match=r"^line 2: .*refs\.jsonl: bad reference record.*NaN or Infinity"):
+        ImageReferenceSet.from_jsonl(path)
+
+
+@pytest.mark.parametrize("line_no, edit, reason", [
+    (3, lambda vector: vector[:-1], "dim 7 != reference set dim 8"),
+    (4, lambda vector: [0.0] * len(vector), "zero or non-finite vector cannot be indexed"),
+], ids=["other_dim", "zero"])
+def test_reference_set_names_the_line_and_file_of_a_bad_vector(tmp_path, line_no, edit, reason):
+    lines = (FIXTURES / "refs.jsonl").read_text().splitlines()
+    record = json.loads(lines[line_no - 1])
+    lines[line_no - 1] = json.dumps({**record, "vector": edit(record["vector"])})
+    path = tmp_path / "refs.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MalformedLineError, match=rf"^line {line_no}: .*refs\.jsonl: {reason}$"):
+        ImageReferenceSet.from_jsonl(path)
+
+
 def test_image_vote_on_reference_fixture(fixtures_dir):
     refs = ImageReferenceSet.from_jsonl(fixtures_dir / "refs.jsonl")
     query = json.loads((fixtures_dir / "vectors" / "img001.json").read_text())
