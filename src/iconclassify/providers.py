@@ -175,6 +175,9 @@ class RemoteEmbeddingProvider:
         if [item["index"] for item in items] != list(range(len(texts))):  # each input gets exactly one vector
             raise EmptyResponseError(f"embedding response has {len(got)} vectors, "
                                      f"but its indices are not 0 to {len(texts) - 1}")
+        # checked before embed_many caches them: a cached bad vector would be served to every rerun
+        if len({vec.shape for vec in got}) > 1 or not all(vec.any() for vec in got):
+            raise EmptyResponseError("embedding response holds vectors of different lengths or a zero vector")
         return got
 
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from iconclassify import retrieval
 from iconclassify.errors import (
     ManifestParseError,
     MissingDescriptionError,
@@ -458,6 +463,50 @@ def test_classify_batch_worker_count_does_not_change_output(fixtures_dir, tmp_pa
         write_predictions_jsonl(result.predictions, path)
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
+
+
+_POOLED_KINDS = (QueryKind.VECTOR, QueryKind.HYBRID, QueryKind.RAG_HYBRID, QueryKind.IMAGE)
+
+
+def _batches_over_blocked_scans(out_dir):
+    """Run in a child process: every scan of both indices in three blocks, so
+    each of four row threads hands two blocks to the shared pool while the
+    others do the same. Writes each method's predictions at 1 and 4 workers."""
+    dim, n = 16, 600
+    retrieval._MIN_BLOCK_VALUES = 64 * dim
+    retrieval._cores = lambda: 3
+    embedder = OfflineHashEmbedder(dim=dim)
+    words = ["ark", "flood", "dove", "raven", "rainbow", "noah", "tower", "babel"]
+    docs = {f"7{i}": f"{words[i % 8]} {words[i // 8 % 8]} {words[i // 64 % 8]} {i}" for i in range(n)}
+    vectors = {code: embedder.embed(text) for code, text in docs.items()}
+    ctx = ClassifyContext(
+        documents=docs,
+        keyword_index=build_keyword_index(docs.items()),
+        vector_index=build_vector_index(vectors.items()),
+        embedder=embedder,
+        references=ImageReferenceSet([(vec, [parse_code(code)]) for code, vec in vectors.items()]),
+    )
+    out = Path(out_dir)
+    rows = []
+    for i in range(0, n, 25):
+        path = out / f"q{i}.json"
+        path.write_text(json.dumps(vectors[f"7{i}"].tolist()))
+        rows.append(ManifestRow(image_id=f"q{i}", description=docs[f"7{i}"], vector_path=str(path)))
+    for kind in _POOLED_KINDS:
+        for workers in (1, 4):
+            result = classify_batch(rows, MethodSpec(kind), ctx, workers=workers)
+            assert not result.errors, result.errors
+            write_predictions_jsonl(result.predictions, out / f"{kind.value}-{workers}.jsonl")
+
+
+def test_row_threads_share_the_scan_pool_without_deadlock(tmp_path):
+    # in a child process, so that a deadlock fails this test at the timeout
+    # rather than hanging the run, whose exit would wait on the stuck threads
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    script = "import sys, test_pipeline; test_pipeline._batches_over_blocked_scans(sys.argv[1])"
+    subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, timeout=60, check=True)
+    for kind in _POOLED_KINDS:
+        assert (tmp_path / f"{kind.value}-4.jsonl").read_bytes() == (tmp_path / f"{kind.value}-1.jsonl").read_bytes()
 
 
 def test_embedding_cache_makes_batches_resumable(fixtures_dir, tmp_path):

@@ -701,6 +701,37 @@ def test_a_non_finite_embedding_is_refused_and_not_cached(monkeypatch, tmp_path)
         EmbeddingCache(path)
 
 
+_RAGGED_OR_ZERO = [
+    {"data": [{"index": 0, "embedding": [0.0, 0.0]}, {"index": 1, "embedding": [1.0, 2.0]}]},
+    {"data": [{"index": 0, "embedding": [1.0, 2.0]}, {"index": 1, "embedding": [1.0, 2.0, 3.0]}]},
+]
+
+
+@pytest.mark.parametrize("body", _RAGGED_OR_ZERO, ids=["zero", "ragged"])
+def test_a_zero_or_ragged_embedding_reply_caches_no_line(monkeypatch, tmp_path, body):
+    monkeypatch.setattr(requests, "post", lambda url, json=None, headers=None, timeout=None: FakeResponse(body=body))
+    path = tmp_path / "emb.jsonl"
+    with pytest.raises(EmptyResponseError, match="different lengths or a zero vector"):
+        embed_many(["a", "b"], RemoteEmbeddingProvider("http://host", "m"), EmbeddingCache(path))
+    assert not path.exists() or path.read_text() == ""
+
+
+@pytest.mark.parametrize("body", _RAGGED_OR_ZERO, ids=["zero", "ragged"])
+def test_a_rerun_after_a_zero_or_ragged_embedding_reply_posts_again(monkeypatch, tmp_path, body):
+    posted = []
+    monkeypatch.setattr(requests, "post", lambda url, json=None, headers=None, timeout=None:
+                        posted.append(json["input"]) or FakeResponse(body=body))
+    path = tmp_path / "emb.jsonl"
+    with pytest.raises(EmptyResponseError):
+        embed_many(["a", "b"], RemoteEmbeddingProvider("http://host", "m"), EmbeddingCache(path))
+    good = {"data": [{"index": 0, "embedding": [1.0, 0.0]}, {"index": 1, "embedding": [0.0, 1.0]}]}
+    monkeypatch.setattr(requests, "post", lambda url, json=None, headers=None, timeout=None:
+                        posted.append(json["input"]) or FakeResponse(body=good))
+    vectors = embed_many(["a", "b"], RemoteEmbeddingProvider("http://host", "m"), EmbeddingCache(path))
+    assert posted == [["a", "b"], ["a", "b"]]
+    assert [v.tolist() for v in vectors] == [[1.0, 0.0], [0.0, 1.0]]
+
+
 def test_remote_retries_on_invalid_json(monkeypatch):
     calls = []
 
@@ -721,8 +752,8 @@ def test_remote_embeddings_chunk_at_2048_inputs(monkeypatch):
 
     def fake_post(url, json=None, headers=None, timeout=None):
         inputs.append(json["input"])
-        # each chunk's vectors come back in reverse, indexed within the chunk
-        data = [{"index": i, "embedding": [float(text[1:])]} for i, text in enumerate(json["input"])]
+        # each chunk's vectors come back in reverse, indexed within the chunk; none is zero
+        data = [{"index": i, "embedding": [float(text[1:]), 1.0]} for i, text in enumerate(json["input"])]
         return FakeResponse(body={"data": data[::-1]})
 
     monkeypatch.setattr(requests, "post", fake_post)
@@ -730,7 +761,7 @@ def test_remote_embeddings_chunk_at_2048_inputs(monkeypatch):
     vectors = embed_many(texts, RemoteEmbeddingProvider("http://host", "m"))
     assert [len(chunk) for chunk in inputs] == [2048, 1]
     assert inputs[0] + inputs[1] == texts
-    assert [v.tolist() for v in vectors] == [[float(i)] for i in range(2049)]
+    assert [v.tolist() for v in vectors] == [[float(i), 1.0] for i in range(2049)]
 
 
 def _embeddings_reply(texts):

@@ -1,7 +1,10 @@
 import dataclasses
 import json
 import math
+import os
 import random
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -408,6 +411,61 @@ def test_vector_search_and_vote_are_exact_at_1536d():
         assert [(e.code.raw, e.best_rank) for e in table] == [
             (ids[row], rank) for rank, (_, row) in enumerate(by_row, start=1)
         ]
+
+
+def test_the_blocked_scan_is_exact_for_any_core_count(monkeypatch):
+    # an odd dim, and 20 distinct rows repeated 50 times each, so that
+    # distances tie, also across block edges; 64 rows per block at the least
+    dim, n = 7, 1000
+    monkeypatch.setattr(retrieval, "_MIN_BLOCK_VALUES", 64 * dim)
+    rng = np.random.default_rng(7)
+    vectors = rng.standard_normal((20, dim))[rng.integers(0, 20, n)]
+    ids = [f"7{i}" for i in range(n)]
+    words = ["ark", "flood", "dove", "raven", "rainbow"]
+    kw_index = build_keyword_index((doc_id, " ".join(rng.choice(words, 3))) for doc_id in ids)
+    vec_index = build_vector_index(zip(ids, vectors))
+    refs = ImageReferenceSet([(vec, [parse_code(f"7{i % 13}")]) for i, vec in enumerate(vectors)])
+    queries = rng.standard_normal((4, dim))
+    results = []
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(retrieval, "_cores", lambda cores=cores: cores)
+        for q in queries:
+            oracle = np.array([cosine_distance(vec, q) for vec in vectors])
+            assert retrieval._distances(vec_index, q).tobytes() == oracle.tobytes()
+        results.append([
+            (vector_search(vec_index, q, 60), hybrid_search(kw_index, vec_index, "ark dove", q, k=60),
+             image_vote_classify(q, refs, k=60))
+            for q in queries
+        ])
+    assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_a_forked_child_scans_in_blocks_too(monkeypatch):
+    # the child inherits the pool but none of its threads: a scan there must not wait on them
+    monkeypatch.setattr(retrieval, "_MIN_BLOCK_VALUES", 64 * 7)
+    monkeypatch.setattr(retrieval, "_cores", lambda: 2)
+    rng = np.random.default_rng(11)
+    index = build_vector_index((f"7{i}", vec) for i, vec in enumerate(rng.standard_normal((200, 7))))
+    query = rng.standard_normal(7)
+    want = retrieval._distances(index, query).tobytes()  # starts the parent's pool threads
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if retrieval._distances(index, query).tobytes() == want else 2
+        finally:
+            os._exit(code)
+    for _ in range(300):  # 30 s
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.1)
+    else:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's scan did not finish in 30 s")
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 def test_k_cutting_through_a_tie_keeps_the_smallest_ids():
