@@ -47,6 +47,7 @@ from .retrieval import (
     image_vote_classify,
     keyword_search,
     number_list,
+    row_threads,
     vector_search,
 )
 from .taxonomy import DatabaseKind, IconclassCode, iter_csv, iter_jsonl
@@ -253,7 +254,7 @@ def run_rows(fn: Callable[[ManifestRow], object], rows: Sequence[ManifestRow], w
             return ItemError(image_id=row.image_id, error=f"{type(exc).__name__}: {exc}")
 
     results, errors = [], []
-    with futures.ThreadPoolExecutor(max_workers=workers) as pool:
+    with row_threads(workers), futures.ThreadPoolExecutor(max_workers=workers) as pool:
         for out in pool.map(guarded, rows):
             (errors if isinstance(out, ItemError) else results).append(out)
     return results, errors

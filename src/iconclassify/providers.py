@@ -175,9 +175,6 @@ class RemoteEmbeddingProvider:
         if [item["index"] for item in items] != list(range(len(texts))):  # each input gets exactly one vector
             raise EmptyResponseError(f"embedding response has {len(got)} vectors, "
                                      f"but its indices are not 0 to {len(texts) - 1}")
-        # checked before embed_many caches them: a cached bad vector would be served to every rerun
-        if len({vec.shape for vec in got}) > 1 or not all(vec.any() for vec in got):
-            raise EmptyResponseError("embedding response holds vectors of different lengths or a zero vector")
         return got
 
 
@@ -401,6 +398,11 @@ def embed_many(
         fresh = provider.embed_many([texts[i] for i in chunk])
         if len(fresh) != len(chunk):
             raise EmptyResponseError(f"{provider.provider_id} returned {len(fresh)} vectors for {len(chunk)} texts")
+        # each vector is checked against the batch's first, cached or fresh, before any is
+        # cached: a cached bad vector would be served to every rerun
+        first = next((vec for vec in out if vec is not None), fresh[0])
+        if any(np.shape(vec) != np.shape(first) or not np.any(vec) for vec in fresh):
+            raise EmptyResponseError(f"{provider.provider_id} returned vectors of different lengths or a zero vector")
         for i, vec in zip(chunk, fresh):
             out[i] = vec
             if cache is not None:

@@ -7,6 +7,7 @@ All scans are exhaustive and rule-based, so results are reproducible.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -17,7 +18,7 @@ from concurrent import futures
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -42,6 +43,8 @@ DEFAULT_POOL = 100
 DEFAULT_VOTE_K = 10
 # matrix entries per scan block: about 0.3 ms of dots, 5x the ~65 us a pool hand-off takes (2-core x86, numpy 2.4)
 _MIN_BLOCK_VALUES = 1 << 19
+# blocks per scan at most: two paid off on 2 cores, and more is unmeasured
+_MAX_BLOCKS = 2
 
 # letters and digits only: \w minus the underscore, Unicode-aware
 _TOKEN_RE = re.compile(r"[^\W_]+")
@@ -288,17 +291,34 @@ def _scan_pool() -> futures.ThreadPoolExecutor:
     return futures.ThreadPoolExecutor(max(_cores() - 1, 1), thread_name_prefix="iconclassify-scan")
 
 
-os.register_at_fork(after_in_child=_scan_pool.cache_clear)  # a forked child has none of the pool's threads
+_row_threads: list[None] = []  # one entry per thread of the row pools now running; extend and pop are atomic
+
+# a forked child has none of the parent's threads, in the scan pool or in a row pool
+os.register_at_fork(after_in_child=_scan_pool.cache_clear)
+os.register_at_fork(after_in_child=_row_threads.clear)
+
+
+@contextlib.contextmanager
+def row_threads(n: int) -> Iterator[None]:
+    """Declare that n threads may scan at once while the block runs. Each
+    scan then takes only its share of the cores: row threads that already
+    keep every core busy would only wait on hand-offs."""
+    _row_threads.extend([None] * n)
+    try:
+        yield
+    finally:
+        for _ in range(n):
+            _row_threads.pop()
 
 
 def _row_dots(matrix: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """np.vecdot(matrix, q) in contiguous row blocks, one per core, run at once:
-    np.vecdot releases the GIL, and this thread runs the first block. A block is
-    a view, so each row's dot is the same kernel call on the same bytes for any
-    block count. Pool tasks submit nothing, so row threads cannot deadlock it."""
-    blocks = min(_cores(), matrix.size // _MIN_BLOCK_VALUES)
-    if blocks < 2:
-        return np.vecdot(matrix, q)
+    """np.vecdot(matrix, q) in contiguous row blocks run at once, one per core
+    left to this scan: np.vecdot releases the GIL, and this thread runs the
+    first block. A block is a view, so each row's dot is the same kernel call
+    on the same bytes for any block count. Pool tasks submit nothing, so row
+    threads cannot deadlock it."""
+    share = _cores() // max(len(_row_threads), 1)
+    blocks = max(1, min(_MAX_BLOCKS, share, matrix.size // _MIN_BLOCK_VALUES))
     out = np.empty(len(matrix))
     edges = [len(matrix) * i // blocks for i in range(blocks + 1)]
     jobs = [_scan_pool().submit(np.vecdot, matrix[lo:hi], q, out=out[lo:hi]) for lo, hi in zip(edges[1:], edges[2:])]

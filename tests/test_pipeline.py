@@ -22,6 +22,7 @@ from iconclassify.pipeline import (
     classify,
     classify_batch,
     read_manifest,
+    run_rows,
     write_predictions_csv,
     write_predictions_jsonl,
 )
@@ -471,10 +472,12 @@ _POOLED_KINDS = (QueryKind.VECTOR, QueryKind.HYBRID, QueryKind.RAG_HYBRID, Query
 def _batches_over_blocked_scans(out_dir):
     """Run in a child process: every scan of both indices in three blocks, so
     each of four row threads hands two blocks to the shared pool while the
-    others do the same. Writes each method's predictions at 1 and 4 workers."""
+    others do the same; twelve cores leave three to each of four row
+    threads. Writes each method's predictions at 1 and 4 workers."""
     dim, n = 16, 600
     retrieval._MIN_BLOCK_VALUES = 64 * dim
-    retrieval._cores = lambda: 3
+    retrieval._MAX_BLOCKS = 3
+    retrieval._cores = lambda: 12
     embedder = OfflineHashEmbedder(dim=dim)
     words = ["ark", "flood", "dove", "raven", "rainbow", "noah", "tower", "babel"]
     docs = {f"7{i}": f"{words[i % 8]} {words[i // 8 % 8]} {words[i // 64 % 8]} {i}" for i in range(n)}
@@ -507,6 +510,12 @@ def test_row_threads_share_the_scan_pool_without_deadlock(tmp_path):
     subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, timeout=60, check=True)
     for kind in _POOLED_KINDS:
         assert (tmp_path / f"{kind.value}-4.jsonl").read_bytes() == (tmp_path / f"{kind.value}-1.jsonl").read_bytes()
+
+
+def test_row_threads_are_declared_to_the_scan_while_a_batch_runs():
+    seen = run_rows(lambda row: len(retrieval._row_threads), ["a", "b", "c"], 3)
+    assert seen == ([3, 3, 3], [])
+    assert retrieval._row_threads == []
 
 
 def test_embedding_cache_makes_batches_resumable(fixtures_dir, tmp_path):

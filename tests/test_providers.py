@@ -732,6 +732,33 @@ def test_a_rerun_after_a_zero_or_ragged_embedding_reply_posts_again(monkeypatch,
     assert [v.tolist() for v in vectors] == [[1.0, 0.0], [0.0, 1.0]]
 
 
+def test_a_chunk_at_another_dim_than_the_first_caches_no_line(monkeypatch, tmp_path):
+    # the first chunk replies 2-d and is cached; the second replies 3-d, consistent
+    # within itself, and must be refused before any of its lines is cached
+    def post(url, json=None, headers=None, timeout=None):
+        extra = [0.0] if len(json["input"]) == 1 else []
+        return FakeResponse(body={"data": [{"index": i, "embedding": [float(t[1:]), 1.0, *extra]}
+                                           for i, t in enumerate(json["input"])]})
+
+    monkeypatch.setattr(requests, "post", post)
+    texts = [f"t{i}" for i in range(2049)]
+    path = tmp_path / "emb.jsonl"
+    with pytest.raises(EmptyResponseError, match="different lengths or a zero vector"):
+        embed_many(texts, RemoteEmbeddingProvider("http://host", "m"), EmbeddingCache(path))
+    assert len(path.read_text().splitlines()) == 2048  # the first chunk only
+    assert EmbeddingCache(path).get("remote:m", "t2048") is None
+
+
+def test_a_reply_at_another_dim_than_the_cached_vectors_caches_no_line(monkeypatch, tmp_path):
+    path = tmp_path / "emb.jsonl"
+    EmbeddingCache(path).put("remote:m", "a", np.array([1.0, 0.0]))
+    monkeypatch.setattr(requests, "post", lambda url, json=None, headers=None, timeout=None:
+                        FakeResponse(body={"data": [{"index": 0, "embedding": [1.0, 2.0, 3.0]}]}))
+    with pytest.raises(EmptyResponseError, match="different lengths or a zero vector"):
+        embed_many(["a", "b"], RemoteEmbeddingProvider("http://host", "m"), EmbeddingCache(path))
+    assert len(path.read_text().splitlines()) == 1
+
+
 def test_remote_retries_on_invalid_json(monkeypatch):
     calls = []
 

@@ -4,7 +4,10 @@ import math
 import os
 import random
 import signal
+import sys
+import threading
 import time
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -418,6 +421,7 @@ def test_the_blocked_scan_is_exact_for_any_core_count(monkeypatch):
     # distances tie, also across block edges; 64 rows per block at the least
     dim, n = 7, 1000
     monkeypatch.setattr(retrieval, "_MIN_BLOCK_VALUES", 64 * dim)
+    monkeypatch.setattr(retrieval, "_MAX_BLOCKS", 3)
     rng = np.random.default_rng(7)
     vectors = rng.standard_normal((20, dim))[rng.integers(0, 20, n)]
     ids = [f"7{i}" for i in range(n)]
@@ -438,6 +442,59 @@ def test_the_blocked_scan_is_exact_for_any_core_count(monkeypatch):
             for q in queries
         ])
     assert results[0] == results[1] == results[2]
+
+
+def test_row_threads_share_the_cores(monkeypatch):
+    # two cores: a scan alone hands one block to the pool, and a scan among
+    # two row threads keeps to its share, one core, and hands off nothing
+    monkeypatch.setattr(retrieval, "_MIN_BLOCK_VALUES", 64 * 7)
+    monkeypatch.setattr(retrieval, "_cores", lambda: 2)
+    handed = []
+
+    class Pool:
+        def submit(self, fn, *args, **kwargs):
+            handed.append(len(args[0]))
+            job = futures.Future()
+            job.set_result(fn(*args, **kwargs))
+            return job
+
+    monkeypatch.setattr(retrieval, "_scan_pool", Pool)
+    rng = np.random.default_rng(5)
+    index = build_vector_index((f"7{i}", vec) for i, vec in enumerate(rng.standard_normal((200, 7))))
+    query = rng.standard_normal(7)
+    alone = retrieval._distances(index, query)
+    assert handed == [100]
+    with retrieval.row_threads(1):
+        assert retrieval._distances(index, query).tobytes() == alone.tobytes()
+        with retrieval.row_threads(1):
+            assert retrieval._distances(index, query).tobytes() == alone.tobytes()
+    assert handed == [100, 100]  # one row thread has both cores, two have one each
+    assert retrieval._row_threads == []
+
+
+def test_row_thread_counts_from_many_threads_lose_no_update():
+    # more threads than cores enter and leave at once, with a short switch
+    # interval: a lost extend or pop would leave the count wrong
+    short = []
+
+    def enter_and_leave():
+        for _ in range(300):
+            with retrieval.row_threads(3):
+                short.append(len(retrieval._row_threads) < 3)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=enter_and_leave) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert short == [False] * 2400
+    assert retrieval._row_threads == []
 
 
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
