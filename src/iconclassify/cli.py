@@ -289,7 +289,6 @@ def cmd_classify(manifest_path: str, method_name: str, mode: str, database: str,
                  workers: int, out_prefix: str):
     """Classify every manifest row with one method; write predictions."""
     _check_offline(offline, endpoint, api_key)
-    Path(out_prefix).parent.mkdir(parents=True, exist_ok=True)
     method = pipeline.MethodSpec(
         query_kind=pipeline.QueryKind(method_name),
         description_mode=providers.DescriptionMode(mode),
@@ -329,6 +328,7 @@ def cmd_classify(manifest_path: str, method_name: str, mode: str, database: str,
         ctx.description_cache = providers.DescriptionCache(cache_path)
 
     result = pipeline.classify_batch(rows, method, ctx, workers=workers)
+    Path(out_prefix).parent.mkdir(parents=True, exist_ok=True)
     pipeline.write_predictions_jsonl(result.predictions, out_prefix + ".jsonl")
     pipeline.write_predictions_csv(result.predictions, out_prefix + ".csv")
     meta_out = {

@@ -47,7 +47,6 @@ from .retrieval import (
     image_vote_classify,
     keyword_search,
     number_list,
-    row_threads,
     vector_search,
 )
 from .taxonomy import DatabaseKind, IconclassCode, iter_csv, iter_jsonl
@@ -243,9 +242,10 @@ def classify(row: ManifestRow, method: MethodSpec, ctx: ClassifyContext) -> Pred
 
 
 def run_rows(fn: Callable[[ManifestRow], object], rows: Sequence[ManifestRow], workers: int) -> tuple[list, list]:
-    """Call `fn` on every row from a pool of `workers` threads. Returns the
-    results and the ItemErrors of the rows whose call raised, each in row
-    order, so one bad row never stops the others."""
+    """Call `fn` on every row from a pool of `workers` threads, or on this
+    thread when `workers` is 1, which keeps its scans split on the main
+    thread. Returns the results and the ItemErrors of the rows whose call
+    raised, each in row order, so one bad row never stops the others."""
 
     def guarded(row: ManifestRow) -> object:
         try:
@@ -254,8 +254,8 @@ def run_rows(fn: Callable[[ManifestRow], object], rows: Sequence[ManifestRow], w
             return ItemError(image_id=row.image_id, error=f"{type(exc).__name__}: {exc}")
 
     results, errors = [], []
-    with row_threads(workers), futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        for out in pool.map(guarded, rows):
+    with futures.ThreadPoolExecutor(max_workers=workers) as pool:  # starts no thread unless pool.map runs
+        for out in (map if workers == 1 else pool.map)(guarded, rows):
             (errors if isinstance(out, ItemError) else results).append(out)
     return results, errors
 

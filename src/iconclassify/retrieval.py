@@ -7,18 +7,18 @@ All scans are exhaustive and rule-based, so results are reproducible.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import math
 import os
 import re
+import threading
 from collections import Counter
 from concurrent import futures
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -288,37 +288,23 @@ def _cores() -> int:
 
 @functools.cache  # made by the first blocked scan, so importing starts no thread
 def _scan_pool() -> futures.ThreadPoolExecutor:
-    return futures.ThreadPoolExecutor(max(_cores() - 1, 1), thread_name_prefix="iconclassify-scan")
+    return futures.ThreadPoolExecutor(_MAX_BLOCKS - 1, thread_name_prefix="iconclassify-scan")
 
 
-_row_threads: list[None] = []  # one entry per thread of the row pools now running; extend and pop are atomic
-
-# a forked child has none of the parent's threads, in the scan pool or in a row pool
+# a forked child has none of the parent's pool threads
 os.register_at_fork(after_in_child=_scan_pool.cache_clear)
-os.register_at_fork(after_in_child=_row_threads.clear)
-
-
-@contextlib.contextmanager
-def row_threads(n: int) -> Iterator[None]:
-    """Declare that n threads may scan at once while the block runs. Each
-    scan then takes only its share of the cores: row threads that already
-    keep every core busy would only wait on hand-offs."""
-    _row_threads.extend([None] * n)
-    try:
-        yield
-    finally:
-        for _ in range(n):
-            _row_threads.pop()
 
 
 def _row_dots(matrix: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """np.vecdot(matrix, q) in contiguous row blocks run at once, one per core
-    left to this scan: np.vecdot releases the GIL, and this thread runs the
-    first block. A block is a view, so each row's dot is the same kernel call
-    on the same bytes for any block count. Pool tasks submit nothing, so row
-    threads cannot deadlock it."""
-    share = _cores() // max(len(_row_threads), 1)
-    blocks = max(1, min(_MAX_BLOCKS, share, matrix.size // _MIN_BLOCK_VALUES))
+    """np.vecdot(matrix, q) in contiguous row blocks run at once, one per core:
+    np.vecdot releases the GIL, and this thread runs the first block. Only the
+    main thread splits a scan: other threads, such as a batch's row threads,
+    may be scanning at once and keeping every core busy, where a hand-off
+    would only wait. So they scan in one block, and the main thread alone
+    submits to the pool. A block is a view, so each row's dot is the same
+    kernel call on the same bytes for any block count."""
+    cores = _cores() if threading.current_thread() is threading.main_thread() else 1
+    blocks = max(1, min(_MAX_BLOCKS, cores, matrix.size // _MIN_BLOCK_VALUES))
     out = np.empty(len(matrix))
     edges = [len(matrix) * i // blocks for i in range(blocks + 1)]
     jobs = [_scan_pool().submit(np.vecdot, matrix[lo:hi], q, out=out[lo:hi]) for lo, hi in zip(edges[1:], edges[2:])]
@@ -425,6 +411,8 @@ class ImageReferenceSet:
             if not 0.0 < np.vecdot(vec, vec) < math.inf:
                 raise MalformedLineError(line_no, f"{path}: zero or non-finite vector cannot be indexed")
             rows.append((vec, codes))
+        if not rows:
+            raise EmptyReferenceSetError(f"{path}: reference set is empty")
         return cls(rows)
 
 
@@ -528,8 +516,9 @@ def load_index(dir_path: Union[str, Path]) -> tuple[KeywordIndex, VectorIndex, d
         vec_index = build_vector_index((obj["id"], obj["vector"]) for _, obj in iter_jsonl(root / "vectors.jsonl"))
     except MalformedLineError as exc:
         raise MissingIndexError(f"{exc}; rebuild the index with `index build`") from exc
-    except (ValueError, KeyError, TypeError, EmptyCorpusError) as exc:
-        raise MissingIndexError(f"{root}: unreadable index file: {exc!r}") from exc
+    except (ValueError, KeyError, TypeError, EmptyCorpusError, DuplicateDocIdError, DimMismatchError,
+            ZeroVectorError) as exc:
+        raise MissingIndexError(f"{root}: unreadable index file: {exc!r}; rebuild it with `index build`") from exc
     # a save that dies part way leaves files that disagree with meta.json or with each other
     found = (kw_index.doc_count, kw_index.avg_doc_length, len(vec_index.ids), vec_index.dim)
     same_ids = set(vec_index.ids) == kw_index.doc_lengths.keys()

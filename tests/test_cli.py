@@ -541,6 +541,19 @@ def test_out_parent_directories_are_created(runner, tmp_path, workspace):
         assert (prefix.parent / ("x" + suffix)).is_file()
 
 
+def test_a_failed_classify_leaves_no_out_directory(runner, tmp_path, workspace):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    prefix = tmp_path / "o" / "x"
+    result = runner.invoke(main, [
+        "classify", "--manifest", str(FIXTURES / "manifest.csv"), "--method", "image",
+        "--taxonomy", str(workspace / "rendered.jsonl"), "--refs", str(empty), "--offline", "--out", str(prefix),
+    ])
+    assert result.exit_code == 1
+    assert result.output == f"Error: {empty}: reference set is empty\n"
+    assert not prefix.parent.exists()
+
+
 def test_classify_image_method(runner, tmp_path, workspace):
     out = tmp_path / "img"
     result = runner.invoke(main, [
@@ -654,6 +667,15 @@ def test_cli_import_leaves_requests_unloaded(module, unloaded):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_starts_no_thread():
+    # the scan pool is made by the first split scan
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    code = "import threading, iconclassify.cli; print(threading.active_count())"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "1"
 
 
 def test_classify_unknown_method_is_usage_error(runner, tmp_path, workspace):

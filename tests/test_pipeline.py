@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -470,14 +471,16 @@ _POOLED_KINDS = (QueryKind.VECTOR, QueryKind.HYBRID, QueryKind.RAG_HYBRID, Query
 
 
 def _batches_over_blocked_scans(out_dir):
-    """Run in a child process: every scan of both indices in three blocks, so
-    each of four row threads hands two blocks to the shared pool while the
-    others do the same; twelve cores leave three to each of four row
-    threads. Writes each method's predictions at 1 and 4 workers."""
+    """Run in a child process: at one worker the rows run on the main
+    thread, which scans both indices in three blocks; at four, each row
+    thread scans in one. Writes each method's predictions at 1 and 4
+    workers, and handed.json: the blocks each batch handed to the pool."""
     dim, n = 16, 600
     retrieval._MIN_BLOCK_VALUES = 64 * dim
     retrieval._MAX_BLOCKS = 3
-    retrieval._cores = lambda: 12
+    retrieval._cores = lambda: 3
+    pool, handed = retrieval._scan_pool, []
+    retrieval._scan_pool = lambda: handed.append(None) or pool()
     embedder = OfflineHashEmbedder(dim=dim)
     words = ["ark", "flood", "dove", "raven", "rainbow", "noah", "tower", "babel"]
     docs = {f"7{i}": f"{words[i % 8]} {words[i // 8 % 8]} {words[i // 64 % 8]} {i}" for i in range(n)}
@@ -495,27 +498,37 @@ def _batches_over_blocked_scans(out_dir):
         path = out / f"q{i}.json"
         path.write_text(json.dumps(vectors[f"7{i}"].tolist()))
         rows.append(ManifestRow(image_id=f"q{i}", description=docs[f"7{i}"], vector_path=str(path)))
+    counts = {}
     for kind in _POOLED_KINDS:
         for workers in (1, 4):
+            handed.clear()
             result = classify_batch(rows, MethodSpec(kind), ctx, workers=workers)
             assert not result.errors, result.errors
             write_predictions_jsonl(result.predictions, out / f"{kind.value}-{workers}.jsonl")
+            counts[f"{kind.value}-{workers}"] = len(handed)
+    (out / "handed.json").write_text(json.dumps(counts))
 
 
-def test_row_threads_share_the_scan_pool_without_deadlock(tmp_path):
-    # in a child process, so that a deadlock fails this test at the timeout
-    # rather than hanging the run, whose exit would wait on the stuck threads
+def test_four_workers_hand_off_no_block_and_match_one_worker(tmp_path):
+    # in a child process, so that the scan settings it changes stay there,
+    # and a hang fails this test at the timeout rather than hanging the run
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     script = "import sys, test_pipeline; test_pipeline._batches_over_blocked_scans(sys.argv[1])"
     subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, timeout=60, check=True)
+    handed = json.loads((tmp_path / "handed.json").read_text())
     for kind in _POOLED_KINDS:
         assert (tmp_path / f"{kind.value}-4.jsonl").read_bytes() == (tmp_path / f"{kind.value}-1.jsonl").read_bytes()
+        assert handed[f"{kind.value}-1"] == 2 * 24  # two blocks of each of 24 scans
+        assert handed[f"{kind.value}-4"] == 0
 
 
-def test_row_threads_are_declared_to_the_scan_while_a_batch_runs():
-    seen = run_rows(lambda row: len(retrieval._row_threads), ["a", "b", "c"], 3)
-    assert seen == ([3, 3, 3], [])
-    assert retrieval._row_threads == []
+def test_one_worker_runs_the_rows_on_the_calling_thread():
+    def thread_of(row):
+        return threading.current_thread()
+
+    assert run_rows(thread_of, ["a", "b", "c"], 1) == ([threading.current_thread()] * 3, [])
+    threads, errors = run_rows(thread_of, ["a", "b", "c"], 2)
+    assert not errors and threading.current_thread() not in threads
 
 
 def test_embedding_cache_makes_batches_resumable(fixtures_dir, tmp_path):

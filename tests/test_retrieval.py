@@ -3,8 +3,8 @@ import json
 import math
 import os
 import random
+import re
 import signal
-import sys
 import threading
 import time
 from concurrent import futures
@@ -444,57 +444,57 @@ def test_the_blocked_scan_is_exact_for_any_core_count(monkeypatch):
     assert results[0] == results[1] == results[2]
 
 
-def test_row_threads_share_the_cores(monkeypatch):
-    # two cores: a scan alone hands one block to the pool, and a scan among
-    # two row threads keeps to its share, one core, and hands off nothing
+@pytest.fixture()
+def handed(monkeypatch):
+    """The row counts of the blocks that scans of 200 rows hand to a fake
+    pool, which runs each block on the thread that hands it off."""
     monkeypatch.setattr(retrieval, "_MIN_BLOCK_VALUES", 64 * 7)
-    monkeypatch.setattr(retrieval, "_cores", lambda: 2)
-    handed = []
+    blocks = []
 
     class Pool:
         def submit(self, fn, *args, **kwargs):
-            handed.append(len(args[0]))
+            blocks.append(len(args[0]))
             job = futures.Future()
             job.set_result(fn(*args, **kwargs))
             return job
 
     monkeypatch.setattr(retrieval, "_scan_pool", Pool)
+    return blocks
+
+
+def _scan_200_rows() -> np.ndarray:
     rng = np.random.default_rng(5)
     index = build_vector_index((f"7{i}", vec) for i, vec in enumerate(rng.standard_normal((200, 7))))
-    query = rng.standard_normal(7)
-    alone = retrieval._distances(index, query)
+    return retrieval._distances(index, rng.standard_normal(7))
+
+
+def _on_another_thread(fn):
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn()))
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    [result] = out
+    return result
+
+
+def test_a_main_thread_scan_hands_one_block_to_the_pool(monkeypatch, handed):
+    monkeypatch.setattr(retrieval, "_cores", lambda: 2)
+    _scan_200_rows()
     assert handed == [100]
-    with retrieval.row_threads(1):
-        assert retrieval._distances(index, query).tobytes() == alone.tobytes()
-        with retrieval.row_threads(1):
-            assert retrieval._distances(index, query).tobytes() == alone.tobytes()
-    assert handed == [100, 100]  # one row thread has both cores, two have one each
-    assert retrieval._row_threads == []
 
 
-def test_row_thread_counts_from_many_threads_lose_no_update():
-    # more threads than cores enter and leave at once, with a short switch
-    # interval: a lost extend or pop would leave the count wrong
-    short = []
+def test_a_scan_on_another_thread_hands_off_nothing(monkeypatch, handed):
+    monkeypatch.setattr(retrieval, "_cores", lambda: 2)
+    assert _on_another_thread(_scan_200_rows).tobytes() == _scan_200_rows().tobytes()
+    assert handed == [100]  # the main thread's scan alone
 
-    def enter_and_leave():
-        for _ in range(300):
-            with retrieval.row_threads(3):
-                short.append(len(retrieval._row_threads) < 3)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=enter_and_leave) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert short == [False] * 2400
-    assert retrieval._row_threads == []
+def test_no_scan_hands_off_a_block_on_one_core(monkeypatch, handed):
+    monkeypatch.setattr(retrieval, "_cores", lambda: 1)
+    _scan_200_rows()
+    _on_another_thread(_scan_200_rows)
+    assert handed == []
 
 
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
@@ -811,7 +811,7 @@ def test_image_vote_total_votes_property():
     assert sum(e.votes for e in table) == expected
 
 
-def test_image_vote_rejects_bad_inputs():
+def test_image_vote_rejects_bad_inputs(tmp_path):
     refs = ImageReferenceSet([(_ray(0), [parse_code("73D")])])
     with pytest.raises(ValueError):
         image_vote_classify(_ray(0), refs, k=0)
@@ -819,6 +819,9 @@ def test_image_vote_rejects_bad_inputs():
         image_vote_classify([1.0, 0.0, 0.0], refs, k=1)
     with pytest.raises(EmptyReferenceSetError):
         ImageReferenceSet([])
+    (tmp_path / "empty.jsonl").write_text("")
+    with pytest.raises(EmptyReferenceSetError, match=f"^{re.escape(str(tmp_path / 'empty.jsonl'))}: "):
+        ImageReferenceSet.from_jsonl(tmp_path / "empty.jsonl")
 
 
 def test_reference_set_rejects_zero_and_ragged_rows():
@@ -986,6 +989,14 @@ def test_load_index_rejects_a_truncated_or_mismatched_index(tmp_path):
     vec_path.write_text(json.dumps(renamed) + "\n" + "".join(lines[1:]))
     with pytest.raises(MissingIndexError, match="incomplete index"):
         load_index(tmp_path / "idx")
+    # rows that build_vector_index refuses: a repeated id, a ragged row, a NaN row
+    ragged, nan = json.loads(lines[1]), json.loads(lines[1])
+    ragged["vector"].pop()
+    nan["vector"][0] = math.nan
+    for row in (lines[0], json.dumps(ragged) + "\n", json.dumps(nan) + "\n"):
+        vec_path.write_text(lines[0] + row + "".join(lines[2:]))
+        with pytest.raises(MissingIndexError, match=f"^{re.escape(str(tmp_path / 'idx'))}: .*rebuild it"):
+            load_index(tmp_path / "idx")
     vec_path.write_text(whole)
     assert load_index(tmp_path / "idx")[1].ids == vec.ids
 
