@@ -20,13 +20,15 @@ _MODES = [mode.value for mode in providers.DescriptionMode]
 
 
 class _Commands(click.Group):
-    """The one error boundary: an IconclassifyError ends as `Error: ...`, not a traceback."""
+    """The one error boundary: an IconclassifyError or an OSError ends as `Error: ...`, not a traceback."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
         except IconclassifyError as exc:
             raise click.ClickException(str(exc)) from exc
+        except OSError as exc:
+            raise click.ClickException(f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)) from exc
 
 
 @click.group(cls=_Commands)

@@ -14,7 +14,7 @@ from concurrent import futures
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -170,12 +170,13 @@ def _require(value, what: str, method: MethodSpec):
     return value
 
 
-def _check_in_taxonomy(code: IconclassCode, ctx: ClassifyContext, image_id: str) -> None:
-    if ctx.documents is not None and code.raw not in ctx.documents:
-        raise MissingIndexError(
-            f"{image_id}: predicted code {code.raw} is not in the loaded taxonomy; "
-            "index and taxonomy are out of sync"
-        )
+def _check_in_taxonomy(codes: Iterable[IconclassCode], ctx: ClassifyContext, image_id: str) -> None:
+    """The one check that a row's codes are in the loaded taxonomy, when one is loaded."""
+    for code in codes:
+        if ctx.documents is not None and code.raw not in ctx.documents:
+            raise MissingIndexError(
+                f"{image_id}: code {code.raw} is not in the loaded taxonomy; index and taxonomy are out of sync"
+            )
 
 
 _FUSED = (QueryKind.HYBRID, QueryKind.RAG_HYBRID)
@@ -218,18 +219,14 @@ def classify(row: ManifestRow, method: MethodSpec, ctx: ClassifyContext) -> Pred
         predicted = hits[0].code
         if kind in (QueryKind.RAG_VECTOR, QueryKind.RAG_HYBRID):
             docs = _require(ctx.documents, "taxonomy documents", method)
-            missing = [h.code.raw for h in hits if h.code.raw not in docs]
-            if missing:
-                raise MissingIndexError(
-                    f"{row.image_id}: candidate {missing[0]} missing from taxonomy documents"
-                )
+            _check_in_taxonomy([h.code for h in hits], ctx, row.image_id)
             cands = [(h.code, docs[h.code.raw]) for h in hits]
             if ctx.chat is not None:
                 predicted, fallback = select_with_llm(description, cands, ctx.chat)
             else:
                 predicted, fallback = offline_select(description, cands)
 
-    _check_in_taxonomy(predicted, ctx, row.image_id)
+    _check_in_taxonomy([predicted], ctx, row.image_id)
     return Prediction(
         image_id=row.image_id,
         method=method,

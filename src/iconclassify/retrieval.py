@@ -264,11 +264,6 @@ def cosine_distance(u: Sequence[float], v: Sequence[float]) -> float:
     return 1.0 - float(np.dot(a, b)) / (na * nb)
 
 
-def _require_k(k: int) -> None:
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-
-
 def _distances(index: VectorIndex, query: Sequence[float]) -> np.ndarray:
     """cosine_distance(row, query) for every row, bit for bit: np.vecdot runs
     each row through np.dot's kernel, where M @ q would sum in another order."""
@@ -317,8 +312,10 @@ def _row_dots(matrix: np.ndarray, q: np.ndarray) -> np.ndarray:
 def _top(keys: Sequence, cost: np.ndarray, k: int) -> list[tuple[float, object]]:
     """The k (cost, key) pairs of smallest cost, ties broken by key, in that
     order. np.partition finds the k-th cost; only the rows within it are
-    sorted, every row tied with it included, so that the key decides the cut."""
-    _require_k(k)
+    sorted, every row tied with it included, so that the key decides the cut.
+    Every ranking cuts here, so k is checked here alone."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if not cost.size:
         return []
     kth = np.partition(cost, min(k, cost.size) - 1)[min(k, cost.size) - 1]
@@ -368,7 +365,6 @@ def hybrid_search(
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    _require_k(k)
     kw_raw = dict(_keyword_top(kw_index, query_text, pool))
     vec_raw = dict(_vector_top(vec_index, query_vector, pool))
     union = sorted(set(kw_raw) | set(vec_raw))
@@ -521,7 +517,8 @@ def load_index(dir_path: Union[str, Path]) -> tuple[KeywordIndex, VectorIndex, d
         raise MissingIndexError(f"{root}: unreadable index file: {exc!r}; rebuild it with `index build`") from exc
     # a save that dies part way leaves files that disagree with meta.json or with each other
     found = (kw_index.doc_count, kw_index.avg_doc_length, len(vec_index.ids), vec_index.dim)
-    same_ids = set(vec_index.ids) == kw_index.doc_lengths.keys()
+    posted = {doc_id for plist in kw_index.postings.values() for doc_id, _ in plist}
+    same_ids = set(vec_index.ids) == kw_index.doc_lengths.keys() >= posted
     if found != recorded or not same_ids:
         raise MissingIndexError(f"{root}: incomplete index: meta.json records (docs, mean length, vectors, dim) "
                                 f"{recorded}, but its files hold {found}{'' if same_ids else ' under other ids'}; "

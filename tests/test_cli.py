@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -1085,6 +1087,15 @@ def _multi_line_predictions(workspace, tmp_path):
         ["preds.csv", "line 4", "incomplete prediction row"]
 
 
+_GOLDEN_CSV = FIXTURES / "golden" / "rag-vector-page-basic" / "predictions.csv"
+
+
+def _evaluate_out_below_a_regular_file(workspace, tmp_path):
+    (tmp_path / "notadir").write_text("")
+    out = tmp_path / "notadir" / "sub"
+    return ["evaluate", "--predictions", str(_GOLDEN_CSV), "--out", str(out)], [f"Error: {out}: Not a directory\n"]
+
+
 def _dim_below_the_offline_minimum(workspace, tmp_path):
     return ["index", "build", "--taxonomy", str(workspace / "rendered.jsonl"),
             "--index-dir", str(tmp_path / "idx"), "--offline", "--dim", "8"], ["--dim", "x>=16"]
@@ -1101,7 +1112,7 @@ def _dim_below_the_offline_minimum(workspace, tmp_path):
     _empty_rendered_taxonomy, _raw_taxonomy_with_a_bad_code, _raw_taxonomy_json_without_txt,
     _raw_taxonomy_with_a_duplicate_code, _manifest_with_a_boolean_image_id, _manifest_with_a_fractional_image_id,
     _manifest_with_a_list_description, _manifest_with_a_repeated_image_id, _predictions_with_a_bad_code,
-    _predictions_with_a_repeated_image_id, _manifest_with_an_oversized_field,
+    _predictions_with_a_repeated_image_id, _manifest_with_an_oversized_field, _evaluate_out_below_a_regular_file,
 ], ids=lambda case: case.__name__.strip("_"))
 def test_malformed_input_ends_as_a_one_line_error(runner, tmp_path, workspace, case):
     args, needles = case(workspace, tmp_path)
@@ -1112,6 +1123,51 @@ def test_malformed_input_ends_as_a_one_line_error(runner, tmp_path, workspace, c
     for needle in needles:
         assert needle in result.output
     assert not (tmp_path / "x.jsonl").exists()
+
+
+# ---------------------------------------------------------------- file errors
+
+# each command's arguments, given the shared workspace and the directory it writes into
+_WRITERS = {
+    "taxonomy build": lambda ws, d: ["taxonomy", "build", "--taxonomy", str(FIXTURES / "taxonomy.tsv"),
+                                     "--out", str(d / "rendered.jsonl")],
+    "index build": lambda ws, d: ["index", "build", "--taxonomy", str(ws / "rendered.jsonl"),
+                                  "--index-dir", str(d / "idx"), "--offline", "--dim", "64"],
+    "describe": lambda ws, d: ["describe", "--manifest", str(FIXTURES / "manifest.csv"),
+                               "--cache", str(d / "desc.jsonl"), "--offline"],
+    "classify": lambda ws, d: _classify_args(ws, d / "pred", method="hybrid"),
+    "evaluate": lambda ws, d: ["evaluate", "--predictions", str(_GOLDEN_CSV), "--out", str(d / "report")],
+}
+
+
+def _written(root):
+    """Every file under `root`, with the creation times that index build and describe record blanked."""
+    return {str(path.relative_to(root)): re.sub(rb'"created_at": "[^"]*"', b'"created_at": ""', path.read_bytes())
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("command", sorted(_WRITERS))
+def test_a_write_that_finds_no_room_is_a_one_line_error_and_a_rerun_converges(runner, tmp_path, workspace,
+                                                                               command):
+    cut, whole = tmp_path / "cut", tmp_path / "whole"
+    cut.mkdir()
+    env = {**{k: v for k, v in os.environ.items() if not k.startswith("ICONCLASSIFY_")},
+           "PYTHONPATH": os.pathsep.join(sys.path), "PYTHONDONTWRITEBYTECODE": "1"}
+    # CPython ignores SIGXFSZ, so a write past the limit raises OSError (errno 27) in the child
+    child = subprocess.run(
+        [sys.executable, "-m", "iconclassify.cli", *_WRITERS[command](workspace, cut)],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (0, 0)),
+    )
+    assert child.returncode == 1, child.stderr
+    assert child.stdout == ""
+    assert child.stderr == "Error: [Errno 27] File too large\n"
+
+    for root in (cut, whole):
+        result = runner.invoke(main, _WRITERS[command](workspace, root))
+        assert result.exit_code == 0, result.output
+    written = _written(whole)
+    assert written and _written(cut) == written
 
 
 # ---------------------------------------------------------------- command surface

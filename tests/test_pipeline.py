@@ -299,6 +299,9 @@ def test_classify_requires_context_members():
 
 # ---------------------------------------------------------------- classify, RAG
 
+_OUTSIDE = "MissingIndexError: q: code {} is not in the loaded taxonomy; index and taxonomy are out of sync"
+
+
 def test_classify_rag_offline_overrides_vector_rank_one():
     docs = {
         "71B3": "story of noah",
@@ -371,11 +374,16 @@ def test_classify_rag_requires_documents():
 
 
 def test_classify_rag_names_a_candidate_missing_from_the_documents():
-    ctx = _fixture_context()
-    del ctx.documents["71B32"]
     row = ManifestRow(image_id="q", description="the building of the ark and the embarkation")
-    with pytest.raises(MissingIndexError, match="^q: candidate 71B32 missing from taxonomy documents$"):
-        classify(row, MethodSpec(QueryKind.RAG_HYBRID), ctx)
+    method = MethodSpec(QueryKind.RAG_HYBRID)
+    top, second = [h.code.raw for h in classify(row, method, _fixture_context()).candidates[:2]]
+    assert top == "71B32"
+    for missing in (top, second):  # every candidate is checked, not only the top hit
+        ctx = _fixture_context()
+        del ctx.documents[missing]
+        result = classify_batch([row], method, ctx)
+        assert result.predictions == []
+        assert [(e.image_id, e.error) for e in result.errors] == [("q", _OUTSIDE.format(missing))]
 
 
 # ---------------------------------------------------------------- classify, image method
@@ -429,8 +437,9 @@ def test_classify_rejects_prediction_outside_taxonomy(tmp_path):
         documents={"73D": "passion"},
         references=ImageReferenceSet([([1.0, 0.0], [parse_code("9")])]),
     )
-    with pytest.raises(MissingIndexError, match="not in the loaded taxonomy"):
-        classify(ManifestRow(image_id="q", vector_path=str(vec_file)), MethodSpec(QueryKind.IMAGE), ctx)
+    result = classify_batch([ManifestRow(image_id="q", vector_path=str(vec_file))], MethodSpec(QueryKind.IMAGE), ctx)
+    assert result.predictions == []
+    assert [(e.image_id, e.error) for e in result.errors] == [("q", _OUTSIDE.format("9"))]
 
 
 # ---------------------------------------------------------------- batch

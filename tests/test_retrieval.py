@@ -565,7 +565,7 @@ def test_searches_reject_k_below_one():
             keyword_search(kw, "ark", k)
         with pytest.raises(ValueError):
             vector_search(vec, [1.0, 0.0], k)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^k must be >= 1"):  # _top checks k for every ranking
             hybrid_search(kw, vec, "ark", [1.0, 0.0], k=k)
         with pytest.raises(ValueError):
             hybrid_search(kw, vec, "ark", [1.0, 0.0], pool=k)
@@ -999,6 +999,19 @@ def test_load_index_rejects_a_truncated_or_mismatched_index(tmp_path):
             load_index(tmp_path / "idx")
     vec_path.write_text(whole)
     assert load_index(tmp_path / "idx")[1].ids == vec.ids
+
+
+def test_load_index_refuses_postings_that_name_an_unknown_doc(tmp_path):
+    save_index(tmp_path / "idx", build_keyword_index([("71B", "ark"), ("73D", "supper")]),
+               build_vector_index([("71B", [1.0, 0.0]), ("73D", [0.0, 1.0])]))
+    kw_path = tmp_path / "idx" / "keyword.json"
+    data = json.loads(kw_path.read_text())
+    data["postings"]["ark"].append(["99Z", 1])
+    kw_path.write_text(json.dumps(data))
+    # the counts still agree with meta.json, so only the ids tell
+    with pytest.raises(MissingIndexError, match=f"^{re.escape(str(tmp_path / 'idx'))}: incomplete index: .* "
+                                                "under other ids; rebuild it with `index build`$"):
+        load_index(tmp_path / "idx")
 
 
 @pytest.mark.parametrize("field, value", [("k1", 1.4), ("b", 0.6)])
