@@ -228,21 +228,37 @@ def build_vector_index(rows: Iterable[tuple[str, Sequence[float]]]) -> VectorInd
     """
     ids: list[str] = []
     arrays: list[np.ndarray] = []
-    seen: set[str] = set()
     for doc_id, vec in rows:
-        if doc_id in seen:
-            raise DuplicateDocIdError(f"duplicate doc id {doc_id!r}")
-        arr = np.asarray(vec, dtype=np.float64)
-        if arr.ndim != 1:
-            raise DimMismatchError(f"{doc_id!r}: vector must be one-dimensional")
-        if arrays and arr.shape[0] != arrays[0].shape[0]:
-            raise DimMismatchError(f"{doc_id!r}: dim {arr.shape[0]} != index dim {arrays[0].shape[0]}")
-        seen.add(doc_id)
         ids.append(doc_id)
+        arr = np.asarray(vec, dtype=np.float64)
+        if arr.ndim != 1 or (arrays and arr.shape != arrays[0].shape):
+            _check_unique(ids)  # a repeat at or before this row is named first
+            raise DimMismatchError(f"{doc_id!r}: " + ("vector must be one-dimensional" if arr.ndim != 1 else
+                                                     f"dim {arr.shape[0]} != index dim {arrays[0].shape[0]}"))
         arrays.append(arr)
+    # np.stack refuses an empty list, which _vector_index names
+    return _vector_index(ids, np.stack(arrays) if arrays else np.empty((0, 0)))
+
+
+def _check_unique(ids: list[str]) -> None:
+    """Raise DuplicateDocIdError naming the first id that repeats an earlier one."""
+    if len(set(ids)) < len(ids):
+        seen: set[str] = set()
+        raise DuplicateDocIdError(f"duplicate doc id {next(d for d in ids if d in seen or seen.add(d))!r}")
+
+
+def _vector_index(ids: list[str], matrix: np.ndarray) -> VectorIndex:
+    """The one maker of a VectorIndex: ids in row order and their matrix,
+    every row checked at once. The matrix must be the C-ordered float64 one
+    np.stack makes and save_index writes, one row per id: a strided or
+    converted copy could scan to other bits than the built index."""
     if not ids:
         raise EmptyCorpusError("no vectors to index")
-    matrix = np.stack(arrays)
+    if matrix.dtype != np.float64 or matrix.ndim != 2 or len(matrix) != len(ids) or not matrix.flags.c_contiguous:
+        order = "C" if matrix.flags.c_contiguous else "Fortran" if matrix.flags.f_contiguous else "strided"
+        raise DimMismatchError(f"need a C-ordered float64 matrix with one row per id ({len(ids)}), "
+                               f"not a {order}-ordered {matrix.dtype} array of shape {matrix.shape}")
+    _check_unique(ids)
     # each entry equals np.linalg.norm of its row: the same dot, then sqrt
     norms = np.sqrt(np.vecdot(matrix, matrix))
     bad = np.flatnonzero(~((norms > 0.0) & (norms < math.inf)))
@@ -454,23 +470,26 @@ def save_index(
 ) -> None:
     """Persist both indices to a directory.
 
-    Layout: keyword.json (postings and doc lengths), vectors.jsonl (one id +
-    vector record per doc, floats as decimal text that round-trips exactly),
-    and last meta.json (params, counts, creation info): it marks a finished save.
+    Layout: keyword.json (postings and doc lengths), vectors.jsonl (one
+    {"id": ...} record per matrix row, in row order), vectors.npy (the
+    matrix as NumPy's .npy: raw float64, bit-exact), and last meta.json
+    (format, params, counts, creation info): it marks a finished save.
     """
     out = Path(dir_path)
     out.mkdir(parents=True, exist_ok=True)
+    # an earlier meta.json must not vouch for files this save leaves half written
+    (out / "meta.json").unlink(missing_ok=True)
     # json encodes each (doc_id, tf) tuple as an array
     keyword = {"postings": kw_index.postings, "doc_lengths": kw_index.doc_lengths}
     (out / "keyword.json").write_text(
         json.dumps(keyword, sort_keys=True) + "\n", encoding="utf-8"
     )
-    with open(out / "vectors.jsonl", "w", encoding="utf-8") as fh:
-        for i, doc_id in enumerate(vec_index.ids):
-            rec = {"id": doc_id, "vector": vec_index.matrix[i].tolist()}  # one row at a time keeps RSS flat
-            fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
+    (out / "vectors.jsonl").write_text(
+        "".join(json.dumps({"id": doc_id}) + "\n" for doc_id in vec_index.ids), encoding="utf-8"
+    )
+    np.save(out / "vectors.npy", vec_index.matrix, allow_pickle=False)
     meta = {
-        "format": 1,
+        "format": 2,
         "created_at": datetime.now(timezone.utc).isoformat(),
         "keyword": {
             "k1": DEFAULT_K1,
@@ -487,14 +506,22 @@ def save_index(
     )
 
 
+def _index_file(root: Path, name: str) -> Path:
+    path = root / name
+    if not path.is_file():
+        raise MissingIndexError(f"missing index file {path}")
+    return path
+
+
 def load_index(dir_path: Union[str, Path]) -> tuple[KeywordIndex, VectorIndex, dict]:
     """Load save_index's files, checked against meta.json; queries reproduce the originals exactly."""
     root = Path(dir_path)
-    for p in (root / "meta.json", root / "keyword.json", root / "vectors.jsonl"):
-        if not p.is_file():
-            raise MissingIndexError(f"missing index file {p}")
     try:
-        meta = json.loads((root / "meta.json").read_text(encoding="utf-8"))
+        meta = json.loads(_index_file(root, "meta.json").read_text(encoding="utf-8"))
+        # checked before any other file is read; an index is derived data, so format 1 is rebuilt, not converted
+        if meta["format"] != 2:
+            raise MissingIndexError(f"{root}: index format {meta['format']!r} is no longer read; "
+                                    "rebuild it with `index build`")
         kw_meta, vec_meta = meta["keyword"], meta["vector"]
         if not isinstance(meta.get("config", {}), dict):  # classify reads its fields by name
             raise TypeError("config must be an object")
@@ -503,13 +530,15 @@ def load_index(dir_path: Union[str, Path]) -> tuple[KeywordIndex, VectorIndex, d
             raise MissingIndexError(f"{root}: index was built with BM25 k1={kw_meta['k1']}, b={kw_meta['b']}, "
                                     f"not {DEFAULT_K1}, {DEFAULT_B}; rebuild it with `index build`")
         recorded = (kw_meta["doc_count"], kw_meta["avg_doc_length"], vec_meta["doc_count"], vec_meta["dim"])
-        kw_data = json.loads((root / "keyword.json").read_text(encoding="utf-8"))
+        kw_data = json.loads(_index_file(root, "keyword.json").read_text(encoding="utf-8"))
         kw_index = KeywordIndex(
             postings={t: [(d, int(tf)) for d, tf in plist] for t, plist in kw_data["postings"].items()},
             doc_lengths={d: int(n) for d, n in kw_data["doc_lengths"].items()},
         )
-        # a generator: each row's Python floats are freed once the row is converted
-        vec_index = build_vector_index((obj["id"], obj["vector"]) for _, obj in iter_jsonl(root / "vectors.jsonl"))
+        ids = [obj["id"] for _, obj in iter_jsonl(_index_file(root, "vectors.jsonl"))]
+        # read_array reads a .npy and nothing else: no pickle, no .npz
+        with open(_index_file(root, "vectors.npy"), "rb") as fh:
+            vec_index = _vector_index(ids, np.lib.format.read_array(fh, allow_pickle=False))
     except MalformedLineError as exc:
         raise MissingIndexError(f"{exc}; rebuild the index with `index build`") from exc
     except (ValueError, KeyError, TypeError, EmptyCorpusError, DuplicateDocIdError, DimMismatchError,

@@ -3,6 +3,7 @@ import os
 import re
 import resource
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -202,7 +203,7 @@ def test_index_build_is_deterministic(runner, tmp_path, workspace):
         ])
         assert result.exit_code == 0, result.output
         assert "indexed 50 documents" in result.output
-    for name in ("keyword.json", "vectors.jsonl"):
+    for name in ("keyword.json", "vectors.jsonl", "vectors.npy"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
     meta_a = json.loads((tmp_path / "a" / "meta.json").read_text())
     meta_b = json.loads((tmp_path / "b" / "meta.json").read_text())
@@ -618,15 +619,10 @@ def test_classify_keyword_needs_no_embedding_settings(runner, tmp_path, workspac
     assert result.exit_code == 0, result.output
     assert (tmp_path / "remote.csv").read_bytes() == (tmp_path / "offline.csv").read_bytes()
 
-    index = tmp_path / "index"
-    index.mkdir()
-    for name in ("keyword.json", "vectors.jsonl"):
-        (index / name).write_bytes((workspace / "index-basic" / name).read_bytes())
-    meta = json.loads((workspace / "index-basic" / "meta.json").read_text())
+    index, args = _copied_index(workspace, tmp_path, tmp_path / "remote-index")
+    meta = json.loads((index / "meta.json").read_text())
     meta["config"]["embedder"] = "remote:embed"
     (index / "meta.json").write_text(json.dumps(meta))
-    args = _classify_args(workspace, tmp_path / "remote-index")
-    args[args.index("--index-dir") + 1] = str(index)
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
     assert (tmp_path / "remote-index.csv").read_bytes() == (tmp_path / "offline.csv").read_bytes()
@@ -890,49 +886,55 @@ def _refs_with_a_bad_code(workspace, tmp_path):
     return _image_args(workspace, tmp_path, text), ["refs.jsonl", "line 1", "x1"]
 
 
-def _cut_vectors(workspace, tmp_path):
+def _copied_index(workspace, tmp_path, out_prefix, source="index-basic"):
+    """A copy of one of the workspace's indices, and keyword classify args that read it."""
     index = tmp_path / "index"
-    index.mkdir()
-    for name in ("meta.json", "keyword.json"):
-        (index / name).write_bytes((workspace / "index-basic" / name).read_bytes())
-    (index / "vectors.jsonl").write_text(_cut_line((workspace / "index-basic" / "vectors.jsonl").read_text(), 5))
-    args = _classify_args(workspace, tmp_path / "x")
+    shutil.copytree(workspace / source, index)
+    args = _classify_args(workspace, out_prefix)
     args[args.index("--index-dir") + 1] = str(index)
+    return index, args
+
+
+def _cut_vectors(workspace, tmp_path):
+    index, args = _copied_index(workspace, tmp_path, tmp_path / "x")
+    (index / "vectors.jsonl").write_text(_cut_line((index / "vectors.jsonl").read_text(), 5))
     return args, ["vectors.jsonl", "line 5"]
 
 
+def _cut_vector_matrix(workspace, tmp_path):
+    index, args = _copied_index(workspace, tmp_path, tmp_path / "x")
+    (index / "vectors.npy").write_bytes((index / "vectors.npy").read_bytes()[:-100])
+    return args, [f"{index}: unreadable index file", "Failed to read all data", "index build"]
+
+
+def _format_1_index(workspace, tmp_path):
+    index, args = _copied_index(workspace, tmp_path, tmp_path / "x")
+    (index / "vectors.npy").unlink()
+    (index / "vectors.jsonl").write_text("".join(
+        json.dumps({"id": obj["id"], "vector": [1.0] * 64}) + "\n"
+        for obj in map(json.loads, (index / "vectors.jsonl").read_text().splitlines())))
+    meta = json.loads((index / "meta.json").read_text())
+    (index / "meta.json").write_text(json.dumps({**meta, "format": 1}))
+    return args, [f"Error: {index}: index format 1 is no longer read; rebuild it with `index build`\n"]
+
+
 def _index_with_another_builds_meta(workspace, tmp_path):
-    index = tmp_path / "index"
-    index.mkdir()
-    for name in ("keyword.json", "vectors.jsonl"):
-        (index / name).write_bytes((workspace / "index-hierarchical" / name).read_bytes())
+    index, args = _copied_index(workspace, tmp_path, tmp_path / "x", source="index-hierarchical")
     (index / "meta.json").write_bytes((workspace / "index-basic" / "meta.json").read_bytes())
-    args = _classify_args(workspace, tmp_path / "x")
-    args[args.index("--index-dir") + 1] = str(index)
     return args, ["incomplete index", "(50, 5.94, 50, 64)", "(50, 14.34, 50, 64)", "index build"]
 
 
 def _keyword_file_without_postings(workspace, tmp_path):
-    index = tmp_path / "index"
-    index.mkdir()
-    for name in ("meta.json", "vectors.jsonl"):
-        (index / name).write_bytes((workspace / "index-basic" / name).read_bytes())
-    kw = json.loads((workspace / "index-basic" / "keyword.json").read_text())
+    index, args = _copied_index(workspace, tmp_path, tmp_path / "x")
+    kw = json.loads((index / "keyword.json").read_text())
     (index / "keyword.json").write_text(json.dumps({"doc_lengths": kw["doc_lengths"]}))
-    args = _classify_args(workspace, tmp_path / "x")
-    args[args.index("--index-dir") + 1] = str(index)
     return args, ["unreadable index file", "postings"]
 
 
 def _index_config_that_is_not_an_object(workspace, tmp_path):
-    index = tmp_path / "index"
-    index.mkdir()
-    for name in ("keyword.json", "vectors.jsonl"):
-        (index / name).write_bytes((workspace / "index-basic" / name).read_bytes())
-    meta = json.loads((workspace / "index-basic" / "meta.json").read_text())
+    index, args = _copied_index(workspace, tmp_path, tmp_path / "x")
+    meta = json.loads((index / "meta.json").read_text())
     (index / "meta.json").write_text(json.dumps({**meta, "config": []}))
-    args = _classify_args(workspace, tmp_path / "x")
-    args[args.index("--index-dir") + 1] = str(index)
     return args, ["unreadable index file", "config must be an object"]
 
 
@@ -1103,7 +1105,8 @@ def _dim_below_the_offline_minimum(workspace, tmp_path):
 
 @pytest.mark.parametrize("case", [
     _cut_rendered_taxonomy, _cut_manifest, _cut_refs, _refs_without_codes, _refs_with_empty_codes,
-    _refs_with_a_bad_code, _cut_vectors, _non_utf8_taxonomy, _non_utf8_manifest, _non_utf8_predictions,
+    _refs_with_a_bad_code, _cut_vectors, _cut_vector_matrix, _format_1_index, _non_utf8_taxonomy,
+    _non_utf8_manifest, _non_utf8_predictions,
     _multi_line_manifest, _multi_line_predictions, _dim_below_the_offline_minimum,
     _index_with_another_builds_meta, _keyword_file_without_postings, _index_config_that_is_not_an_object,
     _rendered_taxonomy_without_a_rendering,
@@ -1117,9 +1120,10 @@ def _dim_below_the_offline_minimum(workspace, tmp_path):
 def test_malformed_input_ends_as_a_one_line_error(runner, tmp_path, workspace, case):
     args, needles = case(workspace, tmp_path)
     result = runner.invoke(main, args)
-    assert result.exit_code != 0
+    assert result.exit_code == (2 if "Usage:" in result.output else 1)  # click's usage errors exit 2
     assert isinstance(result.exception, SystemExit), repr(result.exception)  # not an uncaught error
     assert "Traceback" not in result.output
+    assert result.output.count("Error:") == 1, result.output
     for needle in needles:
         assert needle in result.output
     assert not (tmp_path / "x.jsonl").exists()

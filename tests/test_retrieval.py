@@ -5,6 +5,7 @@ import os
 import random
 import re
 import signal
+import struct
 import threading
 import time
 from concurrent import futures
@@ -335,6 +336,20 @@ def test_build_vector_index_rejects_rows_that_stack_to_the_wrong_rank(rows):
 def test_build_vector_index_reports_a_bad_row_before_a_later_duplicate():
     with pytest.raises(DimMismatchError, match="^'73D'"):
         build_vector_index([("71B", [1.0, 0.0]), ("73D", [1.0]), ("71B", [0.0, 1.0])])
+
+
+@pytest.mark.parametrize("rows", [
+    [("71B", [1.0, 0.0]), ("71B", [0.0, 1.0]), ("73D", [1.0])],  # a later bad row
+    [("71B", [1.0, 0.0]), ("71B", [1.0])],  # the repeat is itself a bad row
+], ids=["later-bad-row", "bad-repeat"])
+def test_build_vector_index_reports_a_duplicate_before_a_later_bad_row(rows):
+    with pytest.raises(DuplicateDocIdError, match="^duplicate doc id '71B'$"):
+        build_vector_index(rows)
+
+
+def test_build_vector_index_names_the_first_repeat():
+    with pytest.raises(DuplicateDocIdError, match="^duplicate doc id '73D'$"):
+        build_vector_index([("71B", [1.0]), ("73D", [1.0]), ("11H", [1.0]), ("73D", [2.0]), ("71B", [3.0])])
 
 
 def test_vector_search_self_query_is_rank_one():
@@ -920,6 +935,9 @@ def test_save_and_load_round_trip_queries(tmp_path):
     before = hybrid_search(kw, vec, "story of Noah", query_vec, alpha=0.75, k=10)
     after = hybrid_search(kw2, vec2, "story of Noah", query_vec, alpha=0.75, k=10)
     assert [(h.code.raw, h.score) for h in before] == [(h.code.raw, h.score) for h in after]
+    assert vec2.ids == vec.ids
+    assert vec2.matrix.tobytes() == vec.matrix.tobytes()
+    assert vec2.norms.tobytes() == vec.norms.tobytes()
 
 
 def test_saved_data_files_are_byte_stable(tmp_path):
@@ -929,18 +947,19 @@ def test_saved_data_files_are_byte_stable(tmp_path):
     vec = build_vector_index([(d, rng.standard_normal(8)) for d, _ in docs])
     save_index(tmp_path / "a", kw, vec)
     save_index(tmp_path / "b", kw, vec)
-    for name in ("keyword.json", "vectors.jsonl"):
+    for name in ("keyword.json", "vectors.jsonl", "vectors.npy"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
     meta_a = json.loads((tmp_path / "a" / "meta.json").read_text())
     meta_b = json.loads((tmp_path / "b" / "meta.json").read_text())
     meta_a.pop("created_at")
     meta_b.pop("created_at")
     assert meta_a == meta_b
+    assert meta_a["format"] == 2
 
 
-def test_saved_data_files_match_format_1_text(tmp_path):
+def test_saved_data_files_match_format_2_bytes(tmp_path):
     # tf 2 for "noah" in 71B, "ark" shared by all three docs, and floats
-    # whose shortest round-trip text is easy to get wrong
+    # that decimal text could get wrong: the .npy holds their raw bytes
     kw = build_keyword_index([("71B", "Noah noah ark"), ("73D", "ark of Noah"), ("11H", "ark")])
     vec = build_vector_index([("71B", [0.1, 1 / 3]), ("73D", [5e-324, -1.0]), ("11H", [-0.0, 2.5])])
     save_index(tmp_path / "idx", kw, vec)
@@ -950,20 +969,25 @@ def test_saved_data_files_match_format_1_text(tmp_path):
         '"noah": [["71B", 2], ["73D", 1]], "of": [["73D", 1]]}}\n'
     )
     assert (tmp_path / "idx" / "vectors.jsonl").read_text(encoding="utf-8") == (
-        '{"id":"71B","vector":[0.1,0.3333333333333333]}\n'
-        '{"id":"73D","vector":[5e-324,-1.0]}\n'
-        '{"id":"11H","vector":[-0.0,2.5]}\n'
+        '{"id": "71B"}\n{"id": "73D"}\n{"id": "11H"}\n'
     )
+    header = b"{'descr': '<f8', 'fortran_order': False, 'shape': (3, 2), }"
+    assert (tmp_path / "idx" / "vectors.npy").read_bytes() == (
+        b"\x93NUMPY\x01\x00\x76\x00" + header + b" " * (117 - len(header)) + b"\n"
+        + struct.pack("<6d", 0.1, 1 / 3, 5e-324, -1.0, -0.0, 2.5)
+    )
+    assert load_index(tmp_path / "idx")[1].matrix.tobytes() == vec.matrix.tobytes()
 
 
 def test_load_index_reports_missing_files(tmp_path):
     docs = [("71B", "ark")]
     kw = build_keyword_index(docs)
     vec = build_vector_index([("71B", [1.0, 0.0])])
-    save_index(tmp_path / "idx", kw, vec)
-    (tmp_path / "idx" / "vectors.jsonl").unlink()
-    with pytest.raises(MissingIndexError):
-        load_index(tmp_path / "idx")
+    for name in ("meta.json", "keyword.json", "vectors.jsonl", "vectors.npy"):
+        save_index(tmp_path / name, kw, vec)
+        (tmp_path / name / name).unlink()
+        with pytest.raises(MissingIndexError, match=f"^missing index file {re.escape(str(tmp_path / name / name))}$"):
+            load_index(tmp_path / name)
     with pytest.raises(MissingIndexError):
         load_index(tmp_path / "nowhere")
 
@@ -974,31 +998,59 @@ def test_load_index_rejects_a_truncated_or_mismatched_index(tmp_path):
     rng = np.random.default_rng(7)
     vec = build_vector_index([(d, rng.standard_normal(8)) for d, _ in docs])
     save_index(tmp_path / "idx", kw, vec)
-    vec_path = tmp_path / "idx" / "vectors.jsonl"
-    whole = vec_path.read_text()
+    ids_path = tmp_path / "idx" / "vectors.jsonl"
+    whole = ids_path.read_text()
     lines = whole.splitlines(keepends=True)
+    refused = f"^{re.escape(str(tmp_path / 'idx'))}: .*rebuild it with `index build`$"
 
-    vec_path.write_text("".join(lines[:2]))  # cut at a line boundary
-    with pytest.raises(MissingIndexError, match="incomplete index"):
+    ids_path.write_text("".join(lines[:2]))  # cut at a line boundary: fewer ids than rows
+    with pytest.raises(MissingIndexError, match=refused) as info:
         load_index(tmp_path / "idx")
-    vec_path.write_text(whole[: len(whole) // 2])  # cut inside a record
-    with pytest.raises(MissingIndexError):
+    assert "matrix with one row per id (2), not a C-ordered float64 array of shape (50, 8)" in str(info.value)
+    ids_path.write_text("".join(lines[:3]) + lines[3][:6])  # cut inside a record
+    with pytest.raises(MissingIndexError, match="line 4: .*vectors.jsonl.*rebuild the index with `index build`$"):
         load_index(tmp_path / "idx")
-    renamed = json.loads(lines[0])
-    renamed["id"] = "99Z"
-    vec_path.write_text(json.dumps(renamed) + "\n" + "".join(lines[1:]))
-    with pytest.raises(MissingIndexError, match="incomplete index"):
+    ids_path.write_text('{"id": "99Z"}\n' + "".join(lines[1:]))
+    with pytest.raises(MissingIndexError, match="incomplete index: .* under other ids; rebuild it"):
         load_index(tmp_path / "idx")
-    # rows that build_vector_index refuses: a repeated id, a ragged row, a NaN row
-    ragged, nan = json.loads(lines[1]), json.loads(lines[1])
-    ragged["vector"].pop()
-    nan["vector"][0] = math.nan
-    for row in (lines[0], json.dumps(ragged) + "\n", json.dumps(nan) + "\n"):
-        vec_path.write_text(lines[0] + row + "".join(lines[2:]))
-        with pytest.raises(MissingIndexError, match=f"^{re.escape(str(tmp_path / 'idx'))}: .*rebuild it"):
-            load_index(tmp_path / "idx")
-    vec_path.write_text(whole)
+    ids_path.write_text(whole)
     assert load_index(tmp_path / "idx")[1].ids == vec.ids
+
+
+def _save_npz(path, matrix):
+    with open(path, "wb") as fh:  # np.savez would add .npz to a path's name
+        np.savez(fh, matrix)
+
+
+# each way an index's vector files can fail to be what save_index wrote, given the index
+# directory, its matrix and the bytes of its vectors.npy
+_BROKEN_VECTORS = {
+    "float32": lambda idx, m, npy: np.save(idx / "vectors.npy", m.astype(np.float32)),
+    "big_endian": lambda idx, m, npy: np.save(idx / "vectors.npy", m.astype(">f8")),
+    "one_d": lambda idx, m, npy: np.save(idx / "vectors.npy", m.ravel()),
+    "more_rows": lambda idx, m, npy: np.save(idx / "vectors.npy", np.vstack([m, m[:1]])),
+    "fewer_rows": lambda idx, m, npy: np.save(idx / "vectors.npy", m[:-1]),
+    "fortran_order": lambda idx, m, npy: np.save(idx / "vectors.npy", np.asfortranarray(m)),
+    "pickled_objects": lambda idx, m, npy: np.save(idx / "vectors.npy", m.astype(object), allow_pickle=True),
+    "cut_in_data": lambda idx, m, npy: (idx / "vectors.npy").write_bytes(npy[:-12]),
+    "cut_in_header": lambda idx, m, npy: (idx / "vectors.npy").write_bytes(npy[:40]),
+    "empty": lambda idx, m, npy: (idx / "vectors.npy").write_bytes(b""),
+    "npz": lambda idx, m, npy: _save_npz(idx / "vectors.npy", m),
+    "nan_row": lambda idx, m, npy: np.save(idx / "vectors.npy", m * [[1.0, 1.0], [math.nan, 1.0], [1.0, 1.0]]),
+    "zero_row": lambda idx, m, npy: np.save(idx / "vectors.npy", m * [[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]]),
+    "repeated_id": lambda idx, m, npy: (idx / "vectors.jsonl").write_text('{"id": "71B"}\n' * 2 + '{"id": "11H"}\n'),
+}
+
+
+@pytest.mark.parametrize("breaks", _BROKEN_VECTORS.values(), ids=_BROKEN_VECTORS)
+def test_load_index_refuses_vectors_that_are_not_the_saved_matrix(tmp_path, breaks):
+    idx = tmp_path / "idx"
+    vec = build_vector_index([("71B", [1.0, 0.0]), ("73D", [0.0, 1.0]), ("11H", [0.6, 0.8])])
+    save_index(idx, build_keyword_index([("71B", "ark"), ("73D", "supper"), ("11H", "flood")]), vec)
+    breaks(idx, vec.matrix, (idx / "vectors.npy").read_bytes())
+    with pytest.raises(MissingIndexError, match=f"^{re.escape(str(idx))}: unreadable index file: "
+                                                ".*; rebuild it with `index build`$"):
+        load_index(idx)
 
 
 def test_load_index_refuses_postings_that_name_an_unknown_doc(tmp_path):
@@ -1052,6 +1104,31 @@ def test_save_index_writes_meta_json_last(tmp_path):
         save_index(tmp_path / "idx", build_keyword_index([("71B", "ark")]), build_vector_index([("71B", [1.0])]))
     assert (tmp_path / "idx" / "keyword.json").is_file()
     assert not (tmp_path / "idx" / "meta.json").exists()
+
+
+def test_a_save_that_fails_over_an_index_leaves_no_meta_json(tmp_path):
+    # the old meta.json would otherwise vouch for the new files: same counts and dim, another config
+    kw, vec = build_keyword_index([("71B", "ark")]), build_vector_index([("71B", [1.0])])
+    save_index(tmp_path / "idx", kw, vec, config={"embedder": "offline-hash-32"})
+    (tmp_path / "idx" / "vectors.npy").unlink()
+    (tmp_path / "idx" / "vectors.npy").mkdir()  # the matrix cannot be written
+    with pytest.raises(OSError):
+        save_index(tmp_path / "idx", kw, vec, config={"embedder": "remote:embed"})
+    assert not (tmp_path / "idx" / "meta.json").exists()
+    with pytest.raises(MissingIndexError, match=f"^missing index file {re.escape(str(tmp_path / 'idx'))}/meta.json$"):
+        load_index(tmp_path / "idx")
+
+
+def test_load_index_refuses_a_format_1_index(tmp_path):
+    save_index(tmp_path / "idx", build_keyword_index([("71B", "ark")]), build_vector_index([("71B", [1.0])]))
+    meta_path = tmp_path / "idx" / "meta.json"
+    meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()), "format": 1}))
+    # format 1 kept its vectors in vectors.jsonl: the format is checked before any other file is read
+    (tmp_path / "idx" / "vectors.jsonl").write_text('{"id":"71B","vector":[1.0]}\n')
+    (tmp_path / "idx" / "vectors.npy").unlink()
+    with pytest.raises(MissingIndexError) as info:
+        load_index(tmp_path / "idx")
+    assert str(info.value) == f"{tmp_path / 'idx'}: index format 1 is no longer read; rebuild it with `index build`"
 
 
 @pytest.mark.parametrize("name, text, reason", [
