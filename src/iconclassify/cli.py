@@ -14,6 +14,7 @@ import click
 
 from . import evaluation, pipeline, providers, retrieval, taxonomy
 from .errors import IconclassifyError, MalformedCodeError, MalformedLineError, MissingIndexError
+from .outputs import write_outputs
 
 _DATABASES = [kind.value for kind in taxonomy.DatabaseKind]  # also the rendering fields of `taxonomy build`
 _MODES = [mode.value for mode in providers.DescriptionMode]
@@ -70,8 +71,8 @@ def _make_chat(purpose: str, endpoint: Optional[str], chat_model: Optional[str],
     return providers.RemoteChatProvider(endpoint, chat_model, api_key=api_key)
 
 
-def _write_json(path: Path, obj: dict) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def _json_text(obj: dict) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _parse_prefix_filter(text: Optional[str]) -> Optional[tuple[str, ...]]:
@@ -103,21 +104,20 @@ def cmd_taxonomy_build(source: str, prefix_filter: Optional[str], out_path: str)
     """Load, filter, and render the taxonomy into an indexable file."""
     keep = _parse_prefix_filter(prefix_filter)
     tax = taxonomy.load_taxonomy(source, keep)
-    # every entry is rendered before --out is opened, so a failure leaves no partial file
-    lines = []
-    for entry in tax:
-        record = {kind.value: taxonomy.render_doc(entry, tax, kind) for kind in taxonomy.DatabaseKind}
-        record["code"] = entry.code.raw
-        lines.append(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
-    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-    Path(out_path).write_text("".join(lines), encoding="utf-8")
+
+    def rendered(fh):
+        for entry in tax:
+            record = {kind.value: taxonomy.render_doc(entry, tax, kind) for kind in taxonomy.DatabaseKind}
+            record["code"] = entry.code.raw
+            fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
+
     meta = {
         "entries": tax.stats.kept,
         "filtered": tax.stats.filtered,
         "lines": tax.stats.lines,
         "prefix_filter": list(keep) if keep else None,
     }
-    _write_json(Path(out_path + ".meta.json"), meta)
+    write_outputs((out_path, rendered), (out_path + ".meta.json", _json_text(meta)))
     click.echo(f"{tax.stats.kept} entries written ({tax.stats.filtered} filtered out)")
 
 
@@ -330,9 +330,6 @@ def cmd_classify(manifest_path: str, method_name: str, mode: str, database: str,
         ctx.description_cache = providers.DescriptionCache(cache_path)
 
     result = pipeline.classify_batch(rows, method, ctx, workers=workers)
-    Path(out_prefix).parent.mkdir(parents=True, exist_ok=True)
-    pipeline.write_predictions_jsonl(result.predictions, out_prefix + ".jsonl")
-    pipeline.write_predictions_csv(result.predictions, out_prefix + ".csv")
     meta_out = {
         "method": method.to_dict(),
         "offline": offline,
@@ -342,7 +339,11 @@ def cmd_classify(manifest_path: str, method_name: str, mode: str, database: str,
         "predictions": len(result.predictions),
         "errors": [{"image_id": e.image_id, "error": e.error} for e in result.errors],
     }
-    _write_json(Path(out_prefix + ".meta.json"), meta_out)
+    write_outputs(
+        (out_prefix + ".jsonl", lambda fh: pipeline.write_predictions_jsonl(result.predictions, fh)),
+        (out_prefix + ".csv", lambda fh: pipeline.write_predictions_csv(result.predictions, fh)),
+        (out_prefix + ".meta.json", _json_text(meta_out)),
+    )
     for err in result.errors:
         click.echo(f"{err.image_id}: {err.error}", err=True)
     click.echo(f"wrote {len(result.predictions)} predictions, {len(result.errors)} errors")
@@ -362,9 +363,8 @@ def cmd_evaluate(pred_path: str, out_dir: str, label: Optional[str], max_level: 
         raise click.ClickException(f"{pred_path}: no prediction rows to evaluate")
     report = evaluation.build_report(label or Path(pred_path).stem, rows, max_level=max_level, max_k=max_k)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "report.json", report)
-    (out / "report.txt").write_text(evaluation.render_report_text(report), encoding="utf-8")
+    write_outputs((out / "report.txt", evaluation.render_report_text(report)),
+                  (out / "report.json", _json_text(report)))
     s = report["summary"]
     click.echo(
         f"{report['label']}: n={report['count']} weighted={s['avg_weighted']:.5f} "

@@ -14,7 +14,7 @@ from concurrent import futures
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .errors import (
     MissingIndexError,
     NoCandidatesError,
 )
+from .outputs import write_outputs
 from .providers import (
     ChatProvider,
     DescriptionCache,
@@ -313,39 +314,37 @@ def read_manifest(path: Union[str, Path]) -> list[ManifestRow]:
     return list(rows.values())
 
 
-def write_predictions_jsonl(predictions: Sequence[Prediction], path: Union[str, Path]) -> None:
-    """One JSON object per prediction, deterministic key order, no timestamps."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for pred in predictions:
-            record = {
-                "image_id": pred.image_id,
-                "method": pred.method.to_dict(),
-                "predicted": pred.predicted.raw,
-                "candidates": [
-                    {"code": h.code.raw, "score": h.score, "rank": h.rank}
-                    for h in pred.candidates
-                ],
-                "fallback": pred.fallback_flag,
-                "ground_truth": pred.ground_truth,
-                "group": pred.group,
-            }
-            fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
+def write_predictions_jsonl(predictions: Sequence[Prediction], path: Union[str, Path, TextIO]) -> None:
+    """One JSON object per prediction, deterministic key order, no timestamps.
+    `path` may also be an open text file, as write_outputs hands its fills."""
+    if isinstance(path, (str, Path)):
+        return write_outputs((path, lambda fh: write_predictions_jsonl(predictions, fh)))
+    for pred in predictions:
+        record = {
+            "image_id": pred.image_id,
+            "method": pred.method.to_dict(),
+            "predicted": pred.predicted.raw,
+            "candidates": [
+                {"code": h.code.raw, "score": h.score, "rank": h.rank}
+                for h in pred.candidates
+            ],
+            "fallback": pred.fallback_flag,
+            "ground_truth": pred.ground_truth,
+            "group": pred.group,
+        }
+        path.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
 
 
-def write_predictions_csv(predictions: Sequence[Prediction], path: Union[str, Path]) -> None:
+def write_predictions_csv(predictions: Sequence[Prediction], path: Union[str, Path, TextIO]) -> None:
     """The evaluation-facing projection: image_id, predicted code, ground truth.
 
     A group column is appended only when at least one prediction carries one.
+    `path` may also be an open text file, as write_outputs hands its fills.
     """
-    with_group = any(p.group for p in predictions)
-    header = ["image_id", "predicted_code", "ground_truth_code"]
-    if with_group:
-        header.append("group")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for pred in predictions:
-            row = [pred.image_id, pred.predicted.raw, pred.ground_truth or ""]
-            if with_group:
-                row.append(pred.group or "")
-            writer.writerow(row)
+    if isinstance(path, (str, Path)):
+        return write_outputs((path, lambda fh: write_predictions_csv(predictions, fh)))
+    group = ["group"] if any(p.group for p in predictions) else []
+    writer = csv.writer(path, lineterminator="\n")
+    writer.writerow(["image_id", "predicted_code", "ground_truth_code", *group])
+    writer.writerows([p.image_id, p.predicted.raw, p.ground_truth or "", *([p.group or ""] if group else [])]
+                     for p in predictions)

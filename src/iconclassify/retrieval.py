@@ -34,6 +34,7 @@ from .errors import (
     UnknownDocError,
     ZeroVectorError,
 )
+from .outputs import write_outputs
 from .taxonomy import IconclassCode, iter_jsonl, parse_code
 
 DEFAULT_K1 = 1.2
@@ -259,8 +260,9 @@ def _vector_index(ids: list[str], matrix: np.ndarray) -> VectorIndex:
         raise DimMismatchError(f"need a C-ordered float64 matrix with one row per id ({len(ids)}), "
                                f"not a {order}-ordered {matrix.dtype} array of shape {matrix.shape}")
     _check_unique(ids)
-    # each entry equals np.linalg.norm of its row: the same dot, then sqrt
-    norms = np.sqrt(np.vecdot(matrix, matrix))
+    # each entry equals np.linalg.norm of its row: the same dot, then sqrt; a row too large to square is inf
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.vecdot(matrix, matrix))
     bad = np.flatnonzero(~((norms > 0.0) & (norms < math.inf)))
     if bad.size:
         raise ZeroVectorError(f"{ids[bad[0]]!r}: zero or non-finite vector cannot be indexed")
@@ -407,22 +409,23 @@ class ImageReferenceSet:
     def from_jsonl(cls, path: Union[str, Path]) -> "ImageReferenceSet":
         """Load records of the form {"vector": [...], "codes": ["73D231", ...]}."""
         rows = []
-        for line_no, obj in iter_jsonl(path):
-            try:
-                vec = number_list(obj["vector"])
-                if not isinstance(obj["codes"], list):  # a string would be read as one code per character
-                    raise TypeError("codes must be a list")
-                codes = [parse_code(c) for c in obj["codes"]]
-            except (KeyError, TypeError, ValueError, AttributeError, MalformedCodeError) as exc:
-                raise MalformedLineError(line_no, f"{path}: bad reference record: {exc!r}") from exc
-            if not codes:
-                raise MalformedLineError(line_no, f"{path}: reference record has no codes")
-            # the checks the constructor makes too, here so that the error names the line
-            if rows and vec.size != rows[0][0].size:
-                raise MalformedLineError(line_no, f"{path}: dim {vec.size} != reference set dim {rows[0][0].size}")
-            if not 0.0 < np.vecdot(vec, vec) < math.inf:
-                raise MalformedLineError(line_no, f"{path}: zero or non-finite vector cannot be indexed")
-            rows.append((vec, codes))
+        with np.errstate(over="ignore"):  # a vector too large to square is non-finite, refused below
+            for line_no, obj in iter_jsonl(path):
+                try:
+                    vec = number_list(obj["vector"])
+                    if not isinstance(obj["codes"], list):  # a string would be read as one code per character
+                        raise TypeError("codes must be a list")
+                    codes = [parse_code(c) for c in obj["codes"]]
+                except (KeyError, TypeError, ValueError, AttributeError, MalformedCodeError) as exc:
+                    raise MalformedLineError(line_no, f"{path}: bad reference record: {exc!r}") from exc
+                if not codes:
+                    raise MalformedLineError(line_no, f"{path}: reference record has no codes")
+                # the checks the constructor makes too, here so that the error names the line
+                if rows and vec.size != rows[0][0].size:
+                    raise MalformedLineError(line_no, f"{path}: dim {vec.size} != reference set dim {rows[0][0].size}")
+                if not 0.0 < np.vecdot(vec, vec) < math.inf:
+                    raise MalformedLineError(line_no, f"{path}: zero or non-finite vector cannot be indexed")
+                rows.append((vec, codes))
         if not rows:
             raise EmptyReferenceSetError(f"{path}: reference set is empty")
         return cls(rows)
@@ -472,22 +475,14 @@ def save_index(
 
     Layout: keyword.json (postings and doc lengths), vectors.jsonl (one
     {"id": ...} record per matrix row, in row order), vectors.npy (the
-    matrix as NumPy's .npy: raw float64, bit-exact), and last meta.json
-    (format, params, counts, creation info): it marks a finished save.
+    matrix as NumPy's .npy: raw float64, bit-exact), and meta.json (format,
+    params, counts, creation info), which marks a finished save. All four go
+    through write_outputs, which replaces none until every one is written,
+    and meta.json last, so a failed save leaves the old index loadable.
     """
     out = Path(dir_path)
-    out.mkdir(parents=True, exist_ok=True)
-    # an earlier meta.json must not vouch for files this save leaves half written
-    (out / "meta.json").unlink(missing_ok=True)
     # json encodes each (doc_id, tf) tuple as an array
     keyword = {"postings": kw_index.postings, "doc_lengths": kw_index.doc_lengths}
-    (out / "keyword.json").write_text(
-        json.dumps(keyword, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    (out / "vectors.jsonl").write_text(
-        "".join(json.dumps({"id": doc_id}) + "\n" for doc_id in vec_index.ids), encoding="utf-8"
-    )
-    np.save(out / "vectors.npy", vec_index.matrix, allow_pickle=False)
     meta = {
         "format": 2,
         "created_at": datetime.now(timezone.utc).isoformat(),
@@ -501,8 +496,16 @@ def save_index(
     }
     if config:
         meta["config"] = config
-    (out / "meta.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+
+    def write_matrix(fh) -> None:  # as np.save writes it; its own write drops a full disk's errno
+        np.lib.format.write_array_header_1_0(fh.buffer, np.lib.format.header_data_from_array_1_0(vec_index.matrix))
+        fh.buffer.write(vec_index.matrix)  # C-ordered float64, written without a copy
+
+    write_outputs(
+        (out / "keyword.json", json.dumps(keyword, sort_keys=True) + "\n"),
+        (out / "vectors.jsonl", "".join(json.dumps({"id": doc_id}) + "\n" for doc_id in vec_index.ids)),
+        (out / "vectors.npy", write_matrix),
+        (out / "meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n"),
     )
 
 
@@ -511,6 +514,13 @@ def _index_file(root: Path, name: str) -> Path:
     if not path.is_file():
         raise MissingIndexError(f"missing index file {path}")
     return path
+
+
+def _whole(value, least: int) -> int:
+    """An index file's count: an int >= `least`. A bool, a float (1.5, 1e999) or anything else raises TypeError."""
+    if type(value) is not int or value < least:
+        raise TypeError(f"expected an integer >= {least}, not {value!r}")
+    return value
 
 
 def load_index(dir_path: Union[str, Path]) -> tuple[KeywordIndex, VectorIndex, dict]:
@@ -532,8 +542,8 @@ def load_index(dir_path: Union[str, Path]) -> tuple[KeywordIndex, VectorIndex, d
         recorded = (kw_meta["doc_count"], kw_meta["avg_doc_length"], vec_meta["doc_count"], vec_meta["dim"])
         kw_data = json.loads(_index_file(root, "keyword.json").read_text(encoding="utf-8"))
         kw_index = KeywordIndex(
-            postings={t: [(d, int(tf)) for d, tf in plist] for t, plist in kw_data["postings"].items()},
-            doc_lengths={d: int(n) for d, n in kw_data["doc_lengths"].items()},
+            postings={t: [(d, _whole(tf, 1)) for d, tf in plist] for t, plist in kw_data["postings"].items()},
+            doc_lengths={d: _whole(n, 0) for d, n in kw_data["doc_lengths"].items()},
         )
         ids = [obj["id"] for _, obj in iter_jsonl(_index_file(root, "vectors.jsonl"))]
         # read_array reads a .npy and nothing else: no pickle, no .npz

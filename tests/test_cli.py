@@ -12,6 +12,7 @@ import pytest
 import requests
 from click.testing import CliRunner
 
+from iconclassify import retrieval
 from iconclassify.cli import main
 
 from conftest import FIXTURES
@@ -931,6 +932,41 @@ def _keyword_file_without_postings(workspace, tmp_path):
     return args, ["unreadable index file", "postings"]
 
 
+def _keyword_file_with_a_count(workspace, tmp_path, field, number, read_as):
+    """Copied-index classify args, with `number` as JSON text for the first term frequency or doc length;
+    json reads it as `read_as`."""
+    index, args = _copied_index(workspace, tmp_path, tmp_path / "x")
+    kw = json.loads((index / "keyword.json").read_text())
+    if field == "postings":
+        kw["postings"][min(kw["postings"])][0][1] = "NUMBER"
+    else:
+        kw["doc_lengths"][min(kw["doc_lengths"])] = "NUMBER"
+    (index / "keyword.json").write_text(json.dumps(kw).replace('"NUMBER"', number))
+    least = 1 if field == "postings" else 0
+    return args, [f"{index}: unreadable index file: TypeError('expected an integer >= {least}, not {read_as}')",
+                  "rebuild it with `index build`"]
+
+
+def _term_frequency_beyond_the_float_range(workspace, tmp_path):
+    return _keyword_file_with_a_count(workspace, tmp_path, "postings", "1e999", "inf")
+
+
+def _fractional_term_frequency(workspace, tmp_path):
+    return _keyword_file_with_a_count(workspace, tmp_path, "postings", "1.5", "1.5")
+
+
+def _zero_term_frequency(workspace, tmp_path):
+    return _keyword_file_with_a_count(workspace, tmp_path, "postings", "0", "0")
+
+
+def _boolean_doc_length(workspace, tmp_path):
+    return _keyword_file_with_a_count(workspace, tmp_path, "doc_lengths", "true", "True")
+
+
+def _negative_doc_length(workspace, tmp_path):
+    return _keyword_file_with_a_count(workspace, tmp_path, "doc_lengths", "-1", "-1")
+
+
 def _index_config_that_is_not_an_object(workspace, tmp_path):
     index, args = _copied_index(workspace, tmp_path, tmp_path / "x")
     meta = json.loads((index / "meta.json").read_text())
@@ -1109,6 +1145,8 @@ def _dim_below_the_offline_minimum(workspace, tmp_path):
     _non_utf8_manifest, _non_utf8_predictions,
     _multi_line_manifest, _multi_line_predictions, _dim_below_the_offline_minimum,
     _index_with_another_builds_meta, _keyword_file_without_postings, _index_config_that_is_not_an_object,
+    _term_frequency_beyond_the_float_range, _fractional_term_frequency, _zero_term_frequency,
+    _boolean_doc_length, _negative_doc_length,
     _rendered_taxonomy_without_a_rendering,
     _rendered_taxonomy_with_a_number_for_a_rendering, _rendered_taxonomy_with_a_number_for_a_code,
     _rendered_taxonomy_with_a_code_that_does_not_parse, _rendered_taxonomy_with_a_repeated_code,
@@ -1144,34 +1182,76 @@ _WRITERS = {
 }
 
 
+# an earlier run of each command, over whose outputs it writes; each leaves other bytes than the command
+_EARLIER = {
+    "taxonomy build": lambda ws, d: [*_WRITERS["taxonomy build"](ws, d), "--prefix-filter", "7"],
+    "index build": lambda ws, d: [*_WRITERS["index build"](ws, d), "--database", "hierarchical"],
+    "classify": lambda ws, d: _classify_args(ws, d / "pred", method="keyword"),
+    "evaluate": lambda ws, d: [*_WRITERS["evaluate"](ws, d), "--label", "earlier"],
+}
+
+
+def _files(root):
+    """Every file under `root` (temp files too, hidden ones included) with its bytes."""
+    return {str(path.relative_to(root)): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
 def _written(root):
-    """Every file under `root`, with the creation times that index build and describe record blanked."""
-    return {str(path.relative_to(root)): re.sub(rb'"created_at": "[^"]*"', b'"created_at": ""', path.read_bytes())
-            for path in sorted(root.rglob("*")) if path.is_file()}
+    """_files, with the creation times that index build and describe record blanked."""
+    return {name: re.sub(rb'"created_at": "[^"]*"', b'"created_at": ""', data) for name, data in _files(root).items()}
+
+
+def _run_with_file_size_limit(args, limit):
+    env = {**{k: v for k, v in os.environ.items() if not k.startswith("ICONCLASSIFY_")},
+           "PYTHONPATH": os.pathsep.join(sys.path), "PYTHONDONTWRITEBYTECODE": "1"}
+    # CPython ignores SIGXFSZ, so a write past the limit raises OSError (errno 27) in the child
+    return subprocess.run(
+        [sys.executable, "-m", "iconclassify.cli", *args], env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)),
+    )
 
 
 @pytest.mark.parametrize("command", sorted(_WRITERS))
 def test_a_write_that_finds_no_room_is_a_one_line_error_and_a_rerun_converges(runner, tmp_path, workspace,
                                                                                command):
-    cut, whole = tmp_path / "cut", tmp_path / "whole"
-    cut.mkdir()
-    env = {**{k: v for k, v in os.environ.items() if not k.startswith("ICONCLASSIFY_")},
-           "PYTHONPATH": os.pathsep.join(sys.path), "PYTHONDONTWRITEBYTECODE": "1"}
-    # CPython ignores SIGXFSZ, so a write past the limit raises OSError (errno 27) in the child
-    child = subprocess.run(
-        [sys.executable, "-m", "iconclassify.cli", *_WRITERS[command](workspace, cut)],
-        env=env, capture_output=True, text=True, timeout=120,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (0, 0)),
-    )
-    assert child.returncode == 1, child.stderr
-    assert child.stdout == ""
-    assert child.stderr == "Error: [Errno 27] File too large\n"
-
-    for root in (cut, whole):
-        result = runner.invoke(main, _WRITERS[command](workspace, root))
-        assert result.exit_code == 0, result.output
+    whole = tmp_path / "whole"
+    result = runner.invoke(main, _WRITERS[command](workspace, whole))
+    assert result.exit_code == 0, result.output
     written = _written(whole)
-    assert written and _written(cut) == written
+    assert written
+    if command == "describe":  # it only appends to its cache, which keeps its own locked append
+        cut = tmp_path / "cut"
+        cut.mkdir()
+        child = _run_with_file_size_limit(_WRITERS[command](workspace, cut), 0)
+        assert (child.returncode, child.stdout, child.stderr) == (1, "", "Error: [Errno 27] File too large\n")
+        assert runner.invoke(main, _WRITERS[command](workspace, cut)).exit_code == 0
+        assert _written(cut) == written
+        return
+
+    # no room at all, and room for half of the largest output: each fails part way over an earlier run
+    for limit in (0, max(map(len, written.values())) // 2):
+        cut = tmp_path / f"cut-{limit}"
+        result = runner.invoke(main, _EARLIER[command](workspace, cut))
+        assert result.exit_code == 0, result.output
+        earlier = _files(cut)
+        assert _written(cut) != written
+
+        child = _run_with_file_size_limit(_WRITERS[command](workspace, cut), limit)
+        assert child.returncode == 1 and child.stdout == "", child.stderr
+        named = re.fullmatch(r"Error: (.+): File too large\n", child.stderr)
+        assert named, child.stderr
+        assert len(written[str(Path(named[1]).relative_to(cut))]) > limit  # an output too large for the limit
+
+        after = _files(cut)
+        assert after.keys() <= earlier.keys()  # no temp file is left
+        for name, data in after.items():
+            assert data == earlier[name], name  # each output holds its earlier bytes, or is absent
+        if command == "index build":
+            assert retrieval.load_index(cut / "idx")[2]["config"]["database"] == "hierarchical"
+
+        result = runner.invoke(main, _WRITERS[command](workspace, cut))
+        assert result.exit_code == 0, result.output
+        assert _written(cut) == written
 
 
 # ---------------------------------------------------------------- command surface

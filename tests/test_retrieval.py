@@ -891,7 +891,8 @@ def test_reference_set_rejects_a_nan_vector(tmp_path):
 @pytest.mark.parametrize("line_no, edit, reason", [
     (3, lambda vector: vector[:-1], "dim 7 != reference set dim 8"),
     (4, lambda vector: [0.0] * len(vector), "zero or non-finite vector cannot be indexed"),
-], ids=["other_dim", "zero"])
+    (5, lambda vector: [1e200] * len(vector), "zero or non-finite vector cannot be indexed"),
+], ids=["other_dim", "zero", "too_large_to_square"])
 def test_reference_set_names_the_line_and_file_of_a_bad_vector(tmp_path, line_no, edit, reason):
     lines = (FIXTURES / "refs.jsonl").read_text().splitlines()
     record = json.loads(lines[line_no - 1])
@@ -1038,6 +1039,8 @@ _BROKEN_VECTORS = {
     "npz": lambda idx, m, npy: _save_npz(idx / "vectors.npy", m),
     "nan_row": lambda idx, m, npy: np.save(idx / "vectors.npy", m * [[1.0, 1.0], [math.nan, 1.0], [1.0, 1.0]]),
     "zero_row": lambda idx, m, npy: np.save(idx / "vectors.npy", m * [[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]]),
+    # finite, but its square overflows: refused as non-finite, with no numpy warning on the way
+    "row_too_large_to_square": lambda idx, m, npy: np.save(idx / "vectors.npy", m * [[1.0], [1e200], [1.0]]),
     "repeated_id": lambda idx, m, npy: (idx / "vectors.jsonl").write_text('{"id": "71B"}\n' * 2 + '{"id": "11H"}\n'),
 }
 
@@ -1117,6 +1120,23 @@ def test_a_save_that_fails_over_an_index_leaves_no_meta_json(tmp_path):
     assert not (tmp_path / "idx" / "meta.json").exists()
     with pytest.raises(MissingIndexError, match=f"^missing index file {re.escape(str(tmp_path / 'idx'))}/meta.json$"):
         load_index(tmp_path / "idx")
+
+
+def test_a_save_that_fails_while_writing_leaves_the_old_index_loadable(tmp_path, monkeypatch):
+    kw, vec = build_keyword_index([("71B", "ark")]), build_vector_index([("71B", [1.0])])
+    save_index(tmp_path / "idx", kw, vec, config={"embedder": "offline-hash-32"})
+    before = {path.name: path.read_bytes() for path in (tmp_path / "idx").iterdir()}
+
+    def no_room(fh, header):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(np.lib.format, "write_array_header_1_0", no_room)
+    with pytest.raises(OSError) as info:
+        save_index(tmp_path / "idx", kw, vec, config={"embedder": "remote:embed"})
+    assert (info.value.filename, info.value.strerror) == (str(tmp_path / "idx" / "vectors.npy"),
+                                                          "No space left on device")
+    assert {path.name: path.read_bytes() for path in (tmp_path / "idx").iterdir()} == before  # and no temp file
+    assert load_index(tmp_path / "idx")[2]["config"] == {"embedder": "offline-hash-32"}
 
 
 def test_load_index_refuses_a_format_1_index(tmp_path):
