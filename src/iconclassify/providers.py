@@ -32,7 +32,8 @@ from .errors import (
     ProviderUnavailableError,
     ZeroVectorError,
 )
-from .retrieval import number_list, tokenize
+from .outputs import _naming
+from .retrieval import number_list, tokenize, vector_norms
 from .taxonomy import IconclassCode
 
 PROMPT_VERSION = "v1"
@@ -202,7 +203,7 @@ def offline_embed(text: str, dim: int = DEFAULT_OFFLINE_DIM) -> np.ndarray:
     buckets, signs = zip(*[_gram_slot(s[i : i + 3], dim) for i in range(len(s) - 2)])
     # sums of +-1.0 are small integers, exact in any order
     vec = np.bincount(buckets, weights=signs, minlength=dim)
-    norm = float(np.linalg.norm(vec))
+    norm = float(vector_norms(vec))
     if norm == 0.0:
         raise ZeroVectorError("gram signs cancelled; text has no usable direction")
     return vec / norm
@@ -270,7 +271,7 @@ class _AppendOnlyCache:
                 return
             self._records[key] = value
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a+b") as fh:
+            with _naming(self.path), open(self.path, "a+b") as fh:  # a failed write names the cache
                 fcntl.flock(fh, fcntl.LOCK_EX)  # released when the file closes
                 end = fh.seek(0, os.SEEK_END)
                 fh.seek(max(end - 1, 0))
@@ -398,10 +399,10 @@ def embed_many(
         fresh = provider.embed_many([texts[i] for i in chunk])
         if len(fresh) != len(chunk):
             raise EmptyResponseError(f"{provider.provider_id} returned {len(fresh)} vectors for {len(chunk)} texts")
-        # each vector is checked against the batch's first, cached or fresh, before any is
-        # cached: a cached bad vector would be served to every rerun
+        # each vector is checked against the batch's first, cached or fresh, and as the index checks it, before
+        # any is cached: a cached bad vector would be served to every rerun
         first = next((vec for vec in out if vec is not None), fresh[0])
-        if any(np.shape(vec) != np.shape(first) or not np.any(vec) for vec in fresh):
+        if any(np.shape(vec) != np.shape(first) or not 0.0 < vector_norms(vec) < np.inf for vec in fresh):
             raise EmptyResponseError(f"{provider.provider_id} returned vectors of different lengths or a zero vector")
         for i, vec in zip(chunk, fresh):
             out[i] = vec

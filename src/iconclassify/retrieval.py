@@ -248,6 +248,13 @@ def _check_unique(ids: list[str]) -> None:
         raise DuplicateDocIdError(f"duplicate doc id {next(d for d in ids if d in seen or seen.add(d))!r}")
 
 
+def vector_norms(x: np.ndarray) -> np.ndarray:
+    """The norm of a vector, or of each row of a matrix: the one judge of whether a vector is usable. Each equals
+    np.linalg.norm's bit for bit, the same dot then sqrt; a vector too large to square is inf, with no numpy warning."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.vecdot(x, x))
+
+
 def _vector_index(ids: list[str], matrix: np.ndarray) -> VectorIndex:
     """The one maker of a VectorIndex: ids in row order and their matrix,
     every row checked at once. The matrix must be the C-ordered float64 one
@@ -260,9 +267,7 @@ def _vector_index(ids: list[str], matrix: np.ndarray) -> VectorIndex:
         raise DimMismatchError(f"need a C-ordered float64 matrix with one row per id ({len(ids)}), "
                                f"not a {order}-ordered {matrix.dtype} array of shape {matrix.shape}")
     _check_unique(ids)
-    # each entry equals np.linalg.norm of its row: the same dot, then sqrt; a row too large to square is inf
-    with np.errstate(over="ignore"):
-        norms = np.sqrt(np.vecdot(matrix, matrix))
+    norms = vector_norms(matrix)
     bad = np.flatnonzero(~((norms > 0.0) & (norms < math.inf)))
     if bad.size:
         raise ZeroVectorError(f"{ids[bad[0]]!r}: zero or non-finite vector cannot be indexed")
@@ -288,7 +293,7 @@ def _distances(index: VectorIndex, query: Sequence[float]) -> np.ndarray:
     q = np.asarray(query, dtype=np.float64)
     if q.ndim != 1 or q.shape[0] != index.dim:
         raise DimMismatchError(f"query dim {q.shape} != index dim {index.dim}")
-    qnorm = float(np.linalg.norm(q))
+    qnorm = float(vector_norms(q))
     if not 0.0 < qnorm < math.inf:
         raise ZeroVectorError("cannot search with a zero or non-finite query vector")
     return 1.0 - _row_dots(index.matrix, q) / (index.norms * qnorm)
@@ -409,23 +414,22 @@ class ImageReferenceSet:
     def from_jsonl(cls, path: Union[str, Path]) -> "ImageReferenceSet":
         """Load records of the form {"vector": [...], "codes": ["73D231", ...]}."""
         rows = []
-        with np.errstate(over="ignore"):  # a vector too large to square is non-finite, refused below
-            for line_no, obj in iter_jsonl(path):
-                try:
-                    vec = number_list(obj["vector"])
-                    if not isinstance(obj["codes"], list):  # a string would be read as one code per character
-                        raise TypeError("codes must be a list")
-                    codes = [parse_code(c) for c in obj["codes"]]
-                except (KeyError, TypeError, ValueError, AttributeError, MalformedCodeError) as exc:
-                    raise MalformedLineError(line_no, f"{path}: bad reference record: {exc!r}") from exc
-                if not codes:
-                    raise MalformedLineError(line_no, f"{path}: reference record has no codes")
-                # the checks the constructor makes too, here so that the error names the line
-                if rows and vec.size != rows[0][0].size:
-                    raise MalformedLineError(line_no, f"{path}: dim {vec.size} != reference set dim {rows[0][0].size}")
-                if not 0.0 < np.vecdot(vec, vec) < math.inf:
-                    raise MalformedLineError(line_no, f"{path}: zero or non-finite vector cannot be indexed")
-                rows.append((vec, codes))
+        for line_no, obj in iter_jsonl(path):
+            try:
+                vec = number_list(obj["vector"])
+                if not isinstance(obj["codes"], list):  # a string would be read as one code per character
+                    raise TypeError("codes must be a list")
+                codes = [parse_code(c) for c in obj["codes"]]
+            except (KeyError, TypeError, ValueError, AttributeError, MalformedCodeError) as exc:
+                raise MalformedLineError(line_no, f"{path}: bad reference record: {exc!r}") from exc
+            if not codes:
+                raise MalformedLineError(line_no, f"{path}: reference record has no codes")
+            # the checks the constructor makes too, here so that the error names the line
+            if rows and vec.size != rows[0][0].size:
+                raise MalformedLineError(line_no, f"{path}: dim {vec.size} != reference set dim {rows[0][0].size}")
+            if not 0.0 < vector_norms(vec) < math.inf:
+                raise MalformedLineError(line_no, f"{path}: zero or non-finite vector cannot be indexed")
+            rows.append((vec, codes))
         if not rows:
             raise EmptyReferenceSetError(f"{path}: reference set is empty")
         return cls(rows)
@@ -549,6 +553,12 @@ def load_index(dir_path: Union[str, Path]) -> tuple[KeywordIndex, VectorIndex, d
         # read_array reads a .npy and nothing else: no pickle, no .npz
         with open(_index_file(root, "vectors.npy"), "rb") as fh:
             vec_index = _vector_index(ids, np.lib.format.read_array(fh, allow_pickle=False))
+        known = kw_index.doc_lengths.keys()
+        same_ids = set(vec_index.ids) == known
+        for term, plist in kw_index.postings.items():  # one walk: each term names known docs, each once
+            same_ids &= (posted := {doc_id for doc_id, _ in plist}) <= known
+            if len(posted) < len(plist):  # a doc named twice would count twice in the term's document frequency
+                raise ValueError(f"the postings of {term!r} name a doc twice")
     except MalformedLineError as exc:
         raise MissingIndexError(f"{exc}; rebuild the index with `index build`") from exc
     except (ValueError, KeyError, TypeError, EmptyCorpusError, DuplicateDocIdError, DimMismatchError,
@@ -556,8 +566,6 @@ def load_index(dir_path: Union[str, Path]) -> tuple[KeywordIndex, VectorIndex, d
         raise MissingIndexError(f"{root}: unreadable index file: {exc!r}; rebuild it with `index build`") from exc
     # a save that dies part way leaves files that disagree with meta.json or with each other
     found = (kw_index.doc_count, kw_index.avg_doc_length, len(vec_index.ids), vec_index.dim)
-    posted = {doc_id for plist in kw_index.postings.values() for doc_id, _ in plist}
-    same_ids = set(vec_index.ids) == kw_index.doc_lengths.keys() >= posted
     if found != recorded or not same_ids:
         raise MissingIndexError(f"{root}: incomplete index: meta.json records (docs, mean length, vectors, dim) "
                                 f"{recorded}, but its files hold {found}{'' if same_ids else ' under other ids'}; "

@@ -6,14 +6,16 @@ import shlex
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 import requests
 from click.testing import CliRunner
 
-from iconclassify import retrieval
+from iconclassify import providers, retrieval
 from iconclassify.cli import main
+from iconclassify.errors import ZeroVectorError
 
 from conftest import FIXTURES
 
@@ -967,6 +969,17 @@ def _negative_doc_length(workspace, tmp_path):
     return _keyword_file_with_a_count(workspace, tmp_path, "doc_lengths", "-1", "-1")
 
 
+def _postings_that_name_a_doc_twice(workspace, tmp_path):
+    # the counts still agree with meta.json, but the term's document frequency would exceed its docs
+    index, args = _copied_index(workspace, tmp_path, tmp_path / "x")
+    kw = json.loads((index / "keyword.json").read_text())
+    term = min(kw["postings"])
+    kw["postings"][term].append(kw["postings"][term][0])
+    (index / "keyword.json").write_text(json.dumps(kw))
+    return args, [f"{index}: unreadable index file: ValueError(\"the postings of {term!r} name a doc twice\")",
+                  "rebuild it with `index build`"]
+
+
 def _index_config_that_is_not_an_object(workspace, tmp_path):
     index, args = _copied_index(workspace, tmp_path, tmp_path / "x")
     meta = json.loads((index / "meta.json").read_text())
@@ -1146,7 +1159,7 @@ def _dim_below_the_offline_minimum(workspace, tmp_path):
     _multi_line_manifest, _multi_line_predictions, _dim_below_the_offline_minimum,
     _index_with_another_builds_meta, _keyword_file_without_postings, _index_config_that_is_not_an_object,
     _term_frequency_beyond_the_float_range, _fractional_term_frequency, _zero_term_frequency,
-    _boolean_doc_length, _negative_doc_length,
+    _boolean_doc_length, _negative_doc_length, _postings_that_name_a_doc_twice,
     _rendered_taxonomy_without_a_rendering,
     _rendered_taxonomy_with_a_number_for_a_rendering, _rendered_taxonomy_with_a_number_for_a_code,
     _rendered_taxonomy_with_a_code_that_does_not_parse, _rendered_taxonomy_with_a_repeated_code,
@@ -1165,6 +1178,61 @@ def test_malformed_input_ends_as_a_one_line_error(runner, tmp_path, workspace, c
     for needle in needles:
         assert needle in result.output
     assert not (tmp_path / "x.jsonl").exists()
+
+
+# ---------------------------------------------------------------- vectors too large to square
+
+_TOO_LARGE_TO_SQUARE = [1e200] + [1.0] * 7  # finite, but its squared norm overflows
+
+
+def _vector_path_too_large_to_square(runner, workspace, tmp_path, monkeypatch):
+    (tmp_path / "huge.json").write_text(json.dumps(_TOO_LARGE_TO_SQUARE))
+    manifest = tmp_path / "m.csv"
+    manifest.write_text(f"image_id,vector_path\nimgA,{tmp_path / 'huge.json'}\n")
+    result = runner.invoke(main, ["classify", "--manifest", str(manifest), "--method", "image", "--taxonomy",
+                                  str(workspace / "rendered.jsonl"), "--refs", str(FIXTURES / "refs.jsonl"),
+                                  "--offline", "--out", str(tmp_path / "x")])
+    assert result.exit_code == 0, result.output
+    assert "imgA: ZeroVectorError: cannot search with a zero or non-finite query vector" in result.output
+    assert "wrote 0 predictions, 1 errors" in result.output
+
+
+def _embedding_reply_too_large_to_square(runner, workspace, tmp_path, monkeypatch):
+    posted = []
+
+    def post(url, payload, api_key, timeout):
+        posted.append(payload["input"])
+        return {"data": [{"index": i, "embedding": _TOO_LARGE_TO_SQUARE if i == 0 else [1.0] * 8}
+                         for i in range(len(payload["input"]))]}
+
+    monkeypatch.setattr(providers, "_post", post)
+    cache = tmp_path / "emb.jsonl"
+    args = ["index", "build", "--taxonomy", str(workspace / "rendered.jsonl"), "--index-dir", str(tmp_path / "idx"),
+            "--endpoint", "http://host", "--embed-model", "m", "--embed-cache", str(cache)]
+    for run in (1, 2):  # a cached reply would be served to the rerun, and refused by the index every time
+        result = runner.invoke(main, args)
+        assert (result.exit_code, result.output) == (
+            1, "Error: remote:m returned vectors of different lengths or a zero vector\n")
+        assert len(posted) == run
+    assert not cache.exists() or cache.read_text() == ""
+    assert not (tmp_path / "idx").exists()
+
+
+def _query_too_large_to_square(runner, workspace, tmp_path, monkeypatch):
+    index = retrieval.build_vector_index([("71B", [1.0] + [0.0] * 7), ("73D", [0.0] * 7 + [1.0])])
+    with pytest.raises(ZeroVectorError, match="^cannot search with a zero or non-finite query vector$"):
+        retrieval.vector_search(index, _TOO_LARGE_TO_SQUARE, 1)
+
+
+@pytest.mark.parametrize("case", [
+    _vector_path_too_large_to_square, _embedding_reply_too_large_to_square, _query_too_large_to_square,
+], ids=lambda case: case.__name__.strip("_"))
+def test_a_vector_too_large_to_square_ends_as_its_usual_error_with_no_warning(runner, workspace, tmp_path,
+                                                                              monkeypatch, case):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        case(runner, workspace, tmp_path, monkeypatch)
+    assert [str(w.message) for w in caught] == []
 
 
 # ---------------------------------------------------------------- file errors
@@ -1223,7 +1291,8 @@ def test_a_write_that_finds_no_room_is_a_one_line_error_and_a_rerun_converges(ru
         cut = tmp_path / "cut"
         cut.mkdir()
         child = _run_with_file_size_limit(_WRITERS[command](workspace, cut), 0)
-        assert (child.returncode, child.stdout, child.stderr) == (1, "", "Error: [Errno 27] File too large\n")
+        named = f"Error: {cut / 'desc.jsonl'}: File too large\n"  # the cache, as write_outputs names an output
+        assert (child.returncode, child.stdout, child.stderr) == (1, "", named)
         assert runner.invoke(main, _WRITERS[command](workspace, cut)).exit_code == 0
         assert _written(cut) == written
         return

@@ -4,13 +4,14 @@ Each case copies one input, mutates it once (a cut, invalid UTF-8, a NUL
 byte, a flipped byte, a stray quote, a changed delimiter, or a number
 replaced by 1e999) and runs the command that reads it through CliRunner.
 Every run must end one of three ways: exit 0, exit 1 with one `Error:`
-line, or exit 2 for a click usage error. No other exception may escape
-(Miller, Fredriksen & So, CACM 1990).
+line, or exit 2 for a click usage error. No other exception may escape,
+and no warning may be raised on the way (Miller, Fredriksen & So, CACM 1990).
 """
 
 import random
 import re
 import shutil
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -142,7 +143,10 @@ def test_every_mutated_input_ends_as_success_or_one_line_error(flow, tmp_path):
         kind, data = _mutate(originals[target], rng)
         (work / target).write_bytes(data)
         args = rng.choice(_READERS[target](work))
-        problem = _outcome(runner.invoke(main, args))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            outcome = _outcome(runner.invoke(main, args))
+        problem = "; ".join(filter(None, [outcome, *(f"warned {w.category.__name__}: {w.message}" for w in caught)]))
         if problem:
             failures.append(f"case {case}: {kind} in {target}, {' '.join(args[:2])}: {problem}")
         for name, original in originals.items():  # describe appends to its cache, so every input is put back

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import math
@@ -8,7 +9,9 @@ import signal
 import struct
 import threading
 import time
+import warnings
 from concurrent import futures
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +43,7 @@ from iconclassify.retrieval import (
     load_index,
     save_index,
     tokenize,
+    vector_norms,
     vector_search,
 )
 from iconclassify.taxonomy import DatabaseKind, load_taxonomy, parse_code, render_doc
@@ -289,6 +293,67 @@ def test_cosine_distance_dim_mismatch():
 def test_cosine_distance_zero_vector():
     with pytest.raises(ZeroVectorError):
         cosine_distance([0.0, 0.0], [1.0, 0.0])
+
+
+# ---------------------------------------------------------------- the one norm
+
+def test_vector_norms_equal_numpys_bit_for_bit_and_overflow_to_inf_with_no_warning():
+    matrix = np.random.default_rng(5).standard_normal((40, 33)) * np.logspace(-150, 150, 40)[:, None]
+    expected = [float(np.linalg.norm(row)) for row in matrix]
+    assert vector_norms(matrix).tolist() == expected
+    assert [float(vector_norms(row)) for row in matrix] == expected
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert vector_norms(np.array([[1e200, 1.0], [3.0, 4.0], [0.0, 0.0]])).tolist() == [math.inf, 5.0, 0.0]
+    assert caught == []
+
+
+_NORM_HOMES = {"np.linalg.norm": "cosine_distance", "numpy.linalg.norm": "cosine_distance",
+               "np.errstate": "vector_norms", "numpy.errstate": "vector_norms"}
+
+
+def _norms_astray(source: str) -> list[str]:
+    """Each use of numpy's norm outside cosine_distance, the independent reference, and of np.errstate
+    outside vector_norms, the one norm the program judges vectors by; importing either by name counts too."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and _NORM_HOMES.get(ast.unparse(child), function) != function:
+                found.append(f"line {child.lineno}: {ast.unparse(child)} in {function or 'the module'}")
+            if isinstance(child, ast.ImportFrom) and any(f"{child.module}.{alias.name}" in _NORM_HOMES
+                                                         for alias in child.names):
+                found.append(f"line {child.lineno}: import from {child.module}")
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+@pytest.mark.parametrize("source", [
+    "np.linalg.norm(v)", "numpy.linalg.norm(v)", "norm = np.linalg.norm", "from numpy.linalg import norm",
+    "with np.errstate(over='ignore'): pass", "from numpy import errstate",
+    "def vector_norms(x):\n    return np.linalg.norm(x)", "def cosine_distance(u, v):\n    with np.errstate(): pass",
+    "def cosine_distance(u, v):\n    def inner(w):\n        return np.linalg.norm(w)",
+])
+def test_the_one_norm_check_sees_each_stray_norm(source):
+    assert _norms_astray(source), source
+
+
+@pytest.mark.parametrize("source", [
+    "def cosine_distance(u, v):\n    return np.linalg.norm(u)",
+    "def vector_norms(x):\n    with np.errstate(over='ignore'):\n        return x", "np.linalg.svd(m)",
+    "vector_norms(v)", "norm = 1.0", "from numpy.linalg import svd",
+])
+def test_the_one_norm_check_lets_the_homes_and_other_calls_pass(source):
+    assert not _norms_astray(source), source
+
+
+def test_every_vector_is_judged_by_the_one_norm():
+    modules = sorted(Path(retrieval.__file__).parent.glob("*.py"))
+    assert Path(retrieval.__file__) in modules
+    found = {path.name: _norms_astray(path.read_text(encoding="utf-8")) for path in modules}
+    assert not {name: uses for name, uses in found.items() if uses}
 
 
 # ---------------------------------------------------------------- vector index
