@@ -4,6 +4,7 @@ swaps every remote provider for a deterministic substitute."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from collections import Counter
@@ -121,6 +122,10 @@ def cmd_taxonomy_build(source: str, prefix_filter: Optional[str], out_path: str)
     click.echo(f"{tax.stats.kept} entries written ({tax.stats.filtered} filtered out)")
 
 
+def _file_sha256(path: str) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def _load_rendered_taxonomy(path: str, kind: taxonomy.DatabaseKind) -> dict[str, str]:
     """Read the output of `taxonomy build`: code -> the `kind` rendering. Each
     code must parse and appear once, and every field must be a string."""
@@ -176,7 +181,7 @@ def cmd_index_build(rendered_path: str, database: str, index_dir: str, offline: 
     cache = providers.EmbeddingCache(embed_cache) if embed_cache else None
     vectors = providers.embed_many(list(docs.values()), embedder, cache)
     vec_index = retrieval.build_vector_index(zip(docs, vectors))
-    config = {"database": kind.value, "embedder": embedder.provider_id}
+    config = {"database": kind.value, "embedder": embedder.provider_id, "taxonomy_sha256": _file_sha256(rendered_path)}
     retrieval.save_index(index_dir, kw_index, vec_index, config=config)
     click.echo(f"indexed {len(docs)} documents into {index_dir} ({kind.value})")
 
@@ -322,6 +327,10 @@ def cmd_classify(manifest_path: str, method_name: str, mode: str, database: str,
             if built.get(field) != wanted:
                 raise IconclassifyError(f"{index_dir} was built with {field} {built.get(field)!r}, "
                                         f"but this run uses {wanted!r}; rebuild the index or match it")
+        # the index's ids and texts come from one rendered file: another one would score codes by other texts
+        if built.get("taxonomy_sha256") != _file_sha256(rendered_path):
+            raise IconclassifyError(f"{index_dir} was built from another taxonomy file than {rendered_path}; "
+                                    "rebuild the index from it, or pass the file it was built from")
     else:
         if not refs_path:
             raise MissingIndexError("--refs is required for the image method")

@@ -402,8 +402,12 @@ def embed_many(
         # each vector is checked against the batch's first, cached or fresh, and as the index checks it, before
         # any is cached: a cached bad vector would be served to every rerun
         first = next((vec for vec in out if vec is not None), fresh[0])
-        if any(np.shape(vec) != np.shape(first) or not 0.0 < vector_norms(vec) < np.inf for vec in fresh):
-            raise EmptyResponseError(f"{provider.provider_id} returned vectors of different lengths or a zero vector")
+        for vec in fresh:
+            if np.shape(vec) != np.shape(first):
+                raise EmptyResponseError(f"{provider.provider_id} returned a vector of dim {np.size(vec)}, "
+                                         f"not the batch's {np.size(first)}")
+            if not 0.0 < vector_norms(vec) < np.inf:
+                raise EmptyResponseError(f"{provider.provider_id} returned a zero or non-finite vector")
         for i, vec in zip(chunk, fresh):
             out[i] = vec
             if cache is not None:

@@ -18,7 +18,8 @@ from concurrent import futures
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -68,66 +69,58 @@ def _hits(ranked: Iterable[tuple[str, float]]) -> list[RankedHit]:
     return [RankedHit(code=parse_code(doc_id), score=s, rank=i + 1) for i, (doc_id, s) in enumerate(ranked)]
 
 
-@dataclass(frozen=True)
-class _RowSpace:
-    """The postings as arrays. Row i is the i-th doc id in sorted order, so a
-    row's number is its rank among the ids and breaks score ties by doc id."""
+@dataclass(eq=False)
+class KeywordIndex:
+    """BM25 postings as arrays (Zobel & Moffat, 2006). Row i is the i-th doc id
+    in sorted order, so a row's number is its rank among the ids and breaks
+    score ties by doc id. A term's postings are rows[lo:hi], ascending, and
+    tfs[lo:hi] for spans[term] == (lo, hi); the spans tile the rows in order."""
 
     ids: list[str]
-    spans: dict[str, tuple[int, int]]  # term -> its slice of rows and tfs
-    rows: np.ndarray  # int32
-    tfs: np.ndarray  # float64
-    lengths: np.ndarray  # float64, per row
-
-
-@dataclass
-class KeywordIndex:
-    postings: dict[str, list[tuple[str, int]]]
-    doc_lengths: dict[str, int]
+    spans: dict[str, tuple[int, int]]
+    rows: np.ndarray  # integral, in [0, len(ids))
+    tfs: np.ndarray  # integral, >= 1
+    lengths: np.ndarray  # integral, >= 0, one per row
     doc_count: int = field(init=False)
     avg_doc_length: float = field(init=False)
 
     def __post_init__(self):
-        if not self.doc_lengths:
+        if not self.ids:
             raise EmptyCorpusError("no documents to index")
-        self.doc_count = len(self.doc_lengths)
-        # a sum of ints is exact in any order, so a loaded index gets the built mean bit for bit
-        self.avg_doc_length = sum(self.doc_lengths.values()) / self.doc_count
+        self.doc_count = len(self.ids)
+        # a sum of Python ints is exact in any order, so a loaded index gets the built mean bit for bit
+        self.avg_doc_length = sum(self.lengths.tolist()) / self.doc_count
 
     @functools.cached_property
-    def _row_space(self) -> _RowSpace:
-        """Built on the first search, streamed from the postings: no Python
-        list of all postings is held. Two threads may both build it; they
-        build equal values."""
-        ids = sorted(self.doc_lengths)
-        row_of = {doc_id: i for i, doc_id in enumerate(ids)}
-        spans: dict[str, tuple[int, int]] = {}
-        end = 0
-        for term, plist in self.postings.items():
-            spans[term] = (end, end + len(plist))
-            end += len(plist)
-        plists = self.postings.values()
-        return _RowSpace(
-            ids=ids,
-            spans=spans,
-            rows=np.fromiter((row_of[d] for plist in plists for d, _ in plist), dtype=np.int32, count=end),
-            tfs=np.fromiter((tf for plist in plists for _, tf in plist), dtype=np.float64, count=end),
-            lengths=np.fromiter(map(self.doc_lengths.__getitem__, ids), dtype=np.float64, count=len(ids)),
-        )
+    def doc_lengths(self) -> Mapping[str, int]:
+        """Doc id -> token count, in id order: a read-only view of the arrays, built on first use."""
+        return MappingProxyType(dict(zip(self.ids, self.lengths.tolist())))
+
+    @functools.cached_property
+    def postings(self) -> Mapping[str, list[tuple[str, int]]]:
+        """Term -> [(doc id, tf), ...] in id order: a read-only view of the arrays, built on first use."""
+        ids, rows, tfs = self.ids, self.rows.tolist(), self.tfs.tolist()
+        return MappingProxyType({term: [(ids[r], tf) for r, tf in zip(rows[lo:hi], tfs[lo:hi])]
+                                 for term, (lo, hi) in self.spans.items()})
 
 
 def build_keyword_index(docs: Iterable[tuple[str, str]]) -> KeywordIndex:
     """Build an inverted index with term frequencies and document lengths."""
-    postings: dict[str, list[tuple[str, int]]] = {}
-    doc_lengths: dict[str, int] = {}
-    for doc_id, text in docs:
-        if doc_id in doc_lengths:
-            raise DuplicateDocIdError(f"duplicate doc id {doc_id!r}")
-        terms = tokenize(text)
-        doc_lengths[doc_id] = len(terms)
-        for term, tf in Counter(terms).items():
-            postings.setdefault(term, []).append((doc_id, tf))
-    return KeywordIndex(postings, doc_lengths)
+    docs = list(docs)
+    _check_unique([doc_id for doc_id, _ in docs])
+    docs.sort()  # by id, as the ids are distinct
+    counts = [Counter(tokenize(text)) for _, text in docs]
+    term_no: dict[str, int] = {}
+    term_of = np.array([term_no.setdefault(term, len(term_no)) for c in counts for term in c], dtype=np.int32)
+    order = np.argsort(term_of, kind="stable")  # groups the postings by term, each term's rows still ascending
+    ends = np.cumsum(np.bincount(term_of, minlength=len(term_no))).tolist()
+    return KeywordIndex(
+        ids=[doc_id for doc_id, _ in docs],
+        spans=dict(zip(term_no, zip([0, *ends], ends))),
+        rows=np.repeat(np.arange(len(docs), dtype=np.int32), [len(c) for c in counts])[order],
+        tfs=np.array([tf for c in counts for tf in c.values()], dtype=np.int32)[order],
+        lengths=np.array([c.total() for c in counts], dtype=np.int32),
+    )
 
 
 def _idf(n_docs: int, df: int) -> float:
@@ -171,17 +164,16 @@ def _keyword_top(index: KeywordIndex, query: str, k: int) -> list[tuple[str, flo
     included, adds `_term_score` of its whole posting slice to the scores
     in one array op. numpy's elementwise ops round as Python's do and the
     terms add up in the same order, so each score equals `bm25_score` bit for bit."""
-    space = index._row_space
-    scores = np.zeros(len(space.ids))
+    scores = np.zeros(index.doc_count)
     for term in tokenize(query):
-        if term not in space.spans:
+        if term not in index.spans:
             continue
-        lo, hi = space.spans[term]
-        rows = space.rows[lo:hi]
+        lo, hi = index.spans[term]
+        rows = index.rows[lo:hi]
         idf = _idf(index.doc_count, hi - lo)
-        scores[rows] += _term_score(idf, space.tfs[lo:hi], space.lengths[rows], index.avg_doc_length)
+        scores[rows] += _term_score(idf, index.tfs[lo:hi], index.lengths[rows], index.avg_doc_length)
     hit = np.flatnonzero(scores > 0.0)
-    return [(space.ids[row], -cost) for cost, row in _top(hit, -scores[hit], k)]
+    return [(index.ids[row], -cost) for cost, row in _top(hit, -scores[hit], k)]
 
 
 def keyword_search(index: KeywordIndex, query: str, k: int) -> list[RankedHit]:
@@ -413,7 +405,7 @@ class ImageReferenceSet:
     @classmethod
     def from_jsonl(cls, path: Union[str, Path]) -> "ImageReferenceSet":
         """Load records of the form {"vector": [...], "codes": ["73D231", ...]}."""
-        rows = []
+        rows, line_nos = [], []
         for line_no, obj in iter_jsonl(path):
             try:
                 vec = number_list(obj["vector"])
@@ -424,15 +416,18 @@ class ImageReferenceSet:
                 raise MalformedLineError(line_no, f"{path}: bad reference record: {exc!r}") from exc
             if not codes:
                 raise MalformedLineError(line_no, f"{path}: reference record has no codes")
-            # the checks the constructor makes too, here so that the error names the line
+            # a check the constructor makes too, here so that the error names the line
             if rows and vec.size != rows[0][0].size:
                 raise MalformedLineError(line_no, f"{path}: dim {vec.size} != reference set dim {rows[0][0].size}")
-            if not 0.0 < vector_norms(vec) < math.inf:
-                raise MalformedLineError(line_no, f"{path}: zero or non-finite vector cannot be indexed")
             rows.append((vec, codes))
+            line_nos.append(line_no)
         if not rows:
             raise EmptyReferenceSetError(f"{path}: reference set is empty")
-        return cls(rows)
+        try:
+            return cls(rows)  # which judges every row's norm at once
+        except ZeroVectorError as exc:
+            bad = next(i for i, (vec, _) in enumerate(rows) if not 0.0 < vector_norms(vec) < math.inf)
+            raise MalformedLineError(line_nos[bad], f"{path}: zero or non-finite vector cannot be indexed") from exc
 
 
 @dataclass(frozen=True)
@@ -469,6 +464,9 @@ def image_vote_classify(
     return by_raw[order[0]], table
 
 
+_KEYWORD_ARRAYS = ("offsets", "rows", "tfs", "lengths")
+
+
 def save_index(
     dir_path: Union[str, Path],
     kw_index: KeywordIndex,
@@ -477,18 +475,18 @@ def save_index(
 ) -> None:
     """Persist both indices to a directory.
 
-    Layout: keyword.json (postings and doc lengths), vectors.jsonl (one
-    {"id": ...} record per matrix row, in row order), vectors.npy (the
-    matrix as NumPy's .npy: raw float64, bit-exact), and meta.json (format,
-    params, counts, creation info), which marks a finished save. All four go
-    through write_outputs, which replaces none until every one is written,
-    and meta.json last, so a failed save leaves the old index loadable.
-    """
+    Layout: keyword.json (the sorted doc ids, the terms in slice order),
+    keyword-{offsets,rows,tfs,lengths}.npy (the KeywordIndex arrays; term i's
+    slice starts at offsets[i]), vectors.jsonl (one {"id": ...} record per
+    matrix row, in row order), vectors.npy (the matrix), each .npy raw and
+    bit-exact, and meta.json (format, params, counts, creation info), which
+    marks a finished save. All go through write_outputs, which replaces none
+    until every one is written, and meta.json last, so a failed save leaves
+    the old index loadable."""
     out = Path(dir_path)
-    # json encodes each (doc_id, tf) tuple as an array
-    keyword = {"postings": kw_index.postings, "doc_lengths": kw_index.doc_lengths}
+    offsets = np.array([0, *(hi for _, hi in kw_index.spans.values())], dtype=np.int64)
     meta = {
-        "format": 2,
+        "format": 3,
         "created_at": datetime.now(timezone.utc).isoformat(),
         "keyword": {
             "k1": DEFAULT_K1,
@@ -500,17 +498,22 @@ def save_index(
     }
     if config:
         meta["config"] = config
-
-    def write_matrix(fh) -> None:  # as np.save writes it; its own write drops a full disk's errno
-        np.lib.format.write_array_header_1_0(fh.buffer, np.lib.format.header_data_from_array_1_0(vec_index.matrix))
-        fh.buffer.write(vec_index.matrix)  # C-ordered float64, written without a copy
-
     write_outputs(
-        (out / "keyword.json", json.dumps(keyword, sort_keys=True) + "\n"),
+        (out / "keyword.json", json.dumps({"ids": kw_index.ids, "terms": list(kw_index.spans)}) + "\n"),
         (out / "vectors.jsonl", "".join(json.dumps({"id": doc_id}) + "\n" for doc_id in vec_index.ids)),
-        (out / "vectors.npy", write_matrix),
+        (out / "vectors.npy", _npy(vec_index.matrix)),
+        *((out / f"keyword-{name}.npy", _npy(array)) for name, array in
+          zip(_KEYWORD_ARRAYS, (offsets, kw_index.rows, kw_index.tfs, kw_index.lengths))),
         (out / "meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n"),
     )
+
+
+def _npy(array: np.ndarray):
+    """A write_outputs writer of `array` as np.save writes it; np.save's own write drops a full disk's errno."""
+    def write(fh) -> None:
+        np.lib.format.write_array_header_1_0(fh.buffer, np.lib.format.header_data_from_array_1_0(array))
+        fh.buffer.write(array)  # C-ordered, written without a copy
+    return write
 
 
 def _index_file(root: Path, name: str) -> Path:
@@ -520,11 +523,44 @@ def _index_file(root: Path, name: str) -> Path:
     return path
 
 
-def _whole(value, least: int) -> int:
-    """An index file's count: an int >= `least`. A bool, a float (1.5, 1e999) or anything else raises TypeError."""
-    if type(value) is not int or value < least:
-        raise TypeError(f"expected an integer >= {least}, not {value!r}")
-    return value
+def _read_npy(root: Path, name: str) -> np.ndarray:
+    with open(_index_file(root, name), "rb") as fh:  # a .npy and nothing else: no pickle, no .npz, no mmap
+        return np.lib.format.read_array(fh, allow_pickle=False)
+
+
+def _keyword_index(ids, terms, *arrays: np.ndarray) -> KeywordIndex:
+    """A KeywordIndex from its saved parts, each checked with whole-array ops:
+    sorted string ids, distinct string terms, and 1-d integer arrays whose
+    offsets tile the rows with a non-empty slice per term, whose rows lie in
+    [0, len(ids)) and ascend strictly within each term, so a doc counts once in
+    its term's document frequency, whose tfs are >= 1 and lengths >= 0."""
+    for name, array in zip(_KEYWORD_ARRAYS, arrays):
+        if array.dtype.kind not in "iu" or array.ndim != 1:
+            raise TypeError(f"keyword-{name}.npy must hold a 1-d integer array, "
+                            f"not a {array.dtype} array of shape {array.shape}")
+    offsets, rows, tfs, lengths = arrays
+    if not (type(ids) is type(terms) is list and all(type(s) is str for s in ids + terms)):
+        raise TypeError("keyword.json must hold lists of strings")
+    if any(a >= b for a, b in zip(ids, ids[1:])):
+        raise ValueError("the doc ids are not in strictly ascending order")
+    if len(offsets) != len(terms) + 1 or offsets[0] != 0 or offsets[-1] != len(rows) \
+            or not (offsets[1:] > offsets[:-1]).all():
+        raise ValueError(f"the {len(terms)} terms' slices do not tile the {len(rows)} rows, one posting or more each")
+    spans = dict(zip(terms, zip(offsets.tolist(), offsets[1:].tolist())))
+    if len(spans) < len(terms):
+        raise ValueError("a term is listed twice")
+    if len(tfs) != len(rows) or len(lengths) != len(ids):
+        raise ValueError(f"{len(tfs)} tfs for {len(rows)} rows, {len(lengths)} lengths for {len(ids)} ids")
+    if rows.size and (rows.min() < 0 or rows.max() >= len(ids)):
+        raise ValueError(f"a row outside [0, {len(ids)})")
+    rising = rows[1:] > rows[:-1]
+    rising[offsets[1:-1] - 1] = True  # a term's first row follows another term's rows
+    if not rising.all():
+        term = terms[np.searchsorted(offsets, np.argmin(rising) + 1, side="right") - 1]
+        raise ValueError(f"the rows of {term!r} repeat a doc or are out of order")
+    if tfs.min(initial=1) < 1 or lengths.min(initial=0) < 0:
+        raise ValueError("a term frequency below 1 or a doc length below 0")
+    return KeywordIndex(ids=ids, spans=spans, rows=rows, tfs=tfs, lengths=lengths)
 
 
 def load_index(dir_path: Union[str, Path]) -> tuple[KeywordIndex, VectorIndex, dict]:
@@ -532,8 +568,8 @@ def load_index(dir_path: Union[str, Path]) -> tuple[KeywordIndex, VectorIndex, d
     root = Path(dir_path)
     try:
         meta = json.loads(_index_file(root, "meta.json").read_text(encoding="utf-8"))
-        # checked before any other file is read; an index is derived data, so format 1 is rebuilt, not converted
-        if meta["format"] != 2:
+        # checked before any other file is read; an index is derived data, so an old format is rebuilt, not converted
+        if meta["format"] != 3:
             raise MissingIndexError(f"{root}: index format {meta['format']!r} is no longer read; "
                                     "rebuild it with `index build`")
         kw_meta, vec_meta = meta["keyword"], meta["vector"]
@@ -545,20 +581,11 @@ def load_index(dir_path: Union[str, Path]) -> tuple[KeywordIndex, VectorIndex, d
                                     f"not {DEFAULT_K1}, {DEFAULT_B}; rebuild it with `index build`")
         recorded = (kw_meta["doc_count"], kw_meta["avg_doc_length"], vec_meta["doc_count"], vec_meta["dim"])
         kw_data = json.loads(_index_file(root, "keyword.json").read_text(encoding="utf-8"))
-        kw_index = KeywordIndex(
-            postings={t: [(d, _whole(tf, 1)) for d, tf in plist] for t, plist in kw_data["postings"].items()},
-            doc_lengths={d: _whole(n, 0) for d, n in kw_data["doc_lengths"].items()},
-        )
+        kw_index = _keyword_index(kw_data["ids"], kw_data["terms"],
+                                  *(_read_npy(root, f"keyword-{name}.npy") for name in _KEYWORD_ARRAYS))
         ids = [obj["id"] for _, obj in iter_jsonl(_index_file(root, "vectors.jsonl"))]
-        # read_array reads a .npy and nothing else: no pickle, no .npz
-        with open(_index_file(root, "vectors.npy"), "rb") as fh:
-            vec_index = _vector_index(ids, np.lib.format.read_array(fh, allow_pickle=False))
-        known = kw_index.doc_lengths.keys()
-        same_ids = set(vec_index.ids) == known
-        for term, plist in kw_index.postings.items():  # one walk: each term names known docs, each once
-            same_ids &= (posted := {doc_id for doc_id, _ in plist}) <= known
-            if len(posted) < len(plist):  # a doc named twice would count twice in the term's document frequency
-                raise ValueError(f"the postings of {term!r} name a doc twice")
+        vec_index = _vector_index(ids, _read_npy(root, "vectors.npy"))
+        same_ids = kw_index.ids == sorted(vec_index.ids)
     except MalformedLineError as exc:
         raise MissingIndexError(f"{exc}; rebuild the index with `index build`") from exc
     except (ValueError, KeyError, TypeError, EmptyCorpusError, DuplicateDocIdError, DimMismatchError,

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import os
 import re
 import resource
@@ -9,6 +11,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 import requests
 from click.testing import CliRunner
@@ -206,7 +209,9 @@ def test_index_build_is_deterministic(runner, tmp_path, workspace):
         ])
         assert result.exit_code == 0, result.output
         assert "indexed 50 documents" in result.output
-    for name in ("keyword.json", "vectors.jsonl", "vectors.npy"):
+    files = sorted(path.name for path in (tmp_path / "a").iterdir())
+    assert files == sorted(path.name for path in (tmp_path / "b").iterdir()) and len(files) == 8
+    for name in set(files) - {"meta.json"}:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
     meta_a = json.loads((tmp_path / "a" / "meta.json").read_text())
     meta_b = json.loads((tmp_path / "b" / "meta.json").read_text())
@@ -215,6 +220,8 @@ def test_index_build_is_deterministic(runner, tmp_path, workspace):
     assert meta_a == meta_b
     assert meta_a["config"]["embedder"] == "offline-hash-32"
     assert meta_a["config"]["database"] == "basic"
+    rendered = (workspace / "rendered.jsonl").read_bytes()
+    assert meta_a["config"]["taxonomy_sha256"] == hashlib.sha256(rendered).hexdigest()
     # config echoes carry no filesystem paths
     assert str(tmp_path) not in json.dumps(meta_a)
 
@@ -927,57 +934,146 @@ def _index_with_another_builds_meta(workspace, tmp_path):
     return args, ["incomplete index", "(50, 5.94, 50, 64)", "(50, 14.34, 50, 64)", "index build"]
 
 
+def _format_2_index(workspace, tmp_path):
+    index, args = _copied_index(workspace, tmp_path, tmp_path / "x")
+    meta = json.loads((index / "meta.json").read_text())
+    (index / "meta.json").write_text(json.dumps({**meta, "format": 2}))
+    return args, [f"Error: {index}: index format 2 is no longer read; rebuild it with `index build`\n"]
+
+
 def _keyword_file_without_postings(workspace, tmp_path):
     index, args = _copied_index(workspace, tmp_path, tmp_path / "x")
     kw = json.loads((index / "keyword.json").read_text())
-    (index / "keyword.json").write_text(json.dumps({"doc_lengths": kw["doc_lengths"]}))
-    return args, ["unreadable index file", "postings"]
+    (index / "keyword.json").write_text(json.dumps({"ids": kw["ids"]}))
+    return args, ["unreadable index file", "KeyError('terms')"]
 
 
-def _keyword_file_with_a_count(workspace, tmp_path, field, number, read_as):
-    """Copied-index classify args, with `number` as JSON text for the first term frequency or doc length;
-    json reads it as `read_as`."""
+def _changed_keyword_part(workspace, tmp_path, change, reason):
+    """Copied-index classify args, with `change(kw, arrays)` applied to the keyword files: it edits `kw`,
+    the keyword.json object, or the arrays by name. The one-line error names the index and gives `reason`."""
     index, args = _copied_index(workspace, tmp_path, tmp_path / "x")
     kw = json.loads((index / "keyword.json").read_text())
-    if field == "postings":
-        kw["postings"][min(kw["postings"])][0][1] = "NUMBER"
-    else:
-        kw["doc_lengths"][min(kw["doc_lengths"])] = "NUMBER"
-    (index / "keyword.json").write_text(json.dumps(kw).replace('"NUMBER"', number))
-    least = 1 if field == "postings" else 0
-    return args, [f"{index}: unreadable index file: TypeError('expected an integer >= {least}, not {read_as}')",
-                  "rebuild it with `index build`"]
+    names = ("offsets", "rows", "tfs", "lengths")
+    arrays = {name: np.load(index / f"keyword-{name}.npy") for name in names}
+    change(kw, arrays)
+    (index / "keyword.json").write_text(json.dumps(kw))
+    for name in names:
+        np.save(index / f"keyword-{name}.npy", arrays[name], allow_pickle=arrays[name].dtype == object)
+    return args, [f"{index}: unreadable index file: ", reason, "; rebuild it with `index build`"]
 
 
 def _term_frequency_beyond_the_float_range(workspace, tmp_path):
-    return _keyword_file_with_a_count(workspace, tmp_path, "postings", "1e999", "inf")
+    def change(kw, arrays):
+        arrays["tfs"] = arrays["tfs"] * 1.0
+        arrays["tfs"][0] = math.inf
+    return _changed_keyword_part(workspace, tmp_path, change, "keyword-tfs.npy must hold a 1-d integer array, "
+                                                              "not a float64 array of shape")
 
 
 def _fractional_term_frequency(workspace, tmp_path):
-    return _keyword_file_with_a_count(workspace, tmp_path, "postings", "1.5", "1.5")
+    def change(kw, arrays):
+        arrays["tfs"] = arrays["tfs"] * 1.5
+    return _changed_keyword_part(workspace, tmp_path, change, "keyword-tfs.npy must hold a 1-d integer array, "
+                                                              "not a float64 array of shape")
 
 
 def _zero_term_frequency(workspace, tmp_path):
-    return _keyword_file_with_a_count(workspace, tmp_path, "postings", "0", "0")
+    def change(kw, arrays):
+        arrays["tfs"][-1] = 0
+    return _changed_keyword_part(workspace, tmp_path, change, "a term frequency below 1 or a doc length below 0")
 
 
 def _boolean_doc_length(workspace, tmp_path):
-    return _keyword_file_with_a_count(workspace, tmp_path, "doc_lengths", "true", "True")
+    def change(kw, arrays):
+        arrays["lengths"] = arrays["lengths"] > 0
+    return _changed_keyword_part(workspace, tmp_path, change, "keyword-lengths.npy must hold a 1-d integer array, "
+                                                              "not a bool array of shape (50,)")
 
 
 def _negative_doc_length(workspace, tmp_path):
-    return _keyword_file_with_a_count(workspace, tmp_path, "doc_lengths", "-1", "-1")
+    def change(kw, arrays):
+        arrays["lengths"][0] = -1
+    return _changed_keyword_part(workspace, tmp_path, change, "a term frequency below 1 or a doc length below 0")
 
 
 def _postings_that_name_a_doc_twice(workspace, tmp_path):
     # the counts still agree with meta.json, but the term's document frequency would exceed its docs
+    repeated = []
+
+    def change(kw, arrays):
+        offsets, rows = arrays["offsets"], arrays["rows"]
+        term = next(t for t in range(len(kw["terms"])) if offsets[t + 1] - offsets[t] > 1)
+        rows[offsets[term] + 1] = rows[offsets[term]]
+        repeated.append(kw["terms"][term])
+    args, needles = _changed_keyword_part(workspace, tmp_path, change, "ValueError(\"the rows of ")
+    return args, [*needles, f"{repeated[0]!r} repeat a doc or are out of order"]
+
+
+def _keyword_array_of_two_dimensions(workspace, tmp_path):
+    def change(kw, arrays):
+        arrays["rows"] = arrays["rows"].reshape(-1, 1)
+    return _changed_keyword_part(workspace, tmp_path, change, "keyword-rows.npy must hold a 1-d integer array, "
+                                                              "not a int32 array of shape (")
+
+
+def _keyword_slices_that_do_not_tile_the_rows(workspace, tmp_path):
+    def change(kw, arrays):
+        arrays["offsets"][-1] -= 1
+    return _changed_keyword_part(workspace, tmp_path, change, "slices do not tile the")
+
+
+def _keyword_term_with_no_posting(workspace, tmp_path):
+    def change(kw, arrays):
+        kw["terms"].append("zebra")
+        arrays["offsets"] = np.append(arrays["offsets"], arrays["offsets"][-1])
+    return _changed_keyword_part(workspace, tmp_path, change, "one posting or more each")
+
+
+def _keyword_row_outside_the_docs(workspace, tmp_path):
+    def change(kw, arrays):
+        arrays["rows"][-1] = 50
+    return _changed_keyword_part(workspace, tmp_path, change, "ValueError('a row outside [0, 50)')")
+
+
+def _keyword_term_listed_twice(workspace, tmp_path):
+    def change(kw, arrays):
+        kw["terms"][1] = kw["terms"][0]
+    return _changed_keyword_part(workspace, tmp_path, change, "ValueError('a term is listed twice')")
+
+
+def _keyword_ids_out_of_order(workspace, tmp_path):
+    def change(kw, arrays):
+        kw["ids"][:2] = kw["ids"][1::-1]
+    return _changed_keyword_part(workspace, tmp_path, change, "the doc ids are not in strictly ascending order")
+
+
+def _keyword_ids_other_than_the_vectors(workspace, tmp_path):
     index, args = _copied_index(workspace, tmp_path, tmp_path / "x")
     kw = json.loads((index / "keyword.json").read_text())
-    term = min(kw["postings"])
-    kw["postings"][term].append(kw["postings"][term][0])
+    kw["ids"][0] = "0"  # still sorted first
     (index / "keyword.json").write_text(json.dumps(kw))
-    return args, [f"{index}: unreadable index file: ValueError(\"the postings of {term!r} name a doc twice\")",
-                  "rebuild it with `index build`"]
+    return args, [f"{index}: incomplete index", "under other ids; rebuild it with `index build`"]
+
+
+def _cut_keyword_array(workspace, tmp_path):
+    index, args = _copied_index(workspace, tmp_path, tmp_path / "x")
+    (index / "keyword-rows.npy").write_bytes((index / "keyword-rows.npy").read_bytes()[:-8])
+    return args, [f"{index}: unreadable index file: ValueError('Failed to read all data", "index build"]
+
+
+def _pickled_keyword_array(workspace, tmp_path):
+    def change(kw, arrays):
+        arrays["tfs"] = arrays["tfs"].astype(object)
+    return _changed_keyword_part(workspace, tmp_path, change, "Object arrays cannot be loaded when allow_pickle=False")
+
+
+def _index_built_from_another_taxonomy(workspace, tmp_path):
+    rendered = tmp_path / "rendered.jsonl"
+    rendered.write_text((workspace / "rendered.jsonl").read_text().replace("ark", "boat", 1))
+    args = _classify_args(workspace, tmp_path / "x")
+    args[args.index("--taxonomy") + 1] = str(rendered)
+    return args, [f"Error: {workspace / 'index-basic'} was built from another taxonomy file than {rendered}; "
+                  "rebuild the index from it, or pass the file it was built from\n"]
 
 
 def _index_config_that_is_not_an_object(workspace, tmp_path):
@@ -1159,7 +1255,11 @@ def _dim_below_the_offline_minimum(workspace, tmp_path):
     _multi_line_manifest, _multi_line_predictions, _dim_below_the_offline_minimum,
     _index_with_another_builds_meta, _keyword_file_without_postings, _index_config_that_is_not_an_object,
     _term_frequency_beyond_the_float_range, _fractional_term_frequency, _zero_term_frequency,
-    _boolean_doc_length, _negative_doc_length, _postings_that_name_a_doc_twice,
+    _boolean_doc_length, _negative_doc_length, _postings_that_name_a_doc_twice, _format_2_index,
+    _keyword_array_of_two_dimensions, _keyword_slices_that_do_not_tile_the_rows, _keyword_term_with_no_posting,
+    _keyword_row_outside_the_docs, _keyword_term_listed_twice, _keyword_ids_out_of_order,
+    _keyword_ids_other_than_the_vectors, _cut_keyword_array, _pickled_keyword_array,
+    _index_built_from_another_taxonomy,
     _rendered_taxonomy_without_a_rendering,
     _rendered_taxonomy_with_a_number_for_a_rendering, _rendered_taxonomy_with_a_number_for_a_code,
     _rendered_taxonomy_with_a_code_that_does_not_parse, _rendered_taxonomy_with_a_repeated_code,
@@ -1212,7 +1312,7 @@ def _embedding_reply_too_large_to_square(runner, workspace, tmp_path, monkeypatc
     for run in (1, 2):  # a cached reply would be served to the rerun, and refused by the index every time
         result = runner.invoke(main, args)
         assert (result.exit_code, result.output) == (
-            1, "Error: remote:m returned vectors of different lengths or a zero vector\n")
+            1, "Error: remote:m returned a zero or non-finite vector\n")
         assert len(posted) == run
     assert not cache.exists() or cache.read_text() == ""
     assert not (tmp_path / "idx").exists()

@@ -96,7 +96,8 @@ _READERS = {
                               "--cache", str(w / "desc.jsonl"), "--offline"]],
     "pred.csv": lambda w: [["evaluate", "--predictions", str(w / "pred.csv"), "--out", str(w / "report")]],
     **{f"index/{name}": lambda w: [_classify(w, w / "manifest.csv", "hybrid")]
-       for name in ("meta.json", "keyword.json", "vectors.jsonl", "vectors.npy")},
+       for name in ("meta.json", "keyword.json", "keyword-offsets.npy", "keyword-rows.npy", "keyword-tfs.npy",
+                    "keyword-lengths.npy", "vectors.jsonl", "vectors.npy")},
 }
 
 

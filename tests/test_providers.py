@@ -707,11 +707,13 @@ _RAGGED_OR_ZERO = [
 ]
 
 
-@pytest.mark.parametrize("body", _RAGGED_OR_ZERO, ids=["zero", "ragged"])
-def test_a_zero_or_ragged_embedding_reply_caches_no_line(monkeypatch, tmp_path, body):
+@pytest.mark.parametrize("body, fault", zip(_RAGGED_OR_ZERO, [
+    "^remote:m returned a zero or non-finite vector$", "^remote:m returned a vector of dim 3, not the batch's 2$",
+]), ids=["zero", "ragged"])
+def test_a_zero_or_ragged_embedding_reply_caches_no_line(monkeypatch, tmp_path, body, fault):
     monkeypatch.setattr(requests, "post", lambda url, json=None, headers=None, timeout=None: FakeResponse(body=body))
     path = tmp_path / "emb.jsonl"
-    with pytest.raises(EmptyResponseError, match="different lengths or a zero vector"):
+    with pytest.raises(EmptyResponseError, match=fault):
         embed_many(["a", "b"], RemoteEmbeddingProvider("http://host", "m"), EmbeddingCache(path))
     assert not path.exists() or path.read_text() == ""
 
@@ -743,7 +745,7 @@ def test_a_chunk_at_another_dim_than_the_first_caches_no_line(monkeypatch, tmp_p
     monkeypatch.setattr(requests, "post", post)
     texts = [f"t{i}" for i in range(2049)]
     path = tmp_path / "emb.jsonl"
-    with pytest.raises(EmptyResponseError, match="different lengths or a zero vector"):
+    with pytest.raises(EmptyResponseError, match="^remote:m returned a vector of dim 3, not the batch's 2$"):
         embed_many(texts, RemoteEmbeddingProvider("http://host", "m"), EmbeddingCache(path))
     assert len(path.read_text().splitlines()) == 2048  # the first chunk only
     assert EmbeddingCache(path).get("remote:m", "t2048") is None
@@ -754,7 +756,7 @@ def test_a_reply_at_another_dim_than_the_cached_vectors_caches_no_line(monkeypat
     EmbeddingCache(path).put("remote:m", "a", np.array([1.0, 0.0]))
     monkeypatch.setattr(requests, "post", lambda url, json=None, headers=None, timeout=None:
                         FakeResponse(body={"data": [{"index": 0, "embedding": [1.0, 2.0, 3.0]}]}))
-    with pytest.raises(EmptyResponseError, match="different lengths or a zero vector"):
+    with pytest.raises(EmptyResponseError, match="^remote:m returned a vector of dim 3, not the batch's 2$"):
         embed_many(["a", "b"], RemoteEmbeddingProvider("http://host", "m"), EmbeddingCache(path))
     assert len(path.read_text().splitlines()) == 1
 

@@ -10,6 +10,7 @@ import struct
 import threading
 import time
 import warnings
+from collections import Counter
 from concurrent import futures
 from pathlib import Path
 
@@ -49,6 +50,9 @@ from iconclassify.retrieval import (
 from iconclassify.taxonomy import DatabaseKind, load_taxonomy, parse_code, render_doc
 
 from conftest import FIXTURES
+
+INDEX_FILES = ("keyword.json", "keyword-offsets.npy", "keyword-rows.npy", "keyword-tfs.npy", "keyword-lengths.npy",
+               "vectors.jsonl", "vectors.npy", "meta.json")
 
 # Three equal-length docs: every doc has 4 tokens, so doc_len == avg_len and
 # the length normalization factor is exactly 1. A term with df=1 then scores
@@ -92,11 +96,12 @@ def test_build_keyword_index_counts():
 
 
 def test_keyword_index_works_out_its_count_and_mean_length():
-    index = KeywordIndex({"ark": [("d1", 1)]}, {"d1": 1, "d2": 0, "d3": 1})
+    index = KeywordIndex(["d1", "d2", "d3"], {"ark": (0, 1)}, np.array([0]), np.array([1]), np.array([1, 0, 1]))
     assert (index.doc_count, index.avg_doc_length) == (3, 2 / 3)
-    assert [f.name for f in dataclasses.fields(KeywordIndex) if f.init] == ["postings", "doc_lengths"]
+    assert (index.postings, index.doc_lengths) == ({"ark": [("d1", 1)]}, {"d1": 1, "d2": 0, "d3": 1})
+    assert [f.name for f in dataclasses.fields(KeywordIndex) if f.init] == ["ids", "spans", "rows", "tfs", "lengths"]
     with pytest.raises(EmptyCorpusError):
-        KeywordIndex({}, {})
+        KeywordIndex([], {}, np.array([]), np.array([]), np.array([]))
 
 
 def test_build_keyword_index_rejects_duplicates():
@@ -255,7 +260,7 @@ def test_keyword_search_equals_a_bm25_scan_before_and_after_a_round_trip(tmp_pat
     built = build_keyword_index(SCAN_DOCS)
     save_index(tmp_path, built, build_vector_index((d, [1.0, float(i)]) for i, (d, _) in enumerate(SCAN_DOCS)))
     loaded, _, _ = load_index(tmp_path)
-    assert list(loaded.doc_lengths) == sorted(built.doc_lengths) != list(built.doc_lengths)
+    assert loaded.ids == built.ids == sorted(d for d, _ in SCAN_DOCS) != [d for d, _ in SCAN_DOCS]
     (first, _, score1), (second, _, score2) = _bm25_scan(built, "noah", 2)
     assert (first, second) == ("72", "75") and score1 == score2  # so k = 1 cuts a tie
     queries = ["the ark ark noah", "the", "Mariä", "noah", "the flood of mariä the rain", "zebra"]
@@ -263,6 +268,55 @@ def test_keyword_search_equals_a_bm25_scan_before_and_after_a_round_trip(tmp_pat
         for k in (1, 2, 3, len(SCAN_DOCS) + 2):
             expected = _bm25_scan(built, query, k)
             for index in (built, loaded):
+                hits = keyword_search(index, query, k)
+                assert [(h.code.raw, h.rank, float.hex(h.score)) for h in hits] == expected, (query, k)
+
+
+def _synthetic_corpus(seed: int, n_docs: int) -> tuple[list[tuple[str, str]], list[str]]:
+    """Docs in shuffled id order over a skewed vocabulary, with repeats, Unicode and empty docs; and the vocabulary."""
+    rng = random.Random(seed)
+    vocab = [f"w{i}" for i in range(80)] + ["mariä", "ark", "noah", "7"]
+    weights = [1 / (i + 1) for i in range(len(vocab))]
+    docs = [(f"{i // 26 + 1}{chr(65 + i % 26)}", " ".join(rng.choices(vocab, weights, k=rng.randrange(0, 25))))
+            for i in range(n_docs)]
+    rng.shuffle(docs)
+    return docs, vocab
+
+
+def _scan_from_text(docs: list[tuple[str, str]], query: str, k: int) -> list[tuple[str, int, str]]:
+    """BM25 of every doc from its own Counter of tokens, by the formula written out: (id, rank, score hex)."""
+    counts = {doc_id: Counter(tokenize(text)) for doc_id, text in docs}
+    avg = sum(sum(c.values()) for c in counts.values()) / len(docs)
+    df = Counter(term for c in counts.values() for term in c)
+    k1, b = retrieval.DEFAULT_K1, retrieval.DEFAULT_B
+    scored = []
+    for doc_id, c in counts.items():
+        score = 0.0
+        for term in tokenize(query):
+            if c[term]:
+                idf = math.log(1 + (len(docs) - df[term] + 0.5) / (df[term] + 0.5))
+                score += idf * (c[term] * (k1 + 1)) / (c[term] + k1 * (1 - b + b * sum(c.values()) / avg))
+        if score > 0.0:
+            scored.append((-score, doc_id))
+    return [(doc_id, i + 1, float.hex(-neg)) for i, (neg, doc_id) in enumerate(sorted(scored)[:k])]
+
+
+def test_keyword_search_equals_a_from_text_bm25_scan_on_every_term(tmp_path):
+    # bm25_score reads views of the index's own arrays, so only a scorer that starts from the text is independent
+    docs, vocab = _synthetic_corpus(24, 300)
+    built = build_keyword_index(docs)
+    rng = np.random.default_rng(24)
+    save_index(tmp_path, built, build_vector_index((d, rng.standard_normal(4)) for d, _ in docs))
+    loaded, _, _ = load_index(tmp_path)
+    # any 1-d integer array is read as it is: here in other widths, signedness and byte order
+    for name, dtype in [("offsets", "<u4"), ("rows", ">i8"), ("tfs", "<u1"), ("lengths", ">u2")]:
+        np.save(tmp_path / f"keyword-{name}.npy", np.load(tmp_path / f"keyword-{name}.npy").astype(dtype))
+    recast, _, _ = load_index(tmp_path)
+    queries = [*vocab, "w0 w1 w1 noah", "Mariä w79 ark ark", "absent words"]
+    for query in queries:
+        for k in (3, len(docs)):
+            expected = _scan_from_text(docs, query, k)
+            for index in (built, loaded, recast):
                 hits = keyword_search(index, query, k)
                 assert [(h.code.raw, h.rank, float.hex(h.score)) for h in hits] == expected, (query, k)
 
@@ -968,6 +1022,16 @@ def test_reference_set_names_the_line_and_file_of_a_bad_vector(tmp_path, line_no
         ImageReferenceSet.from_jsonl(path)
 
 
+def test_reference_set_names_the_first_of_several_bad_vectors(tmp_path):
+    # the norms are judged once for the whole set, after every line is read
+    path = tmp_path / "refs.jsonl"
+    path.write_text('{"vector": [0.0, 1.0], "codes": ["73D"]}\n{"vector": [1e200, 1.0], "codes": ["71B"]}\n'
+                    '{"vector": [0.0, 0.0], "codes": ["71B"]}\n')
+    with pytest.raises(MalformedLineError,
+                       match=r"^line 2: .*refs\.jsonl: zero or non-finite vector cannot be indexed$"):
+        ImageReferenceSet.from_jsonl(path)
+
+
 def test_image_vote_on_reference_fixture(fixtures_dir):
     refs = ImageReferenceSet.from_jsonl(fixtures_dir / "refs.jsonl")
     query = json.loads((fixtures_dir / "vectors" / "img001.json").read_text())
@@ -1013,43 +1077,52 @@ def test_saved_data_files_are_byte_stable(tmp_path):
     vec = build_vector_index([(d, rng.standard_normal(8)) for d, _ in docs])
     save_index(tmp_path / "a", kw, vec)
     save_index(tmp_path / "b", kw, vec)
-    for name in ("keyword.json", "vectors.jsonl", "vectors.npy"):
+    assert sorted(path.name for path in (tmp_path / "a").iterdir()) == sorted(INDEX_FILES)
+    for name in INDEX_FILES[:-1]:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
     meta_a = json.loads((tmp_path / "a" / "meta.json").read_text())
     meta_b = json.loads((tmp_path / "b" / "meta.json").read_text())
     meta_a.pop("created_at")
     meta_b.pop("created_at")
     assert meta_a == meta_b
-    assert meta_a["format"] == 2
+    assert meta_a["format"] == 3
 
 
-def test_saved_data_files_match_format_2_bytes(tmp_path):
-    # tf 2 for "noah" in 71B, "ark" shared by all three docs, and floats
-    # that decimal text could get wrong: the .npy holds their raw bytes
+def _npy_bytes(descr: str, shape: str, data: bytes) -> bytes:
+    """A version 1.0 .npy: magic, header length, the header padded to 128 bytes in all, then the raw data."""
+    header = f"{{'descr': '{descr}', 'fortran_order': False, 'shape': {shape}, }}".encode()
+    return b"\x93NUMPY\x01\x00\x76\x00" + header + b" " * (117 - len(header)) + b"\n" + data
+
+
+def test_saved_data_files_match_format_3_bytes(tmp_path):
+    # tf 2 for "noah" in 71B, "ark" shared by all three docs, ids arriving out of order, and floats
+    # that decimal text could get wrong: each .npy holds its array's raw bytes
     kw = build_keyword_index([("71B", "Noah noah ark"), ("73D", "ark of Noah"), ("11H", "ark")])
     vec = build_vector_index([("71B", [0.1, 1 / 3]), ("73D", [5e-324, -1.0]), ("11H", [-0.0, 2.5])])
     save_index(tmp_path / "idx", kw, vec)
-    assert (tmp_path / "idx" / "keyword.json").read_text(encoding="utf-8") == (
-        '{"doc_lengths": {"11H": 1, "71B": 3, "73D": 3}, '
-        '"postings": {"ark": [["71B", 1], ["73D", 1], ["11H", 1]], '
-        '"noah": [["71B", 2], ["73D", 1]], "of": [["73D", 1]]}}\n'
-    )
-    assert (tmp_path / "idx" / "vectors.jsonl").read_text(encoding="utf-8") == (
-        '{"id": "71B"}\n{"id": "73D"}\n{"id": "11H"}\n'
-    )
-    header = b"{'descr': '<f8', 'fortran_order': False, 'shape': (3, 2), }"
-    assert (tmp_path / "idx" / "vectors.npy").read_bytes() == (
-        b"\x93NUMPY\x01\x00\x76\x00" + header + b" " * (117 - len(header)) + b"\n"
-        + struct.pack("<6d", 0.1, 1 / 3, 5e-324, -1.0, -0.0, 2.5)
-    )
-    assert load_index(tmp_path / "idx")[1].matrix.tobytes() == vec.matrix.tobytes()
+    saved = {path.name: path.read_bytes() for path in (tmp_path / "idx").iterdir()}
+    assert saved.pop("keyword.json").decode() == '{"ids": ["11H", "71B", "73D"], "terms": ["ark", "noah", "of"]}\n'
+    assert saved.pop("keyword-offsets.npy") == _npy_bytes("<i8", "(4,)", struct.pack("<4q", 0, 3, 5, 6))
+    # ark: 11H 71B 73D; noah: 71B 73D; of: 73D, by row, each term's rows ascending
+    assert saved.pop("keyword-rows.npy") == _npy_bytes("<i4", "(6,)", struct.pack("<6i", 0, 1, 2, 1, 2, 2))
+    assert saved.pop("keyword-tfs.npy") == _npy_bytes("<i4", "(6,)", struct.pack("<6i", 1, 1, 1, 2, 1, 1))
+    assert saved.pop("keyword-lengths.npy") == _npy_bytes("<i4", "(3,)", struct.pack("<3i", 1, 3, 3))
+    assert saved.pop("vectors.jsonl").decode() == '{"id": "71B"}\n{"id": "73D"}\n{"id": "11H"}\n'
+    assert saved.pop("vectors.npy") == _npy_bytes("<f8", "(3, 2)", struct.pack("<6d", 0.1, 1 / 3, 5e-324, -1.0,
+                                                                               -0.0, 2.5))
+    assert list(saved) == ["meta.json"]
+    loaded, loaded_vec, _ = load_index(tmp_path / "idx")
+    assert loaded_vec.matrix.tobytes() == vec.matrix.tobytes()
+    assert (loaded.postings, loaded.doc_lengths) == (kw.postings, kw.doc_lengths) == (
+        {"ark": [("11H", 1), ("71B", 1), ("73D", 1)], "noah": [("71B", 2), ("73D", 1)], "of": [("73D", 1)]},
+        {"11H": 1, "71B": 3, "73D": 3})
 
 
 def test_load_index_reports_missing_files(tmp_path):
     docs = [("71B", "ark")]
     kw = build_keyword_index(docs)
     vec = build_vector_index([("71B", [1.0, 0.0])])
-    for name in ("meta.json", "keyword.json", "vectors.jsonl", "vectors.npy"):
+    for name in INDEX_FILES:
         save_index(tmp_path / name, kw, vec)
         (tmp_path / name / name).unlink()
         with pytest.raises(MissingIndexError, match=f"^missing index file {re.escape(str(tmp_path / name / name))}$"):
@@ -1124,14 +1197,11 @@ def test_load_index_refuses_vectors_that_are_not_the_saved_matrix(tmp_path, brea
 def test_load_index_refuses_postings_that_name_an_unknown_doc(tmp_path):
     save_index(tmp_path / "idx", build_keyword_index([("71B", "ark"), ("73D", "supper")]),
                build_vector_index([("71B", [1.0, 0.0]), ("73D", [0.0, 1.0])]))
-    kw_path = tmp_path / "idx" / "keyword.json"
-    data = json.loads(kw_path.read_text())
-    data["postings"]["ark"].append(["99Z", 1])
-    kw_path.write_text(json.dumps(data))
-    # the counts still agree with meta.json, so only the ids tell
-    with pytest.raises(MissingIndexError, match=f"^{re.escape(str(tmp_path / 'idx'))}: incomplete index: .* "
-                                                "under other ids; rebuild it with `index build`$"):
-        load_index(tmp_path / "idx")
+    for row in (2, -1):  # the counts still agree with meta.json, so only the row's range tells
+        np.save(tmp_path / "idx" / "keyword-rows.npy", np.array([0, row], dtype=np.int32))
+        with pytest.raises(MissingIndexError, match=f"^{re.escape(str(tmp_path / 'idx'))}: unreadable index file: "
+                                                    r"ValueError\('a row outside \[0, 2\)'\); rebuild it"):
+            load_index(tmp_path / "idx")
 
 
 @pytest.mark.parametrize("field, value", [("k1", 1.4), ("b", 0.6)])
@@ -1217,8 +1287,8 @@ def test_load_index_refuses_a_format_1_index(tmp_path):
 
 
 @pytest.mark.parametrize("name, text, reason", [
-    ("keyword.json", '{"doc_lengths": {"71B": 1}}', "KeyError('postings')"),
-    ("keyword.json", '{"postings": {}, "doc_lengths": {}}', "no documents to index"),
+    ("keyword.json", '{"ids": ["71B"]}', "KeyError('terms')"),
+    ("keyword.json", '{"ids": [], "terms": ["ark"]}', "1 lengths for 0 ids"),
     ("vectors.jsonl", "", "no vectors to index"),
 ], ids=["keyword_without_postings", "keyword_without_docs", "no_vectors"])
 def test_load_index_refuses_an_unreadable_file(tmp_path, name, text, reason):
