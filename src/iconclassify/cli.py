@@ -304,8 +304,11 @@ def cmd_classify(manifest_path: str, method_name: str, mode: str, database: str,
         rag_k=rag_k,
     )
     rows = pipeline.read_manifest(manifest_path)
-    documents = _load_rendered_taxonomy(rendered_path, method.database_kind)
-    ctx = pipeline.ClassifyContext(documents=documents, hybrid_pool=pool, vote_k=vote_k)
+    ctx = pipeline.ClassifyContext(hybrid_pool=pool, vote_k=vote_k)
+    # RAG selection reads candidate texts and the image method's votes are checked against the codes; the other
+    # methods' hits come from an index whose recorded digest, checked below, proves it was built from this file
+    if method.query_kind in (pipeline.QueryKind.RAG_VECTOR, pipeline.QueryKind.RAG_HYBRID, pipeline.QueryKind.IMAGE):
+        ctx.documents = _load_rendered_taxonomy(rendered_path, method.database_kind)
     needs_index = method.query_kind is not pipeline.QueryKind.IMAGE
     if needs_index:
         if not index_dir:

@@ -94,6 +94,7 @@ def _sniff_mime(image_bytes: bytes) -> str:
 _ATTEMPTS = 3
 _BACKOFF_S = 0.5  # the first wait; it doubles after each retry
 _EMBED_CHUNK = 2048  # inputs per embeddings request, OpenAI's cap
+_MAX_RETRY_AFTER_S = 60  # a longer wait asked for ends the call; the caches keep every finished chunk for a rerun
 
 
 def _post(url: str, payload: dict, api_key: Optional[str], timeout: float) -> dict:
@@ -101,8 +102,9 @@ def _post(url: str, payload: dict, api_key: Optional[str], timeout: float) -> di
 
     A connection error, a 200 whose body is not JSON, 408, 429 and 5xx are
     retried, 3 attempts in all, after waits of 0.5 s and then 1.0 s; a
-    `Retry-After` header in whole seconds replaces that wait. Any other
-    status fails at once. Either way the failure is a ProviderUnavailableError.
+    `Retry-After` header in whole seconds replaces that wait, up to 60 s, and
+    a longer one fails at once. Any other status fails at once. Either way
+    the failure is a ProviderUnavailableError.
     """
     import requests  # only remote calls need it, and it is slow to import
 
@@ -119,7 +121,7 @@ def _post(url: str, payload: dict, api_key: Optional[str], timeout: float) -> di
         if resp.status_code == 200:
             try:
                 return resp.json()
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 last_error = f"invalid JSON body: {exc}"
                 continue
         last_error = f"HTTP {resp.status_code}"
@@ -128,6 +130,9 @@ def _post(url: str, payload: dict, api_key: Optional[str], timeout: float) -> di
         retry_after = resp.headers.get("Retry-After", "").strip()
         if retry_after.isascii() and retry_after.isdigit():
             wait = float(retry_after)
+            if wait > _MAX_RETRY_AFTER_S:
+                raise ProviderUnavailableError(f"{url}: {last_error} asks to retry after {retry_after} s, "
+                                               f"more than the {_MAX_RETRY_AFTER_S} s this client waits")
     raise ProviderUnavailableError(f"{url}: {last_error} (after {_ATTEMPTS} attempts)")
 
 
@@ -258,7 +263,7 @@ class _AppendOnlyCache:
                     try:
                         key, value = self._decode(json.loads(line))
                         self._records.setdefault(key, value)
-                    except (ValueError, KeyError, TypeError) as exc:
+                    except (ValueError, KeyError, TypeError, RecursionError) as exc:
                         if line.endswith(b"\n"):  # only the final line can lack one
                             raise MalformedLineError(line_no, f"{self.path}: bad cache record: {exc!r}") from exc
 
@@ -283,7 +288,7 @@ class _AppendOnlyCache:
                     try:
                         self._decode(json.loads(fh.read()))
                         lead = b"\n"  # it decodes: end it
-                    except (ValueError, KeyError, TypeError):
+                    except (ValueError, KeyError, TypeError, RecursionError):
                         fh.truncate(start)  # it does not: cut it off
                 fh.write(lead + line.encode("utf-8") + b"\n")
 

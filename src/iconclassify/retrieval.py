@@ -78,9 +78,9 @@ class KeywordIndex:
 
     ids: list[str]
     spans: dict[str, tuple[int, int]]
-    rows: np.ndarray  # integral, in [0, len(ids))
-    tfs: np.ndarray  # integral, >= 1
-    lengths: np.ndarray  # integral, >= 0, one per row
+    rows: np.ndarray  # int32, in [0, len(ids))
+    tfs: np.ndarray  # int32, >= 1
+    lengths: np.ndarray  # int32, >= 0, one per row
     doc_count: int = field(init=False)
     avg_doc_length: float = field(init=False)
 
@@ -248,16 +248,12 @@ def vector_norms(x: np.ndarray) -> np.ndarray:
 
 
 def _vector_index(ids: list[str], matrix: np.ndarray) -> VectorIndex:
-    """The one maker of a VectorIndex: ids in row order and their matrix,
-    every row checked at once. The matrix must be the C-ordered float64 one
-    np.stack makes and save_index writes, one row per id: a strided or
-    converted copy could scan to other bits than the built index."""
+    """The one maker of a VectorIndex: ids in row order and their C-ordered float64 matrix, as np.stack makes
+    it and _read_npy reads it, one row per id, every row checked at once."""
     if not ids:
         raise EmptyCorpusError("no vectors to index")
-    if matrix.dtype != np.float64 or matrix.ndim != 2 or len(matrix) != len(ids) or not matrix.flags.c_contiguous:
-        order = "C" if matrix.flags.c_contiguous else "Fortran" if matrix.flags.f_contiguous else "strided"
-        raise DimMismatchError(f"need a C-ordered float64 matrix with one row per id ({len(ids)}), "
-                               f"not a {order}-ordered {matrix.dtype} array of shape {matrix.shape}")
+    if len(matrix) != len(ids):
+        raise DimMismatchError(f"{len(matrix)} vector rows for {len(ids)} ids")
     _check_unique(ids)
     norms = vector_norms(matrix)
     bad = np.flatnonzero(~((norms > 0.0) & (norms < math.inf)))
@@ -464,7 +460,15 @@ def image_vote_classify(
     return by_raw[order[0]], table
 
 
-_KEYWORD_ARRAYS = ("offsets", "rows", "tfs", "lengths")
+# the array files of an index, the matrix first, in the order save_index writes them: each with the one native dtype
+# and rank it is written in, and so the only one it is read in
+_ARRAYS = {"vectors.npy": (np.dtype(np.float64), 2), "keyword-offsets.npy": (np.dtype(np.int64), 1),
+           "keyword-rows.npy": (np.dtype(np.int32), 1), "keyword-tfs.npy": (np.dtype(np.int32), 1),
+           "keyword-lengths.npy": (np.dtype(np.int32), 1)}
+# the magic and header of a version 1.0 .npy file as numpy writes them: the dtype, the order flag and the shape.
+# Matched, not evaluated: numpy's reader runs ast.literal_eval on them, and reads a shape of (3L,) with a warning
+_NPY_HEADER = re.compile(rb"\x93NUMPY\x01\x00[\s\S]{2}\{'descr': '([^']*)', 'fortran_order': (False|True), "
+                         rb"'shape': \(((?:\d+, )*\d+,?|)\), \} *\n")
 
 
 def save_index(
@@ -473,16 +477,11 @@ def save_index(
     vec_index: VectorIndex,
     config: Optional[dict] = None,
 ) -> None:
-    """Persist both indices to a directory.
-
-    Layout: keyword.json (the sorted doc ids, the terms in slice order),
-    keyword-{offsets,rows,tfs,lengths}.npy (the KeywordIndex arrays; term i's
-    slice starts at offsets[i]), vectors.jsonl (one {"id": ...} record per
-    matrix row, in row order), vectors.npy (the matrix), each .npy raw and
-    bit-exact, and meta.json (format, params, counts, creation info), which
-    marks a finished save. All go through write_outputs, which replaces none
-    until every one is written, and meta.json last, so a failed save leaves
-    the old index loadable."""
+    """Persist both indices to a directory: keyword.json (the sorted doc ids, the terms in slice order),
+    vectors.jsonl (one {"id": ...} record per matrix row, in row order), the _ARRAYS files (the matrix and the
+    KeywordIndex arrays, term i's slice starting at offsets[i]), each raw and bit-exact, and meta.json (format,
+    params, counts, creation info), which marks a finished save. All go through write_outputs, which replaces
+    none until every one is written, and meta.json last, so a failed save leaves the old index loadable."""
     out = Path(dir_path)
     offsets = np.array([0, *(hi for _, hi in kw_index.spans.values())], dtype=np.int64)
     meta = {
@@ -501,9 +500,8 @@ def save_index(
     write_outputs(
         (out / "keyword.json", json.dumps({"ids": kw_index.ids, "terms": list(kw_index.spans)}) + "\n"),
         (out / "vectors.jsonl", "".join(json.dumps({"id": doc_id}) + "\n" for doc_id in vec_index.ids)),
-        (out / "vectors.npy", _npy(vec_index.matrix)),
-        *((out / f"keyword-{name}.npy", _npy(array)) for name, array in
-          zip(_KEYWORD_ARRAYS, (offsets, kw_index.rows, kw_index.tfs, kw_index.lengths))),
+        *((out / name, _npy(np.ascontiguousarray(array, dtype))) for (name, (dtype, _)), array in
+          zip(_ARRAYS.items(), (vec_index.matrix, offsets, kw_index.rows, kw_index.tfs, kw_index.lengths))),
         (out / "meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n"),
     )
 
@@ -516,29 +514,29 @@ def _npy(array: np.ndarray):
     return write
 
 
-def _index_file(root: Path, name: str) -> Path:
-    path = root / name
-    if not path.is_file():
-        raise MissingIndexError(f"missing index file {path}")
-    return path
-
-
 def _read_npy(root: Path, name: str) -> np.ndarray:
-    with open(_index_file(root, name), "rb") as fh:  # a .npy and nothing else: no pickle, no .npz, no mmap
-        return np.lib.format.read_array(fh, allow_pickle=False)
+    """The array save_index wrote to `name`, read only once its header shows a version 1.0 .npy of the C-ordered
+    dtype and rank _ARRAYS gives, followed by exactly the bytes its shape needs: so no header can make the read
+    allocate more than the file holds, and nothing is unpickled."""
+    dtype, rank = _ARRAYS[name]
+    with open(root / name, "rb") as fh:
+        head = fh.read(10)
+        header = _NPY_HEADER.fullmatch(head + fh.read(int.from_bytes(head[8:], "little")))
+        if not header:
+            raise ValueError(f"{name} is not a version 1.0 .npy file")
+        shape = tuple(map(int, re.findall(rb"\d+", header[3])))
+        size, data = math.prod(shape), os.fstat(fh.fileno()).st_size - fh.tell()
+        if header.group(1, 2) != (dtype.str.encode(), b"False") or len(shape) != rank or data != size * dtype.itemsize:
+            raise ValueError(f"{name} holds {header[0][10:].strip().decode('latin-1')} and {data} bytes of data, "
+                             f"not a C-ordered {dtype.str} array of rank {rank} and the bytes its shape needs")
+        return np.fromfile(fh, dtype, size).reshape(shape)
 
 
-def _keyword_index(ids, terms, *arrays: np.ndarray) -> KeywordIndex:
-    """A KeywordIndex from its saved parts, each checked with whole-array ops:
-    sorted string ids, distinct string terms, and 1-d integer arrays whose
-    offsets tile the rows with a non-empty slice per term, whose rows lie in
-    [0, len(ids)) and ascend strictly within each term, so a doc counts once in
-    its term's document frequency, whose tfs are >= 1 and lengths >= 0."""
-    for name, array in zip(_KEYWORD_ARRAYS, arrays):
-        if array.dtype.kind not in "iu" or array.ndim != 1:
-            raise TypeError(f"keyword-{name}.npy must hold a 1-d integer array, "
-                            f"not a {array.dtype} array of shape {array.shape}")
-    offsets, rows, tfs, lengths = arrays
+def _keyword_index(ids, terms, offsets, rows, tfs, lengths) -> KeywordIndex:
+    """A KeywordIndex from its saved parts, each checked with whole-array ops: sorted string ids, distinct string
+    terms, and arrays whose offsets tile the rows with a non-empty slice per term, whose rows lie in [0, len(ids))
+    and ascend strictly within each term, so a doc counts once in its term's document frequency, whose tfs are
+    >= 1 and lengths >= 0."""
     if not (type(ids) is type(terms) is list and all(type(s) is str for s in ids + terms)):
         raise TypeError("keyword.json must hold lists of strings")
     if any(a >= b for a, b in zip(ids, ids[1:])):
@@ -567,7 +565,7 @@ def load_index(dir_path: Union[str, Path]) -> tuple[KeywordIndex, VectorIndex, d
     """Load save_index's files, checked against meta.json; queries reproduce the originals exactly."""
     root = Path(dir_path)
     try:
-        meta = json.loads(_index_file(root, "meta.json").read_text(encoding="utf-8"))
+        meta = json.loads((root / "meta.json").read_text(encoding="utf-8"))
         # checked before any other file is read; an index is derived data, so an old format is rebuilt, not converted
         if meta["format"] != 3:
             raise MissingIndexError(f"{root}: index format {meta['format']!r} is no longer read; "
@@ -580,16 +578,18 @@ def load_index(dir_path: Union[str, Path]) -> tuple[KeywordIndex, VectorIndex, d
             raise MissingIndexError(f"{root}: index was built with BM25 k1={kw_meta['k1']}, b={kw_meta['b']}, "
                                     f"not {DEFAULT_K1}, {DEFAULT_B}; rebuild it with `index build`")
         recorded = (kw_meta["doc_count"], kw_meta["avg_doc_length"], vec_meta["doc_count"], vec_meta["dim"])
-        kw_data = json.loads(_index_file(root, "keyword.json").read_text(encoding="utf-8"))
-        kw_index = _keyword_index(kw_data["ids"], kw_data["terms"],
-                                  *(_read_npy(root, f"keyword-{name}.npy") for name in _KEYWORD_ARRAYS))
-        ids = [obj["id"] for _, obj in iter_jsonl(_index_file(root, "vectors.jsonl"))]
-        vec_index = _vector_index(ids, _read_npy(root, "vectors.npy"))
+        kw_data = json.loads((root / "keyword.json").read_text(encoding="utf-8"))
+        matrix_file, *keyword_files = _ARRAYS  # the small files are checked before the matrix is read
+        kw_index = _keyword_index(kw_data["ids"], kw_data["terms"], *(_read_npy(root, name) for name in keyword_files))
+        ids = [obj["id"] for _, obj in iter_jsonl(root / "vectors.jsonl")]
+        vec_index = _vector_index(ids, _read_npy(root, matrix_file))
         same_ids = kw_index.ids == sorted(vec_index.ids)
+    except FileNotFoundError as exc:
+        raise MissingIndexError(f"missing index file {exc.filename}") from exc
     except MalformedLineError as exc:
         raise MissingIndexError(f"{exc}; rebuild the index with `index build`") from exc
-    except (ValueError, KeyError, TypeError, EmptyCorpusError, DuplicateDocIdError, DimMismatchError,
-            ZeroVectorError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError, EmptyCorpusError, DuplicateDocIdError,
+            DimMismatchError, ZeroVectorError) as exc:
         raise MissingIndexError(f"{root}: unreadable index file: {exc!r}; rebuild it with `index build`") from exc
     # a save that dies part way leaves files that disagree with meta.json or with each other
     found = (kw_index.doc_count, kw_index.avg_doc_length, len(vec_index.ids), vec_index.dim)

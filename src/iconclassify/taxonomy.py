@@ -166,7 +166,7 @@ def _json_object(line: str, line_no: int, where: str) -> dict:
     """Decode one JSON line that must hold an object; `where` prefixes the error."""
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested deeper than the decoder recurses
         raise MalformedLineError(line_no, f"{where}invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise MalformedLineError(line_no, f"{where}expected a JSON object")

@@ -1,6 +1,8 @@
+import io
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -21,6 +23,15 @@ def random_code_text(rng: random.Random, max_plain: int = 6,
     if rng.random() < key_p:
         out += "(+" + "".join(rng.choice(_DIGITS) for _ in range(rng.randint(1, 3))) + ")"
     return out
+
+
+def npy_claiming(npy: bytes, **fields) -> bytes:
+    """The bytes of the .npy file `npy` under a header whose `fields` (shape, descr, fortran_order) claim other
+    than its own; the data bytes after the header stay as they are."""
+    array = np.load(io.BytesIO(npy))
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, {**np.lib.format.header_data_from_array_1_0(array), **fields})
+    return header.getvalue() + npy[len(npy) - array.nbytes:]
 
 
 @pytest.fixture

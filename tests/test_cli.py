@@ -20,7 +20,7 @@ from iconclassify import providers, retrieval
 from iconclassify.cli import main
 from iconclassify.errors import ZeroVectorError
 
-from conftest import FIXTURES
+from conftest import FIXTURES, npy_claiming
 
 HIER_71B32 = (
     "Bible; Old Testament; Genesis from the descendants of Cain and Seth to "
@@ -914,7 +914,8 @@ def _cut_vectors(workspace, tmp_path):
 def _cut_vector_matrix(workspace, tmp_path):
     index, args = _copied_index(workspace, tmp_path, tmp_path / "x")
     (index / "vectors.npy").write_bytes((index / "vectors.npy").read_bytes()[:-100])
-    return args, [f"{index}: unreadable index file", "Failed to read all data", "index build"]
+    return args, [f"{index}: unreadable index file", "vectors.npy holds {'descr': '<f8', 'fortran_order': False, "
+                  "'shape': (50, 64), } and 25500 bytes of data, not a C-ordered <f8 array of rank 2", "index build"]
 
 
 def _format_1_index(workspace, tmp_path):
@@ -948,9 +949,9 @@ def _keyword_file_without_postings(workspace, tmp_path):
     return args, ["unreadable index file", "KeyError('terms')"]
 
 
-def _changed_keyword_part(workspace, tmp_path, change, reason):
+def _changed_keyword_part(workspace, tmp_path, change, *reasons):
     """Copied-index classify args, with `change(kw, arrays)` applied to the keyword files: it edits `kw`,
-    the keyword.json object, or the arrays by name. The one-line error names the index and gives `reason`."""
+    the keyword.json object, or the arrays by name. The one-line error names the index and gives `reasons`."""
     index, args = _copied_index(workspace, tmp_path, tmp_path / "x")
     kw = json.loads((index / "keyword.json").read_text())
     names = ("offsets", "rows", "tfs", "lengths")
@@ -959,22 +960,28 @@ def _changed_keyword_part(workspace, tmp_path, change, reason):
     (index / "keyword.json").write_text(json.dumps(kw))
     for name in names:
         np.save(index / f"keyword-{name}.npy", arrays[name], allow_pickle=arrays[name].dtype == object)
-    return args, [f"{index}: unreadable index file: ", reason, "; rebuild it with `index build`"]
+    return args, [f"{index}: unreadable index file: ", *reasons, "; rebuild it with `index build`"]
+
+
+def _not_int32(name, descr):
+    """The reasons a keyword array file is refused whose header's 'descr' value, and what follows it, begins
+    `descr`, where save_index writes an int32 array."""
+    return [f"{name} holds {{'descr': {descr}", ", not a C-ordered <i4 array of rank 1 and the bytes its shape needs"]
 
 
 def _term_frequency_beyond_the_float_range(workspace, tmp_path):
     def change(kw, arrays):
         arrays["tfs"] = arrays["tfs"] * 1.0
         arrays["tfs"][0] = math.inf
-    return _changed_keyword_part(workspace, tmp_path, change, "keyword-tfs.npy must hold a 1-d integer array, "
-                                                              "not a float64 array of shape")
+    return _changed_keyword_part(workspace, tmp_path, change,
+                                 *_not_int32("keyword-tfs.npy", "'<f8', 'fortran_order': False, 'shape': ("))
 
 
 def _fractional_term_frequency(workspace, tmp_path):
     def change(kw, arrays):
         arrays["tfs"] = arrays["tfs"] * 1.5
-    return _changed_keyword_part(workspace, tmp_path, change, "keyword-tfs.npy must hold a 1-d integer array, "
-                                                              "not a float64 array of shape")
+    return _changed_keyword_part(workspace, tmp_path, change,
+                                 *_not_int32("keyword-tfs.npy", "'<f8', 'fortran_order': False, 'shape': ("))
 
 
 def _zero_term_frequency(workspace, tmp_path):
@@ -986,8 +993,8 @@ def _zero_term_frequency(workspace, tmp_path):
 def _boolean_doc_length(workspace, tmp_path):
     def change(kw, arrays):
         arrays["lengths"] = arrays["lengths"] > 0
-    return _changed_keyword_part(workspace, tmp_path, change, "keyword-lengths.npy must hold a 1-d integer array, "
-                                                              "not a bool array of shape (50,)")
+    return _changed_keyword_part(workspace, tmp_path, change,
+                                 *_not_int32("keyword-lengths.npy", "'|b1', 'fortran_order': False, 'shape': (50,)"))
 
 
 def _negative_doc_length(workspace, tmp_path):
@@ -1012,8 +1019,9 @@ def _postings_that_name_a_doc_twice(workspace, tmp_path):
 def _keyword_array_of_two_dimensions(workspace, tmp_path):
     def change(kw, arrays):
         arrays["rows"] = arrays["rows"].reshape(-1, 1)
-    return _changed_keyword_part(workspace, tmp_path, change, "keyword-rows.npy must hold a 1-d integer array, "
-                                                              "not a int32 array of shape (")
+    return _changed_keyword_part(workspace, tmp_path, change,
+                                 *_not_int32("keyword-rows.npy", "'<i4', 'fortran_order': False, 'shape': ("),
+                                 ", 1), } and ")
 
 
 def _keyword_slices_that_do_not_tile_the_rows(workspace, tmp_path):
@@ -1058,13 +1066,15 @@ def _keyword_ids_other_than_the_vectors(workspace, tmp_path):
 def _cut_keyword_array(workspace, tmp_path):
     index, args = _copied_index(workspace, tmp_path, tmp_path / "x")
     (index / "keyword-rows.npy").write_bytes((index / "keyword-rows.npy").read_bytes()[:-8])
-    return args, [f"{index}: unreadable index file: ValueError('Failed to read all data", "index build"]
+    return args, [f"{index}: unreadable index file: ValueError(\"", *_not_int32("keyword-rows.npy", "'<i4'"),
+                  "index build"]
 
 
 def _pickled_keyword_array(workspace, tmp_path):
     def change(kw, arrays):
         arrays["tfs"] = arrays["tfs"].astype(object)
-    return _changed_keyword_part(workspace, tmp_path, change, "Object arrays cannot be loaded when allow_pickle=False")
+    return _changed_keyword_part(workspace, tmp_path, change,
+                                 *_not_int32("keyword-tfs.npy", "'|O', 'fortran_order': False, 'shape': ("))
 
 
 def _index_built_from_another_taxonomy(workspace, tmp_path):
@@ -1086,7 +1096,7 @@ def _index_config_that_is_not_an_object(workspace, tmp_path):
 def _rendered_taxonomy_args(workspace, tmp_path, text):
     rendered = tmp_path / "rendered.jsonl"
     rendered.write_text(text)
-    args = _classify_args(workspace, tmp_path / "x")
+    args = _classify_args(workspace, tmp_path / "x", method="rag-hybrid")  # keyword, vector and hybrid parse none
     args[args.index("--taxonomy") + 1] = str(rendered)
     return args
 
@@ -1278,6 +1288,73 @@ def test_malformed_input_ends_as_a_one_line_error(runner, tmp_path, workspace, c
     for needle in needles:
         assert needle in result.output
     assert not (tmp_path / "x.jsonl").exists()
+
+
+@pytest.mark.parametrize("change", ["2**40 rows", "a trailing byte"])
+@pytest.mark.parametrize("name", ["vectors.npy", "keyword-offsets.npy", "keyword-rows.npy", "keyword-tfs.npy",
+                                  "keyword-lengths.npy"])
+def test_an_index_array_whose_bytes_disagree_with_its_header_ends_as_a_one_line_error(runner, workspace, tmp_path,
+                                                                                      name, change):
+    # a loader that trusted the header would allocate 2**40 rows before it read one, and end in a MemoryError
+    index, args = _copied_index(workspace, tmp_path, tmp_path / "x")
+    npy = (index / name).read_bytes()
+    rows = (2**40, *np.load(index / name).shape[1:])
+    (index / name).write_bytes(npy_claiming(npy, shape=rows) if change == "2**40 rows" else npy + b"\0")
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit), repr(result.exception)
+    assert result.output.startswith(f"Error: {index}: unreadable index file: ValueError(\"{name} holds {{'descr': ")
+    assert result.output.count("\n") == 1 and "Traceback" not in result.output
+
+
+# ---------------------------------------------------------------- deeply nested JSON
+
+_DEEP = "[" * 100_000 + "]" * 100_000  # one value nested deeper than the json decoder recurses
+
+
+def _deep_jsonl_manifest(workspace, tmp_path, monkeypatch):
+    (tmp_path / "m.jsonl").write_text(_DEEP + "\n")
+    return ["describe", "--manifest", str(tmp_path / "m.jsonl"), "--cache", str(tmp_path / "c.jsonl"), "--offline"], \
+        f"line 1: {tmp_path / 'm.jsonl'}: invalid JSON: maximum recursion depth exceeded"
+
+
+def _deep_reference_set(workspace, tmp_path, monkeypatch):
+    (tmp_path / "refs.jsonl").write_text(_DEEP + "\n")
+    return ["classify", "--manifest", str(FIXTURES / "manifest.csv"), "--method", "image", "--taxonomy",
+            str(workspace / "rendered.jsonl"), "--refs", str(tmp_path / "refs.jsonl"), "--offline",
+            "--out", str(tmp_path / "x")], f"line 1: {tmp_path / 'refs.jsonl'}: invalid JSON: maximum recursion depth"
+
+
+def _deep_keyword_json(workspace, tmp_path, monkeypatch):
+    index, args = _copied_index(workspace, tmp_path, tmp_path / "x")
+    (index / "keyword.json").write_text(_DEEP)
+    return args, f"{index}: unreadable index file: RecursionError("
+
+
+def _deep_description_cache(workspace, tmp_path, monkeypatch):
+    (tmp_path / "c.jsonl").write_text(_DEEP + "\n")
+    return _classify_args(workspace, tmp_path / "x", method="hybrid", extra=("--cache", str(tmp_path / "c.jsonl"))), \
+        f"line 1: {tmp_path / 'c.jsonl'}: bad cache record: RecursionError("
+
+
+def _deep_embeddings_reply(workspace, tmp_path, monkeypatch):
+    reply = requests.Response()
+    reply.status_code, reply._content, reply.encoding = 200, _DEEP.encode(), "utf-8"
+    monkeypatch.setattr(requests, "post", lambda *a, **k: reply)
+    monkeypatch.setattr(providers.time, "sleep", lambda seconds: None)
+    return ["index", "build", "--taxonomy", str(workspace / "rendered.jsonl"), "--index-dir", str(tmp_path / "idx"),
+            "--endpoint", "http://host", "--embed-model", "m"], \
+        "http://host/embeddings: invalid JSON body: maximum recursion depth exceeded"
+
+
+@pytest.mark.parametrize("case", [
+    _deep_jsonl_manifest, _deep_reference_set, _deep_keyword_json, _deep_description_cache, _deep_embeddings_reply,
+], ids=lambda case: case.__name__.strip("_"))
+def test_deeply_nested_json_ends_as_a_one_line_error(runner, workspace, tmp_path, monkeypatch, case):
+    args, needle = case(workspace, tmp_path, monkeypatch)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit), repr(result.exception)
+    assert result.output.count("Error:") == 1 and "Traceback" not in result.output, result.output
+    assert needle in result.output
 
 
 # ---------------------------------------------------------------- vectors too large to square

@@ -3,22 +3,26 @@
 Each case copies one input, mutates it once (a cut, invalid UTF-8, a NUL
 byte, a flipped byte, a stray quote, a changed delimiter, or a number
 replaced by 1e999) and runs the command that reads it through CliRunner.
-Every run must end one of three ways: exit 0, exit 1 with one `Error:`
+A second, exhaustive pass replaces every input with one deeply nested JSON
+value and gives every index array each header that claims other than its
+data. Every run must end one of three ways: exit 0, exit 1 with one `Error:`
 line, or exit 2 for a click usage error. No other exception may escape,
 and no warning may be raised on the way (Miller, Fredriksen & So, CACM 1990).
 """
 
+import io
 import random
 import re
 import shutil
 import warnings
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from iconclassify.cli import main
 
-from conftest import FIXTURES
+from conftest import FIXTURES, npy_claiming
 
 SEED = 1990
 CASES = 300
@@ -115,6 +119,14 @@ def _outcome(result) -> str:
     return f"exit {result.exit_code} with {errors} Error: lines"
 
 
+def _problem(runner, args) -> str:
+    """'' if the command ends in an allowed way and warns of nothing, else what went wrong."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        outcome = _outcome(runner.invoke(main, args))
+    return "; ".join(filter(None, [outcome, *(f"warned {w.category.__name__}: {w.message}" for w in caught)]))
+
+
 def _copy_flow(flow, work):
     shutil.copytree(flow, work, ignore=shutil.ignore_patterns("pred.jsonl", "pred.meta.json"))
     for name in ("taxonomy.tsv", "refs.jsonl"):
@@ -144,12 +156,49 @@ def test_every_mutated_input_ends_as_success_or_one_line_error(flow, tmp_path):
         kind, data = _mutate(originals[target], rng)
         (work / target).write_bytes(data)
         args = rng.choice(_READERS[target](work))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            outcome = _outcome(runner.invoke(main, args))
-        problem = "; ".join(filter(None, [outcome, *(f"warned {w.category.__name__}: {w.message}" for w in caught)]))
+        problem = _problem(runner, args)
         if problem:
             failures.append(f"case {case}: {kind} in {target}, {' '.join(args[:2])}: {problem}")
         for name, original in originals.items():  # describe appends to its cache, so every input is put back
             (work / name).write_bytes(original)
+    assert not failures, "\n".join(failures)
+
+
+_DEEP = b"[" * 100_000 + b"]" * 100_000 + b"\n"  # one value nested deeper than the json decoder recurses
+
+
+def _header_mutations(npy: bytes) -> dict[str, bytes]:
+    """Each way a .npy file's header can claim other than the data that follows it, by name."""
+    array = np.load(io.BytesIO(npy))
+    return {
+        "2**40 rows": npy_claiming(npy, shape=(2**40, *array.shape[1:])),
+        "no rows": npy_claiming(npy, shape=(0, *array.shape[1:])),
+        "another rank": npy_claiming(npy, shape=(*array.shape, 1)),
+        "a one-byte dtype": npy_claiming(npy, descr="|u1"),
+        "the other byte order": npy_claiming(npy, descr=array.dtype.newbyteorder().str),
+        "Fortran order": npy_claiming(npy, fortran_order=True),
+        "version 2.0": npy[:6] + b"\x02" + npy[7:],
+        "a header past the end": npy[:8] + b"\xff\xff" + npy[10:],
+        "a trailing byte": npy + b"\0",
+    }
+
+
+def test_deep_json_and_every_npy_header_mutation_end_as_success_or_one_line_error(flow, tmp_path):
+    work = tmp_path / "work"
+    _copy_flow(flow, work)
+    originals = {name: (work / name).read_bytes() for name in _READERS}
+    cases = [(name, "deep JSON", _DEEP) for name in sorted(_READERS)]
+    cases += [(name, kind, data) for name in sorted(_READERS) if name.endswith(".npy")
+              for kind, data in _header_mutations(originals[name]).items()]
+    runner = CliRunner()
+    failures = []
+    for target, kind, data in cases:
+        (work / target).write_bytes(data)
+        for args in _READERS[target](work):
+            problem = _problem(runner, args)
+            if problem:
+                failures.append(f"{kind} in {target}, {' '.join(args[:2])}: {problem}")
+        for name, original in originals.items():  # describe appends to its cache, so every input is put back
+            (work / name).write_bytes(original)
+    assert len(cases) == len(_READERS) + 5 * 9
     assert not failures, "\n".join(failures)

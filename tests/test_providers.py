@@ -595,15 +595,24 @@ def test_remote_fails_at_once_on_a_client_error(monkeypatch, sleeps, status):
     assert sleeps == []
 
 
-@pytest.mark.parametrize("retry_after, waits", [("7", [7.0]), ("Wed, 21 Oct 2015 07:28:00 GMT", [0.5])])
+@pytest.mark.parametrize("retry_after, waits", [
+    ("7", [7.0]), ("Wed, 21 Oct 2015 07:28:00 GMT", [0.5]), ("60", [60.0]), ("86400", None),
+])
 def test_remote_waits_as_retry_after_asks(monkeypatch, sleeps, retry_after, waits):
     replies = [
         FakeResponse(status_code=429, headers={"Retry-After": retry_after}),
         FakeResponse(body={"choices": [{"message": {"content": "a woodcut"}}]}),
     ]
     monkeypatch.setattr(requests, "post", lambda url, json=None, headers=None, timeout=None: replies.pop(0))
-    assert RemoteChatProvider("http://host", "m").complete("hi") == "a woodcut"
-    assert sleeps == waits
+    chat = RemoteChatProvider("http://host", "m")
+    if waits is None:  # a wait past the 60 s cap ends the call at once, not a day later
+        with pytest.raises(ProviderUnavailableError, match=r"^http://host/chat/completions: HTTP 429 asks to retry "
+                                                           r"after 86400 s, more than the 60 s this client waits$"):
+            chat.complete("hi")
+        assert (sleeps, len(replies)) == ([], 1)
+    else:
+        assert chat.complete("hi") == "a woodcut"
+        assert sleeps == waits
 
 
 def test_remote_chat_attaches_image_as_data_url(monkeypatch):
