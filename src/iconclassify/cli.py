@@ -179,8 +179,8 @@ def cmd_index_build(rendered_path: str, database: str, index_dir: str, offline: 
     kw_index = retrieval.build_keyword_index(docs.items())
     embedder = _make_embedder(offline, dim, endpoint, embed_model, api_key)
     cache = providers.EmbeddingCache(embed_cache) if embed_cache else None
-    vectors = providers.embed_many(list(docs.values()), embedder, cache)
-    vec_index = retrieval.build_vector_index(zip(docs, vectors))
+    ids = list(docs)
+    vec_index = retrieval.vector_index(ids, providers.embed_many(list(docs.values()), embedder, cache, names=ids))
     config = {"database": kind.value, "embedder": embedder.provider_id, "taxonomy_sha256": _file_sha256(rendered_path)}
     retrieval.save_index(index_dir, kw_index, vec_index, config=config)
     click.echo(f"indexed {len(docs)} documents into {index_dir} ({kind.value})")

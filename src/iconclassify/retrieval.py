@@ -109,17 +109,19 @@ def build_keyword_index(docs: Iterable[tuple[str, str]]) -> KeywordIndex:
     docs = list(docs)
     _check_unique([doc_id for doc_id, _ in docs])
     docs.sort()  # by id, as the ids are distinct
-    counts = [Counter(tokenize(text)) for _, text in docs]
-    term_no: dict[str, int] = {}
-    term_of = np.array([term_no.setdefault(term, len(term_no)) for c in counts for term in c], dtype=np.int32)
-    order = np.argsort(term_of, kind="stable")  # groups the postings by term, each term's rows still ascending
-    ends = np.cumsum(np.bincount(term_of, minlength=len(term_no))).tolist()
+    tokens = [tokenize(text) for _, text in docs]
+    term_no: dict[str, int] = {}  # in order of first appearance, the order of the spans
+    term_of = np.array([term_no.setdefault(term, len(term_no)) for doc in tokens for term in doc], dtype=np.int64)
+    lengths = np.array([len(doc) for doc in tokens], dtype=np.int32)
+    # one key per (term, row) posting: sorted, they group the postings by term, each term's rows ascending
+    keys, tfs = np.unique(term_of * len(docs) + np.repeat(np.arange(len(docs)), lengths), return_counts=True)
+    ends = np.cumsum(np.bincount(keys // len(docs), minlength=len(term_no))).tolist()
     return KeywordIndex(
         ids=[doc_id for doc_id, _ in docs],
         spans=dict(zip(term_no, zip([0, *ends], ends))),
-        rows=np.repeat(np.arange(len(docs), dtype=np.int32), [len(c) for c in counts])[order],
-        tfs=np.array([tf for c in counts for tf in c.values()], dtype=np.int32)[order],
-        lengths=np.array([c.total() for c in counts], dtype=np.int32),
+        rows=(keys % len(docs)).astype(np.int32),
+        tfs=tfs.astype(np.int32),
+        lengths=lengths,
     )
 
 
@@ -229,8 +231,8 @@ def build_vector_index(rows: Iterable[tuple[str, Sequence[float]]]) -> VectorInd
             raise DimMismatchError(f"{doc_id!r}: " + ("vector must be one-dimensional" if arr.ndim != 1 else
                                                      f"dim {arr.shape[0]} != index dim {arrays[0].shape[0]}"))
         arrays.append(arr)
-    # np.stack refuses an empty list, which _vector_index names
-    return _vector_index(ids, np.stack(arrays) if arrays else np.empty((0, 0)))
+    # np.stack refuses an empty list, which vector_index names
+    return vector_index(ids, np.stack(arrays) if arrays else np.empty((0, 0)))
 
 
 def _check_unique(ids: list[str]) -> None:
@@ -247,9 +249,9 @@ def vector_norms(x: np.ndarray) -> np.ndarray:
         return np.sqrt(np.vecdot(x, x))
 
 
-def _vector_index(ids: list[str], matrix: np.ndarray) -> VectorIndex:
-    """The one maker of a VectorIndex: ids in row order and their C-ordered float64 matrix, as np.stack makes
-    it and _read_npy reads it, one row per id, every row checked at once."""
+def vector_index(ids: list[str], matrix: np.ndarray) -> VectorIndex:
+    """The one maker of a VectorIndex: ids in row order and their C-ordered float64 matrix, as np.stack and
+    embed_many make it and _read_npy reads it, one row per id, every row checked at once."""
     if not ids:
         raise EmptyCorpusError("no vectors to index")
     if len(matrix) != len(ids):
@@ -582,7 +584,7 @@ def load_index(dir_path: Union[str, Path]) -> tuple[KeywordIndex, VectorIndex, d
         matrix_file, *keyword_files = _ARRAYS  # the small files are checked before the matrix is read
         kw_index = _keyword_index(kw_data["ids"], kw_data["terms"], *(_read_npy(root, name) for name in keyword_files))
         ids = [obj["id"] for _, obj in iter_jsonl(root / "vectors.jsonl")]
-        vec_index = _vector_index(ids, _read_npy(root, matrix_file))
+        vec_index = vector_index(ids, _read_npy(root, matrix_file))
         same_ids = kw_index.ids == sorted(vec_index.ids)
     except FileNotFoundError as exc:
         raise MissingIndexError(f"missing index file {exc.filename}") from exc

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -162,12 +163,21 @@ class Taxonomy:
         return self._entries.get(raw)
 
 
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
+
+
 def _json_object(line: str, line_no: int, where: str) -> dict:
-    """Decode one JSON line that must hold an object; `where` prefixes the error."""
+    """Decode one JSON line that must hold an object; `where` prefixes the error. A \\u escape of one half of a
+    surrogate pair alone decodes to a code point no UTF can encode (RFC 8259 section 8.2), so it is refused here,
+    before it can reach an encoder. Only a line with a backslash can hold one, and a one-character search,
+    unlike a search for "\\u", costs little beside the decode."""
     try:
         obj = json.loads(line)
+        lone = "\\" in line and _SURROGATE.search(json.dumps(obj, ensure_ascii=False))
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested deeper than the decoder recurses
         raise MalformedLineError(line_no, f"{where}invalid JSON: {exc}") from exc
+    if lone:
+        raise MalformedLineError(line_no, f"{where}invalid JSON: a lone surrogate \\u{ord(lone[0]):04x} in a string")
     if not isinstance(obj, dict):
         raise MalformedLineError(line_no, f"{where}expected a JSON object")
     return obj

@@ -226,6 +226,21 @@ def test_index_build_is_deterministic(runner, tmp_path, workspace):
     assert str(tmp_path) not in json.dumps(meta_a)
 
 
+def test_index_build_names_the_doc_whose_cached_vector_has_another_dim(runner, tmp_path, workspace):
+    # the cache serves offline-hash-16 vectors of two dims; the docs it does not hold are embedded at 16
+    records = [json.loads(line) for line in (workspace / "rendered.jsonl").read_text().splitlines()]
+    cache = providers.EmbeddingCache(tmp_path / "emb.jsonl")
+    cache.put("offline-hash-16", records[0]["basic"], providers.offline_embed(records[0]["basic"], 16))
+    cache.put("offline-hash-16", records[3]["basic"], providers.offline_embed(records[3]["basic"], 17))
+    result = runner.invoke(main, ["index", "build", "--taxonomy", str(workspace / "rendered.jsonl"),
+                                  "--index-dir", str(tmp_path / "idx"), "--offline", "--dim", "16",
+                                  "--embed-cache", str(tmp_path / "emb.jsonl")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+    assert result.output == f"Error: {records[3]['code']!r}: dim 17 != index dim 16\n"
+    assert not (tmp_path / "idx").exists()
+
+
 def test_index_build_rejects_raw_taxonomy(runner, tmp_path):
     result = runner.invoke(main, [
         "index", "build",
@@ -1140,6 +1155,12 @@ def _rendered_taxonomy_with_a_repeated_code(workspace, tmp_path):
         ["rendered.jsonl", "line 2", f"duplicate code {first!r}"]
 
 
+def _rendered_taxonomy_with_a_lone_surrogate(workspace, tmp_path):
+    # json.dumps writes the lone half of a surrogate pair as the escape \ud800
+    return _index_build_over_an_edited_line_2(workspace, tmp_path, basic="Noah \ud800 ark"), \
+        ["rendered.jsonl", "line 2", "lone surrogate \\ud800", "taxonomy build"]
+
+
 def _empty_rendered_taxonomy(workspace, tmp_path):
     return _rendered_taxonomy_args(workspace, tmp_path, "\n"), ["rendered.jsonl", "rendered taxonomy is empty"]
 
@@ -1157,6 +1178,11 @@ def _raw_taxonomy_with_a_bad_code(workspace, tmp_path):
 def _raw_taxonomy_json_without_txt(workspace, tmp_path):
     return _raw_taxonomy_args(tmp_path, '7\tBible\n{"code": "71"}\n'), \
         ["line 2: ", "raw.tsv: JSON record needs 'code' and 'txt' fields"]
+
+
+def _raw_taxonomy_json_with_a_lone_surrogate(workspace, tmp_path):
+    return _raw_taxonomy_args(tmp_path, '7\tBible\n{"code": "71", "txt": "Noah \\udc00 ark"}\n'), \
+        ["line 2: ", "raw.tsv: invalid JSON: a lone surrogate \\udc00 in a string"]
 
 
 def _raw_taxonomy_with_a_duplicate_code(workspace, tmp_path):
@@ -1273,6 +1299,7 @@ def _dim_below_the_offline_minimum(workspace, tmp_path):
     _rendered_taxonomy_without_a_rendering,
     _rendered_taxonomy_with_a_number_for_a_rendering, _rendered_taxonomy_with_a_number_for_a_code,
     _rendered_taxonomy_with_a_code_that_does_not_parse, _rendered_taxonomy_with_a_repeated_code,
+    _rendered_taxonomy_with_a_lone_surrogate, _raw_taxonomy_json_with_a_lone_surrogate,
     _empty_rendered_taxonomy, _raw_taxonomy_with_a_bad_code, _raw_taxonomy_json_without_txt,
     _raw_taxonomy_with_a_duplicate_code, _manifest_with_a_boolean_image_id, _manifest_with_a_fractional_image_id,
     _manifest_with_a_list_description, _manifest_with_a_repeated_image_id, _predictions_with_a_bad_code,

@@ -69,13 +69,15 @@ class EchoChat:
 
 
 class CountingOfflineEmbedder(OfflineHashEmbedder):
+    """Counts the texts that reach embed_many, the provider protocol, whichever entry point sent them."""
+
     def __init__(self, dim=64):
         super().__init__(dim=dim)
-        self.calls = 0
+        self.embedded = 0
 
-    def embed(self, text):
-        self.calls += 1
-        return super().embed(text)
+    def embed_many(self, texts):
+        self.embedded += len(texts)
+        return super().embed_many(texts)
 
 
 def _fixture_context(kind=DatabaseKind.BASIC, dim=64, **overrides):
@@ -547,13 +549,13 @@ def test_embedding_cache_makes_batches_resumable(fixtures_dir, tmp_path):
     first = CountingOfflineEmbedder()
     ctx = _fixture_context(embedder=first, embedding_cache=cache)
     r1 = classify_batch(rows, MethodSpec(QueryKind.VECTOR), ctx)
-    first_query_calls = first.calls - len(ctx.documents)  # doc embeddings happen at build time
-    assert first_query_calls == len(rows)
+    first_query_texts = first.embedded - len(ctx.documents)  # doc embeddings happen at build time
+    assert first_query_texts == len(rows)
 
     second = CountingOfflineEmbedder()
     ctx2 = _fixture_context(embedder=second, embedding_cache=EmbeddingCache(tmp_path / "emb.jsonl"))
     r2 = classify_batch(rows, MethodSpec(QueryKind.VECTOR), ctx2)
-    assert second.calls == len(ctx2.documents)  # every query vector came from the cache
+    assert second.embedded == len(ctx2.documents)  # every query vector came from the cache
     assert [p.predicted.raw for p in r1.predictions] == [p.predicted.raw for p in r2.predictions]
 
 

@@ -10,12 +10,16 @@ import pytest
 import requests
 
 from iconclassify.errors import (
+    DimMismatchError,
     EmptyResponseError,
     EmptyTextError,
     MalformedLineError,
     ProviderUnavailableError,
+    ZeroVectorError,
 )
 from iconclassify.providers import (
+    _EMBED_CHUNK,
+    _EMBED_SLICE,
     DescriptionCache,
     DescriptionMode,
     DescriptionRecord,
@@ -161,6 +165,59 @@ def test_offline_embed_equals_the_per_gram_loop_bit_for_bit():
             got = offline_embed(text, dim)
             assert got.dtype == np.float64 and got.shape == (dim,)
             assert got.tobytes() == _per_gram_embed(text, dim).tobytes(), (text, dim)
+
+
+# each a case the array pass could get wrong where the per-gram loop cannot
+_EDGE_TEXTS = [
+    "İstanbul",  # lower() makes it 9 characters
+    "İs",  # 2 characters, 3 once lowered: one gram
+    "Noah 𝔄rk \U0001f54a",  # code points outside the BMP
+    "ark",  # exactly 3 characters
+    "abab", "abab",  # joined, the grams across their boundary, "bab" and "aba", would add to theirs
+    "aaah ark",  # at dim 16, "aaa" and "aah" land in one bucket with opposite signs
+]
+
+
+@pytest.mark.parametrize("dim", [16, 64, 512])
+def test_a_batch_equals_the_per_gram_loop_bit_for_bit(dim):
+    assert len("İstanbul".lower()) == 9
+    rows = OfflineHashEmbedder(dim).embed_many(_EDGE_TEXTS)
+    assert rows.dtype == np.float64 and rows.shape == (len(_EDGE_TEXTS), dim)
+    for text, row in zip(_EDGE_TEXTS, rows):
+        assert row.tobytes() == _per_gram_embed(text, dim).tobytes(), text
+
+
+def test_a_batch_across_chunks_and_slices_equals_the_per_gram_loop_bit_for_bit(tmp_path):
+    count = _EMBED_CHUNK + _EMBED_SLICE + 7
+    texts = [f"{i} Noah's ark {chr(0x1D504 + i % 26)} İ{'ab' * (i % 5)}" for i in range(count)]
+    cache = EmbeddingCache(tmp_path / "emb.jsonl")
+    embedder = OfflineHashEmbedder(64)
+    embed_many(texts[_EMBED_SLICE - 3 :: 97], embedder, cache)  # cached rows among the fresh ones
+    rows = embed_many(texts, embedder, cache)
+    assert rows.shape == (len(texts), 64)
+    for text, row in zip(texts, rows):
+        assert row.tobytes() == _per_gram_embed(text, 64).tobytes(), text
+
+
+def _first_error(call):
+    with pytest.raises((EmptyTextError, ZeroVectorError)) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("texts", [
+    ["noah ark", "aaah", "ab"],
+    ["noah ark", "ab", "aaah"],
+    ["", "aaah"],
+    ["noah ark"] * (_EMBED_SLICE + 5) + ["aaah", "a"],
+    ["noah ark"] * (_EMBED_SLICE + 5) + ["ab", "aaah"],
+    ["aaah"] + ["noah ark"] * _EMBED_SLICE + ["ab"],
+], ids=["cancel_then_short", "short_then_cancel", "empty_then_cancel", "cancel_then_short_in_slice_2",
+        "short_then_cancel_in_slice_2", "cancel_in_slice_1_short_in_slice_2"])
+def test_a_batch_fails_on_the_text_the_per_text_loop_fails_on_first(texts):
+    embedder = OfflineHashEmbedder(16)
+    per_text = _first_error(lambda: [offline_embed(t, 16) for t in texts])
+    assert _first_error(lambda: embedder.embed_many(texts)) == per_text
 
 
 def test_offline_hash_embedder_provider_id_and_batching():
@@ -680,7 +737,7 @@ def test_remote_embeddings_rejects_wrong_count(monkeypatch):
     emb = RemoteEmbeddingProvider("http://host", "m")
     with pytest.raises(EmptyResponseError):
         emb.embed_many(["a", "b"])
-    assert embed_many([], emb) == []  # no texts, no request: the stub's one-vector reply would fail
+    assert embed_many([], emb).shape == (0, 0)  # no texts, no request: the stub's one-vector reply would fail
 
 
 @pytest.mark.parametrize("embedding", [["abc"], "abc", "12", ["1.5", True, "nan"], [1.5, True]])
@@ -768,6 +825,17 @@ def test_a_reply_at_another_dim_than_the_cached_vectors_caches_no_line(monkeypat
     with pytest.raises(EmptyResponseError, match="^remote:m returned a vector of dim 3, not the batch's 2$"):
         embed_many(["a", "b"], RemoteEmbeddingProvider("http://host", "m"), EmbeddingCache(path))
     assert len(path.read_text().splitlines()) == 1
+
+
+def test_a_cached_vector_at_another_dim_than_the_batch_is_named_by_position_or_name(tmp_path):
+    cache = EmbeddingCache(tmp_path / "emb.jsonl")
+    cache.put("fake-embed", "a", np.array([1.0, 0.0, 0.0, 0.0]))
+    cache.put("fake-embed", "ccc", np.array([1.0, 0.0]))
+    with pytest.raises(DimMismatchError, match="^2: dim 2 != index dim 4$"):
+        embed_many(["a", "bb", "ccc"], CountingEmbedder(), cache)
+    with pytest.raises(DimMismatchError, match="^'73D': dim 2 != index dim 4$"):
+        embed_many(["a", "bb", "ccc"], CountingEmbedder(), cache, names=["71", "72", "73D"])
+    assert len(cache) == 3  # the fresh vector of "bb" was checked and cached first
 
 
 def test_remote_retries_on_invalid_json(monkeypatch):

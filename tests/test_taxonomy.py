@@ -298,6 +298,9 @@ def test_iter_jsonl_skips_blank_lines_but_counts_them(tmp_path):
     ('"text"', "expected a JSON object"),
     ('{"cut": ', "invalid JSON"),
     ('not json', "invalid JSON"),
+    ('{"a": "x\\ud800"}', "invalid JSON: a lone surrogate \\ud800 in a string"),
+    ('{"\\udfff": 1}', "invalid JSON: a lone surrogate \\udfff in a string"),
+    ('{"a": ["\\ude00\\ud83d"]}', "invalid JSON: a lone surrogate \\ude00 in a string"),
 ])
 def test_iter_jsonl_rejects_a_line_that_is_not_an_object(tmp_path, bad, reason):
     path = tmp_path / "records.jsonl"
@@ -306,6 +309,12 @@ def test_iter_jsonl_rejects_a_line_that_is_not_an_object(tmp_path, bad, reason):
         list(iter_jsonl(path))
     assert info.value.line_no == 3
     assert str(info.value).startswith(f"line 3: {path}: {reason}")
+
+
+def test_iter_jsonl_reads_a_surrogate_pair_and_an_escaped_backslash(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"a": "\\ud83d\\ude00", "b": "\\\\ud800"}\n')
+    assert list(iter_jsonl(path)) == [(1, {"a": "\U0001f600", "b": "\\ud800"})]
 
 
 def test_iter_jsonl_rejects_bytes_that_are_not_utf8(tmp_path):
