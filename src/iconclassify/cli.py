@@ -13,12 +13,15 @@ from typing import Optional
 
 import click
 
-from . import evaluation, pipeline, providers, retrieval, taxonomy
+# `pipeline`, `providers` and `retrieval` import numpy, so only the commands that use them import them
+from . import evaluation, taxonomy
 from .errors import IconclassifyError, MalformedCodeError, MalformedLineError, MissingIndexError
+from .methods import (DEFAULT_ALPHA, DEFAULT_OFFLINE_DIM, DEFAULT_POOL, DEFAULT_RAG_K, DEFAULT_VOTE_K,
+                      MIN_OFFLINE_DIM, DescriptionMode, QueryKind)
 from .outputs import write_outputs
 
 _DATABASES = [kind.value for kind in taxonomy.DatabaseKind]  # also the rendering fields of `taxonomy build`
-_MODES = [mode.value for mode in providers.DescriptionMode]
+_MODES = [mode.value for mode in DescriptionMode]
 
 
 class _Commands(click.Group):
@@ -58,6 +61,8 @@ def _check_offline(offline: bool, endpoint: Optional[str], api_key: Optional[str
 
 def _make_embedder(offline: bool, dim: int, endpoint: Optional[str],
                    embed_model: Optional[str], api_key: Optional[str]) -> providers.EmbeddingProvider:
+    from . import providers
+
     if offline:
         return providers.OfflineHashEmbedder(dim=dim)
     if not endpoint or not embed_model:
@@ -67,6 +72,8 @@ def _make_embedder(offline: bool, dim: int, endpoint: Optional[str],
 
 def _make_chat(purpose: str, endpoint: Optional[str], chat_model: Optional[str],
                api_key: Optional[str]) -> providers.ChatProvider:
+    from . import providers
+
     if not endpoint or not chat_model:
         raise click.UsageError(f"{purpose} needs --endpoint and --chat-model (or env)")
     return providers.RemoteChatProvider(endpoint, chat_model, api_key=api_key)
@@ -122,26 +129,25 @@ def cmd_taxonomy_build(source: str, prefix_filter: Optional[str], out_path: str)
     click.echo(f"{tax.stats.kept} entries written ({tax.stats.filtered} filtered out)")
 
 
-def _file_sha256(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _load_rendered_taxonomy(path: str, kind: taxonomy.DatabaseKind) -> dict[str, str]:
-    """Read the output of `taxonomy build`: code -> the `kind` rendering. Each
-    code must parse and appear once, and every field must be a string."""
+def _load_rendered_taxonomy(path: str, kind: taxonomy.DatabaseKind, parse: bool) -> tuple[dict[str, str], str]:
+    """Read the output of `taxonomy build` in one pass: code -> the `kind` rendering, and the sha256 of the bytes
+    read. Each code must appear once, and every field must be a string. With `parse`, each code must also parse as
+    itself; without it, the caller must check the digest against one recorded by a read that parsed."""
     docs: dict[str, str] = {}
+    digest = hashlib.sha256()
     try:
-        for line_no, obj in taxonomy.iter_jsonl(path):
+        for line_no, obj in taxonomy.iter_jsonl(path, digest):
             if not all(isinstance(obj.get(name), str) for name in ("code", *_DATABASES)):
                 fields = " and ".join(_DATABASES)
                 raise MalformedLineError(line_no, f"{path}: needs code, {fields} fields, each a string")
             code = obj["code"]
-            try:
-                parsed = taxonomy.parse_code(code)
-            except MalformedCodeError as exc:
-                raise MalformedLineError(line_no, f"{path}: {exc}") from exc
-            if parsed.raw != code:  # " 71" parses, but its hits would come back as "71"
-                raise MalformedLineError(line_no, f"{path}: {code!r}: whitespace around the code")
+            if parse:
+                try:
+                    parsed = taxonomy.parse_code(code)
+                except MalformedCodeError as exc:
+                    raise MalformedLineError(line_no, f"{path}: {exc}") from exc
+                if parsed.raw != code:  # " 71" parses, but its hits would come back as "71"
+                    raise MalformedLineError(line_no, f"{path}: {code!r}: whitespace around the code")
             if code in docs:
                 raise MalformedLineError(line_no, f"{path}: duplicate code {code!r}")
             docs[code] = obj[kind.value]
@@ -149,7 +155,7 @@ def _load_rendered_taxonomy(path: str, kind: taxonomy.DatabaseKind) -> dict[str,
         raise MissingIndexError(f"{exc}; not a rendered taxonomy file, run `taxonomy build` first") from exc
     if not docs:
         raise MissingIndexError(f"{path}: rendered taxonomy is empty")
-    return docs
+    return docs, digest.hexdigest()
 
 
 @main.group("index")
@@ -163,8 +169,7 @@ def index_group():
 @click.option("--database", type=click.Choice(_DATABASES), default=taxonomy.DatabaseKind.BASIC.value, show_default=True)
 @click.option("--index-dir", required=True, type=click.Path(file_okay=False))
 @click.option("--offline", is_flag=True, help="Use the deterministic hash embedder.")
-@click.option("--dim", type=click.IntRange(min=providers.MIN_OFFLINE_DIM),
-              default=providers.DEFAULT_OFFLINE_DIM, show_default=True,
+@click.option("--dim", type=click.IntRange(min=MIN_OFFLINE_DIM), default=DEFAULT_OFFLINE_DIM, show_default=True,
               help="Offline embedding dimension.")
 @_provider_options("embed-model")
 @click.option("--embed-cache", type=click.Path(dir_okay=False), default=None,
@@ -173,15 +178,17 @@ def cmd_index_build(rendered_path: str, database: str, index_dir: str, offline: 
                     dim: int, endpoint: Optional[str], embed_model: Optional[str],
                     api_key: Optional[str], embed_cache: Optional[str]):
     """Build keyword and vector indices over one taxonomy rendering."""
+    from . import providers, retrieval
+
     _check_offline(offline, endpoint, api_key)
     kind = taxonomy.DatabaseKind(database)
-    docs = _load_rendered_taxonomy(rendered_path, kind)
+    docs, digest = _load_rendered_taxonomy(rendered_path, kind, parse=True)
     kw_index = retrieval.build_keyword_index(docs.items())
     embedder = _make_embedder(offline, dim, endpoint, embed_model, api_key)
     cache = providers.EmbeddingCache(embed_cache) if embed_cache else None
     ids = list(docs)
     vec_index = retrieval.vector_index(ids, providers.embed_many(list(docs.values()), embedder, cache, names=ids))
-    config = {"database": kind.value, "embedder": embedder.provider_id, "taxonomy_sha256": _file_sha256(rendered_path)}
+    config = {"database": kind.value, "embedder": embedder.provider_id, "taxonomy_sha256": digest}
     retrieval.save_index(index_dir, kw_index, vec_index, config=config)
     click.echo(f"indexed {len(docs)} documents into {index_dir} ({kind.value})")
 
@@ -197,7 +204,7 @@ def _read_image(path: Optional[str], image_id: str) -> bytes:
 
 @main.command("describe")
 @click.option("--manifest", "manifest_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--mode", type=click.Choice(_MODES), default=providers.DescriptionMode.FULL_PAGE.value, show_default=True)
+@click.option("--mode", type=click.Choice(_MODES), default=DescriptionMode.FULL_PAGE.value, show_default=True)
 @click.option("--cache", "cache_path", required=True, type=click.Path(dir_okay=False),
               help="Description cache (JSONL, append-only).")
 @click.option("--offline", is_flag=True,
@@ -208,8 +215,10 @@ def cmd_describe(manifest_path: str, mode: str, cache_path: str, offline: bool,
                  endpoint: Optional[str], chat_model: Optional[str],
                  api_key: Optional[str], workers: int):
     """Generate (or ingest) image descriptions for one mode, resumably."""
+    from . import pipeline, providers
+
     _check_offline(offline, endpoint, api_key)
-    desc_mode = providers.DescriptionMode(mode)
+    desc_mode = DescriptionMode(mode)
     rows = pipeline.read_manifest(manifest_path)
     cache = providers.DescriptionCache(cache_path)
 
@@ -243,7 +252,7 @@ def cmd_describe(manifest_path: str, mode: str, cache_path: str, offline: bool,
     described, failures = [], []
     if pending:
         chat = _make_chat("describe", endpoint, chat_model, api_key)
-        image_field = "page_image_path" if desc_mode is providers.DescriptionMode.FULL_PAGE \
+        image_field = "page_image_path" if desc_mode is DescriptionMode.FULL_PAGE \
             else "illustration_image_path"
 
         def describe(row: pipeline.ManifestRow) -> providers.DescriptionRecord:
@@ -265,14 +274,14 @@ def cmd_describe(manifest_path: str, mode: str, cache_path: str, offline: bool,
 @main.command("classify")
 @click.option("--manifest", "manifest_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--method", "method_name", required=True,
-              type=click.Choice([k.value for k in pipeline.QueryKind]))
-@click.option("--mode", type=click.Choice(_MODES), default=providers.DescriptionMode.FULL_PAGE.value, show_default=True)
+              type=click.Choice([k.value for k in QueryKind]))
+@click.option("--mode", type=click.Choice(_MODES), default=DescriptionMode.FULL_PAGE.value, show_default=True)
 @click.option("--database", type=click.Choice(_DATABASES), default=taxonomy.DatabaseKind.BASIC.value, show_default=True)
-@click.option("--alpha", type=click.FloatRange(0.0, 1.0), default=retrieval.DEFAULT_ALPHA, show_default=True)
-@click.option("--rag-k", type=click.IntRange(min=1), default=pipeline.DEFAULT_RAG_K, show_default=True)
-@click.option("--pool", type=click.IntRange(min=1), default=retrieval.DEFAULT_POOL, show_default=True,
+@click.option("--alpha", type=click.FloatRange(0.0, 1.0), default=DEFAULT_ALPHA, show_default=True)
+@click.option("--rag-k", type=click.IntRange(min=1), default=DEFAULT_RAG_K, show_default=True)
+@click.option("--pool", type=click.IntRange(min=1), default=DEFAULT_POOL, show_default=True,
               help="Hybrid candidate pool size per method.")
-@click.option("--vote-k", type=click.IntRange(min=1), default=retrieval.DEFAULT_VOTE_K, show_default=True,
+@click.option("--vote-k", type=click.IntRange(min=1), default=DEFAULT_VOTE_K, show_default=True,
               help="Neighbours consulted by the image method.")
 @click.option("--taxonomy", "rendered_path", required=True, type=click.Path(exists=True, dir_okay=False),
               help="Rendered taxonomy JSONL from `taxonomy build`.")
@@ -295,35 +304,38 @@ def cmd_classify(manifest_path: str, method_name: str, mode: str, database: str,
                  embed_model: Optional[str], api_key: Optional[str],
                  workers: int, out_prefix: str):
     """Classify every manifest row with one method; write predictions."""
+    from . import pipeline, providers, retrieval
+
     _check_offline(offline, endpoint, api_key)
     method = pipeline.MethodSpec(
-        query_kind=pipeline.QueryKind(method_name),
-        description_mode=providers.DescriptionMode(mode),
+        query_kind=QueryKind(method_name),
+        description_mode=DescriptionMode(mode),
         database_kind=taxonomy.DatabaseKind(database),
         alpha=alpha,
         rag_k=rag_k,
     )
     rows = pipeline.read_manifest(manifest_path)
     ctx = pipeline.ClassifyContext(hybrid_pool=pool, vote_k=vote_k)
+    rag = method.query_kind in (QueryKind.RAG_VECTOR, QueryKind.RAG_HYBRID)
     # RAG selection reads candidate texts and the image method's votes are checked against the codes; the other
-    # methods' hits come from an index whose recorded digest, checked below, proves it was built from this file
-    if method.query_kind in (pipeline.QueryKind.RAG_VECTOR, pipeline.QueryKind.RAG_HYBRID, pipeline.QueryKind.IMAGE):
-        ctx.documents = _load_rendered_taxonomy(rendered_path, method.database_kind)
-    needs_index = method.query_kind is not pipeline.QueryKind.IMAGE
-    if needs_index:
+    # methods' hits come from an index whose recorded digest, checked below, proves it was built from this file.
+    # That digest is of bytes `index build` parsed, so the RAG methods parse no code; the image method has no index
+    digest = None
+    if rag or method.query_kind is QueryKind.IMAGE:
+        ctx.documents, digest = _load_rendered_taxonomy(rendered_path, method.database_kind, parse=not rag)
+    if method.query_kind is not QueryKind.IMAGE:
         if not index_dir:
             raise MissingIndexError(f"--index-dir is required for method {method.label}")
         kw_index, vec_index, index_meta = retrieval.load_index(index_dir)
         ctx.keyword_index = kw_index
         ctx.vector_index = vec_index
         wanted_config = {"database": database}
-        if method.query_kind is not pipeline.QueryKind.KEYWORD:  # every other text method embeds its query
+        if method.query_kind is not QueryKind.KEYWORD:  # every other text method embeds its query
             ctx.embedder = _make_embedder(offline, vec_index.dim, endpoint, embed_model, api_key)
             wanted_config["embedder"] = ctx.embedder.provider_id
             if embed_cache:
                 ctx.embedding_cache = providers.EmbeddingCache(embed_cache)
-        if method.query_kind in (pipeline.QueryKind.RAG_VECTOR, pipeline.QueryKind.RAG_HYBRID) \
-                and not offline:
+        if rag and not offline:
             ctx.chat = _make_chat("RAG selection", endpoint, chat_model, api_key)
         built = index_meta.get("config", {})
         for field, wanted in wanted_config.items():
@@ -331,7 +343,7 @@ def cmd_classify(manifest_path: str, method_name: str, mode: str, database: str,
                 raise IconclassifyError(f"{index_dir} was built with {field} {built.get(field)!r}, "
                                         f"but this run uses {wanted!r}; rebuild the index or match it")
         # the index's ids and texts come from one rendered file: another one would score codes by other texts
-        if built.get("taxonomy_sha256") != _file_sha256(rendered_path):
+        if built.get("taxonomy_sha256") != (digest or hashlib.sha256(Path(rendered_path).read_bytes()).hexdigest()):
             raise IconclassifyError(f"{index_dir} was built from another taxonomy file than {rendered_path}; "
                                     "rebuild the index from it, or pass the file it was built from")
     else:

@@ -12,7 +12,6 @@ import csv
 import json
 from concurrent import futures
 from dataclasses import dataclass, fields
-from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, TextIO, Union
 
@@ -25,11 +24,11 @@ from .errors import (
     MissingIndexError,
     NoCandidatesError,
 )
+from .methods import DEFAULT_ALPHA, DEFAULT_POOL, DEFAULT_RAG_K, DEFAULT_VOTE_K, DescriptionMode, QueryKind
 from .outputs import write_outputs
 from .providers import (
     ChatProvider,
     DescriptionCache,
-    DescriptionMode,
     EmbeddingCache,
     EmbeddingProvider,
     embed_text,
@@ -37,9 +36,6 @@ from .providers import (
     select_with_llm,
 )
 from .retrieval import (
-    DEFAULT_ALPHA,
-    DEFAULT_POOL,
-    DEFAULT_VOTE_K,
     ImageReferenceSet,
     KeywordIndex,
     RankedHit,
@@ -51,17 +47,6 @@ from .retrieval import (
     vector_search,
 )
 from .taxonomy import DatabaseKind, IconclassCode, iter_csv, iter_jsonl
-
-DEFAULT_RAG_K = 5
-
-
-class QueryKind(str, Enum):
-    IMAGE = "image"
-    KEYWORD = "keyword"
-    VECTOR = "vector"
-    HYBRID = "hybrid"
-    RAG_VECTOR = "rag-vector"
-    RAG_HYBRID = "rag-hybrid"
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ import threading
 import time
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from enum import Enum
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Protocol, Sequence, Union
@@ -33,19 +32,13 @@ from .errors import (
     ProviderUnavailableError,
     ZeroVectorError,
 )
+from .methods import DEFAULT_OFFLINE_DIM, MIN_OFFLINE_DIM, DescriptionMode
 from .outputs import _naming
 from .retrieval import number_list, tokenize, vector_norms
-from .taxonomy import IconclassCode
+from .taxonomy import IconclassCode, decode_json
 
 PROMPT_VERSION = "v1"
-DEFAULT_OFFLINE_DIM = 256
-MIN_OFFLINE_DIM = 16
 _HASH_PERSON = b"icx-gram"  # fixed blake2b personalization = the hash seed
-
-
-class DescriptionMode(str, Enum):
-    FULL_PAGE = "page"
-    ILLUSTRATION = "illustration"
 
 
 def now_iso() -> str:
@@ -290,11 +283,17 @@ class _AppendOnlyCache:
             for line_no, line in enumerate(fh, start=1):
                 if line.strip():
                     try:
-                        key, value = self._decode(json.loads(line))
+                        key, value = self._decode(self._record(line))
                         self._records.setdefault(key, value)
                     except (ValueError, KeyError, TypeError, RecursionError) as exc:
                         if line.endswith(b"\n"):  # only the final line can lack one
                             raise MalformedLineError(line_no, f"{self.path}: bad cache record: {exc!r}") from exc
+
+    @staticmethod
+    def _record(line: bytes):
+        """One line's JSON value, decoded as json.loads decodes UTF-8 bytes, less its surrogatepass: so a lone
+        surrogate, escaped or encoded, is a ValueError, as it is in any other JSON line the program reads."""
+        return decode_json(line.decode("utf-8-sig"))
 
     def __len__(self) -> int:
         return len(self._records)
@@ -315,7 +314,7 @@ class _AppendOnlyCache:
                     start = fh.read().rfind(b"\n") + 1
                     fh.seek(start)
                     try:
-                        self._decode(json.loads(fh.read()))
+                        self._decode(self._record(fh.read()))
                         lead = b"\n"  # it decodes: end it
                     except (ValueError, KeyError, TypeError, RecursionError):
                         fh.truncate(start)  # it does not: cut it off

@@ -35,14 +35,12 @@ from .errors import (
     UnknownDocError,
     ZeroVectorError,
 )
+from .methods import DEFAULT_ALPHA, DEFAULT_POOL, DEFAULT_VOTE_K
 from .outputs import write_outputs
 from .taxonomy import IconclassCode, iter_jsonl, parse_code
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
-DEFAULT_ALPHA = 0.75
-DEFAULT_POOL = 100
-DEFAULT_VOTE_K = 10
 # matrix entries per scan block: about 0.3 ms of dots, 5x the ~65 us a pool hand-off takes (2-core x86, numpy 2.4)
 _MIN_BLOCK_VALUES = 1 << 19
 # blocks per scan at most: two paid off on 2 cores, and more is unmeasured
@@ -402,14 +400,24 @@ class ImageReferenceSet:
 
     @classmethod
     def from_jsonl(cls, path: Union[str, Path]) -> "ImageReferenceSet":
-        """Load records of the form {"vector": [...], "codes": ["73D231", ...]}."""
+        """Load records of the form {"vector": [...], "codes": ["73D231", ...]}. Each distinct code string is
+        parsed once, and the rows that carry it share its IconclassCode."""
         rows, line_nos = [], []
+        parsed: dict[str, IconclassCode] = {}
+
+        def code(text) -> IconclassCode:
+            if not isinstance(text, str):
+                return parse_code(text)  # which raises, naming what it got
+            if text not in parsed:
+                parsed[text] = parse_code(text)
+            return parsed[text]
+
         for line_no, obj in iter_jsonl(path):
             try:
                 vec = number_list(obj["vector"])
                 if not isinstance(obj["codes"], list):  # a string would be read as one code per character
                     raise TypeError("codes must be a list")
-                codes = [parse_code(c) for c in obj["codes"]]
+                codes = [code(c) for c in obj["codes"]]
             except (KeyError, TypeError, ValueError, AttributeError, MalformedCodeError) as exc:
                 raise MalformedLineError(line_no, f"{path}: bad reference record: {exc!r}") from exc
             if not codes:

@@ -166,29 +166,39 @@ class Taxonomy:
 _SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 
-def _json_object(line: str, line_no: int, where: str) -> dict:
-    """Decode one JSON line that must hold an object; `where` prefixes the error. A \\u escape of one half of a
-    surrogate pair alone decodes to a code point no UTF can encode (RFC 8259 section 8.2), so it is refused here,
-    before it can reach an encoder. Only a line with a backslash can hold one, and a one-character search,
-    unlike a search for "\\u", costs little beside the decode."""
-    try:
-        obj = json.loads(line)
-        lone = "\\" in line and _SURROGATE.search(json.dumps(obj, ensure_ascii=False))
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested deeper than the decoder recurses
-        raise MalformedLineError(line_no, f"{where}invalid JSON: {exc}") from exc
+def decode_json(text: str):
+    """json.loads for text read from outside the program. A \\u escape of one half of a surrogate pair alone
+    decodes to a code point no UTF can encode (RFC 8259 section 8.2), so it raises ValueError here, before it can
+    reach an encoder. Only text with a backslash can hold one, and a one-character search, unlike a search for
+    "\\u", costs little beside the decode. Bad JSON raises json.JSONDecodeError, a ValueError, and a value nested
+    deeper than the decoder recurses raises RecursionError."""
+    value = json.loads(text)
+    lone = "\\" in text and _SURROGATE.search(json.dumps(value, ensure_ascii=False))
     if lone:
-        raise MalformedLineError(line_no, f"{where}invalid JSON: a lone surrogate \\u{ord(lone[0]):04x} in a string")
+        raise ValueError(f"a lone surrogate \\u{ord(lone[0]):04x} in a string")
+    return value
+
+
+def _json_object(line: str, line_no: int, where: str) -> dict:
+    """Decode one JSON line that must hold an object; `where` prefixes the error."""
+    try:
+        obj = decode_json(line)
+    except (ValueError, RecursionError) as exc:
+        raise MalformedLineError(line_no, f"{where}invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise MalformedLineError(line_no, f"{where}expected a JSON object")
     return obj
 
 
-def _lines(path: Union[str, Path]) -> Iterator[tuple[int, str]]:
+def _lines(path: Union[str, Path], digest=None) -> Iterator[tuple[int, str]]:
     """(line number, text) for each line of a UTF-8 file; a leading byte-order
     mark is skipped, and bad UTF-8 raises MalformedLineError naming the file
-    and the line."""
+    and the line. Each line's bytes go to `digest.update` first, if a hashlib
+    object is given, so a read to the end has hashed exactly the bytes read."""
     with open(path, "rb") as fh:  # decoded line by line, so a bad byte gets its own line number
         for line_no, raw in enumerate(fh, start=1):
+            if digest is not None:
+                digest.update(raw)
             try:
                 line = raw.decode("utf-8-sig" if line_no == 1 else "utf-8")
             except UnicodeDecodeError as exc:
@@ -196,11 +206,11 @@ def _lines(path: Union[str, Path]) -> Iterator[tuple[int, str]]:
             yield line_no, line
 
 
-def iter_jsonl(path: Union[str, Path]) -> Iterator[tuple[int, dict]]:
+def iter_jsonl(path: Union[str, Path], digest=None) -> Iterator[tuple[int, dict]]:
     """(line number, object) for each non-blank line of a JSON-lines file.
     Bad UTF-8, bad JSON or a line that is not an object raises
-    MalformedLineError naming the file and the line."""
-    for line_no, line in _lines(path):
+    MalformedLineError naming the file and the line. `digest` is as in `_lines`."""
+    for line_no, line in _lines(path, digest):
         line = line.strip()
         if line:
             yield line_no, _json_object(line, line_no, f"{path}: ")

@@ -226,6 +226,22 @@ def test_index_build_is_deterministic(runner, tmp_path, workspace):
     assert str(tmp_path) not in json.dumps(meta_a)
 
 
+def test_index_build_records_the_digest_of_every_byte_it_read(runner, tmp_path, workspace):
+    # a byte-order mark, a blank line and no final newline: each is read past, and each is in the digest
+    rendered = tmp_path / "rendered.jsonl"
+    rendered.write_bytes(b"\xef\xbb\xbf" + (workspace / "rendered.jsonl").read_bytes().replace(b"\n", b"\n\n", 1)[:-1])
+    result = runner.invoke(main, ["index", "build", "--taxonomy", str(rendered), "--index-dir", str(tmp_path / "idx"),
+                                  "--offline", "--dim", "64"])
+    assert result.exit_code == 0, result.output
+    meta = json.loads((tmp_path / "idx" / "meta.json").read_text())
+    assert meta["config"]["taxonomy_sha256"] == hashlib.sha256(rendered.read_bytes()).hexdigest()
+    args = _classify_args(workspace, tmp_path / "x", method="rag-hybrid")
+    args[args.index("--taxonomy") + 1], args[args.index("--index-dir") + 1] = str(rendered), str(tmp_path / "idx")
+    result = runner.invoke(main, args)  # the RAG read hashes the same bytes
+    assert result.exit_code == 0, result.output
+    assert "wrote 12 predictions, 0 errors" in result.output
+
+
 def test_index_build_names_the_doc_whose_cached_vector_has_another_dim(runner, tmp_path, workspace):
     # the cache serves offline-hash-16 vectors of two dims; the docs it does not hold are embedded at 16
     records = [json.loads(line) for line in (workspace / "rendered.jsonl").read_text().splitlines()]
@@ -680,7 +696,7 @@ def test_classify_rejects_alpha_outside_zero_to_one(runner, tmp_path, workspace)
 
 
 @pytest.mark.parametrize("module, unloaded", [
-    ("iconclassify.cli", ["requests"]),
+    ("iconclassify.cli", ["numpy", "requests"]),
     ("iconclassify.taxonomy", ["numpy", "requests"]),
     ("iconclassify.evaluation", ["numpy", "requests"]),
 ], ids=["cli", "taxonomy", "evaluation"])
@@ -690,6 +706,26 @@ def test_cli_import_leaves_requests_unloaded(module, unloaded):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_help_taxonomy_build_and_evaluate_run_without_numpy(workspace, tmp_path):
+    # None in sys.modules makes `import numpy` raise ImportError
+    golden = FIXTURES / "golden" / "rag-vector-page-basic"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    code = "import sys; sys.modules['numpy'] = None; from iconclassify.cli import main; main()"
+    for args in (
+        ["--help"],
+        ["taxonomy", "build", "--taxonomy", str(FIXTURES / "taxonomy.tsv"), "--out", str(tmp_path / "rendered.jsonl")],
+        ["evaluate", "--predictions", str(golden / "predictions.csv"), "--out", str(tmp_path / "report"),
+         "--label", "rag-vector/page/basic"],
+    ):
+        out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
+                             timeout=60)
+        assert out.returncode == 0, out.stderr
+    for name in ("rendered.jsonl", "rendered.jsonl.meta.json"):
+        assert (tmp_path / name).read_bytes() == (workspace / name).read_bytes()
+    for name in ("report.json", "report.txt"):
+        assert (tmp_path / "report" / name).read_bytes() == (golden / name).read_bytes()
 
 
 def test_cli_import_starts_no_thread():
@@ -1125,12 +1161,18 @@ def _rendered_taxonomy_without_a_rendering(workspace, tmp_path):
         ["rendered.jsonl", "line 2", "needs code, basic and hierarchical fields", "taxonomy build"]
 
 
-def _index_build_over_an_edited_line_2(workspace, tmp_path, **changes):
-    """`index build` over the workspace's rendered taxonomy with fields of its second record replaced."""
+def _edited_line_2(workspace, tmp_path, **changes):
+    """The workspace's rendered taxonomy with fields of its second record replaced, as tmp_path/rendered.jsonl."""
     lines = (workspace / "rendered.jsonl").read_text().splitlines(keepends=True)
     lines[1] = json.dumps({**json.loads(lines[1]), **changes}) + "\n"
     rendered = tmp_path / "rendered.jsonl"
     rendered.write_text("".join(lines))
+    return rendered
+
+
+def _index_build_over_an_edited_line_2(workspace, tmp_path, **changes):
+    """`index build` over the workspace's rendered taxonomy with fields of its second record replaced."""
+    rendered = _edited_line_2(workspace, tmp_path, **changes)
     return ["index", "build", "--taxonomy", str(rendered), "--index-dir", str(tmp_path / "idx"), "--offline"]
 
 
@@ -1149,6 +1191,20 @@ def _rendered_taxonomy_with_a_code_that_does_not_parse(workspace, tmp_path):
         ["rendered.jsonl", "line 2", "'7 1': invalid character ' '"]
 
 
+def _rendered_taxonomy_with_a_code_that_does_not_parse_read_by_the_image_method(workspace, tmp_path):
+    args = _image_args(workspace, tmp_path, (FIXTURES / "refs.jsonl").read_text())
+    args[args.index("--taxonomy") + 1] = str(_edited_line_2(workspace, tmp_path, code="7 1"))
+    return args, ["rendered.jsonl", "line 2", "'7 1': invalid character ' '"]
+
+
+def _rendered_taxonomy_with_a_code_that_does_not_parse_read_by_a_rag_method(workspace, tmp_path):
+    # the RAG methods parse no code: the file is not the one the index was built from, and that is the error
+    rendered = _edited_line_2(workspace, tmp_path, code="7 1")
+    args = _rendered_taxonomy_args(workspace, tmp_path, rendered.read_text())
+    return args, [f"Error: {workspace / 'index-basic'} was built from another taxonomy file than {rendered}; "
+                  "rebuild the index from it, or pass the file it was built from\n"]
+
+
 def _rendered_taxonomy_with_a_repeated_code(workspace, tmp_path):
     first = json.loads((workspace / "rendered.jsonl").read_text().splitlines()[0])["code"]
     return _index_build_over_an_edited_line_2(workspace, tmp_path, code=first), \
@@ -1163,6 +1219,13 @@ def _rendered_taxonomy_with_a_lone_surrogate(workspace, tmp_path):
 
 def _empty_rendered_taxonomy(workspace, tmp_path):
     return _rendered_taxonomy_args(workspace, tmp_path, "\n"), ["rendered.jsonl", "rendered taxonomy is empty"]
+
+
+def _description_cache_with_a_lone_surrogate(workspace, tmp_path):
+    cache = tmp_path / "c.jsonl"
+    cache.write_text(json.dumps({"image_id": "img001", "mode": "page", "text": "Noah \ud800 ark"}) + "\n")
+    return _classify_args(workspace, tmp_path / "x", method="vector", extra=("--cache", str(cache))), \
+        [f"line 1: {cache}: bad cache record: ValueError('a lone surrogate \\\\ud800 in a string')"]
 
 
 def _raw_taxonomy_args(tmp_path, text):
@@ -1208,6 +1271,15 @@ def _manifest_with_a_fractional_image_id(workspace, tmp_path):
 def _manifest_with_a_list_description(workspace, tmp_path):
     return _manifest_line(tmp_path, {"image_id": "b", "description": ["noah", "ark"]}), \
         ["line 2: ", "manifest.jsonl: description must be a string"]
+
+
+def _manifest_with_an_integer_of_5000_digits(workspace, tmp_path):
+    if not hasattr(sys, "set_int_max_str_digits"):  # the limit came in Python 3.11 and 3.10.7
+        pytest.skip("this Python reads integers of any length")
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text('{"image_id": "a", "description": "the ark"}\n{"image_id": ' + "1" * 5000 + "}\n")
+    return ["describe", "--manifest", str(manifest), "--cache", str(tmp_path / "c.jsonl"), "--offline"], \
+        ["line 2: ", "manifest.jsonl: invalid JSON: Exceeds the limit (4300 digits)"]
 
 
 def _manifest_with_a_repeated_image_id(workspace, tmp_path):
@@ -1299,10 +1371,14 @@ def _dim_below_the_offline_minimum(workspace, tmp_path):
     _rendered_taxonomy_without_a_rendering,
     _rendered_taxonomy_with_a_number_for_a_rendering, _rendered_taxonomy_with_a_number_for_a_code,
     _rendered_taxonomy_with_a_code_that_does_not_parse, _rendered_taxonomy_with_a_repeated_code,
+    _rendered_taxonomy_with_a_code_that_does_not_parse_read_by_the_image_method,
+    _rendered_taxonomy_with_a_code_that_does_not_parse_read_by_a_rag_method,
     _rendered_taxonomy_with_a_lone_surrogate, _raw_taxonomy_json_with_a_lone_surrogate,
+    _description_cache_with_a_lone_surrogate,
     _empty_rendered_taxonomy, _raw_taxonomy_with_a_bad_code, _raw_taxonomy_json_without_txt,
     _raw_taxonomy_with_a_duplicate_code, _manifest_with_a_boolean_image_id, _manifest_with_a_fractional_image_id,
-    _manifest_with_a_list_description, _manifest_with_a_repeated_image_id, _predictions_with_a_bad_code,
+    _manifest_with_a_list_description, _manifest_with_a_repeated_image_id, _manifest_with_an_integer_of_5000_digits,
+    _predictions_with_a_bad_code,
     _predictions_with_a_repeated_image_id, _manifest_with_an_oversized_field, _evaluate_out_below_a_regular_file,
 ], ids=lambda case: case.__name__.strip("_"))
 def test_malformed_input_ends_as_a_one_line_error(runner, tmp_path, workspace, case):

@@ -460,6 +460,16 @@ def test_cache_appends_after_an_unterminated_final_record(tmp_path, kind):
     assert all(get(reloaded, i) is not None for i in (1, 2, 3))
 
 
+def test_cache_cuts_off_an_unterminated_final_record_with_a_lone_surrogate(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    whole = _two_record_cache("description", path)
+    path.write_bytes(whole + (_SURROGATE_RECORD % ("\\ud800", "h")).rstrip("\n").encode())
+    cache = DescriptionCache(path)
+    assert len(cache) == 2
+    cache.put(_desc_record(3))  # the torn line does not decode, so it is cut off, not ended
+    assert len(DescriptionCache(path)) == 3 and b"ud800" not in path.read_bytes()
+
+
 # loads the cache named by argv[1], says so, waits for a line on stdin, then puts record argv[2]
 _WRITER = """
 import sys
@@ -496,8 +506,14 @@ def test_cache_keeps_every_record_of_two_writer_processes(tmp_path, cut):
     assert lines[-1] == b"" and all(lines[:-1])  # one record per line, each ended
 
 
+# a record of either kind but for a lone surrogate, escaped or encoded, which no encoder can write out again
+_SURROGATE_RECORD = '{"image_id": "a", "mode": "page", "text": "%s", "provider": "p", "hash": "%s", "vector": [1.0]}\n'
+
+
 @pytest.mark.parametrize("kind", sorted(CACHES))
-@pytest.mark.parametrize("bad", [b"not json\n", b'{"unrelated": 1}\n'])
+@pytest.mark.parametrize("bad", [b"not json\n", b'{"unrelated": 1}\n',
+                                 (_SURROGATE_RECORD % ("\\ud800", "\\ud800")).encode(),
+                                 (_SURROGATE_RECORD % ("\ud800", "\ud800")).encode("utf-8", "surrogatepass")])
 def test_cache_rejects_a_bad_inner_line_with_its_number(tmp_path, kind, bad):
     make, _, _ = CACHES[kind]
     path = tmp_path / "cache.jsonl"

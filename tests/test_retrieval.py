@@ -989,6 +989,11 @@ def test_reference_set_from_jsonl(fixtures_dir):
     refs = ImageReferenceSet.from_jsonl(fixtures_dir / "refs.jsonl")
     assert len(refs) == 24
     assert refs.index.dim == 8
+    # each distinct code is parsed once, and every row that carries it holds that one IconclassCode
+    labels = [code for codes in refs.labels for code in codes]
+    shared = {code.raw: code for code in labels}
+    assert (len(labels), len(shared)) == (24, 12)
+    assert all(code is shared[code.raw] and code == parse_code(code.raw) for code in labels)
 
 
 def test_reference_set_rejects_a_vector_of_strings_and_booleans(tmp_path):
