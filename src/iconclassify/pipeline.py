@@ -46,7 +46,7 @@ from .retrieval import (
     number_list,
     vector_search,
 )
-from .taxonomy import DatabaseKind, IconclassCode, iter_csv, iter_jsonl
+from .taxonomy import DatabaseKind, IconclassCode, decode_json, iter_csv, iter_jsonl
 
 
 @dataclass(frozen=True)
@@ -143,8 +143,7 @@ def _description_for(row: ManifestRow, mode: DescriptionMode, ctx: ClassifyConte
 def _load_query_vector(row: ManifestRow) -> np.ndarray:
     if not row.vector_path:
         raise ManifestParseError(f"{row.image_id}: vector_path is required for the image method")
-    with open(row.vector_path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = decode_json(Path(row.vector_path).read_text(encoding="utf-8-sig"))
     if isinstance(data, dict):
         data = data["vector"]
     return number_list(data)

@@ -35,7 +35,7 @@ from .errors import (
 from .methods import DEFAULT_OFFLINE_DIM, MIN_OFFLINE_DIM, DescriptionMode
 from .outputs import _naming
 from .retrieval import number_list, tokenize, vector_norms
-from .taxonomy import IconclassCode, decode_json
+from .taxonomy import _SURROGATE, IconclassCode, decode_json
 
 PROMPT_VERSION = "v1"
 _HASH_PERSON = b"icx-gram"  # fixed blake2b personalization = the hash seed
@@ -302,7 +302,6 @@ class _AppendOnlyCache:
         with self._lock:
             if key in self._records:
                 return
-            self._records[key] = value
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with _naming(self.path), open(self.path, "a+b") as fh:  # a failed write names the cache
                 fcntl.flock(fh, fcntl.LOCK_EX)  # released when the file closes
@@ -319,6 +318,7 @@ class _AppendOnlyCache:
                     except (ValueError, KeyError, TypeError, RecursionError):
                         fh.truncate(start)  # it does not: cut it off
                 fh.write(lead + line.encode("utf-8") + b"\n")
+            self._records[key] = value  # only once it is on disk, so a failed put serves nothing and is retried
 
 
 class DescriptionCache(_AppendOnlyCache):
@@ -393,6 +393,8 @@ def describe_image(
     text = provider.complete(prompt, image_bytes=image_bytes).strip()
     if not text:
         raise EmptyResponseError(f"{image_id}: empty description")
+    if _SURROGATE.search(text):  # no UTF encodes it, so no cache could hold it
+        raise EmptyResponseError(f"{image_id}: the description holds a lone surrogate")
     record = DescriptionRecord(
         image_id=image_id,
         mode=mode,

@@ -13,7 +13,6 @@ import math
 import os
 import re
 import threading
-from collections import Counter
 from concurrent import futures
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -403,15 +402,7 @@ class ImageReferenceSet:
         """Load records of the form {"vector": [...], "codes": ["73D231", ...]}. Each distinct code string is
         parsed once, and the rows that carry it share its IconclassCode."""
         rows, line_nos = [], []
-        parsed: dict[str, IconclassCode] = {}
-
-        def code(text) -> IconclassCode:
-            if not isinstance(text, str):
-                return parse_code(text)  # which raises, naming what it got
-            if text not in parsed:
-                parsed[text] = parse_code(text)
-            return parsed[text]
-
+        code = functools.cache(parse_code)
         for line_no, obj in iter_jsonl(path):
             try:
                 vec = number_list(obj["vector"])
@@ -455,19 +446,16 @@ def image_vote_classify(
     """
     neighbors = _top(range(len(refs)), _distances(refs.index, query), k)
 
-    votes: Counter[str] = Counter()
-    best_rank: dict[str, int] = {}
-    by_raw: dict[str, IconclassCode] = {}
+    # code -> [votes, best rank], one lookup per vote: an IconclassCode hashes in Python, not in C as a str does
+    tally: dict[IconclassCode, list[int]] = {}
     for rank, (_, row_idx) in enumerate(neighbors, start=1):
-        for raw, code in {code.raw: code for code in refs.labels[row_idx]}.items():
-            votes[raw] += 1
-            by_raw.setdefault(raw, code)
-            best_rank.setdefault(raw, rank)  # neighbours come nearest first
-    if not votes:
+        for code in dict.fromkeys(refs.labels[row_idx]):
+            tally.setdefault(code, [0, rank])[0] += 1  # neighbours come nearest first
+    if not tally:
         raise NoCandidatesError(f"none of the {len(neighbors)} nearest references carries a code")
-    order = sorted(votes, key=lambda raw: (-votes[raw], best_rank[raw], raw))
-    table = [VoteEntry(code=by_raw[raw], votes=votes[raw], best_rank=best_rank[raw]) for raw in order]
-    return by_raw[order[0]], table
+    table = [VoteEntry(code, votes, best_rank) for code, (votes, best_rank)
+             in sorted(tally.items(), key=lambda item: (-item[1][0], item[1][1], item[0].raw))]
+    return table[0].code, table
 
 
 # the array files of an index, the matrix first, in the order save_index writes them: each with the one native dtype

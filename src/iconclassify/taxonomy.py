@@ -154,12 +154,10 @@ class Taxonomy:
     def __iter__(self) -> Iterator[TaxonomyEntry]:
         return iter(self._entries.values())
 
-    def __contains__(self, code: Union[str, IconclassCode]) -> bool:
-        raw = code.raw if isinstance(code, IconclassCode) else code
+    def __contains__(self, raw: str) -> bool:
         return raw in self._entries
 
-    def get(self, code: Union[str, IconclassCode]) -> Optional[TaxonomyEntry]:
-        raw = code.raw if isinstance(code, IconclassCode) else code
+    def get(self, raw: str) -> Optional[TaxonomyEntry]:
         return self._entries.get(raw)
 
 

@@ -421,13 +421,14 @@ def test_describe_remote_needs_model(runner, tmp_path):
     assert "--endpoint and --chat-model" in result.output
 
 
-def test_describe_remote_generates(runner, tmp_path, monkeypatch):
+def _describe_remote(runner, tmp_path, monkeypatch, reply):
+    """`describe` of one image, imgX, against a chat endpoint that answers `reply`."""
     image = tmp_path / "page.png"
     image.write_bytes(b"\x89PNG\r\n\x1a\n" + b"\x00" * 8)
     manifest = tmp_path / "m.csv"
     manifest.write_text(f"image_id,page_image_path\nimgX,{image.name}\n")
 
-    body = {"choices": [{"message": {"content": "a woodcut of the flood"}}]}
+    body = {"choices": [{"message": {"content": reply}}]}
 
     class FakeResponse:
         status_code = 200
@@ -436,16 +437,29 @@ def test_describe_remote_generates(runner, tmp_path, monkeypatch):
             return body
 
     monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse())
-    cache = tmp_path / "c.jsonl"
-    result = runner.invoke(main, [
-        "describe", "--manifest", str(manifest), "--cache", str(cache),
+    return runner.invoke(main, [
+        "describe", "--manifest", str(manifest), "--cache", str(tmp_path / "c.jsonl"),
         "--endpoint", "http://h", "--chat-model", "vision",
     ])
+
+
+def test_describe_remote_generates(runner, tmp_path, monkeypatch):
+    result = _describe_remote(runner, tmp_path, monkeypatch, "a woodcut of the flood")
+    cache = tmp_path / "c.jsonl"
     assert result.exit_code == 0, result.output
     assert "described 1, cached 0, ingested 0" in result.output
     record = json.loads(cache.read_text().splitlines()[0])
     assert record["text"] == "a woodcut of the flood"
     assert record["model_id"] == "vision"
+
+
+def test_describe_refuses_a_reply_with_a_lone_surrogate(runner, tmp_path, monkeypatch):
+    # no UTF encodes the lone half of a surrogate pair, so the cache could not hold the reply
+    result = _describe_remote(runner, tmp_path, monkeypatch, "Noah \ud800 builds the ark")
+    assert result.exit_code == 1
+    assert "imgX: EmptyResponseError: imgX: the description holds a lone surrogate\n" in result.output
+    assert "described 0, cached 0, ingested 0, failed 1" in result.output
+    assert not (tmp_path / "c.jsonl").exists()
 
 
 def test_describe_names_the_other_models_whose_records_it_served(runner, tmp_path):
@@ -947,6 +961,23 @@ def _refs_with_a_bad_code(workspace, tmp_path):
     return _image_args(workspace, tmp_path, text), ["refs.jsonl", "line 1", "x1"]
 
 
+def _refs_with_code(workspace, tmp_path, code):
+    text = json.dumps({"vector": [1, 0, 0, 0, 0, 0, 0, 0], "codes": ["71B32", code]}) + "\n"
+    return _image_args(workspace, tmp_path, text), [f"Error: line 1: {tmp_path / 'refs.jsonl'}: bad reference record: "]
+
+
+def _refs_with_a_number_for_a_code(workspace, tmp_path):
+    return _refs_with_code(workspace, tmp_path, 71)
+
+
+def _refs_with_null_for_a_code(workspace, tmp_path):
+    return _refs_with_code(workspace, tmp_path, None)
+
+
+def _refs_with_a_list_for_a_code(workspace, tmp_path):
+    return _refs_with_code(workspace, tmp_path, ["71"])
+
+
 def _copied_index(workspace, tmp_path, out_prefix, source="index-basic"):
     """A copy of one of the workspace's indices, and keyword classify args that read it."""
     index = tmp_path / "index"
@@ -1205,6 +1236,13 @@ def _rendered_taxonomy_with_a_code_that_does_not_parse_read_by_a_rag_method(work
                   "rebuild the index from it, or pass the file it was built from\n"]
 
 
+def _rendered_taxonomy_with_whitespace_around_a_code(workspace, tmp_path):
+    # " 71" parses as 71, so the index would name a code the file does not hold
+    second = json.loads((workspace / "rendered.jsonl").read_text().splitlines()[1])["code"]
+    return _index_build_over_an_edited_line_2(workspace, tmp_path, code=f" {second}"), \
+        ["rendered.jsonl", "line 2", f"' {second}': whitespace around the code"]
+
+
 def _rendered_taxonomy_with_a_repeated_code(workspace, tmp_path):
     first = json.loads((workspace / "rendered.jsonl").read_text().splitlines()[0])["code"]
     return _index_build_over_an_edited_line_2(workspace, tmp_path, code=first), \
@@ -1358,7 +1396,8 @@ def _dim_below_the_offline_minimum(workspace, tmp_path):
 
 @pytest.mark.parametrize("case", [
     _cut_rendered_taxonomy, _cut_manifest, _cut_refs, _refs_without_codes, _refs_with_empty_codes,
-    _refs_with_a_bad_code, _cut_vectors, _cut_vector_matrix, _format_1_index, _non_utf8_taxonomy,
+    _refs_with_a_bad_code, _refs_with_a_number_for_a_code, _refs_with_null_for_a_code, _refs_with_a_list_for_a_code,
+    _cut_vectors, _cut_vector_matrix, _format_1_index, _non_utf8_taxonomy,
     _non_utf8_manifest, _non_utf8_predictions,
     _multi_line_manifest, _multi_line_predictions, _dim_below_the_offline_minimum,
     _index_with_another_builds_meta, _keyword_file_without_postings, _index_config_that_is_not_an_object,
@@ -1370,7 +1409,8 @@ def _dim_below_the_offline_minimum(workspace, tmp_path):
     _index_built_from_another_taxonomy,
     _rendered_taxonomy_without_a_rendering,
     _rendered_taxonomy_with_a_number_for_a_rendering, _rendered_taxonomy_with_a_number_for_a_code,
-    _rendered_taxonomy_with_a_code_that_does_not_parse, _rendered_taxonomy_with_a_repeated_code,
+    _rendered_taxonomy_with_a_code_that_does_not_parse, _rendered_taxonomy_with_whitespace_around_a_code,
+    _rendered_taxonomy_with_a_repeated_code,
     _rendered_taxonomy_with_a_code_that_does_not_parse_read_by_the_image_method,
     _rendered_taxonomy_with_a_code_that_does_not_parse_read_by_a_rag_method,
     _rendered_taxonomy_with_a_lone_surrogate, _raw_taxonomy_json_with_a_lone_surrogate,

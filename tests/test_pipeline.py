@@ -422,6 +422,16 @@ def test_classify_image_reads_both_vector_file_shapes(tmp_path):
         assert pred.predicted.raw == "73D"
 
 
+def test_classify_image_reads_a_vector_file_that_begins_with_a_byte_order_mark(fixtures_dir, tmp_path):
+    plain = fixtures_dir / "vectors" / "img001.json"
+    marked = tmp_path / "img001.json"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())  # as an editor's "UTF-8 with BOM" saves it
+    ctx = ClassifyContext(references=ImageReferenceSet.from_jsonl(fixtures_dir / "refs.jsonl"))
+    with_bom, without = (classify(ManifestRow(image_id="q", vector_path=str(path)), MethodSpec(QueryKind.IMAGE), ctx)
+                         for path in (marked, plain))
+    assert with_bom == without
+
+
 @pytest.mark.parametrize("text", ['{"vector": ["1.5", true, 0]}', '[1.0, false]', '"10"', '{"vector": null}'])
 def test_classify_image_rejects_a_query_vector_that_is_not_a_list_of_numbers(tmp_path, text):
     path = tmp_path / "q.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -468,6 +469,32 @@ def test_cache_cuts_off_an_unterminated_final_record_with_a_lone_surrogate(tmp_p
     assert len(cache) == 2
     cache.put(_desc_record(3))  # the torn line does not decode, so it is cut off, not ended
     assert len(DescriptionCache(path)) == 3 and b"ud800" not in path.read_bytes()
+
+
+@pytest.mark.parametrize("kind", sorted(CACHES))
+def test_a_put_that_fails_to_write_serves_nothing_and_is_retried(tmp_path, kind):
+    make, put, get = CACHES[kind]
+    blocker = tmp_path / "dir"
+    blocker.write_text("")  # a regular file where the cache's directory should be
+    path = blocker / "cache.jsonl"
+    cache = make(path)
+    with pytest.raises(FileExistsError):
+        put(cache, 1)
+    assert get(cache, 1) is None and len(cache) == 0
+    blocker.unlink()
+    put(cache, 1)
+    assert len(path.read_bytes().splitlines()) == 1
+    assert get(make(path), 1) is not None
+
+
+def test_a_description_that_no_utf_encodes_is_not_served(tmp_path):
+    path = tmp_path / "desc.jsonl"
+    cache = DescriptionCache(path)
+    with pytest.raises(UnicodeEncodeError):
+        cache.put(dataclasses.replace(_desc_record(1), text="Noah \ud800 builds the ark"))
+    assert cache.get("img1", DescriptionMode.FULL_PAGE) is None and len(cache) == 0
+    cache.put(_desc_record(1))
+    assert DescriptionCache(path).get("img1", DescriptionMode.FULL_PAGE).text == "description 1"
 
 
 # loads the cache named by argv[1], says so, waits for a line on stdin, then puts record argv[2]

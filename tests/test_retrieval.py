@@ -1168,6 +1168,14 @@ def test_load_index_rejects_a_truncated_or_mismatched_index(tmp_path):
     with pytest.raises(MissingIndexError, match="incomplete index: .* under other ids; rebuild it"):
         load_index(tmp_path / "idx")
     ids_path.write_text(whole)
+    kw_path = tmp_path / "idx" / "keyword.json"
+    kw_json = json.loads(kw_path.read_text())
+    for field, value in [("ids", "".join(kw_json["ids"])), ("terms", [*kw_json["terms"][:-1], None])]:
+        kw_path.write_text(json.dumps({**kw_json, field: value}))
+        with pytest.raises(MissingIndexError, match=refused) as info:
+            load_index(tmp_path / "idx")
+        assert "TypeError('keyword.json must hold lists of strings')" in str(info.value)
+    kw_path.write_text(json.dumps(kw_json))
     assert load_index(tmp_path / "idx")[1].ids == vec.ids
 
 
