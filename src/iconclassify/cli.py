@@ -59,24 +59,22 @@ def _check_offline(offline: bool, endpoint: Optional[str], api_key: Optional[str
         )
 
 
+def _remote(purpose: str, flag: str, endpoint: Optional[str], model: Optional[str],
+            api_key: Optional[str]) -> providers.RemoteProvider:
+    from . import providers
+
+    if not endpoint or not model:
+        raise click.UsageError(f"{purpose} needs --endpoint and --{flag} (or env)")
+    return providers.RemoteProvider(endpoint, model, api_key=api_key)
+
+
 def _make_embedder(offline: bool, dim: int, endpoint: Optional[str],
                    embed_model: Optional[str], api_key: Optional[str]) -> providers.EmbeddingProvider:
     from . import providers
 
     if offline:
         return providers.OfflineHashEmbedder(dim=dim)
-    if not endpoint or not embed_model:
-        raise click.UsageError("remote embedding needs --endpoint and --embed-model (or env)")
-    return providers.RemoteEmbeddingProvider(endpoint, embed_model, api_key=api_key)
-
-
-def _make_chat(purpose: str, endpoint: Optional[str], chat_model: Optional[str],
-               api_key: Optional[str]) -> providers.ChatProvider:
-    from . import providers
-
-    if not endpoint or not chat_model:
-        raise click.UsageError(f"{purpose} needs --endpoint and --chat-model (or env)")
-    return providers.RemoteChatProvider(endpoint, chat_model, api_key=api_key)
+    return _remote("remote embedding", "embed-model", endpoint, embed_model, api_key)
 
 
 def _json_text(obj: dict) -> str:
@@ -251,7 +249,7 @@ def cmd_describe(manifest_path: str, mode: str, cache_path: str, offline: bool,
         )
     described, failures = [], []
     if pending:
-        chat = _make_chat("describe", endpoint, chat_model, api_key)
+        chat = _remote("describe", "chat-model", endpoint, chat_model, api_key)
         image_field = "page_image_path" if desc_mode is DescriptionMode.FULL_PAGE \
             else "illustration_image_path"
 
@@ -336,7 +334,7 @@ def cmd_classify(manifest_path: str, method_name: str, mode: str, database: str,
             if embed_cache:
                 ctx.embedding_cache = providers.EmbeddingCache(embed_cache)
         if rag and not offline:
-            ctx.chat = _make_chat("RAG selection", endpoint, chat_model, api_key)
+            ctx.chat = _remote("RAG selection", "chat-model", endpoint, chat_model, api_key)
         built = index_meta.get("config", {})
         for field, wanted in wanted_config.items():
             if built.get(field) != wanted:

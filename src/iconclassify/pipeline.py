@@ -143,10 +143,11 @@ def _description_for(row: ManifestRow, mode: DescriptionMode, ctx: ClassifyConte
 def _load_query_vector(row: ManifestRow) -> np.ndarray:
     if not row.vector_path:
         raise ManifestParseError(f"{row.image_id}: vector_path is required for the image method")
-    data = decode_json(Path(row.vector_path).read_text(encoding="utf-8-sig"))
-    if isinstance(data, dict):
-        data = data["vector"]
-    return number_list(data)
+    try:  # a file that cannot be opened names itself through its OSError
+        data = decode_json(Path(row.vector_path).read_text(encoding="utf-8-sig"))
+        return number_list(data["vector"] if isinstance(data, dict) else data)
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise ManifestParseError(f"{row.vector_path}: bad query vector file: {exc!r}") from exc
 
 
 def _require(value, what: str, method: MethodSpec):

@@ -130,12 +130,13 @@ def _post(url: str, payload: dict, api_key: Optional[str], timeout: float) -> di
     raise ProviderUnavailableError(f"{url}: {last_error} (after {_ATTEMPTS} attempts)")
 
 
-class RemoteChatProvider:
-    """Chat-completions client; images travel as base64 data URLs."""
+class RemoteProvider:
+    """OpenAI-compatible client for one chat or embedding model; images travel as base64 data URLs."""
 
     def __init__(self, endpoint: str, model: str, api_key: Optional[str] = None):
         self.endpoint = endpoint.rstrip("/")
         self.model_id = model
+        self.provider_id = f"remote:{model}"
         self._api_key = api_key
 
     def complete(self, prompt: str, image_bytes: Optional[bytes] = None) -> str:
@@ -154,18 +155,10 @@ class RemoteChatProvider:
             raise EmptyResponseError("chat provider returned empty text")
         return text
 
-
-class RemoteEmbeddingProvider:
-    def __init__(self, endpoint: str, model: str, api_key: Optional[str] = None):
-        self.endpoint = endpoint.rstrip("/")
-        self.model = model
-        self.provider_id = f"remote:{model}"
-        self._api_key = api_key
-
     def embed_many(self, texts: Sequence[str]) -> list[np.ndarray]:
         """One embeddings request for exactly these texts; the module's
         `embed_many` keeps each request within the API's 2,048-input cap."""
-        payload = {"model": self.model, "input": list(texts)}
+        payload = {"model": self.model_id, "input": list(texts)}
         data = _post(f"{self.endpoint}/embeddings", payload, self._api_key, timeout=60.0)
         try:
             items = sorted(data["data"], key=lambda d: d["index"])
@@ -377,18 +370,12 @@ def describe_image(
     provider: ChatProvider,
     cache: Optional[DescriptionCache] = None,
 ) -> DescriptionRecord:
-    """Generate (or fetch from cache) a description for one image.
-
-    The cache is consulted first by (image_id, mode); a hit costs zero
-    provider calls. On a miss, the mode's prompt template plus the image
-    goes to the chat provider and the result is cached.
+    """Generate a description for one image: the mode's prompt template plus the image go to the chat provider,
+    and the record is written to `cache` if one is given. The cache is not read: the caller looks the image up
+    first, as `describe` does, so that a cached image costs no provider call.
     """
     if not image_bytes:
         raise ValueError(f"{image_id}: image_bytes is empty")
-    if cache is not None:
-        hit = cache.get(image_id, mode)
-        if hit is not None:
-            return hit
     prompt = prompt_for_mode(mode)
     text = provider.complete(prompt, image_bytes=image_bytes).strip()
     if not text:

@@ -7,6 +7,7 @@ All scans are exhaustive and rule-based, so results are reproducible.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 import math
@@ -136,25 +137,20 @@ def bm25_score(index: KeywordIndex, query_terms: Sequence[str], doc_id: str) -> 
     """BM25 score of one document for the given terms.
 
     Terms absent from the document contribute 0. Raises UnknownDocError
-    for ids outside the index.
+    for ids outside the index. The row is found by a binary search of the
+    sorted ids, and each term's tf by one of its ascending rows.
     """
-    if doc_id not in index.doc_lengths:
+    row = bisect.bisect_left(index.ids, doc_id) if isinstance(doc_id, str) else len(index.ids)
+    if row == len(index.ids) or index.ids[row] != doc_id:
         raise UnknownDocError(f"unknown doc id {doc_id!r}")
-    doc_len = index.doc_lengths[doc_id]
+    doc_len = int(index.lengths[row])
     score = 0.0
     for term in query_terms:
-        plist = index.postings.get(term)
-        if not plist:
-            continue
-        tf = 0
-        for pid, ptf in plist:
-            if pid == doc_id:
-                tf = ptf
-                break
-        if tf == 0:
-            continue
-        idf = _idf(index.doc_count, len(plist))
-        score += _term_score(idf, tf, doc_len, index.avg_doc_length)
+        lo, hi = index.spans.get(term, (0, 0))
+        at = lo + int(np.searchsorted(index.rows[lo:hi], row))
+        if at < hi and index.rows[at] == row:
+            idf = _idf(index.doc_count, hi - lo)
+            score += _term_score(idf, int(index.tfs[at]), doc_len, index.avg_doc_length)
     return score
 
 

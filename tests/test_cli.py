@@ -411,14 +411,29 @@ def test_describe_rejects_workers_below_one(runner, tmp_path):
     assert not (tmp_path / "c.jsonl").exists()
 
 
-def test_describe_remote_needs_model(runner, tmp_path):
+_NO_REMOTE_ENV = {f"ICONCLASSIFY_{name}": None for name in ("ENDPOINT", "CHAT_MODEL", "EMBED_MODEL", "API_KEY")}
+
+
+@pytest.mark.parametrize("command, message", [
+    ("index-build", "remote embedding needs --endpoint and --embed-model (or env)"),
+    ("describe", "describe needs --endpoint and --chat-model (or env)"),
+    ("classify-rag", "RAG selection needs --endpoint and --chat-model (or env)"),
+], ids=["index-build", "describe", "classify-rag"])
+def test_a_remote_run_without_its_model_names_the_options_it_needs(runner, tmp_path, workspace, command, message):
     manifest = tmp_path / "m.csv"
     manifest.write_text("image_id\nimgX\n")
-    result = runner.invoke(main, [
-        "describe", "--manifest", str(manifest), "--cache", str(tmp_path / "c.jsonl"),
-    ])
+    args = {
+        "index-build": ["index", "build", "--taxonomy", str(workspace / "rendered.jsonl"),
+                        "--index-dir", str(tmp_path / "out")],
+        "describe": ["describe", "--manifest", str(manifest), "--cache", str(tmp_path / "out")],
+        # the embedder is made first, so the run names the chat model it lacks
+        "classify-rag": _classify_args(workspace, tmp_path / "out", method="rag-vector",
+                                       extra=("--endpoint", "http://h", "--embed-model", "embed")),
+    }[command]
+    result = runner.invoke(main, [arg for arg in args if arg != "--offline"], env=_NO_REMOTE_ENV)
     assert result.exit_code == 2
-    assert "--endpoint and --chat-model" in result.output
+    assert result.output.endswith(f"\nError: {message}\n")
+    assert not list(tmp_path.glob("out*"))
 
 
 def _describe_remote(runner, tmp_path, monkeypatch, reply):
@@ -451,6 +466,25 @@ def test_describe_remote_generates(runner, tmp_path, monkeypatch):
     record = json.loads(cache.read_text().splitlines()[0])
     assert record["text"] == "a woodcut of the flood"
     assert record["model_id"] == "vision"
+
+
+def test_a_second_remote_describe_serves_the_cache_and_posts_nothing(runner, tmp_path, monkeypatch):
+    first = _describe_remote(runner, tmp_path, monkeypatch, "a woodcut of the flood")
+    assert first.exit_code == 0, first.output
+    cache = tmp_path / "c.jsonl"
+    written = cache.read_bytes()
+
+    def no_post(*args, **kwargs):
+        raise AssertionError("describe posted for a cached image")
+
+    monkeypatch.setattr(requests, "post", no_post)
+    result = runner.invoke(main, [
+        "describe", "--manifest", str(tmp_path / "m.csv"), "--cache", str(cache),
+        "--endpoint", "http://h", "--chat-model", "vision",
+    ])
+    assert result.exit_code == 0, result.output
+    assert result.output == "described 0, cached 1, ingested 0\n"
+    assert cache.read_bytes() == written
 
 
 def test_describe_refuses_a_reply_with_a_lone_surrogate(runner, tmp_path, monkeypatch):
@@ -781,20 +815,6 @@ def test_classify_image_method_requires_refs(runner, tmp_path, workspace):
     ])
     assert result.exit_code == 1
     assert "--refs is required" in result.output
-
-
-def test_classify_rag_remote_needs_chat_model(runner, tmp_path, workspace):
-    result = runner.invoke(main, [
-        "classify",
-        "--manifest", str(FIXTURES / "manifest.csv"),
-        "--method", "rag-vector",
-        "--taxonomy", str(workspace / "rendered.jsonl"),
-        "--index-dir", str(workspace / "index-basic"),
-        "--endpoint", "http://h", "--embed-model", "embed",
-        "--out", str(tmp_path / "x"),
-    ])
-    assert result.exit_code == 2
-    assert "--endpoint and --chat-model" in result.output
 
 
 # ---------------------------------------------------------------- evaluate

@@ -439,7 +439,33 @@ def test_classify_image_rejects_a_query_vector_that_is_not_a_list_of_numbers(tmp
     ctx = ClassifyContext(references=ImageReferenceSet([([1.0, 0.0], [parse_code("73D")])]))
     result = classify_batch([ManifestRow(image_id="q", vector_path=str(path))], MethodSpec(QueryKind.IMAGE), ctx)
     assert result.predictions == []
-    assert [(e.image_id, e.error) for e in result.errors] == [("q", "TypeError: expected a list of numbers")]
+    assert [(e.image_id, e.error) for e in result.errors] == [
+        ("q", f"ManifestParseError: {path}: bad query vector file: TypeError('expected a list of numbers')")]
+
+
+def test_a_malformed_query_vector_file_fails_its_own_row_naming_the_file(tmp_path):
+    contents = {
+        "cut": b'{"vector": [1.0,\n',
+        "not-utf8": b"\xff[1.0, 0.0]",
+        "surrogate": b'["\\ud800"]',
+        "no-vector": b'{"vec": [1.0, 0.0]}',
+        "strings": b'["1.5", 2]',
+        "good": b"[1.0, 0.0]",
+    }
+    rows = []
+    for image_id, data in contents.items():
+        (tmp_path / f"{image_id}.json").write_bytes(data)
+        rows.append(ManifestRow(image_id=image_id, vector_path=str(tmp_path / f"{image_id}.json")))
+    ctx = ClassifyContext(references=ImageReferenceSet([([1.0, 0.0], [parse_code("73D")])]))
+    result = classify_batch(rows, MethodSpec(QueryKind.IMAGE), ctx)
+    assert [(p.image_id, p.predicted.raw) for p in result.predictions] == [("good", "73D")]
+    assert [e.image_id for e in result.errors] == ["cut", "not-utf8", "surrogate", "no-vector", "strings"]
+    for error in result.errors:
+        assert error.error.startswith(f"ManifestParseError: {tmp_path / error.image_id}.json: bad query vector file: ")
+    reasons = [error.error.rsplit(": bad query vector file: ", 1)[1] for error in result.errors]
+    assert reasons[0].startswith("JSONDecodeError(") and reasons[1].startswith("UnicodeDecodeError(")
+    assert reasons[2:] == ["ValueError('a lone surrogate \\\\ud800 in a string')", "KeyError('vector')",
+                           "TypeError('expected a list of numbers')"]
 
 
 def test_classify_rejects_prediction_outside_taxonomy(tmp_path):

@@ -26,8 +26,7 @@ from iconclassify.providers import (
     DescriptionRecord,
     EmbeddingCache,
     OfflineHashEmbedder,
-    RemoteChatProvider,
-    RemoteEmbeddingProvider,
+    RemoteProvider,
     _sniff_mime,
     build_selection_prompt,
     describe_image,
@@ -263,16 +262,16 @@ def test_selection_prompt_numbers_candidates_and_keeps_braces():
 def test_describe_image_calls_provider_once_then_caches(tmp_path):
     cache = DescriptionCache(tmp_path / "desc.jsonl")
     chat = CountingChat()
-    first = describe_image("img001", PNG_STUB, DescriptionMode.FULL_PAGE, chat, cache)
-    second = describe_image("img001", PNG_STUB, DescriptionMode.FULL_PAGE, chat, cache)
+    record = describe_image("img001", PNG_STUB, DescriptionMode.FULL_PAGE, chat, cache)
     assert chat.calls == 1
-    assert first.text == "a woodcut of Noah's ark"
-    assert second is first or second.text == first.text
-    assert first.model_id == "fake-chat"
-    assert first.prompt_version == "v1"
+    assert record.text == "a woodcut of Noah's ark"
+    assert record.model_id == "fake-chat"
+    assert record.prompt_version == "v1"
     # the mode's template went out with the image attached
     assert "chapter numbers" in chat.prompts[0]
     assert chat.images[0] == PNG_STUB
+    assert cache.get("img001", DescriptionMode.FULL_PAGE) is record
+    assert DescriptionCache(tmp_path / "desc.jsonl").get("img001", DescriptionMode.FULL_PAGE) == record
 
 
 def test_describe_image_modes_cache_separately(tmp_path):
@@ -659,7 +658,7 @@ def test_remote_chat_retries_then_succeeds(monkeypatch):
         return FakeResponse(body={"choices": [{"message": {"content": "a woodcut"}}]})
 
     monkeypatch.setattr(requests, "post", fake_post)
-    chat = RemoteChatProvider("http://host/v1", "m")
+    chat = RemoteProvider("http://host/v1", "m")
     assert chat.complete("hi") == "a woodcut"
     assert len(attempts) == 3
     assert attempts[0] == "http://host/v1/chat/completions"
@@ -673,7 +672,7 @@ def test_remote_chat_gives_up_after_three_attempts(monkeypatch, sleeps):
         return FakeResponse(status_code=503)
 
     monkeypatch.setattr(requests, "post", fake_post)
-    chat = RemoteChatProvider("http://host", "m")
+    chat = RemoteProvider("http://host", "m")
     with pytest.raises(ProviderUnavailableError, match="HTTP 503"):
         chat.complete("hi")
     assert len(attempts) == 3
@@ -690,7 +689,7 @@ def test_remote_fails_at_once_on_a_client_error(monkeypatch, sleeps, status):
 
     monkeypatch.setattr(requests, "post", fake_post)
     with pytest.raises(ProviderUnavailableError, match=f"HTTP {status}"):
-        RemoteChatProvider("http://host", "m").complete("hi")
+        RemoteProvider("http://host", "m").complete("hi")
     assert len(attempts) == 1
     assert sleeps == []
 
@@ -704,7 +703,7 @@ def test_remote_waits_as_retry_after_asks(monkeypatch, sleeps, retry_after, wait
         FakeResponse(body={"choices": [{"message": {"content": "a woodcut"}}]}),
     ]
     monkeypatch.setattr(requests, "post", lambda url, json=None, headers=None, timeout=None: replies.pop(0))
-    chat = RemoteChatProvider("http://host", "m")
+    chat = RemoteProvider("http://host", "m")
     if waits is None:  # a wait past the 60 s cap ends the call at once, not a day later
         with pytest.raises(ProviderUnavailableError, match=r"^http://host/chat/completions: HTTP 429 asks to retry "
                                                            r"after 86400 s, more than the 60 s this client waits$"):
@@ -724,7 +723,7 @@ def test_remote_chat_attaches_image_as_data_url(monkeypatch):
         return FakeResponse(body={"choices": [{"message": {"content": "ok"}}]})
 
     monkeypatch.setattr(requests, "post", fake_post)
-    chat = RemoteChatProvider("http://host", "vision-model", api_key="sk-test")
+    chat = RemoteProvider("http://host", "vision-model", api_key="sk-test")
     chat.complete("look", image_bytes=PNG_STUB)
     content = seen["payload"]["messages"][0]["content"]
     assert content[0] == {"type": "text", "text": "look"}
@@ -741,7 +740,7 @@ def test_remote_chat_rejects_malformed_or_empty_body(monkeypatch):
         monkeypatch.setattr(
             requests, "post", lambda url, json=None, headers=None, timeout=None, b=body: FakeResponse(body=b)
         )
-        chat = RemoteChatProvider("http://host", "m")
+        chat = RemoteProvider("http://host", "m")
         with pytest.raises(EmptyResponseError):
             chat.complete("hi")
 
@@ -756,7 +755,7 @@ def test_remote_embeddings_sorts_by_index(monkeypatch):
     monkeypatch.setattr(
         requests, "post", lambda url, json=None, headers=None, timeout=None: FakeResponse(body=body)
     )
-    emb = RemoteEmbeddingProvider("http://host", "embed-model")
+    emb = RemoteProvider("http://host", "embed-model")
     assert [v.tolist() for v in emb.embed_many(["a", "b"])] == [[1.0, 0.0], [0.0, 1.0]]
     assert emb.provider_id == "remote:embed-model"
 
@@ -767,7 +766,7 @@ def test_remote_embeddings_rejects_indices_that_do_not_cover_the_inputs(monkeypa
     monkeypatch.setattr(
         requests, "post", lambda url, json=None, headers=None, timeout=None: FakeResponse(body=body)
     )
-    emb = RemoteEmbeddingProvider("http://host", "m")
+    emb = RemoteProvider("http://host", "m")
     with pytest.raises(EmptyResponseError, match="indices are not 0 to 1"):
         emb.embed_many(["a", "b"])
 
@@ -777,7 +776,7 @@ def test_remote_embeddings_rejects_wrong_count(monkeypatch):
     monkeypatch.setattr(
         requests, "post", lambda url, json=None, headers=None, timeout=None: FakeResponse(body=body)
     )
-    emb = RemoteEmbeddingProvider("http://host", "m")
+    emb = RemoteProvider("http://host", "m")
     with pytest.raises(EmptyResponseError):
         emb.embed_many(["a", "b"])
     assert embed_many([], emb).shape == (0, 0)  # no texts, no request: the stub's one-vector reply would fail
@@ -790,7 +789,7 @@ def test_remote_embeddings_reject_a_non_numeric_vector(monkeypatch, embedding):
         requests, "post", lambda url, json=None, headers=None, timeout=None: FakeResponse(body=body)
     )
     with pytest.raises(EmptyResponseError, match="malformed embedding response"):
-        RemoteEmbeddingProvider("http://host", "m").embed_many(["a"])
+        RemoteProvider("http://host", "m").embed_many(["a"])
 
 
 def test_a_non_finite_embedding_is_refused_and_not_cached(monkeypatch, tmp_path):
@@ -801,7 +800,7 @@ def test_a_non_finite_embedding_is_refused_and_not_cached(monkeypatch, tmp_path)
                         posted.append(url) or FakeResponse(body=body))
     path = tmp_path / "emb.jsonl"
     with pytest.raises(EmptyResponseError, match="malformed embedding response.*NaN or Infinity"):
-        embed_many(["a", "b"], RemoteEmbeddingProvider("http://host", "m"), EmbeddingCache(path))
+        embed_many(["a", "b"], RemoteProvider("http://host", "m"), EmbeddingCache(path))
     assert len(posted) == 1
     assert not path.exists() or path.read_text() == ""
     # a line an older version cached this way stops the load, naming the file and the line
@@ -823,7 +822,7 @@ def test_a_zero_or_ragged_embedding_reply_caches_no_line(monkeypatch, tmp_path, 
     monkeypatch.setattr(requests, "post", lambda url, json=None, headers=None, timeout=None: FakeResponse(body=body))
     path = tmp_path / "emb.jsonl"
     with pytest.raises(EmptyResponseError, match=fault):
-        embed_many(["a", "b"], RemoteEmbeddingProvider("http://host", "m"), EmbeddingCache(path))
+        embed_many(["a", "b"], RemoteProvider("http://host", "m"), EmbeddingCache(path))
     assert not path.exists() or path.read_text() == ""
 
 
@@ -834,11 +833,11 @@ def test_a_rerun_after_a_zero_or_ragged_embedding_reply_posts_again(monkeypatch,
                         posted.append(json["input"]) or FakeResponse(body=body))
     path = tmp_path / "emb.jsonl"
     with pytest.raises(EmptyResponseError):
-        embed_many(["a", "b"], RemoteEmbeddingProvider("http://host", "m"), EmbeddingCache(path))
+        embed_many(["a", "b"], RemoteProvider("http://host", "m"), EmbeddingCache(path))
     good = {"data": [{"index": 0, "embedding": [1.0, 0.0]}, {"index": 1, "embedding": [0.0, 1.0]}]}
     monkeypatch.setattr(requests, "post", lambda url, json=None, headers=None, timeout=None:
                         posted.append(json["input"]) or FakeResponse(body=good))
-    vectors = embed_many(["a", "b"], RemoteEmbeddingProvider("http://host", "m"), EmbeddingCache(path))
+    vectors = embed_many(["a", "b"], RemoteProvider("http://host", "m"), EmbeddingCache(path))
     assert posted == [["a", "b"], ["a", "b"]]
     assert [v.tolist() for v in vectors] == [[1.0, 0.0], [0.0, 1.0]]
 
@@ -855,7 +854,7 @@ def test_a_chunk_at_another_dim_than_the_first_caches_no_line(monkeypatch, tmp_p
     texts = [f"t{i}" for i in range(2049)]
     path = tmp_path / "emb.jsonl"
     with pytest.raises(EmptyResponseError, match="^remote:m returned a vector of dim 3, not the batch's 2$"):
-        embed_many(texts, RemoteEmbeddingProvider("http://host", "m"), EmbeddingCache(path))
+        embed_many(texts, RemoteProvider("http://host", "m"), EmbeddingCache(path))
     assert len(path.read_text().splitlines()) == 2048  # the first chunk only
     assert EmbeddingCache(path).get("remote:m", "t2048") is None
 
@@ -866,7 +865,7 @@ def test_a_reply_at_another_dim_than_the_cached_vectors_caches_no_line(monkeypat
     monkeypatch.setattr(requests, "post", lambda url, json=None, headers=None, timeout=None:
                         FakeResponse(body={"data": [{"index": 0, "embedding": [1.0, 2.0, 3.0]}]}))
     with pytest.raises(EmptyResponseError, match="^remote:m returned a vector of dim 3, not the batch's 2$"):
-        embed_many(["a", "b"], RemoteEmbeddingProvider("http://host", "m"), EmbeddingCache(path))
+        embed_many(["a", "b"], RemoteProvider("http://host", "m"), EmbeddingCache(path))
     assert len(path.read_text().splitlines()) == 1
 
 
@@ -891,7 +890,7 @@ def test_remote_retries_on_invalid_json(monkeypatch):
         return FakeResponse(body={"data": [{"index": 0, "embedding": [1.0]}]})
 
     monkeypatch.setattr(requests, "post", fake_post)
-    emb = RemoteEmbeddingProvider("http://host", "m")
+    emb = RemoteProvider("http://host", "m")
     assert [v.tolist() for v in emb.embed_many(["a"])] == [[1.0]]
     assert len(calls) == 2
 
@@ -907,7 +906,7 @@ def test_remote_embeddings_chunk_at_2048_inputs(monkeypatch):
 
     monkeypatch.setattr(requests, "post", fake_post)
     texts = [f"t{i}" for i in range(2049)]
-    vectors = embed_many(texts, RemoteEmbeddingProvider("http://host", "m"))
+    vectors = embed_many(texts, RemoteProvider("http://host", "m"))
     assert [len(chunk) for chunk in inputs] == [2048, 1]
     assert inputs[0] + inputs[1] == texts
     assert [v.tolist() for v in vectors] == [[float(i), 1.0] for i in range(2049)]
@@ -928,13 +927,13 @@ def test_embed_many_caches_each_chunk_as_it_returns(monkeypatch, tmp_path):
     texts = [f"t{i}" for i in range(5000)]
     path = tmp_path / "emb.jsonl"
     with pytest.raises(ProviderUnavailableError, match="HTTP 503"):
-        embed_many(texts, RemoteEmbeddingProvider("http://host", "m"), EmbeddingCache(path))
+        embed_many(texts, RemoteProvider("http://host", "m"), EmbeddingCache(path))
     assert len(path.read_text().splitlines()) == 4096  # both chunks that returned are kept
 
     posted.clear()
     monkeypatch.setattr(requests, "post", lambda url, json=None, headers=None, timeout=None:
                         posted.append(json["input"]) or _embeddings_reply(json["input"]))
-    vectors = embed_many(texts, RemoteEmbeddingProvider("http://host", "m"), EmbeddingCache(path))
+    vectors = embed_many(texts, RemoteProvider("http://host", "m"), EmbeddingCache(path))
     assert posted == [texts[4096:]]  # the rerun asks only for the 904 texts that never returned
     assert [v.tolist() for v in vectors] == [[float(i), 1.0] for i in range(5000)]
     assert len(path.read_text().splitlines()) == 5000

@@ -152,6 +152,37 @@ def test_bm25_unknown_doc():
         bm25_score(index, ["ark"], "nope")
 
 
+def _bm25_by_views(index, terms, doc_id):
+    """BM25 of one document by a linear walk of the `postings` and `doc_lengths` views, which find it by id."""
+    score = 0.0
+    for term in terms:
+        plist = index.postings.get(term, [])
+        tf = next((ptf for pid, ptf in plist if pid == doc_id), 0)
+        if tf:
+            idf = retrieval._idf(index.doc_count, len(plist))
+            score += retrieval._term_score(idf, tf, index.doc_lengths[doc_id], index.avg_doc_length)
+    return score
+
+
+def test_bm25_score_reads_only_the_arrays():
+    index = build_keyword_index([("71B3", "ark"), ("71B32", "the ark ark"), ("73", "the flood")])
+    for doc_id in ("71", "71B31", "74", "", 71):  # below the first id, between two, after the last, empty, not a str
+        with pytest.raises(UnknownDocError):
+            bm25_score(index, ["ark"], doc_id)
+    once = bm25_score(index, ["ark"], "71B32")
+    assert once > 0.0 and bm25_score(index, ["ark", "zebra", "ark"], "71B32") == 2 * once
+    assert "postings" not in vars(index) and "doc_lengths" not in vars(index)
+
+
+@pytest.mark.parametrize("kind", list(DatabaseKind))
+def test_bm25_score_equals_a_walk_of_the_views_on_every_term_and_doc(kind):
+    index = build_keyword_index(_fixture_docs(kind))
+    got = {(term, doc_id): bm25_score(index, [term], doc_id) for term in index.spans for doc_id in index.ids}
+    assert "postings" not in vars(index) and "doc_lengths" not in vars(index)
+    assert {pair: float.hex(score) for pair, score in got.items()} == {
+        (term, doc_id): float.hex(_bm25_by_views(index, [term], doc_id)) for term, doc_id in got}
+
+
 def test_bm25_score_increases_with_tf():
     # equal-length docs so only the term frequency varies
     index = build_keyword_index(
