@@ -62,9 +62,16 @@ class RankedHit:
     rank: int
 
 
+@functools.lru_cache(maxsize=1 << 14)  # more than the 12.6k codes of a paper-scale taxonomy
+def _code(raw: str) -> IconclassCode:
+    """parse_code, kept for the process: hits and reference labels share one IconclassCode per notation, so a
+    process that keeps many hits keeps one copy of each code."""
+    return parse_code(raw)
+
+
 def _hits(ranked: Iterable[tuple[str, float]]) -> list[RankedHit]:
     """Hits from (doc id, score) pairs that are already in rank order."""
-    return [RankedHit(code=parse_code(doc_id), score=s, rank=i + 1) for i, (doc_id, s) in enumerate(ranked)]
+    return [RankedHit(code=_code(doc_id), score=s, rank=i + 1) for i, (doc_id, s) in enumerate(ranked)]
 
 
 @dataclass(eq=False)
@@ -81,6 +88,9 @@ class KeywordIndex:
     lengths: np.ndarray  # int32, >= 0, one per row
     doc_count: int = field(init=False)
     avg_doc_length: float = field(init=False)
+    # (query text, its read-only score array) of the last query: one attribute, read and replaced whole, so a race
+    # between threads costs a rescoring, never a wrong array
+    _last = (None, None)
 
     def __post_init__(self):
         if not self.ids:
@@ -154,11 +164,15 @@ def bm25_score(index: KeywordIndex, query_terms: Sequence[str], doc_id: str) -> 
     return score
 
 
-def _keyword_top(index: KeywordIndex, query: str, k: int) -> list[tuple[str, float]]:
-    """(doc id, score) of the top k by BM25. Each query term, repeats
-    included, adds `_term_score` of its whole posting slice to the scores
-    in one array op. numpy's elementwise ops round as Python's do and the
-    terms add up in the same order, so each score equals `bm25_score` bit for bit."""
+def _keyword_scores(index: KeywordIndex, query: str) -> np.ndarray:
+    """The BM25 score of every row. Each query term, repeats included, adds
+    `_term_score` of its whole posting slice to the scores in one array op.
+    numpy's elementwise ops round as Python's do and the terms add up in the
+    same order, so each score equals `bm25_score` bit for bit. A repeat of
+    the index's last query text returns the very array that query made."""
+    last, scores = index._last
+    if last == query:
+        return scores
     scores = np.zeros(index.doc_count)
     for term in tokenize(query):
         if term not in index.spans:
@@ -167,6 +181,14 @@ def _keyword_top(index: KeywordIndex, query: str, k: int) -> list[tuple[str, flo
         rows = index.rows[lo:hi]
         idf = _idf(index.doc_count, hi - lo)
         scores[rows] += _term_score(idf, index.tfs[lo:hi], index.lengths[rows], index.avg_doc_length)
+    scores.flags.writeable = False  # shared by every repeat
+    index._last = (query, scores)
+    return scores
+
+
+def _keyword_top(index: KeywordIndex, query: str, k: int) -> list[tuple[str, float]]:
+    """(doc id, score) of the top k by BM25."""
+    scores = _keyword_scores(index, query)
     hit = np.flatnonzero(scores > 0.0)
     return [(index.ids[row], -cost) for cost, row in _top(hit, -scores[hit], k)]
 
@@ -184,6 +206,8 @@ class VectorIndex:
     ids: list[str]
     matrix: np.ndarray
     norms: np.ndarray
+    # (query vector bytes, its read-only distance array) of the last scan, kept as KeywordIndex keeps its last query
+    _last = (None, None)
 
     @property
     def dim(self) -> int:
@@ -263,23 +287,32 @@ def cosine_distance(u: Sequence[float], v: Sequence[float]) -> float:
     b = np.asarray(v, dtype=np.float64)
     if a.shape != b.shape:
         raise DimMismatchError(f"dims {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ZeroVectorError("cosine distance undefined for zero vectors")
+    na = float(vector_norms(a))
+    nb = float(vector_norms(b))
+    if not (0.0 < na < math.inf and 0.0 < nb < math.inf):
+        raise ZeroVectorError("cosine distance undefined for zero or non-finite vectors")
     return 1.0 - float(np.dot(a, b)) / (na * nb)
 
 
 def _distances(index: VectorIndex, query: Sequence[float]) -> np.ndarray:
     """cosine_distance(row, query) for every row, bit for bit: np.vecdot runs
-    each row through np.dot's kernel, where M @ q would sum in another order."""
+    each row through np.dot's kernel, where M @ q would sum in another order.
+    A repeat of the index's last query vector, byte for byte, returns the
+    very array that query made."""
     q = np.asarray(query, dtype=np.float64)
     if q.ndim != 1 or q.shape[0] != index.dim:
         raise DimMismatchError(f"query dim {q.shape} != index dim {index.dim}")
+    key = q.tobytes()
+    last, dists = index._last
+    if last == key:
+        return dists
     qnorm = float(vector_norms(q))
     if not 0.0 < qnorm < math.inf:
         raise ZeroVectorError("cannot search with a zero or non-finite query vector")
-    return 1.0 - _row_dots(index.matrix, q) / (index.norms * qnorm)
+    dists = 1.0 - _row_dots(index.matrix, q) / (index.norms * qnorm)
+    dists.flags.writeable = False  # shared by every repeat
+    index._last = (key, dists)
+    return dists
 
 
 def _cores() -> int:
@@ -398,13 +431,12 @@ class ImageReferenceSet:
         """Load records of the form {"vector": [...], "codes": ["73D231", ...]}. Each distinct code string is
         parsed once, and the rows that carry it share its IconclassCode."""
         rows, line_nos = [], []
-        code = functools.cache(parse_code)
         for line_no, obj in iter_jsonl(path):
             try:
                 vec = number_list(obj["vector"])
                 if not isinstance(obj["codes"], list):  # a string would be read as one code per character
                     raise TypeError("codes must be a list")
-                codes = [code(c) for c in obj["codes"]]
+                codes = [_code(c) for c in obj["codes"]]
             except (KeyError, TypeError, ValueError, AttributeError, MalformedCodeError) as exc:
                 raise MalformedLineError(line_no, f"{path}: bad reference record: {exc!r}") from exc
             if not codes:

@@ -514,6 +514,29 @@ def test_classify_batch_worker_count_does_not_change_output(fixtures_dir, tmp_pa
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("workers", [1, 4])
+def test_one_context_for_every_text_method_writes_what_a_fresh_context_per_method_does(fixtures_dir, tmp_path, workers):
+    # each row runs every text method in turn, as the methods compare on one description, so the later methods
+    # find the row's query kept on the shared indices; at 4 workers, threads switched every microsecond race for them
+    rows = read_manifest(fixtures_dir / "manifest.csv") * 4
+    kinds = [kind for kind in QueryKind if kind is not QueryKind.IMAGE]
+    shared = _fixture_context()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        per_row, errors = run_rows(lambda row: [classify(row, MethodSpec(kind), shared) for kind in kinds], rows,
+                                   workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+    for i, kind in enumerate(kinds):
+        fresh = classify_batch(rows, MethodSpec(kind), _fixture_context(), workers=workers)
+        assert not fresh.errors
+        write_predictions_jsonl([preds[i] for preds in per_row], tmp_path / "shared.jsonl")
+        write_predictions_jsonl(fresh.predictions, tmp_path / "fresh.jsonl")
+        assert (tmp_path / "shared.jsonl").read_bytes() == (tmp_path / "fresh.jsonl").read_bytes(), kind
+
+
 _POOLED_KINDS = (QueryKind.VECTOR, QueryKind.HYBRID, QueryKind.RAG_HYBRID, QueryKind.IMAGE)
 
 
@@ -532,13 +555,16 @@ def _batches_over_blocked_scans(out_dir):
     words = ["ark", "flood", "dove", "raven", "rainbow", "noah", "tower", "babel"]
     docs = {f"7{i}": f"{words[i % 8]} {words[i // 8 % 8]} {words[i // 64 % 8]} {i}" for i in range(n)}
     vectors = {code: embedder.embed(text) for code, text in docs.items()}
-    ctx = ClassifyContext(
-        documents=docs,
-        keyword_index=build_keyword_index(docs.items()),
-        vector_index=build_vector_index(vectors.items()),
-        embedder=embedder,
-        references=ImageReferenceSet([(vec, [parse_code(code)]) for code, vec in vectors.items()]),
-    )
+
+    def context():  # fresh indices for each batch: its first row must not find the last batch's scan kept
+        return ClassifyContext(
+            documents=docs,
+            keyword_index=build_keyword_index(docs.items()),
+            vector_index=build_vector_index(vectors.items()),
+            embedder=embedder,
+            references=ImageReferenceSet([(vec, [parse_code(code)]) for code, vec in vectors.items()]),
+        )
+
     out = Path(out_dir)
     rows = []
     for i in range(0, n, 25):
@@ -549,7 +575,7 @@ def _batches_over_blocked_scans(out_dir):
     for kind in _POOLED_KINDS:
         for workers in (1, 4):
             handed.clear()
-            result = classify_batch(rows, MethodSpec(kind), ctx, workers=workers)
+            result = classify_batch(rows, MethodSpec(kind), context(), workers=workers)
             assert not result.errors, result.errors
             write_predictions_jsonl(result.predictions, out / f"{kind.value}-{workers}.jsonl")
             counts[f"{kind.value}-{workers}"] = len(handed)

@@ -303,6 +303,17 @@ def test_keyword_search_equals_a_bm25_scan_before_and_after_a_round_trip(tmp_pat
                 assert [(h.code.raw, h.rank, float.hex(h.score)) for h in hits] == expected, (query, k)
 
 
+def test_a_repeat_keyword_query_with_another_k_equals_a_fresh_index():
+    index = build_keyword_index(SCAN_DOCS)
+    for query in ("the ark ark noah", "the flood of mariä the rain"):
+        for k in (1, 3, len(SCAN_DOCS) + 2):
+            keyword_search(index, query, 2)  # leaves this query's scores on the index
+            hits = keyword_search(index, query, k)
+            fresh = keyword_search(build_keyword_index(SCAN_DOCS), query, k)
+            assert [(h.code.raw, h.rank, float.hex(h.score)) for h in hits] == \
+                [(h.code.raw, h.rank, float.hex(h.score)) for h in fresh], (query, k)
+
+
 def _synthetic_corpus(seed: int, n_docs: int) -> tuple[list[tuple[str, str]], list[str]]:
     """Docs in shuffled id order over a skewed vocabulary, with repeats, Unicode and empty docs; and the vocabulary."""
     rng = random.Random(seed)
@@ -388,6 +399,15 @@ def test_cosine_distance_dim_mismatch():
 def test_cosine_distance_zero_vector():
     with pytest.raises(ZeroVectorError):
         cosine_distance([0.0, 0.0], [1.0, 0.0])
+
+
+@pytest.mark.parametrize("bad", [[1e200, 0.0], [math.nan, 1.0], [-math.inf, 1.0]])
+def test_cosine_distance_refuses_a_vector_too_large_to_square_or_not_finite(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning would end a -W error run
+        for u, v in ((bad, [1.0, 0.0]), ([1.0, 0.0], bad)):
+            with pytest.raises(ZeroVectorError):
+                cosine_distance(u, v)
 
 
 # ---------------------------------------------------------------- the one norm
@@ -601,13 +621,15 @@ def test_the_blocked_scan_is_exact_for_any_core_count(monkeypatch):
     vectors = rng.standard_normal((20, dim))[rng.integers(0, 20, n)]
     ids = [f"7{i}" for i in range(n)]
     words = ["ark", "flood", "dove", "raven", "rainbow"]
-    kw_index = build_keyword_index((doc_id, " ".join(rng.choice(words, 3))) for doc_id in ids)
-    vec_index = build_vector_index(zip(ids, vectors))
-    refs = ImageReferenceSet([(vec, [parse_code(f"7{i % 13}")]) for i, vec in enumerate(vectors)])
+    docs = [(doc_id, " ".join(rng.choice(words, 3))) for doc_id in ids]
     queries = rng.standard_normal((4, dim))
     results = []
     for cores in (1, 2, 3):
         monkeypatch.setattr(retrieval, "_cores", lambda cores=cores: cores)
+        # fresh indices, which hold no scan made at another core count
+        kw_index = build_keyword_index(docs)
+        vec_index = build_vector_index(zip(ids, vectors))
+        refs = ImageReferenceSet([(vec, [parse_code(f"7{i % 13}")]) for i, vec in enumerate(vectors)])
         for q in queries:
             oracle = np.array([cosine_distance(vec, q) for vec in vectors])
             assert retrieval._distances(vec_index, q).tobytes() == oracle.tobytes()
@@ -678,9 +700,11 @@ def test_a_forked_child_scans_in_blocks_too(monkeypatch):
     monkeypatch.setattr(retrieval, "_MIN_BLOCK_VALUES", 64 * 7)
     monkeypatch.setattr(retrieval, "_cores", lambda: 2)
     rng = np.random.default_rng(11)
-    index = build_vector_index((f"7{i}", vec) for i, vec in enumerate(rng.standard_normal((200, 7))))
+    rows = [(f"7{i}", vec) for i, vec in enumerate(rng.standard_normal((200, 7)))]
+    index, twin = build_vector_index(rows), build_vector_index(rows)
     query = rng.standard_normal(7)
-    want = retrieval._distances(index, query).tobytes()  # starts the parent's pool threads
+    # starts the parent's pool threads, and leaves `index` with no scan the child could reuse
+    want = retrieval._distances(twin, query).tobytes()
     pid = os.fork()
     if pid == 0:
         code = 1
@@ -698,6 +722,35 @@ def test_a_forked_child_scans_in_blocks_too(monkeypatch):
         os.waitpid(pid, 0)
         pytest.fail("the forked child's scan did not finish in 30 s")
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+def test_a_hybrid_after_a_vector_search_of_its_query_scans_nothing(monkeypatch, handed):
+    monkeypatch.setattr(retrieval, "_cores", lambda: 2)
+    rng = np.random.default_rng(13)
+    rows = [(f"7{i}", vec) for i, vec in enumerate(rng.standard_normal((200, 7)))]
+    kw = build_keyword_index((doc_id, "ark flood" if i % 2 else "ark") for i, (doc_id, _) in enumerate(rows))
+    vec, twin = build_vector_index(rows), build_vector_index(rows)
+    query, other = rng.standard_normal((2, 7))
+    vector_search(vec, query, 5)
+    assert handed == [100]
+    hits = hybrid_search(kw, vec, "flood", query, k=5)
+    assert handed == [100]  # the vector search's scan, kept by the index
+    assert hits == hybrid_search(kw, twin, "flood", query, k=5)
+    assert handed == [100, 100]  # another index scans
+    hybrid_search(kw, vec, "flood", other, k=5)
+    assert handed == [100, 100, 100]  # and so does another query
+
+
+def test_a_repeat_query_gets_the_read_only_array_of_the_first():
+    rng = np.random.default_rng(17)
+    kw = build_keyword_index(SCAN_DOCS)
+    vec = build_vector_index((doc_id, v) for (doc_id, _), v in zip(SCAN_DOCS, rng.standard_normal((6, 3))))
+    query = rng.standard_normal(3)
+    for first, again in ((retrieval._keyword_scores(kw, "the ark"), retrieval._keyword_scores(kw, "the ark")),
+                         (retrieval._distances(vec, query), retrieval._distances(vec, query.tolist()))):
+        assert again is first and not first.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            first[0] = 0.0
 
 
 def test_k_cutting_through_a_tie_keeps_the_smallest_ids():
@@ -891,6 +944,7 @@ def test_hybrid_parses_only_the_codes_it_returns(monkeypatch):
     vec = build_vector_index((d, v) for (d, _), v in zip(docs, vectors))
     parsed = []
     monkeypatch.setattr(retrieval, "parse_code", lambda text: parsed.append(text) or parse_code(text))
+    retrieval._code.cache_clear()  # so that each code hybrid parses, through the cache or not, reaches parse_code
     hits = hybrid_search(kw, vec, "noah and the flood", np.ones(8), k=5, pool=100)
     assert len(hits) == 5
     assert parsed == [h.code.raw for h in hits]
