@@ -7,12 +7,17 @@ All scans are exhaustive and rule-based, so results are reproducible.
 
 from __future__ import annotations
 
+import array
 import bisect
+import collections
+import errno
 import functools
+import itertools
 import json
 import math
 import os
 import re
+import stat
 import threading
 from concurrent import futures
 from dataclasses import dataclass, field
@@ -117,12 +122,18 @@ def build_keyword_index(docs: Iterable[tuple[str, str]]) -> KeywordIndex:
     docs = list(docs)
     _check_unique([doc_id for doc_id, _ in docs])
     docs.sort()  # by id, as the ids are distinct
-    tokens = [tokenize(text) for _, text in docs]
-    term_no: dict[str, int] = {}  # in order of first appearance, the order of the spans
-    term_of = np.array([term_no.setdefault(term, len(term_no)) for doc in tokens for term in doc], dtype=np.int64)
-    lengths = np.array([len(doc) for doc in tokens], dtype=np.int32)
+    term_no: dict[str, int] = collections.defaultdict(itertools.count().__next__)  # the spans' order: first seen
+    # each token's term number, a document at a time, so no token list outlives its document
+    term_of, lengths = array.array("q"), np.empty(len(docs), dtype=np.int32)
+    for row, (_, text) in enumerate(docs):
+        tokens = tokenize(text)
+        term_of.extend(map(term_no.__getitem__, tokens))
+        lengths[row] = len(tokens)
     # one key per (term, row) posting: sorted, they group the postings by term, each term's rows ascending
-    keys, tfs = np.unique(term_of * len(docs) + np.repeat(np.arange(len(docs)), lengths), return_counts=True)
+    keys = np.frombuffer(term_of, dtype=np.int64) * len(docs)
+    del term_of
+    keys += np.repeat(np.arange(len(docs)), lengths)
+    keys, tfs = np.unique(keys, return_counts=True)
     ends = np.cumsum(np.bincount(keys // len(docs), minlength=len(term_no))).tolist()
     return KeywordIndex(
         ids=[doc_id for doc_id, _ in docs],
@@ -429,8 +440,9 @@ class ImageReferenceSet:
     @classmethod
     def from_jsonl(cls, path: Union[str, Path]) -> "ImageReferenceSet":
         """Load records of the form {"vector": [...], "codes": ["73D231", ...]}. Each distinct code string is
-        parsed once, and the rows that carry it share its IconclassCode."""
-        rows, line_nos = [], []
+        parsed once, and the rows that carry it share its IconclassCode. Each vector is copied into its row of one
+        matrix with a row per line, trimmed to the records read: the load holds that matrix and one record."""
+        bound, matrix, labels, line_nos = _line_bound(path), None, [], []
         for line_no, obj in iter_jsonl(path):
             try:
                 vec = number_list(obj["vector"])
@@ -441,18 +453,34 @@ class ImageReferenceSet:
                 raise MalformedLineError(line_no, f"{path}: bad reference record: {exc!r}") from exc
             if not codes:
                 raise MalformedLineError(line_no, f"{path}: reference record has no codes")
-            # a check the constructor makes too, here so that the error names the line
-            if rows and vec.size != rows[0][0].size:
-                raise MalformedLineError(line_no, f"{path}: dim {vec.size} != reference set dim {rows[0][0].size}")
-            rows.append((vec, codes))
+            if matrix is None:
+                matrix = np.empty((bound, vec.size))
+            elif vec.size != matrix.shape[1]:  # a check vector_index makes too, here so that the error names the line
+                raise MalformedLineError(line_no, f"{path}: dim {vec.size} != reference set dim {matrix.shape[1]}")
+            if len(labels) == bound:  # the file grew after it was counted
+                raise MalformedLineError(line_no, f"{path}: more records than the {bound} lines counted at the start")
+            matrix[len(labels)] = vec
+            labels.append(codes)
             line_nos.append(line_no)
-        if not rows:
+        if not labels:
             raise EmptyReferenceSetError(f"{path}: reference set is empty")
+        matrix, refs = matrix[: len(labels)], cls.__new__(cls)  # cls(rows) would stack a second copy
+        refs.labels = labels
         try:
-            return cls(rows)  # which judges every row's norm at once
-        except ZeroVectorError as exc:
-            bad = next(i for i, (vec, _) in enumerate(rows) if not 0.0 < vector_norms(vec) < math.inf)
+            refs.index = vector_index([f"reference {i}" for i in range(len(labels))], matrix)
+        except ZeroVectorError as exc:  # vector_index judges every row's norm at once
+            bad = next(i for i, norm in enumerate(vector_norms(matrix).tolist()) if not 0.0 < norm < math.inf)
             raise MalformedLineError(line_nos[bad], f"{path}: zero or non-finite vector cannot be indexed") from exc
+        return refs
+
+
+def _line_bound(path: Union[str, Path]) -> int:
+    """At least the lines of a file as _lines reads them: one more than its newlines, counted 1 MiB at a time.
+    The file is read again after, so a pipe, which would then read empty, is refused."""
+    with open(path, "rb") as fh:
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            raise OSError(errno.ESPIPE, "not a regular file, and a reference set is read twice", str(path))
+        return 1 + sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(1 << 20), b""))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import signal
 import struct
 import threading
 import time
+import tracemalloc
 import warnings
 from collections import Counter
 from concurrent import futures
@@ -47,7 +48,7 @@ from iconclassify.retrieval import (
     vector_norms,
     vector_search,
 )
-from iconclassify.taxonomy import DatabaseKind, load_taxonomy, parse_code, render_doc
+from iconclassify.taxonomy import DatabaseKind, iter_jsonl, load_taxonomy, parse_code, render_doc
 
 from conftest import FIXTURES, npy_claiming
 
@@ -112,6 +113,46 @@ def test_build_keyword_index_rejects_duplicates():
 def test_build_keyword_index_rejects_empty_corpus():
     with pytest.raises(EmptyCorpusError):
         build_keyword_index([])
+
+
+def _peak_bytes(call):
+    """`call()` and the peak of memory allocated while it ran; numpy reports its buffers to tracemalloc."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_build_keyword_index_equals_a_walk_of_the_tokens():
+    rng = random.Random(20261020)
+    words = [f"w{i}" for i in range(60)]
+    docs = [(f"7{i}", " ".join(rng.choices(words, k=rng.randint(0, 12))) + rng.choice(["", " W0.", "_w1"]))
+            for i in range(300)]
+    index = build_keyword_index(reversed(docs))
+    terms: dict[str, list[tuple[str, int]]] = {}  # in order of first appearance over the docs in id order
+    for doc_id, text in sorted(docs):
+        for term, tf in Counter(tokenize(text)).items():
+            terms.setdefault(term, []).append((doc_id, tf))
+    assert list(index.spans) == list(terms) and dict(index.postings) == terms
+    assert index.lengths.tolist() == [len(tokenize(text)) for _, text in sorted(docs)]
+    assert (index.rows.dtype, index.tfs.dtype, index.lengths.dtype) == (np.int32,) * 3
+
+
+def test_build_keyword_index_holds_no_corpus_wide_token_list():
+    # one document's tokens at a time: no list of every token, nor one Python int per token, is alive at once
+    rng = random.Random(20261021)
+    words = [f"w{i}" for i in range(3000)]
+    docs = [(f"7{i}", " ".join(rng.choices(words, k=30))) for i in range(4000)]
+    index, peak = _peak_bytes(lambda: build_keyword_index(docs))
+    assert sum(index.lengths.tolist()) == 4000 * 30
+    assert peak < 80 * 4000 * 30, f"{peak / (4000 * 30):.1f} bytes per token"
 
 
 # ---------------------------------------------------------------- bm25 scoring
@@ -1130,6 +1171,67 @@ def test_reference_set_names_the_first_of_several_bad_vectors(tmp_path):
     with pytest.raises(MalformedLineError,
                        match=r"^line 2: .*refs\.jsonl: zero or non-finite vector cannot be indexed$"):
         ImageReferenceSet.from_jsonl(path)
+
+
+def _refs_file(path: Path, matrix: np.ndarray) -> Path:
+    """A reference set file of `matrix`'s rows in order, each carrying one of 50 codes."""
+    path.write_text("".join(json.dumps({"vector": row.tolist(), "codes": [f"7{i % 50}"]}) + "\n"
+                            for i, row in enumerate(matrix)))
+    return path
+
+
+@pytest.mark.parametrize("source", ["fixture", "generated"])
+def test_reference_matrix_equals_the_stacked_record_vectors(tmp_path, source):
+    path = FIXTURES / "refs.jsonl" if source == "fixture" else \
+        _refs_file(tmp_path / "refs.jsonl", np.random.default_rng(5).standard_normal((300, 48)))
+    want = np.stack([retrieval.number_list(obj["vector"]) for _, obj in iter_jsonl(path)])
+    matrix = ImageReferenceSet.from_jsonl(path).index.matrix
+    assert matrix.dtype == np.float64 and matrix.flags.c_contiguous
+    assert matrix.shape == want.shape and matrix.tobytes() == want.tobytes()
+
+
+def test_reference_set_skips_blank_lines_and_reads_a_last_line_without_a_newline(tmp_path):
+    path = tmp_path / "refs.jsonl"
+    path.write_text('\n{"vector": [0.0, 1.0], "codes": ["73D"]}\n  \n\t\n{"vector": [1.0, 0.5], "codes": ["71B"]}\n\n'
+                    '{"vector": [2.0, 0.0], "codes": ["71B", "73D"]}')
+    assert retrieval._line_bound(path) == 7  # 6 newlines, and a last line without one
+    refs = ImageReferenceSet.from_jsonl(path)
+    assert refs.index.matrix.tolist() == [[0.0, 1.0], [1.0, 0.5], [2.0, 0.0]]
+    assert [[code.raw for code in codes] for codes in refs.labels] == [["73D"], ["71B"], ["71B", "73D"]]
+    assert (len(refs), refs.index.ids) == (3, ["reference 0", "reference 1", "reference 2"])
+
+
+@pytest.mark.parametrize("counted, line_no", [(0, 1), (2, 4)])
+def test_reference_set_refuses_a_record_beyond_the_counted_lines(tmp_path, monkeypatch, counted, line_no):
+    # a file that grew between the count and the read: its extra record is named by its line, never an IndexError
+    path = tmp_path / "refs.jsonl"
+    path.write_text('{"vector": [0.0, 1.0], "codes": ["73D"]}\n\n{"vector": [1.0, 0.0], "codes": ["71B"]}\n'
+                    '{"vector": [1.0, 1.0], "codes": ["71B"]}\n')
+    monkeypatch.setattr(retrieval, "_line_bound", lambda _: counted)
+    with pytest.raises(MalformedLineError,
+                       match=rf"^line {line_no}: .*refs\.jsonl: more records than the {counted} lines counted"):
+        ImageReferenceSet.from_jsonl(path)
+
+
+def test_reference_set_refuses_a_pipe():
+    # the lines are counted before the records are read, and a pipe read twice would look empty the second time
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, (FIXTURES / "refs.jsonl").read_bytes()[:4096])
+        os.close(write_end)
+        with pytest.raises(OSError, match="not a regular file, and a reference set is read twice"):
+            ImageReferenceSet.from_jsonl(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+
+
+def test_reference_set_load_holds_one_matrix(tmp_path):
+    # each vector is copied into its row as it is read: no array per record, and no stacked copy of them all
+    matrix = np.random.default_rng(11).standard_normal((2000, 256))
+    path = _refs_file(tmp_path / "refs.jsonl", matrix)
+    refs, peak = _peak_bytes(lambda: ImageReferenceSet.from_jsonl(path))
+    assert refs.index.matrix.tobytes() == matrix.tobytes()
+    assert peak < 1.5 * matrix.nbytes, f"peak {peak / matrix.nbytes:.2f} x the matrix"
 
 
 def test_image_vote_on_reference_fixture(fixtures_dir):
