@@ -226,9 +226,9 @@ def classify(row: ManifestRow, method: MethodSpec, ctx: ClassifyContext) -> Pred
 
 def run_rows(fn: Callable[[ManifestRow], object], rows: Sequence[ManifestRow], workers: int) -> tuple[list, list]:
     """Call `fn` on every row from a pool of `workers` threads, or on this
-    thread when `workers` is 1, which keeps its scans split on the main
-    thread. Returns the results and the ItemErrors of the rows whose call
-    raised, each in row order, so one bad row never stops the others."""
+    thread when `workers` is 1, which starts no thread. Returns the results
+    and the ItemErrors of the rows whose call raised, each in row order, so
+    one bad row never stops the others."""
 
     def guarded(row: ManifestRow) -> object:
         try:

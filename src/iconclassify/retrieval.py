@@ -18,8 +18,6 @@ import math
 import os
 import re
 import stat
-import threading
-from concurrent import futures
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -46,10 +44,6 @@ from .taxonomy import IconclassCode, iter_jsonl, parse_code
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
-# matrix entries per scan block: about 0.3 ms of dots, 5x the ~65 us a pool hand-off takes (2-core x86, numpy 2.4)
-_MIN_BLOCK_VALUES = 1 << 19
-# blocks per scan at most: two paid off on 2 cores, and more is unmeasured
-_MAX_BLOCKS = 2
 
 # letters and digits only: \w minus the underscore, Unicode-aware
 _TOKEN_RE = re.compile(r"[^\W_]+")
@@ -212,7 +206,7 @@ def keyword_search(index: KeywordIndex, query: str, k: int) -> list[RankedHit]:
     return _hits(_keyword_top(index, query, k))
 
 
-@dataclass
+@dataclass(eq=False)
 class VectorIndex:
     ids: list[str]
     matrix: np.ndarray
@@ -326,37 +320,10 @@ def _distances(index: VectorIndex, query: Sequence[float]) -> np.ndarray:
     return dists
 
 
-def _cores() -> int:
-    """The cores this process may run on; macOS has no sched_getaffinity."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-@functools.cache  # made by the first blocked scan, so importing starts no thread
-def _scan_pool() -> futures.ThreadPoolExecutor:
-    return futures.ThreadPoolExecutor(_MAX_BLOCKS - 1, thread_name_prefix="iconclassify-scan")
-
-
-# a forked child has none of the parent's pool threads
-os.register_at_fork(after_in_child=_scan_pool.cache_clear)
-
-
 def _row_dots(matrix: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """np.vecdot(matrix, q) in contiguous row blocks run at once, one per core:
-    np.vecdot releases the GIL, and this thread runs the first block. Only the
-    main thread splits a scan: other threads, such as a batch's row threads,
-    may be scanning at once and keeping every core busy, where a hand-off
-    would only wait. So they scan in one block, and the main thread alone
-    submits to the pool. A block is a view, so each row's dot is the same
-    kernel call on the same bytes for any block count."""
-    cores = _cores() if threading.current_thread() is threading.main_thread() else 1
-    blocks = max(1, min(_MAX_BLOCKS, cores, matrix.size // _MIN_BLOCK_VALUES))
-    out = np.empty(len(matrix))
-    edges = [len(matrix) * i // blocks for i in range(blocks + 1)]
-    jobs = [_scan_pool().submit(np.vecdot, matrix[lo:hi], q, out=out[lo:hi]) for lo, hi in zip(edges[1:], edges[2:])]
-    np.vecdot(matrix[: edges[1]], q, out=out[: edges[1]])
-    for job in jobs:
-        job.result()
-    return out
+    """np.vecdot(matrix, q) on the calling thread: every scan of an index
+    matrix is this one call."""
+    return np.vecdot(matrix, q)
 
 
 def _top(keys: Sequence, cost: np.ndarray, k: int) -> list[tuple[float, object]]:

@@ -318,6 +318,9 @@ def test_criterion_6_vector_search_exact_and_fast(capsys, monkeypatch):
             timings.append(time.perf_counter() - t0)
             assert len(scans) == scanned + 1
         assert min(timings) < 0.1
+        # the one scan call is exact at the paper's dim too, row for row
+        oracle = np.array([cosine_distance(row, probe) for row in big])
+        assert retrieval._distances(big_index, probe).tobytes() == oracle.tobytes()
 
 
 # ------- criterion 7: hybrid fusion boundaries

@@ -1,13 +1,9 @@
 import json
-import os
-import subprocess
 import sys
 import threading
-from pathlib import Path
 
 import pytest
 
-from iconclassify import retrieval
 from iconclassify.errors import (
     ManifestParseError,
     MissingDescriptionError,
@@ -535,64 +531,6 @@ def test_one_context_for_every_text_method_writes_what_a_fresh_context_per_metho
         write_predictions_jsonl([preds[i] for preds in per_row], tmp_path / "shared.jsonl")
         write_predictions_jsonl(fresh.predictions, tmp_path / "fresh.jsonl")
         assert (tmp_path / "shared.jsonl").read_bytes() == (tmp_path / "fresh.jsonl").read_bytes(), kind
-
-
-_POOLED_KINDS = (QueryKind.VECTOR, QueryKind.HYBRID, QueryKind.RAG_HYBRID, QueryKind.IMAGE)
-
-
-def _batches_over_blocked_scans(out_dir):
-    """Run in a child process: at one worker the rows run on the main
-    thread, which scans both indices in three blocks; at four, each row
-    thread scans in one. Writes each method's predictions at 1 and 4
-    workers, and handed.json: the blocks each batch handed to the pool."""
-    dim, n = 16, 600
-    retrieval._MIN_BLOCK_VALUES = 64 * dim
-    retrieval._MAX_BLOCKS = 3
-    retrieval._cores = lambda: 3
-    pool, handed = retrieval._scan_pool, []
-    retrieval._scan_pool = lambda: handed.append(None) or pool()
-    embedder = OfflineHashEmbedder(dim=dim)
-    words = ["ark", "flood", "dove", "raven", "rainbow", "noah", "tower", "babel"]
-    docs = {f"7{i}": f"{words[i % 8]} {words[i // 8 % 8]} {words[i // 64 % 8]} {i}" for i in range(n)}
-    vectors = {code: embedder.embed(text) for code, text in docs.items()}
-
-    def context():  # fresh indices for each batch: its first row must not find the last batch's scan kept
-        return ClassifyContext(
-            documents=docs,
-            keyword_index=build_keyword_index(docs.items()),
-            vector_index=build_vector_index(vectors.items()),
-            embedder=embedder,
-            references=ImageReferenceSet([(vec, [parse_code(code)]) for code, vec in vectors.items()]),
-        )
-
-    out = Path(out_dir)
-    rows = []
-    for i in range(0, n, 25):
-        path = out / f"q{i}.json"
-        path.write_text(json.dumps(vectors[f"7{i}"].tolist()))
-        rows.append(ManifestRow(image_id=f"q{i}", description=docs[f"7{i}"], vector_path=str(path)))
-    counts = {}
-    for kind in _POOLED_KINDS:
-        for workers in (1, 4):
-            handed.clear()
-            result = classify_batch(rows, MethodSpec(kind), context(), workers=workers)
-            assert not result.errors, result.errors
-            write_predictions_jsonl(result.predictions, out / f"{kind.value}-{workers}.jsonl")
-            counts[f"{kind.value}-{workers}"] = len(handed)
-    (out / "handed.json").write_text(json.dumps(counts))
-
-
-def test_four_workers_hand_off_no_block_and_match_one_worker(tmp_path):
-    # in a child process, so that the scan settings it changes stay there,
-    # and a hang fails this test at the timeout rather than hanging the run
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    script = "import sys, test_pipeline; test_pipeline._batches_over_blocked_scans(sys.argv[1])"
-    subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, timeout=60, check=True)
-    handed = json.loads((tmp_path / "handed.json").read_text())
-    for kind in _POOLED_KINDS:
-        assert (tmp_path / f"{kind.value}-4.jsonl").read_bytes() == (tmp_path / f"{kind.value}-1.jsonl").read_bytes()
-        assert handed[f"{kind.value}-1"] == 2 * 24  # two blocks of each of 24 scans
-        assert handed[f"{kind.value}-4"] == 0
 
 
 def test_one_worker_runs_the_rows_on_the_calling_thread():

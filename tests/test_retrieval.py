@@ -5,14 +5,11 @@ import math
 import os
 import random
 import re
-import signal
 import struct
 import threading
-import time
 import tracemalloc
 import warnings
 from collections import Counter
-from concurrent import futures
 from pathlib import Path
 
 import numpy as np
@@ -527,6 +524,14 @@ def test_vector_index_dim_is_the_matrix_width():
     assert [f.name for f in dataclasses.fields(VectorIndex)] == ["ids", "matrix", "norms"]
 
 
+def test_vector_indices_compare_by_identity():
+    # an index holds arrays, whose == is elementwise, so equality is identity, as for KeywordIndex
+    rows = [("a", [3.0, 4.0]), ("b", [1.0, 0.0])]
+    index, twin = build_vector_index(rows), build_vector_index(rows)
+    assert index == index and index != twin
+    assert {index, twin, index} == {index, twin}
+
+
 def test_build_vector_index_rejects_bad_rows():
     with pytest.raises(DuplicateDocIdError):
         build_vector_index([("a", [1.0]), ("a", [2.0])])
@@ -652,134 +657,49 @@ def test_vector_search_and_vote_are_exact_at_1536d():
         ]
 
 
-def test_the_blocked_scan_is_exact_for_any_core_count(monkeypatch):
-    # an odd dim, and 20 distinct rows repeated 50 times each, so that
-    # distances tie, also across block edges; 64 rows per block at the least
+def test_a_scan_is_exact_with_ties():
+    # an odd dim, and 20 distinct rows repeated 50 times each, so that distances tie and the id breaks each tie
     dim, n = 7, 1000
-    monkeypatch.setattr(retrieval, "_MIN_BLOCK_VALUES", 64 * dim)
-    monkeypatch.setattr(retrieval, "_MAX_BLOCKS", 3)
     rng = np.random.default_rng(7)
     vectors = rng.standard_normal((20, dim))[rng.integers(0, 20, n)]
     ids = [f"7{i}" for i in range(n)]
-    words = ["ark", "flood", "dove", "raven", "rainbow"]
-    docs = [(doc_id, " ".join(rng.choice(words, 3))) for doc_id in ids]
-    queries = rng.standard_normal((4, dim))
-    results = []
-    for cores in (1, 2, 3):
-        monkeypatch.setattr(retrieval, "_cores", lambda cores=cores: cores)
-        # fresh indices, which hold no scan made at another core count
-        kw_index = build_keyword_index(docs)
-        vec_index = build_vector_index(zip(ids, vectors))
-        refs = ImageReferenceSet([(vec, [parse_code(f"7{i % 13}")]) for i, vec in enumerate(vectors)])
-        for q in queries:
-            oracle = np.array([cosine_distance(vec, q) for vec in vectors])
-            assert retrieval._distances(vec_index, q).tobytes() == oracle.tobytes()
-        results.append([
-            (vector_search(vec_index, q, 60), hybrid_search(kw_index, vec_index, "ark dove", q, k=60),
-             image_vote_classify(q, refs, k=60))
-            for q in queries
-        ])
-    assert results[0] == results[1] == results[2]
+    index = build_vector_index(zip(ids, vectors))
+    for q in rng.standard_normal((4, dim)):
+        oracle = np.array([cosine_distance(vec, q) for vec in vectors])
+        assert retrieval._distances(index, q).tobytes() == oracle.tobytes()
+        by_id = sorted(zip(oracle.tolist(), ids))[:60]
+        assert [(h.code.raw, h.score) for h in vector_search(index, q, 60)] == [(i, 1.0 - d) for d, i in by_id]
 
 
-@pytest.fixture()
-def handed(monkeypatch):
-    """The row counts of the blocks that scans of 200 rows hand to a fake
-    pool, which runs each block on the thread that hands it off."""
-    monkeypatch.setattr(retrieval, "_MIN_BLOCK_VALUES", 64 * 7)
-    blocks = []
-
-    class Pool:
-        def submit(self, fn, *args, **kwargs):
-            blocks.append(len(args[0]))
-            job = futures.Future()
-            job.set_result(fn(*args, **kwargs))
-            return job
-
-    monkeypatch.setattr(retrieval, "_scan_pool", Pool)
-    return blocks
+def test_a_main_thread_scan_starts_no_thread():
+    # 2048 x 512 = 2^21 entries: a scan this large still runs on the calling thread alone
+    rng = np.random.default_rng(3)
+    vectors = rng.standard_normal((2048, 512))
+    index = build_vector_index((f"7{i}", vec) for i, vec in enumerate(vectors))
+    refs = ImageReferenceSet([(vec, [parse_code(f"7{i % 13}")]) for i, vec in enumerate(vectors)])
+    query = rng.standard_normal(512)
+    vector_search(index, query, 5)
+    image_vote_classify(query, refs, k=5)
+    assert not [t.name for t in threading.enumerate() if t.name.startswith("iconclassify-scan")]
 
 
-def _scan_200_rows() -> np.ndarray:
-    rng = np.random.default_rng(5)
-    index = build_vector_index((f"7{i}", vec) for i, vec in enumerate(rng.standard_normal((200, 7))))
-    return retrieval._distances(index, rng.standard_normal(7))
-
-
-def _on_another_thread(fn):
-    out = []
-    thread = threading.Thread(target=lambda: out.append(fn()))
-    thread.start()
-    thread.join(timeout=30)
-    assert not thread.is_alive()
-    [result] = out
-    return result
-
-
-def test_a_main_thread_scan_hands_one_block_to_the_pool(monkeypatch, handed):
-    monkeypatch.setattr(retrieval, "_cores", lambda: 2)
-    _scan_200_rows()
-    assert handed == [100]
-
-
-def test_a_scan_on_another_thread_hands_off_nothing(monkeypatch, handed):
-    monkeypatch.setattr(retrieval, "_cores", lambda: 2)
-    assert _on_another_thread(_scan_200_rows).tobytes() == _scan_200_rows().tobytes()
-    assert handed == [100]  # the main thread's scan alone
-
-
-def test_no_scan_hands_off_a_block_on_one_core(monkeypatch, handed):
-    monkeypatch.setattr(retrieval, "_cores", lambda: 1)
-    _scan_200_rows()
-    _on_another_thread(_scan_200_rows)
-    assert handed == []
-
-
-@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
-def test_a_forked_child_scans_in_blocks_too(monkeypatch):
-    # the child inherits the pool but none of its threads: a scan there must not wait on them
-    monkeypatch.setattr(retrieval, "_MIN_BLOCK_VALUES", 64 * 7)
-    monkeypatch.setattr(retrieval, "_cores", lambda: 2)
-    rng = np.random.default_rng(11)
-    rows = [(f"7{i}", vec) for i, vec in enumerate(rng.standard_normal((200, 7)))]
-    index, twin = build_vector_index(rows), build_vector_index(rows)
-    query = rng.standard_normal(7)
-    # starts the parent's pool threads, and leaves `index` with no scan the child could reuse
-    want = retrieval._distances(twin, query).tobytes()
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            code = 0 if retrieval._distances(index, query).tobytes() == want else 2
-        finally:
-            os._exit(code)
-    for _ in range(300):  # 30 s
-        done, status = os.waitpid(pid, os.WNOHANG)
-        if done:
-            break
-        time.sleep(0.1)
-    else:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        pytest.fail("the forked child's scan did not finish in 30 s")
-    assert os.waitstatus_to_exitcode(status) == 0
-
-
-def test_a_hybrid_after_a_vector_search_of_its_query_scans_nothing(monkeypatch, handed):
-    monkeypatch.setattr(retrieval, "_cores", lambda: 2)
+def test_a_hybrid_after_a_vector_search_of_its_query_scans_nothing(monkeypatch):
+    scans = []
+    row_dots = retrieval._row_dots
+    monkeypatch.setattr(retrieval, "_row_dots", lambda matrix, q: scans.append(len(matrix)) or row_dots(matrix, q))
     rng = np.random.default_rng(13)
     rows = [(f"7{i}", vec) for i, vec in enumerate(rng.standard_normal((200, 7)))]
     kw = build_keyword_index((doc_id, "ark flood" if i % 2 else "ark") for i, (doc_id, _) in enumerate(rows))
     vec, twin = build_vector_index(rows), build_vector_index(rows)
     query, other = rng.standard_normal((2, 7))
     vector_search(vec, query, 5)
-    assert handed == [100]
+    assert scans == [200]
     hits = hybrid_search(kw, vec, "flood", query, k=5)
-    assert handed == [100]  # the vector search's scan, kept by the index
+    assert scans == [200]  # the vector search's scan, kept by the index
     assert hits == hybrid_search(kw, twin, "flood", query, k=5)
-    assert handed == [100, 100]  # another index scans
+    assert scans == [200, 200]  # another index scans
     hybrid_search(kw, vec, "flood", other, k=5)
-    assert handed == [100, 100, 100]  # and so does another query
+    assert scans == [200, 200, 200]  # and so does another query
 
 
 def test_a_repeat_query_gets_the_read_only_array_of_the_first():
