@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from iconclassify import retrieval
 from iconclassify.errors import (
     ManifestParseError,
     MissingDescriptionError,
@@ -531,6 +532,46 @@ def test_one_context_for_every_text_method_writes_what_a_fresh_context_per_metho
         write_predictions_jsonl([preds[i] for preds in per_row], tmp_path / "shared.jsonl")
         write_predictions_jsonl(fresh.predictions, tmp_path / "fresh.jsonl")
         assert (tmp_path / "shared.jsonl").read_bytes() == (tmp_path / "fresh.jsonl").read_bytes(), kind
+
+
+_SCANNING_KINDS = (QueryKind.VECTOR, QueryKind.HYBRID, QueryKind.RAG_HYBRID, QueryKind.IMAGE)
+
+
+def test_four_workers_hand_off_no_block_and_match_one_worker(monkeypatch, tmp_path):
+    # at one worker the rows run on this thread, at four on row threads; either way
+    # each row's scan is one call on the whole matrix, and the predictions match
+    dim, n = 16, 600
+    scans = []
+    row_dots = retrieval._row_dots
+    monkeypatch.setattr(retrieval, "_row_dots", lambda matrix, q: scans.append(len(matrix)) or row_dots(matrix, q))
+    embedder = OfflineHashEmbedder(dim=dim)
+    words = ["ark", "flood", "dove", "raven", "rainbow", "noah", "tower", "babel"]
+    docs = {f"7{i}": f"{words[i % 8]} {words[i // 8 % 8]} {words[i // 64 % 8]} {i}" for i in range(n)}
+    vectors = {code: embedder.embed(text) for code, text in docs.items()}
+
+    def context():  # fresh indices for each batch: its first row must not find the last batch's scan kept
+        return ClassifyContext(
+            documents=docs,
+            keyword_index=build_keyword_index(docs.items()),
+            vector_index=build_vector_index(vectors.items()),
+            embedder=embedder,
+            references=ImageReferenceSet([(vec, [parse_code(code)]) for code, vec in vectors.items()]),
+        )
+
+    rows = []
+    for i in range(0, n, 25):
+        path = tmp_path / f"q{i}.json"
+        path.write_text(json.dumps(vectors[f"7{i}"].tolist()))
+        rows.append(ManifestRow(image_id=f"q{i}", description=docs[f"7{i}"], vector_path=str(path)))
+    for kind in _SCANNING_KINDS:
+        for workers in (1, 4):
+            scans.clear()
+            result = classify_batch(rows, MethodSpec(kind), context(), workers=workers)
+            assert not result.errors, result.errors
+            write_predictions_jsonl(result.predictions, tmp_path / f"{kind.value}-{workers}.jsonl")
+            assert scans == [n] * len(rows), (kind, workers)
+        assert (tmp_path / f"{kind.value}-4.jsonl").read_bytes() == (tmp_path / f"{kind.value}-1.jsonl").read_bytes()
+    assert not [t.name for t in threading.enumerate() if t.name.startswith("iconclassify-scan")]
 
 
 def test_one_worker_runs_the_rows_on_the_calling_thread():

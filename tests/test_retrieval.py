@@ -5,8 +5,10 @@ import math
 import os
 import random
 import re
+import signal
 import struct
 import threading
+import time
 import tracemalloc
 import warnings
 from collections import Counter
@@ -683,10 +685,69 @@ def test_a_main_thread_scan_starts_no_thread():
     assert not [t.name for t in threading.enumerate() if t.name.startswith("iconclassify-scan")]
 
 
-def test_a_hybrid_after_a_vector_search_of_its_query_scans_nothing(monkeypatch):
-    scans = []
+@pytest.fixture()
+def scans(monkeypatch):
+    """The row counts of the matrices that np.vecdot scans, one per call."""
+    counts = []
     row_dots = retrieval._row_dots
-    monkeypatch.setattr(retrieval, "_row_dots", lambda matrix, q: scans.append(len(matrix)) or row_dots(matrix, q))
+    monkeypatch.setattr(retrieval, "_row_dots", lambda matrix, q: counts.append(len(matrix)) or row_dots(matrix, q))
+    return counts
+
+
+def _scan_200_rows() -> np.ndarray:
+    rng = np.random.default_rng(5)
+    index = build_vector_index((f"7{i}", vec) for i, vec in enumerate(rng.standard_normal((200, 7))))
+    return retrieval._distances(index, rng.standard_normal(7))
+
+
+def _on_another_thread(fn):
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn()))
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    [result] = out
+    return result
+
+
+def test_a_scan_on_another_thread_hands_off_nothing(scans):
+    # each scan is one call on the whole matrix, on the thread that asks for it
+    assert _on_another_thread(_scan_200_rows).tobytes() == _scan_200_rows().tobytes()
+    assert scans == [200, 200]
+    assert not [t.name for t in threading.enumerate() if t.name.startswith("iconclassify-scan")]
+
+
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_a_forked_child_scans_in_blocks_too(scans):
+    # the child scans as its parent does, the whole matrix in one block, and gets the same bytes
+    rng = np.random.default_rng(11)
+    rows = [(f"7{i}", vec) for i, vec in enumerate(rng.standard_normal((200, 7)))]
+    index, twin = build_vector_index(rows), build_vector_index(rows)
+    query = rng.standard_normal(7)
+    # leaves `index` with no scan the child could reuse
+    want = retrieval._distances(twin, query).tobytes()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            got = retrieval._distances(index, query).tobytes()
+            code = 0 if got == want and scans == [200, 200] else 2
+        finally:
+            os._exit(code)
+    for _ in range(300):  # 30 s
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.1)
+    else:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's scan did not finish in 30 s")
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert scans == [200]  # the child's scan was the child's own
+
+
+def test_a_hybrid_after_a_vector_search_of_its_query_scans_nothing(scans):
     rng = np.random.default_rng(13)
     rows = [(f"7{i}", vec) for i, vec in enumerate(rng.standard_normal((200, 7)))]
     kw = build_keyword_index((doc_id, "ark flood" if i % 2 else "ark") for i, (doc_id, _) in enumerate(rows))
