@@ -10,14 +10,12 @@ from __future__ import annotations
 import array
 import bisect
 import collections
-import errno
 import functools
 import itertools
 import json
 import math
 import os
 import re
-import stat
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -34,7 +32,6 @@ from .errors import (
     MalformedCodeError,
     MalformedLineError,
     MissingIndexError,
-    NoCandidatesError,
     UnknownDocError,
     ZeroVectorError,
 )
@@ -398,8 +395,10 @@ class ImageReferenceSet:
     def __init__(self, rows: Sequence[tuple[Sequence[float], Sequence[IconclassCode]]]):
         if not rows:
             raise EmptyReferenceSetError("reference set is empty")
-        self.index = build_vector_index((f"reference {i}", vec) for i, (vec, _) in enumerate(rows))
         self.labels: list[list[IconclassCode]] = [list(codes) for _, codes in rows]
+        if not all(self.labels):  # a reference with no code would give its votes to nothing
+            raise ValueError(f"'reference {self.labels.index([])}': a reference carries no codes")
+        self.index = build_vector_index((f"reference {i}", vec) for i, (vec, _) in enumerate(rows))
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -407,9 +406,9 @@ class ImageReferenceSet:
     @classmethod
     def from_jsonl(cls, path: Union[str, Path]) -> "ImageReferenceSet":
         """Load records of the form {"vector": [...], "codes": ["73D231", ...]}. Each distinct code string is
-        parsed once, and the rows that carry it share its IconclassCode. Each vector is copied into its row of one
-        matrix with a row per line, trimmed to the records read: the load holds that matrix and one record."""
-        bound, matrix, labels, line_nos = _line_bound(path), None, [], []
+        parsed once, and the rows that carry it share its IconclassCode. The file is read once, so a pipe works:
+        each vector is appended to one buffer, which becomes the matrix without a copy."""
+        values, labels, line_nos = array.array("d"), [], []
         for line_no, obj in iter_jsonl(path):
             try:
                 vec = number_list(obj["vector"])
@@ -420,18 +419,15 @@ class ImageReferenceSet:
                 raise MalformedLineError(line_no, f"{path}: bad reference record: {exc!r}") from exc
             if not codes:
                 raise MalformedLineError(line_no, f"{path}: reference record has no codes")
-            if matrix is None:
-                matrix = np.empty((bound, vec.size))
-            elif vec.size != matrix.shape[1]:  # a check vector_index makes too, here so that the error names the line
-                raise MalformedLineError(line_no, f"{path}: dim {vec.size} != reference set dim {matrix.shape[1]}")
-            if len(labels) == bound:  # the file grew after it was counted
-                raise MalformedLineError(line_no, f"{path}: more records than the {bound} lines counted at the start")
-            matrix[len(labels)] = vec
+            if labels and vec.size != dim:  # a check vector_index makes too, here so that the error names the line
+                raise MalformedLineError(line_no, f"{path}: dim {vec.size} != reference set dim {dim}")
+            dim = vec.size
+            values.frombytes(vec.tobytes())
             labels.append(codes)
             line_nos.append(line_no)
         if not labels:
             raise EmptyReferenceSetError(f"{path}: reference set is empty")
-        matrix, refs = matrix[: len(labels)], cls.__new__(cls)  # cls(rows) would stack a second copy
+        matrix, refs = np.frombuffer(values).reshape(len(labels), dim), cls.__new__(cls)  # cls(rows) would copy it
         refs.labels = labels
         try:
             refs.index = vector_index([f"reference {i}" for i in range(len(labels))], matrix)
@@ -439,15 +435,6 @@ class ImageReferenceSet:
             bad = next(i for i, norm in enumerate(vector_norms(matrix).tolist()) if not 0.0 < norm < math.inf)
             raise MalformedLineError(line_nos[bad], f"{path}: zero or non-finite vector cannot be indexed") from exc
         return refs
-
-
-def _line_bound(path: Union[str, Path]) -> int:
-    """At least the lines of a file as _lines reads them: one more than its newlines, counted 1 MiB at a time.
-    The file is read again after, so a pipe, which would then read empty, is refused."""
-    with open(path, "rb") as fh:
-        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            raise OSError(errno.ESPIPE, "not a regular file, and a reference set is read twice", str(path))
-        return 1 + sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(1 << 20), b""))
 
 
 @dataclass(frozen=True)
@@ -474,8 +461,6 @@ def image_vote_classify(
     for rank, (_, row_idx) in enumerate(neighbors, start=1):
         for code in dict.fromkeys(refs.labels[row_idx]):
             tally.setdefault(code, [0, rank])[0] += 1  # neighbours come nearest first
-    if not tally:
-        raise NoCandidatesError(f"none of the {len(neighbors)} nearest references carries a code")
     table = [VoteEntry(code, votes, best_rank) for code, (votes, best_rank)
              in sorted(tally.items(), key=lambda item: (-item[1][0], item[1][1], item[0].raw))]
     return table[0].code, table

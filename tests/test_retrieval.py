@@ -25,7 +25,6 @@ from iconclassify.errors import (
     EmptyReferenceSetError,
     MalformedLineError,
     MissingIndexError,
-    NoCandidatesError,
     UnknownDocError,
     ZeroVectorError,
 )
@@ -1002,10 +1001,10 @@ def test_image_vote_plurality_wins():
     assert table[0] == table[0].__class__(code=table[0].code, votes=2, best_rank=1)
 
 
-def test_image_vote_among_unlabelled_neighbours_has_no_candidates():
-    refs = ImageReferenceSet([(_ray(0), []), (_ray(10), []), (_ray(90), [parse_code("73D2")])])
-    with pytest.raises(NoCandidatesError):
-        image_vote_classify(_ray(1), refs, k=2)
+def test_reference_set_refuses_a_row_with_no_codes():
+    # as from_jsonl refuses a record with no codes: every neighbour of a vote then gives at least one vote
+    with pytest.raises(ValueError, match="^'reference 2': a reference carries no codes$"):
+        ImageReferenceSet([(_ray(0), [parse_code("73D2")]), (_ray(10), (parse_code("71B"),)), (_ray(90), [])])
 
 
 def test_image_vote_unanimous():
@@ -1175,35 +1174,34 @@ def test_reference_set_skips_blank_lines_and_reads_a_last_line_without_a_newline
     path = tmp_path / "refs.jsonl"
     path.write_text('\n{"vector": [0.0, 1.0], "codes": ["73D"]}\n  \n\t\n{"vector": [1.0, 0.5], "codes": ["71B"]}\n\n'
                     '{"vector": [2.0, 0.0], "codes": ["71B", "73D"]}')
-    assert retrieval._line_bound(path) == 7  # 6 newlines, and a last line without one
     refs = ImageReferenceSet.from_jsonl(path)
     assert refs.index.matrix.tolist() == [[0.0, 1.0], [1.0, 0.5], [2.0, 0.0]]
     assert [[code.raw for code in codes] for codes in refs.labels] == [["73D"], ["71B"], ["71B", "73D"]]
     assert (len(refs), refs.index.ids) == (3, ["reference 0", "reference 1", "reference 2"])
 
 
-@pytest.mark.parametrize("counted, line_no", [(0, 1), (2, 4)])
-def test_reference_set_refuses_a_record_beyond_the_counted_lines(tmp_path, monkeypatch, counted, line_no):
-    # a file that grew between the count and the read: its extra record is named by its line, never an IndexError
-    path = tmp_path / "refs.jsonl"
-    path.write_text('{"vector": [0.0, 1.0], "codes": ["73D"]}\n\n{"vector": [1.0, 0.0], "codes": ["71B"]}\n'
-                    '{"vector": [1.0, 1.0], "codes": ["71B"]}\n')
-    monkeypatch.setattr(retrieval, "_line_bound", lambda _: counted)
-    with pytest.raises(MalformedLineError,
-                       match=rf"^line {line_no}: .*refs\.jsonl: more records than the {counted} lines counted"):
-        ImageReferenceSet.from_jsonl(path)
-
-
-def test_reference_set_refuses_a_pipe():
-    # the lines are counted before the records are read, and a pipe read twice would look empty the second time
+def test_reference_set_loads_from_a_pipe():
+    # the file is read once, so a pipe, such as <(cat refs.jsonl), loads as the file does
+    data = (FIXTURES / "refs.jsonl").read_bytes()
+    want = ImageReferenceSet.from_jsonl(FIXTURES / "refs.jsonl")
     read_end, write_end = os.pipe()
     try:
-        os.write(write_end, (FIXTURES / "refs.jsonl").read_bytes()[:4096])
+        assert os.write(write_end, data) == len(data) == 1770  # within the pipe's buffer, so no writer thread
         os.close(write_end)
-        with pytest.raises(OSError, match="not a regular file, and a reference set is read twice"):
-            ImageReferenceSet.from_jsonl(f"/dev/fd/{read_end}")
+        refs = ImageReferenceSet.from_jsonl(f"/dev/fd/{read_end}")
     finally:
         os.close(read_end)
+    assert refs.index.matrix.tobytes() == want.index.matrix.tobytes() and refs.index.dim == want.index.dim
+    assert [[c.raw for c in codes] for codes in refs.labels] == [[c.raw for c in codes] for codes in want.labels]
+
+
+def test_reference_set_reads_a_wide_record_after_many_blank_lines(tmp_path):
+    # the matrix grows by the records read, so 100,000 blank lines add no rows to it
+    path = tmp_path / "refs.jsonl"
+    path.write_text("\n" * 100_000 + json.dumps({"vector": [0.5] * 200_000, "codes": ["73D"]}) + "\n")
+    refs = ImageReferenceSet.from_jsonl(path)
+    assert refs.index.matrix.shape == (1, 200_000) and (refs.index.matrix == 0.5).all()
+    assert [[code.raw for code in codes] for codes in refs.labels] == [["73D"]]
 
 
 def test_reference_set_load_holds_one_matrix(tmp_path):
