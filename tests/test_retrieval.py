@@ -1195,6 +1195,43 @@ def test_reference_set_loads_from_a_pipe():
     assert [[c.raw for c in codes] for codes in refs.labels] == [[c.raw for c in codes] for codes in want.labels]
 
 
+def test_reference_set_loads_a_pipe_larger_than_its_buffer(tmp_path):
+    # a writer fills the pipe while the load reads it, so the load never holds the whole file before its first row
+    matrix = np.random.default_rng(13).standard_normal((600, 48))
+    data = _refs_file(tmp_path / "refs.jsonl", matrix).read_bytes()
+    assert len(data) > 4 * 65536
+    read_end, write_end = os.pipe()
+
+    def write():
+        try:
+            with open(write_end, "wb") as out:
+                out.write(data)
+        except BrokenPipeError:  # the load stopped reading; its own error is what the test reports
+            pass
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        refs = ImageReferenceSet.from_jsonl(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert refs.index.matrix.tobytes() == matrix.tobytes() and len(refs) == 600
+
+
+def test_reference_set_names_the_line_of_a_bad_record_read_from_a_pipe():
+    # a pipe is read once, so its line numbers count the blank lines as a file's do
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, b'{"vector": [0.0, 1.0], "codes": ["73D"]}\n\n{"vector": [1.0, 0.0], "codes": []}\n')
+        os.close(write_end)
+        with pytest.raises(MalformedLineError, match=rf"^line 3: /dev/fd/{read_end}: reference record has no codes$"):
+            ImageReferenceSet.from_jsonl(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+
+
 def test_reference_set_reads_a_wide_record_after_many_blank_lines(tmp_path):
     # the matrix grows by the records read, so 100,000 blank lines add no rows to it
     path = tmp_path / "refs.jsonl"
