@@ -185,7 +185,7 @@ def cmd_index_build(rendered_path: str, database: str, index_dir: str, offline: 
     embedder = _make_embedder(offline, dim, endpoint, embed_model, api_key)
     cache = providers.EmbeddingCache(embed_cache) if embed_cache else None
     ids = list(docs)
-    vec_index = retrieval.vector_index(ids, providers.embed_many(list(docs.values()), embedder, cache, names=ids))
+    vec_index = retrieval.VectorIndex(ids, providers.embed_many(list(docs.values()), embedder, cache, names=ids))
     config = {"database": kind.value, "embedder": embedder.provider_id, "taxonomy_sha256": digest}
     retrieval.save_index(index_dir, kw_index, vec_index, config=config)
     click.echo(f"indexed {len(docs)} documents into {index_dir} ({kind.value})")

@@ -238,9 +238,9 @@ class OfflineHashEmbedder:
             counts = _gram_counts(lowered[:short], self.dim)
             norms = vector_norms(counts)
             if not norms.all():
-                raise ZeroVectorError("gram signs cancelled; text has no usable direction")
+                raise ZeroVectorError(f"{texts[start + norms.argmin()]!r}: gram signs cancel; no usable direction")
             if short < len(lowered):
-                raise EmptyTextError(f"need at least 3 characters to embed, got {len(lowered[short])}")
+                raise EmptyTextError(f"{texts[start + short]!r}: need at least 3 characters to embed")
             np.divide(counts, norms[:, None], out=out[start : start + short])
         return out
 
@@ -413,9 +413,9 @@ def embed_many(
     2,048 at a time, and each chunk is cached as soon as it returns, so a run that fails part way keeps every chunk
     that finished. A cached vector of another dim than the batch's first raises DimMismatchError naming its text by
     `names`, the text's position if none are given, once every chunk is in."""
-    for t in texts:
+    for i, t in enumerate(texts):
         if not t or not t.strip():
-            raise EmptyTextError("cannot embed empty text")
+            raise EmptyTextError(f"{names[i] if names else i!r}: cannot embed empty text")
     if not texts:
         return np.empty((0, 0))
     hits = [cache.get(provider.provider_id, t) if cache is not None else None for t in texts]

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .methods import DEFAULT_ALPHA, DEFAULT_POOL, DEFAULT_VOTE_K
 from .outputs import write_outputs
-from .taxonomy import IconclassCode, iter_jsonl, parse_code
+from .taxonomy import IconclassCode, decode_json, iter_jsonl, parse_code
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
@@ -72,14 +72,14 @@ def _hits(ranked: Iterable[tuple[str, float]]) -> list[RankedHit]:
 
 @dataclass(eq=False)
 class KeywordIndex:
-    """BM25 postings as arrays (Zobel & Moffat, 2006). Row i is the i-th doc id
-    in sorted order, so a row's number is its rank among the ids and breaks
-    score ties by doc id. A term's postings are rows[lo:hi], ascending, and
-    tfs[lo:hi] for spans[term] == (lo, hi); the spans tile the rows in order."""
+    """BM25 postings as arrays (Zobel & Moffat, 2006). Row i is the i-th doc id in sorted order, so a row's number
+    is its rank among the ids and breaks score ties by doc id. A term's postings are rows[lo:hi], ascending, and
+    tfs[lo:hi] for spans[term] == (lo, hi); the spans tile the rows in order, one posting or more each. The
+    constructor refuses, by whole-array ops, arrays that break this or the bounds below, and an empty index."""
 
     ids: list[str]
     spans: dict[str, tuple[int, int]]
-    rows: np.ndarray  # int32, in [0, len(ids))
+    rows: np.ndarray  # int32, in [0, len(ids)), strictly rising within a term: a doc counts once in its df
     tfs: np.ndarray  # int32, >= 1
     lengths: np.ndarray  # int32, >= 0, one per row
     doc_count: int = field(init=False)
@@ -89,11 +89,33 @@ class KeywordIndex:
     _last = (None, None)
 
     def __post_init__(self):
-        if not self.ids:
+        ids, rows, tfs, lengths = self.ids, self.rows, self.tfs, self.lengths
+        if not (type(ids) is list and all(type(s) is str for s in ids)):
+            raise TypeError("the doc ids must be a list of strings")
+        if any(a >= b for a, b in zip(ids, ids[1:])):
+            raise ValueError("the doc ids are not in strictly ascending order")
+        # each span starts where the one before it ends, from 0 to len(rows), and holds a posting or more
+        bounds = np.array([(0, 0), *self.spans.values(), (len(rows), len(rows))], dtype=np.int64)
+        if not ((bounds[1:, 0] == bounds[:-1, 1]).all() and (bounds[1:-1, 1] > bounds[1:-1, 0]).all()):
+            raise ValueError(f"the {len(self.spans)} terms' slices do not tile the {len(rows)} rows, "
+                             "one posting or more each")
+        offsets = bounds[:-1, 1]
+        if len(tfs) != len(rows) or len(lengths) != len(ids):
+            raise ValueError(f"{len(tfs)} tfs for {len(rows)} rows, {len(lengths)} lengths for {len(ids)} ids")
+        if rows.size and (rows.min() < 0 or rows.max() >= len(ids)):
+            raise ValueError(f"a row outside [0, {len(ids)})")
+        rising = rows[1:] > rows[:-1]
+        rising[offsets[1:-1] - 1] = True  # a term's first row follows another term's rows
+        if not rising.all():
+            term = list(self.spans)[np.searchsorted(offsets, np.argmin(rising) + 1, side="right") - 1]
+            raise ValueError(f"the rows of {term!r} repeat a doc or are out of order")
+        if tfs.min(initial=1) < 1 or lengths.min(initial=0) < 0:
+            raise ValueError("a term frequency below 1 or a doc length below 0")
+        if not ids:
             raise EmptyCorpusError("no documents to index")
-        self.doc_count = len(self.ids)
+        self.doc_count = len(ids)
         # a sum of Python ints is exact in any order, so a loaded index gets the built mean bit for bit
-        self.avg_doc_length = sum(self.lengths.tolist()) / self.doc_count
+        self.avg_doc_length = sum(lengths.tolist()) / self.doc_count
 
     @functools.cached_property
     def doc_lengths(self) -> Mapping[str, int]:
@@ -205,11 +227,26 @@ def keyword_search(index: KeywordIndex, query: str, k: int) -> list[RankedHit]:
 
 @dataclass(eq=False)
 class VectorIndex:
+    """Row i of the C-ordered float64 matrix is the vector of ids[i]; the constructor works out and checks each norm."""
+
     ids: list[str]
     matrix: np.ndarray
-    norms: np.ndarray
+    norms: np.ndarray = field(init=False)
     # (query vector bytes, its read-only distance array) of the last scan, kept as KeywordIndex keeps its last query
     _last = (None, None)
+
+    def __post_init__(self):
+        if not self.ids:
+            raise EmptyCorpusError("no vectors to index")
+        if self.matrix.ndim != 2:
+            raise DimMismatchError(f"the vectors are an array of rank {self.matrix.ndim}, not a matrix")
+        if len(self.matrix) != len(self.ids):
+            raise DimMismatchError(f"{len(self.matrix)} vector rows for {len(self.ids)} ids")
+        _check_unique(self.ids)
+        self.norms = vector_norms(self.matrix)
+        bad = np.flatnonzero(~((self.norms > 0.0) & (self.norms < math.inf)))
+        if bad.size:
+            raise ZeroVectorError(f"{self.ids[bad[0]]!r}: zero or non-finite vector cannot be indexed")
 
     @property
     def dim(self) -> int:
@@ -250,8 +287,8 @@ def build_vector_index(rows: Iterable[tuple[str, Sequence[float]]]) -> VectorInd
             raise DimMismatchError(f"{doc_id!r}: " + ("vector must be one-dimensional" if arr.ndim != 1 else
                                                      f"dim {arr.shape[0]} != index dim {arrays[0].shape[0]}"))
         arrays.append(arr)
-    # np.stack refuses an empty list, which vector_index names
-    return vector_index(ids, np.stack(arrays) if arrays else np.empty((0, 0)))
+    # np.stack refuses an empty list, which VectorIndex names
+    return VectorIndex(ids, np.stack(arrays) if arrays else np.empty((0, 0)))
 
 
 def _check_unique(ids: list[str]) -> None:
@@ -266,21 +303,6 @@ def vector_norms(x: np.ndarray) -> np.ndarray:
     np.linalg.norm's bit for bit, the same dot then sqrt; a vector too large to square is inf, with no numpy warning."""
     with np.errstate(over="ignore"):
         return np.sqrt(np.vecdot(x, x))
-
-
-def vector_index(ids: list[str], matrix: np.ndarray) -> VectorIndex:
-    """The one maker of a VectorIndex: ids in row order and their C-ordered float64 matrix, as np.stack and
-    embed_many make it and _read_npy reads it, one row per id, every row checked at once."""
-    if not ids:
-        raise EmptyCorpusError("no vectors to index")
-    if len(matrix) != len(ids):
-        raise DimMismatchError(f"{len(matrix)} vector rows for {len(ids)} ids")
-    _check_unique(ids)
-    norms = vector_norms(matrix)
-    bad = np.flatnonzero(~((norms > 0.0) & (norms < math.inf)))
-    if bad.size:
-        raise ZeroVectorError(f"{ids[bad[0]]!r}: zero or non-finite vector cannot be indexed")
-    return VectorIndex(ids=ids, matrix=matrix, norms=norms)
 
 
 def cosine_distance(u: Sequence[float], v: Sequence[float]) -> float:
@@ -389,16 +411,15 @@ def hybrid_search(
 
 
 class ImageReferenceSet:
-    """Reference image vectors with their attached Iconclass labels: a
-    VectorIndex whose row i carries labels[i]."""
+    """Reference image vectors with their attached Iconclass labels: a VectorIndex whose row i carries labels[i]."""
 
-    def __init__(self, rows: Sequence[tuple[Sequence[float], Sequence[IconclassCode]]]):
-        if not rows:
+    def __init__(self, labels: Sequence[Sequence[IconclassCode]], matrix: np.ndarray):
+        if not labels:
             raise EmptyReferenceSetError("reference set is empty")
-        self.labels: list[list[IconclassCode]] = [list(codes) for _, codes in rows]
+        self.labels: list[list[IconclassCode]] = [list(codes) for codes in labels]
         if not all(self.labels):  # a reference with no code would give its votes to nothing
             raise ValueError(f"'reference {self.labels.index([])}': a reference carries no codes")
-        self.index = build_vector_index((f"reference {i}", vec) for i, (vec, _) in enumerate(rows))
+        self.index = VectorIndex([f"reference {i}" for i in range(len(self.labels))], matrix)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -419,7 +440,7 @@ class ImageReferenceSet:
                 raise MalformedLineError(line_no, f"{path}: bad reference record: {exc!r}") from exc
             if not codes:
                 raise MalformedLineError(line_no, f"{path}: reference record has no codes")
-            if labels and vec.size != dim:  # a check vector_index makes too, here so that the error names the line
+            if labels and vec.size != dim:  # the matrix could not hold it, so the error names the line here
                 raise MalformedLineError(line_no, f"{path}: dim {vec.size} != reference set dim {dim}")
             dim = vec.size
             values.frombytes(vec.tobytes())
@@ -427,14 +448,12 @@ class ImageReferenceSet:
             line_nos.append(line_no)
         if not labels:
             raise EmptyReferenceSetError(f"{path}: reference set is empty")
-        matrix, refs = np.frombuffer(values).reshape(len(labels), dim), cls.__new__(cls)  # cls(rows) would copy it
-        refs.labels = labels
+        matrix = np.frombuffer(values).reshape(len(labels), dim)
         try:
-            refs.index = vector_index([f"reference {i}" for i in range(len(labels))], matrix)
-        except ZeroVectorError as exc:  # vector_index judges every row's norm at once
+            return cls(labels, matrix)
+        except ZeroVectorError as exc:  # VectorIndex judges every row's norm at once
             bad = next(i for i, norm in enumerate(vector_norms(matrix).tolist()) if not 0.0 < norm < math.inf)
             raise MalformedLineError(line_nos[bad], f"{path}: zero or non-finite vector cannot be indexed") from exc
-        return refs
 
 
 @dataclass(frozen=True)
@@ -538,40 +557,11 @@ def _read_npy(root: Path, name: str) -> np.ndarray:
         return np.fromfile(fh, dtype, size).reshape(shape)
 
 
-def _keyword_index(ids, terms, offsets, rows, tfs, lengths) -> KeywordIndex:
-    """A KeywordIndex from its saved parts, each checked with whole-array ops: sorted string ids, distinct string
-    terms, and arrays whose offsets tile the rows with a non-empty slice per term, whose rows lie in [0, len(ids))
-    and ascend strictly within each term, so a doc counts once in its term's document frequency, whose tfs are
-    >= 1 and lengths >= 0."""
-    if not (type(ids) is type(terms) is list and all(type(s) is str for s in ids + terms)):
-        raise TypeError("keyword.json must hold lists of strings")
-    if any(a >= b for a, b in zip(ids, ids[1:])):
-        raise ValueError("the doc ids are not in strictly ascending order")
-    if len(offsets) != len(terms) + 1 or offsets[0] != 0 or offsets[-1] != len(rows) \
-            or not (offsets[1:] > offsets[:-1]).all():
-        raise ValueError(f"the {len(terms)} terms' slices do not tile the {len(rows)} rows, one posting or more each")
-    spans = dict(zip(terms, zip(offsets.tolist(), offsets[1:].tolist())))
-    if len(spans) < len(terms):
-        raise ValueError("a term is listed twice")
-    if len(tfs) != len(rows) or len(lengths) != len(ids):
-        raise ValueError(f"{len(tfs)} tfs for {len(rows)} rows, {len(lengths)} lengths for {len(ids)} ids")
-    if rows.size and (rows.min() < 0 or rows.max() >= len(ids)):
-        raise ValueError(f"a row outside [0, {len(ids)})")
-    rising = rows[1:] > rows[:-1]
-    rising[offsets[1:-1] - 1] = True  # a term's first row follows another term's rows
-    if not rising.all():
-        term = terms[np.searchsorted(offsets, np.argmin(rising) + 1, side="right") - 1]
-        raise ValueError(f"the rows of {term!r} repeat a doc or are out of order")
-    if tfs.min(initial=1) < 1 or lengths.min(initial=0) < 0:
-        raise ValueError("a term frequency below 1 or a doc length below 0")
-    return KeywordIndex(ids=ids, spans=spans, rows=rows, tfs=tfs, lengths=lengths)
-
-
 def load_index(dir_path: Union[str, Path]) -> tuple[KeywordIndex, VectorIndex, dict]:
     """Load save_index's files, checked against meta.json; queries reproduce the originals exactly."""
     root = Path(dir_path)
     try:
-        meta = json.loads((root / "meta.json").read_text(encoding="utf-8"))
+        meta = decode_json((root / "meta.json").read_text(encoding="utf-8"))
         # checked before any other file is read; an index is derived data, so an old format is rebuilt, not converted
         if meta["format"] != 3:
             raise MissingIndexError(f"{root}: index format {meta['format']!r} is no longer read; "
@@ -584,11 +574,20 @@ def load_index(dir_path: Union[str, Path]) -> tuple[KeywordIndex, VectorIndex, d
             raise MissingIndexError(f"{root}: index was built with BM25 k1={kw_meta['k1']}, b={kw_meta['b']}, "
                                     f"not {DEFAULT_K1}, {DEFAULT_B}; rebuild it with `index build`")
         recorded = (kw_meta["doc_count"], kw_meta["avg_doc_length"], vec_meta["doc_count"], vec_meta["dim"])
-        kw_data = json.loads((root / "keyword.json").read_text(encoding="utf-8"))
+        kw_data = decode_json((root / "keyword.json").read_text(encoding="utf-8"))
+        ids, terms = kw_data["ids"], kw_data["terms"]
+        if not (type(ids) is type(terms) is list and all(type(s) is str for s in ids + terms)):
+            raise TypeError("keyword.json must hold lists of strings")
         matrix_file, *keyword_files = _ARRAYS  # the small files are checked before the matrix is read
-        kw_index = _keyword_index(kw_data["ids"], kw_data["terms"], *(_read_npy(root, name) for name in keyword_files))
+        offsets, rows, tfs, lengths = (_read_npy(root, name) for name in keyword_files)
+        if len(offsets) != len(terms) + 1:
+            raise ValueError(f"{len(offsets)} offsets for {len(terms)} terms")
+        spans = dict(zip(terms, zip(offsets.tolist(), offsets[1:].tolist())))
+        if len(spans) < len(terms):
+            raise ValueError("a term is listed twice")
+        kw_index = KeywordIndex(ids, spans, rows, tfs, lengths)
         ids = [obj["id"] for _, obj in iter_jsonl(root / "vectors.jsonl")]
-        vec_index = vector_index(ids, _read_npy(root, matrix_file))
+        vec_index = VectorIndex(ids, _read_npy(root, matrix_file))
         same_ids = kw_index.ids == sorted(vec_index.ids)
     except FileNotFoundError as exc:
         raise MissingIndexError(f"missing index file {exc.filename}") from exc

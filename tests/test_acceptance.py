@@ -403,9 +403,8 @@ def _ray(deg: float) -> list[float]:
 
 
 def _refs(*rows) -> ImageReferenceSet:
-    return ImageReferenceSet(
-        [(_ray(deg), [parse_code(c) for c in codes]) for deg, codes in rows]
-    )
+    return ImageReferenceSet([[parse_code(c) for c in codes] for _, codes in rows],
+                             np.array([_ray(deg) for deg, _ in rows]))
 
 
 def test_criterion_9_image_vote_cases(capsys):

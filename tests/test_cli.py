@@ -257,6 +257,20 @@ def test_index_build_names_the_doc_whose_cached_vector_has_another_dim(runner, t
     assert not (tmp_path / "idx").exists()
 
 
+def test_index_build_quotes_the_text_it_cannot_embed(runner, tmp_path):
+    # "Ox" passes taxonomy build, but has no 3-gram to embed: the error must let one find it among 12.6k entries
+    (tmp_path / "t.tsv").write_text("7\tBible\n71\tOx\n73\tNew Testament\n")
+    result = runner.invoke(main, ["taxonomy", "build", "--taxonomy", str(tmp_path / "t.tsv"),
+                                  "--out", str(tmp_path / "r.jsonl")])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["index", "build", "--taxonomy", str(tmp_path / "r.jsonl"),
+                                  "--index-dir", str(tmp_path / "idx"), "--offline"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+    assert result.output == "Error: 'Ox': need at least 3 characters to embed\n"
+    assert not (tmp_path / "idx").exists()
+
+
 def test_index_build_rejects_raw_taxonomy(runner, tmp_path):
     result = runner.invoke(main, [
         "index", "build",

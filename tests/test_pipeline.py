@@ -2,6 +2,7 @@ import json
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from iconclassify import retrieval
@@ -400,13 +401,13 @@ def test_classify_image_method(fixtures_dir):
 
 
 def test_classify_image_requires_vector_path():
-    ctx = ClassifyContext(references=ImageReferenceSet([([1.0, 0.0], [parse_code("73D")])]))
+    ctx = ClassifyContext(references=ImageReferenceSet([[parse_code("73D")]], np.array([[1.0, 0.0]])))
     with pytest.raises(ManifestParseError, match="vector_path"):
         classify(ManifestRow(image_id="q"), MethodSpec(QueryKind.IMAGE), ctx)
 
 
 def test_classify_image_reads_both_vector_file_shapes(tmp_path):
-    refs = ImageReferenceSet([([1.0, 0.0], [parse_code("73D")])])
+    refs = ImageReferenceSet([[parse_code("73D")]], np.array([[1.0, 0.0]]))
     bare = tmp_path / "bare.json"
     bare.write_text("[1.0, 0.0]")
     wrapped = tmp_path / "wrapped.json"
@@ -433,7 +434,7 @@ def test_classify_image_reads_a_vector_file_that_begins_with_a_byte_order_mark(f
 def test_classify_image_rejects_a_query_vector_that_is_not_a_list_of_numbers(tmp_path, text):
     path = tmp_path / "q.json"
     path.write_text(text)
-    ctx = ClassifyContext(references=ImageReferenceSet([([1.0, 0.0], [parse_code("73D")])]))
+    ctx = ClassifyContext(references=ImageReferenceSet([[parse_code("73D")]], np.array([[1.0, 0.0]])))
     result = classify_batch([ManifestRow(image_id="q", vector_path=str(path))], MethodSpec(QueryKind.IMAGE), ctx)
     assert result.predictions == []
     assert [(e.image_id, e.error) for e in result.errors] == [
@@ -453,7 +454,7 @@ def test_a_malformed_query_vector_file_fails_its_own_row_naming_the_file(tmp_pat
     for image_id, data in contents.items():
         (tmp_path / f"{image_id}.json").write_bytes(data)
         rows.append(ManifestRow(image_id=image_id, vector_path=str(tmp_path / f"{image_id}.json")))
-    ctx = ClassifyContext(references=ImageReferenceSet([([1.0, 0.0], [parse_code("73D")])]))
+    ctx = ClassifyContext(references=ImageReferenceSet([[parse_code("73D")]], np.array([[1.0, 0.0]])))
     result = classify_batch(rows, MethodSpec(QueryKind.IMAGE), ctx)
     assert [(p.image_id, p.predicted.raw) for p in result.predictions] == [("good", "73D")]
     assert [e.image_id for e in result.errors] == ["cut", "not-utf8", "surrogate", "no-vector", "strings"]
@@ -470,7 +471,7 @@ def test_classify_rejects_prediction_outside_taxonomy(tmp_path):
     vec_file.write_text("[1.0, 0.0]")
     ctx = ClassifyContext(
         documents={"73D": "passion"},
-        references=ImageReferenceSet([([1.0, 0.0], [parse_code("9")])]),
+        references=ImageReferenceSet([[parse_code("9")]], np.array([[1.0, 0.0]])),
     )
     result = classify_batch([ManifestRow(image_id="q", vector_path=str(vec_file))], MethodSpec(QueryKind.IMAGE), ctx)
     assert result.predictions == []
@@ -555,7 +556,7 @@ def test_four_workers_hand_off_no_block_and_match_one_worker(monkeypatch, tmp_pa
             keyword_index=build_keyword_index(docs.items()),
             vector_index=build_vector_index(vectors.items()),
             embedder=embedder,
-            references=ImageReferenceSet([(vec, [parse_code(code)]) for code, vec in vectors.items()]),
+            references=ImageReferenceSet([[parse_code(code)] for code in vectors], np.stack(list(vectors.values()))),
         )
 
     rows = []

@@ -220,6 +220,14 @@ def test_a_batch_fails_on_the_text_the_per_text_loop_fails_on_first(texts):
     assert _first_error(lambda: embedder.embed_many(texts)) == per_text
 
 
+def test_the_offline_embedder_quotes_the_text_it_refuses():
+    embedder = OfflineHashEmbedder(16)
+    with pytest.raises(EmptyTextError, match="^'Ox': need at least 3 characters to embed$"):
+        embedder.embed_many(["noah ark", "Ox"])
+    with pytest.raises(ZeroVectorError, match="^'aaah': gram signs cancel; no usable direction$"):
+        embedder.embed_many(["noah ark", "aaah"])
+
+
 def test_offline_hash_embedder_provider_id_and_batching():
     embedder = OfflineHashEmbedder(dim=32)
     assert embedder.provider_id == "offline-hash-32"
@@ -339,6 +347,13 @@ def test_embed_text_rejects_empty():
     for bad in ("", "   "):
         with pytest.raises(EmptyTextError):
             embed_text(bad, CountingEmbedder())
+
+
+def test_embed_many_names_the_empty_text():
+    with pytest.raises(EmptyTextError, match="^'73D': cannot embed empty text$"):
+        embed_many(["noah ark", "   "], CountingEmbedder(), names=["71B", "73D"])
+    with pytest.raises(EmptyTextError, match="^1: cannot embed empty text$"):
+        embed_many(["noah ark", ""], CountingEmbedder())
 
 
 def test_embed_many_batches_only_misses(tmp_path):

@@ -103,6 +103,44 @@ def test_keyword_index_works_out_its_count_and_mean_length():
         KeywordIndex([], {}, np.array([]), np.array([]), np.array([]))
 
 
+# each fault a KeywordIndex refuses, as an in-place edit of its ids, spans and rows, with the message it gives.
+# The index is over ("11H", "flood dove"), ("71B", "ark flood") and ("73D", "ark"): flood, dove, ark hold rows
+# [0, 1], [0] and [1, 2]
+_KEYWORD_FAULTS = {
+    "unsorted_ids": (lambda ids, spans, rows: ids.reverse(), "the doc ids are not in strictly ascending order"),
+    "untiled_spans": (lambda ids, spans, rows: spans.update(ark=(3, 4)),
+                      "the 3 terms' slices do not tile the 5 rows, one posting or more each"),
+    "row_out_of_range": (lambda ids, spans, rows: rows.__setitem__(4, 3), "a row outside [0, 3)"),
+    "row_repeated_within_a_term": (lambda ids, spans, rows: rows.__setitem__(4, 1),
+                                   "the rows of 'ark' repeat a doc or are out of order"),
+}
+
+
+@pytest.mark.parametrize("fault, message", _KEYWORD_FAULTS.values(), ids=_KEYWORD_FAULTS)
+def test_keyword_index_refuses_at_construction_what_load_index_refuses(tmp_path, fault, message):
+    kw = build_keyword_index([("71B", "ark flood"), ("73D", "ark"), ("11H", "flood dove")])
+    assert (kw.ids, kw.spans, kw.rows.tolist()) == (["11H", "71B", "73D"],
+                                                    {"flood": (0, 2), "dove": (2, 3), "ark": (3, 5)}, [0, 1, 0, 1, 2])
+    save_index(tmp_path, kw, build_vector_index([(d, [1.0, float(i)]) for i, d in enumerate(kw.ids)]))
+    ids, spans, rows = list(kw.ids), dict(kw.spans), kw.rows.copy()
+    fault(ids, spans, rows)
+    with pytest.raises(ValueError) as built:
+        KeywordIndex(ids, spans, rows, kw.tfs, kw.lengths)
+    assert str(built.value) == message
+    # the same fault, written into the saved files
+    (tmp_path / "keyword.json").write_text(json.dumps({"ids": ids, "terms": list(spans)}))
+    np.save(tmp_path / "keyword-offsets.npy", np.array([0, *(hi for _, hi in spans.values())], dtype=np.int64))
+    np.save(tmp_path / "keyword-rows.npy", rows)
+    with pytest.raises(MissingIndexError) as loaded:
+        load_index(tmp_path)
+    assert str(loaded.value) == f"{tmp_path}: unreadable index file: {built.value!r}; rebuild it with `index build`"
+
+
+def test_keyword_index_refuses_ids_that_are_not_strings():
+    with pytest.raises(TypeError, match="^the doc ids must be a list of strings$"):
+        KeywordIndex(["d1", 2], {"ark": (0, 1)}, np.array([0]), np.array([1]), np.array([1, 1]))
+
+
 def test_build_keyword_index_rejects_duplicates():
     with pytest.raises(DuplicateDocIdError):
         build_keyword_index([("d1", "a"), ("d1", "b")])
@@ -533,6 +571,28 @@ def test_vector_indices_compare_by_identity():
     assert {index, twin, index} == {index, twin}
 
 
+def test_vector_index_works_out_its_own_norms():
+    # norms a caller passed would score a query equal to row "71" at 0.2, not 1.0
+    with pytest.raises(TypeError):
+        VectorIndex(["71", "72"], np.eye(2), np.array([5.0, 5.0]))
+    assert vector_search(VectorIndex(["71", "72"], np.eye(2)), [1.0, 0.0], 1)[0].score == 1.0
+    matrix = np.random.default_rng(2).standard_normal((5, 3))
+    assert VectorIndex([f"7{i}" for i in range(5)], matrix).norms.tobytes() == vector_norms(matrix).tobytes()
+
+
+@pytest.mark.parametrize("ids, matrix, error, message", [
+    ([], np.empty((0, 2)), EmptyCorpusError, "no vectors to index"),
+    (["71B"], np.array([1.0, 0.0]), DimMismatchError, "the vectors are an array of rank 1, not a matrix"),
+    (["71B", "73D"], np.eye(3), DimMismatchError, "3 vector rows for 2 ids"),
+    (["71B", "71B"], np.eye(2), DuplicateDocIdError, "duplicate doc id '71B'"),
+    (["71B", "73D"], np.array([[1.0, 0.0], [0.0, 0.0]]), ZeroVectorError,
+     "'73D': zero or non-finite vector cannot be indexed"),
+], ids=["empty", "flat", "rows_for_other_ids", "repeated_id", "zero_row"])
+def test_vector_index_checks_what_it_is_built_from(ids, matrix, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        VectorIndex(ids, matrix)
+
+
 def test_build_vector_index_rejects_bad_rows():
     with pytest.raises(DuplicateDocIdError):
         build_vector_index([("a", [1.0]), ("a", [2.0])])
@@ -644,7 +704,7 @@ def test_vector_search_and_vote_are_exact_at_1536d():
     index = build_vector_index(zip(ids, vectors))
     assert np.array_equal(index.norms, [np.linalg.norm(v) for v in vectors])
     # one label per row, so the k=n vote table lists rows in neighbour order
-    refs = ImageReferenceSet([(vectors[i], [parse_code(ids[i])]) for i in range(n)])
+    refs = ImageReferenceSet([[parse_code(doc_id)] for doc_id in ids], vectors)
     for _ in range(5):
         query = rng.standard_normal(dim).tolist()
         dists = [cosine_distance(vectors[i], query) for i in range(n)]
@@ -677,7 +737,7 @@ def test_a_main_thread_scan_starts_no_thread():
     rng = np.random.default_rng(3)
     vectors = rng.standard_normal((2048, 512))
     index = build_vector_index((f"7{i}", vec) for i, vec in enumerate(vectors))
-    refs = ImageReferenceSet([(vec, [parse_code(f"7{i % 13}")]) for i, vec in enumerate(vectors)])
+    refs = ImageReferenceSet([[parse_code(f"7{i % 13}")] for i in range(len(vectors))], vectors)
     query = rng.standard_normal(512)
     vector_search(index, query, 5)
     image_vote_classify(query, refs, k=5)
@@ -787,7 +847,7 @@ def test_vote_k_cutting_through_a_tie_keeps_the_smallest_rows():
     near, tied, far = [1.0, 0.0], [0.6, 0.8], [-1.0, 0.1]
     labels = ["11Q", "73D2", "71B32", "71H14", "73D231", "71B3"]
     vectors = [far, tied, tied, near, tied, tied]
-    refs = ImageReferenceSet([(v, [parse_code(c)]) for v, c in zip(vectors, labels)])
+    refs = ImageReferenceSet([[parse_code(c)] for c in labels], np.array(vectors))
     _, table = image_vote_classify([1.0, 0.0], refs, k=3)
     # rows 3 (near), then tied rows 1 and 2; rows 4 and 5 tie too but rank later
     assert [(e.code.raw, e.best_rank) for e in table] == [("71H14", 1), ("73D2", 2), ("71B32", 3)]
@@ -795,7 +855,7 @@ def test_vote_k_cutting_through_a_tie_keeps_the_smallest_rows():
 
 def test_non_finite_vectors_are_rejected():
     # a NaN distance would drop out of the top-k selection, leaving no neighbours
-    refs = ImageReferenceSet([(_ray(0), [parse_code("73D")])])
+    refs = ImageReferenceSet([[parse_code("73D")]], np.array([_ray(0)]))
     index = build_vector_index([("71B", [1.0, 0.0])])
     for bad in ([math.nan, 1.0], [math.inf, 0.0]):
         with pytest.raises(ZeroVectorError):
@@ -803,7 +863,7 @@ def test_non_finite_vectors_are_rejected():
         with pytest.raises(ZeroVectorError):
             vector_search(index, bad, 1)
         with pytest.raises(ZeroVectorError):
-            ImageReferenceSet([(bad, [parse_code("73D")])])
+            ImageReferenceSet([[parse_code("73D")]], np.array([bad]))
 
 
 def test_searches_reject_k_below_one():
@@ -988,14 +1048,8 @@ def _ray(angle_deg: float) -> list[float]:
 
 
 def test_image_vote_plurality_wins():
-    refs = ImageReferenceSet(
-        [
-            (_ray(0), [parse_code("71B32")]),
-            (_ray(10), [parse_code("73D2")]),
-            (_ray(20), [parse_code("71B32")]),
-            (_ray(170), [parse_code("73D2")]),
-        ]
-    )
+    refs = ImageReferenceSet([[parse_code("71B32")], [parse_code("73D2")], [parse_code("71B32")], [parse_code("73D2")]],
+                             np.array([_ray(0), _ray(10), _ray(20), _ray(170)]))
     winner, table = image_vote_classify(_ray(1), refs, k=3)
     assert winner.raw == "71B32"
     assert table[0] == table[0].__class__(code=table[0].code, votes=2, best_rank=1)
@@ -1004,11 +1058,11 @@ def test_image_vote_plurality_wins():
 def test_reference_set_refuses_a_row_with_no_codes():
     # as from_jsonl refuses a record with no codes: every neighbour of a vote then gives at least one vote
     with pytest.raises(ValueError, match="^'reference 2': a reference carries no codes$"):
-        ImageReferenceSet([(_ray(0), [parse_code("73D2")]), (_ray(10), (parse_code("71B"),)), (_ray(90), [])])
+        ImageReferenceSet([[parse_code("73D2")], (parse_code("71B"),), []], np.array([_ray(0), _ray(10), _ray(90)]))
 
 
 def test_image_vote_unanimous():
-    refs = ImageReferenceSet([(_ray(i * 10), [parse_code("73D231")]) for i in range(5)])
+    refs = ImageReferenceSet([[parse_code("73D231")] for _ in range(5)], np.array([_ray(i * 10) for i in range(5)]))
     winner, table = image_vote_classify(_ray(0), refs, k=5)
     assert winner.raw == "73D231"
     assert table[0].votes == 5
@@ -1017,12 +1071,7 @@ def test_image_vote_unanimous():
 def test_image_vote_tie_breaks_by_nearest_supporter():
     # equal votes: the lexicographically larger code wins because its
     # supporting neighbour ranks first
-    refs = ImageReferenceSet(
-        [
-            (_ray(5), [parse_code("73D2")]),
-            (_ray(40), [parse_code("71B3")]),
-        ]
-    )
+    refs = ImageReferenceSet([[parse_code("73D2")], [parse_code("71B3")]], np.array([_ray(5), _ray(40)]))
     winner, table = image_vote_classify(_ray(0), refs, k=2)
     assert winner.raw == "73D2"
     assert [(e.code.raw, e.votes, e.best_rank) for e in table] == [
@@ -1032,14 +1081,14 @@ def test_image_vote_tie_breaks_by_nearest_supporter():
 
 
 def test_image_vote_final_tie_breaks_lexicographically():
-    refs = ImageReferenceSet([(_ray(0), [parse_code("73D23"), parse_code("71B32")])])
+    refs = ImageReferenceSet([[parse_code("73D23"), parse_code("71B32")]], np.array([_ray(0)]))
     winner, table = image_vote_classify(_ray(3), refs, k=1)
     assert winner.raw == "71B32"
     assert [e.code.raw for e in table] == ["71B32", "73D23"]
 
 
 def test_image_vote_neighbour_votes_once_per_code():
-    refs = ImageReferenceSet([(_ray(0), [parse_code("73D"), parse_code("73D")])])
+    refs = ImageReferenceSet([[parse_code("73D"), parse_code("73D")]], np.array([_ray(0)]))
     _, table = image_vote_classify(_ray(0), refs, k=1)
     assert table[0].votes == 1
 
@@ -1047,11 +1096,8 @@ def test_image_vote_neighbour_votes_once_per_code():
 def test_image_vote_total_votes_property():
     rng = random.Random(99)
     codes = ["71B3", "71B32", "73D2", "73D23", "71H14"]
-    rows = []
-    for i in range(30):
-        labels = [parse_code(c) for c in rng.sample(codes, rng.randint(1, 3))]
-        rows.append((_ray(i * 12.0 + 0.5), labels))
-    refs = ImageReferenceSet(rows)
+    labels = [[parse_code(c) for c in rng.sample(codes, rng.randint(1, 3))] for _ in range(30)]
+    refs = ImageReferenceSet(labels, np.array([_ray(i * 12.0 + 0.5) for i in range(30)]))
     k = 10
     _, table = image_vote_classify(_ray(33.0), refs, k=k)
     dists = sorted(
@@ -1062,33 +1108,33 @@ def test_image_vote_total_votes_property():
 
 
 def test_image_vote_rejects_bad_inputs(tmp_path):
-    refs = ImageReferenceSet([(_ray(0), [parse_code("73D")])])
+    refs = ImageReferenceSet([[parse_code("73D")]], np.array([_ray(0)]))
     with pytest.raises(ValueError):
         image_vote_classify(_ray(0), refs, k=0)
     with pytest.raises(DimMismatchError):
         image_vote_classify([1.0, 0.0, 0.0], refs, k=1)
     with pytest.raises(EmptyReferenceSetError):
-        ImageReferenceSet([])
+        ImageReferenceSet([], np.empty((0, 2)))
     (tmp_path / "empty.jsonl").write_text("")
     with pytest.raises(EmptyReferenceSetError, match=f"^{re.escape(str(tmp_path / 'empty.jsonl'))}: "):
         ImageReferenceSet.from_jsonl(tmp_path / "empty.jsonl")
 
 
 def test_reference_set_rejects_zero_and_ragged_rows():
-    with pytest.raises(ZeroVectorError):
-        ImageReferenceSet([([0.0, 0.0], [parse_code("73D")])])
-    with pytest.raises(DimMismatchError):
-        ImageReferenceSet(
-            [([1.0, 0.0], [parse_code("73D")]), ([1.0], [parse_code("71B")])]
-        )
+    labels = [[parse_code("73D")], [parse_code("71B")]]
+    with pytest.raises(ZeroVectorError, match="^'reference 1': zero or non-finite vector"):
+        ImageReferenceSet(labels, np.array([[1.0, 0.0], [0.0, 0.0]]))
+    # a flat array is no matrix of rows, even with one number per label
+    with pytest.raises(DimMismatchError, match="^the vectors are an array of rank 1, not a matrix$"):
+        ImageReferenceSet(labels, np.array([1.0, 0.0]))
 
 
-def test_reference_set_names_the_ragged_row():
-    with pytest.raises(DimMismatchError, match="^'reference 2'"):
-        ImageReferenceSet(
-            [([1.0, 0.0], [parse_code("73D")]), ([0.0, 1.0], [parse_code("25F")]),
-             (np.array([1.0]), [parse_code("71B")]), ([1.0, 1.0, 1.0], [parse_code("11H")])]
-        )
+def test_reference_set_refuses_labels_and_rows_that_differ_in_number():
+    labels = [[parse_code("73D")], [parse_code("25F")], [parse_code("71B")]]
+    for rows in (2, 4):
+        with pytest.raises(DimMismatchError, match=f"^{rows} vector rows for 3 ids$"):
+            ImageReferenceSet(labels, np.array([_ray(i * 10) for i in range(rows)]))
+    assert len(ImageReferenceSet(labels, np.array([_ray(i * 10) for i in range(3)]))) == 3
 
 
 def test_reference_set_from_jsonl(fixtures_dir):
@@ -1513,6 +1559,20 @@ def test_load_index_refuses_a_format_1_index(tmp_path):
     with pytest.raises(MissingIndexError) as info:
         load_index(tmp_path / "idx")
     assert str(info.value) == f"{tmp_path / 'idx'}: index format 1 is no longer read; rebuild it with `index build`"
+
+
+@pytest.mark.parametrize("name", ["keyword.json", "meta.json"])
+def test_load_index_refuses_a_lone_surrogate_in_a_json_file(tmp_path, name):
+    # read as any other outside JSON is: an escape no UTF can encode ends as one unreadable-file error
+    save_index(tmp_path, build_keyword_index([("71B", "ark")]), build_vector_index([("71B", [1.0])]),
+               config={"database": "basic"})
+    path = tmp_path / name
+    path.write_text(path.read_text().replace('"ark"', '"\\ud800"').replace('"basic"', '"\\ud800"'))
+    assert "\\ud800" in path.read_text()
+    with pytest.raises(MissingIndexError) as info:
+        load_index(tmp_path)
+    assert str(info.value) == (f"{tmp_path}: unreadable index file: ValueError('a lone surrogate \\\\ud800 in a "
+                               "string'); rebuild it with `index build`")
 
 
 @pytest.mark.parametrize("name, text, reason", [

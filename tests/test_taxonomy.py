@@ -56,6 +56,12 @@ def test_parse_strips_whitespace():
     assert parse_code("  73D2\n").raw == "73D2"
 
 
+def test_a_code_prints_as_its_notation():
+    code = parse_code("  11H(PAUL)(+3)\n")
+    assert str(code) == code.raw == "11H(PAUL)(+3)"
+    assert f"code {code}, level {code.levels}" == "code 11H(PAUL)(+3), level 5"
+
+
 def test_parse_single_level():
     assert parse_code("7").segments == ("7",)
 
