@@ -67,19 +67,13 @@ def hierarchical_metrics(c: LevelComparison) -> tuple[float, float, float]:
 
 def classify_match(c: LevelComparison) -> MatchType:
     m, p, g = c.matched, c.pred_levels, c.gt_levels
-    if m == p == g:
-        return MatchType.FULL
-    if m == g and p > g:
-        return MatchType.EXTRA
+    if m == g:
+        return MatchType.FULL if p == g else MatchType.EXTRA
     if m == 0:
         return MatchType.NO_MATCH
-    if p < g and m == p:
+    if m == p:  # m <= min(p, g) and m != g, so p < g
         return MatchType.PARTIAL_A
-    if p < g and 0 < m < p:
-        return MatchType.PARTIAL_B
-    if p >= g and 0 < m < p:
-        return MatchType.PARTIAL_C
-    raise AssertionError(f"unreachable comparison {c}")  # the cases above are total
+    return MatchType.PARTIAL_B if p < g else MatchType.PARTIAL_C
 
 
 def weighted_score(c: LevelComparison) -> float:

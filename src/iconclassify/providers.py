@@ -348,7 +348,9 @@ class EmbeddingCache(_AppendOnlyCache):
 
     @staticmethod
     def _decode(obj: dict) -> tuple[tuple[str, str], np.ndarray]:
-        return (obj["provider"], obj["hash"]), number_list(obj["vector"])
+        if 0.0 < vector_norms(vec := number_list(obj["vector"])) < np.inf:  # the one judge, as for a fresh vector
+            return (obj["provider"], obj["hash"]), vec
+        raise ValueError("a zero or non-finite vector has no direction")
 
     @staticmethod
     def _digest(text: str) -> str:

@@ -270,25 +270,14 @@ def number_list(value) -> np.ndarray:
 
 
 def build_vector_index(rows: Iterable[tuple[str, Sequence[float]]]) -> VectorIndex:
-    """Stack vectors into a matrix, precomputing per-row norms.
-
-    Rows are checked in arrival order, and the first that repeats an id,
-    is not 1-d or has another dim than the first row is the one named.
-    Zero vectors are rejected too: a zero row has no direction, so cosine
-    queries would always fail.
-    """
-    ids: list[str] = []
-    arrays: list[np.ndarray] = []
-    for doc_id, vec in rows:
-        ids.append(doc_id)
-        arr = np.asarray(vec, dtype=np.float64)
-        if arr.ndim != 1 or (arrays and arr.shape != arrays[0].shape):
-            _check_unique(ids)  # a repeat at or before this row is named first
-            raise DimMismatchError(f"{doc_id!r}: " + ("vector must be one-dimensional" if arr.ndim != 1 else
-                                                     f"dim {arr.shape[0]} != index dim {arrays[0].shape[0]}"))
-        arrays.append(arr)
-    # np.stack refuses an empty list, which VectorIndex names
-    return VectorIndex(ids, np.stack(arrays) if arrays else np.empty((0, 0)))
+    """(id, vector) rows stacked in order into VectorIndex(ids, matrix), whose constructor alone judges them."""
+    rows = list(rows)
+    try:
+        matrix = np.array([vec for _, vec in rows], dtype=np.float64)
+    except ValueError as exc:  # rows of one shape do stack: then a value in them is not a number
+        shapes = dict.fromkeys(np.shape(vec) for _, vec in rows)
+        raise DimMismatchError(f"rows of shapes {', '.join(map(str, shapes))} do not stack") if len(shapes) > 1 else exc
+    return VectorIndex([doc_id for doc_id, _ in rows], matrix)
 
 
 def _check_unique(ids: list[str]) -> None:

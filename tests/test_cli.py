@@ -1,3 +1,4 @@
+import doctest
 import hashlib
 import json
 import math
@@ -255,6 +256,28 @@ def test_index_build_names_the_doc_whose_cached_vector_has_another_dim(runner, t
     assert isinstance(result.exception, SystemExit), repr(result.exception)
     assert result.output == f"Error: {records[3]['code']!r}: dim 17 != index dim 16\n"
     assert not (tmp_path / "idx").exists()
+
+
+@pytest.mark.parametrize("command", ["index build", "classify"])
+def test_a_cached_vector_with_no_direction_stops_the_load_naming_the_cache(runner, tmp_path, workspace, command):
+    # served, the zero vector would fail entry 11 as if its text were at fault, or the row as a zero query, every rerun
+    if command == "index build":
+        text = next(r["basic"] for r in map(json.loads, (workspace / "rendered.jsonl").read_text().splitlines())
+                    if r["code"] == "11")
+        args = ["index", "build", "--taxonomy", str(workspace / "rendered.jsonl"), "--index-dir", str(tmp_path / "idx"),
+                "--offline", "--dim", "64"]
+    else:
+        text = (FIXTURES / "manifest.csv").read_text().splitlines()[1].split('"')[1]
+        args = _classify_args(workspace, tmp_path / "x", method="rag-hybrid")
+    cache = tmp_path / "emb.jsonl"
+    cache.write_text(json.dumps({"provider": "offline-hash-64", "hash": hashlib.sha256(text.encode()).hexdigest(),
+                                 "vector": [0.0] * 64}) + "\n")
+    result = runner.invoke(main, [*args, "--embed-cache", str(cache)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+    assert result.output == (f"Error: line 1: {cache}: bad cache record: "
+                             "ValueError('a zero or non-finite vector has no direction')\n")
+    assert not (tmp_path / "idx").exists() and not (tmp_path / "x.jsonl").exists()
 
 
 def test_index_build_quotes_the_text_it_cannot_embed(runner, tmp_path):
@@ -1723,3 +1746,23 @@ def test_readme_quick_start_runs(runner, tmp_path, monkeypatch):
         result = runner.invoke(main, shlex.split(command)[1:])
         assert result.exit_code == 0, f"{command}\n{result.output}"
     assert json.loads((tmp_path / "report" / "report.json").read_text())["count"] == 12
+
+
+def test_readme_python_examples_run(monkeypatch, capsys):
+    root = Path(__file__).parents[1]
+    blocks = [block.split("```", 1)[0] for block in (root / "README.md").read_text(encoding="utf-8")
+              .split("```python\n")[1:]]
+    assert len(blocks) == 4
+    parse, vote, report, query = blocks
+    failures, tried = doctest.DocTestRunner().run(doctest.DocTestParser().get_doctest(parse, {}, "README", None, 0),
+                                                  out=print)
+    assert (failures, tried) == (0, 2), capsys.readouterr().out
+    monkeypatch.chdir(root)  # the examples read the fixtures by their paths from the repo root
+    capsys.readouterr()
+    exec(vote, {})
+    assert capsys.readouterr().out == vote.rsplit("# ", 1)[1]  # the comment ends in the block's newline
+    exec(report, {})
+    assert capsys.readouterr().out.startswith("== Summary ==\n")
+    exec(query, {})
+    hits = capsys.readouterr().out.splitlines()
+    assert len(hits) == 5 and hits[0].startswith("1 71B32 "), hits

@@ -107,13 +107,28 @@ def test_match_enum_value_is_base_score():
     assert MatchType.PARTIAL_B.value == 70
 
 
+def _if_chain_match(m, p, g):
+    """The match table as an if-chain of every condition in full: the reference classify_match is checked against."""
+    if m == p == g:
+        return MatchType.FULL
+    if m == g and p > g:
+        return MatchType.EXTRA
+    if m == 0:
+        return MatchType.NO_MATCH
+    if p < g and m == p:
+        return MatchType.PARTIAL_A
+    if p < g and 0 < m < p:
+        return MatchType.PARTIAL_B
+    if p >= g and 0 < m < p:
+        return MatchType.PARTIAL_C
+    raise AssertionError(f"no match type for M={m}, P={p}, G={g}")
+
+
 def test_classify_match_is_total():
-    # every geometrically possible (M, P, G) maps to exactly one type
-    for p in range(1, 10):
-        for g in range(1, 10):
-            for m in range(0, min(p, g) + 1):
-                match = classify_match(LevelComparison(m, p, g))
-                assert isinstance(match, MatchType)
+    # every geometrically possible (M, P, G) with 1-9 levels maps to the type the full if-chain gives it
+    cases = [(m, p, g) for p in range(1, 10) for g in range(1, 10) for m in range(0, min(p, g) + 1)]
+    assert len(cases) == 366
+    assert [classify_match(LevelComparison(*case)) for case in cases] == [_if_chain_match(*case) for case in cases]
 
 
 # ---------------------------------------------------------------- weighted score

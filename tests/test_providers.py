@@ -694,7 +694,23 @@ def test_remote_chat_gives_up_after_three_attempts(monkeypatch, sleeps):
     assert sleeps == [0.5, 1.0]
 
 
-@pytest.mark.parametrize("status", [400, 401])
+@pytest.mark.parametrize("status", [500, 408])
+def test_remote_retries_a_server_error_and_a_request_timeout(monkeypatch, sleeps, status):
+    # 500 is the lowest status retried as a server error; 408 is retried below it
+    attempts = []
+
+    def fake_post(url, json=None, headers=None, timeout=None):
+        attempts.append(url)
+        return FakeResponse(status_code=status)
+
+    monkeypatch.setattr(requests, "post", fake_post)
+    with pytest.raises(ProviderUnavailableError, match=f"HTTP {status} \\(after 3 attempts\\)$"):
+        RemoteProvider("http://host", "m").complete("hi")
+    assert len(attempts) == 3
+    assert sleeps == [0.5, 1.0]
+
+
+@pytest.mark.parametrize("status", [400, 401, 499])
 def test_remote_fails_at_once_on_a_client_error(monkeypatch, sleeps, status):
     attempts = []
 
