@@ -255,7 +255,9 @@ def cmd_describe(manifest_path: str, mode: str, cache_path: str, offline: bool,
 
         def describe(row: pipeline.ManifestRow) -> providers.DescriptionRecord:
             image = _read_image(getattr(row, image_field), row.image_id)
-            return providers.describe_image(row.image_id, image, desc_mode, chat, cache)
+            record = providers.describe_image(row.image_id, image, desc_mode, chat)
+            cache.put(record)
+            return record
 
         described, failures = pipeline.run_rows(describe, pending, workers)
         for err in failures:

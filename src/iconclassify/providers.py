@@ -259,11 +259,14 @@ class _AppendOnlyCache:
     """Append-only JSONL records, keyed by the subclass's `_decode(obj) -> (key,
     value)`. The first record for a key wins, so interrupted runs resume.
 
-    A crash mid-append can leave an unterminated final line: loading skips
-    it if it does not decode, and the next put first cuts it off (or ends
-    it, if it did). Any other bad line raises MalformedLineError. Each put
-    holds an exclusive lock on the file and reads its tail under that lock,
-    so writers in other processes never cut away each other's records.
+    `_decode` is the one judge of a record: a load runs it on each line, and a
+    put on the record it is about to write, so a put refuses, before it writes
+    a byte, whatever a load would refuse. A crash mid-append can leave an
+    unterminated final line: loading skips it if it does not decode, and the
+    next put first cuts it off (or ends it, if it did). Any other bad line
+    raises MalformedLineError. Each put holds an exclusive lock on the file
+    and reads its tail under that lock, so writers in other processes never
+    cut away each other's records.
     """
 
     def __init__(self, path: Union[str, Path]):
@@ -276,22 +279,24 @@ class _AppendOnlyCache:
             for line_no, line in enumerate(fh, start=1):
                 if line.strip():
                     try:
-                        key, value = self._decode(self._record(line))
+                        key, value = self._read(line)
                         self._records.setdefault(key, value)
                     except (ValueError, KeyError, TypeError, RecursionError) as exc:
                         if line.endswith(b"\n"):  # only the final line can lack one
                             raise MalformedLineError(line_no, f"{self.path}: bad cache record: {exc!r}") from exc
 
-    @staticmethod
-    def _record(line: bytes):
-        """One line's JSON value, decoded as json.loads decodes UTF-8 bytes, less its surrogatepass: so a lone
-        surrogate, escaped or encoded, is a ValueError, as it is in any other JSON line the program reads."""
-        return decode_json(line.decode("utf-8-sig"))
+    def _read(self, line: bytes):
+        """One line's (key, value), its JSON decoded as json.loads decodes UTF-8 bytes, less its surrogatepass: so a
+        lone surrogate, escaped or encoded, is a ValueError, as it is in any other JSON line the program reads."""
+        return self._decode(decode_json(line.decode("utf-8-sig")))
 
     def __len__(self) -> int:
         return len(self._records)
 
-    def _put(self, key: tuple, value, line: str) -> None:
+    def _put(self, record: dict) -> None:
+        """Append `record`, a JSON object, unless its key is cached; what `_decode` or the encoder refuses raises."""
+        key, value = self._decode(record)
+        line = json.dumps(record, ensure_ascii=False).encode("utf-8")
         with self._lock:
             if key in self._records:
                 return
@@ -306,11 +311,11 @@ class _AppendOnlyCache:
                     start = fh.read().rfind(b"\n") + 1
                     fh.seek(start)
                     try:
-                        self._decode(self._record(fh.read()))
+                        self._read(fh.read())
                         lead = b"\n"  # it decodes: end it
                     except (ValueError, KeyError, TypeError, RecursionError):
                         fh.truncate(start)  # it does not: cut it off
-                fh.write(lead + line.encode("utf-8") + b"\n")
+                fh.write(lead + line + b"\n")
             self._records[key] = value  # only once it is on disk, so a failed put serves nothing and is retried
 
 
@@ -339,8 +344,7 @@ class DescriptionCache(_AppendOnlyCache):
         return self._records.get((image_id, mode.value))
 
     def put(self, record: DescriptionRecord) -> None:
-        line = json.dumps({**asdict(record), "mode": record.mode.value}, ensure_ascii=False)
-        self._put((record.image_id, record.mode.value), record, line)
+        self._put({**asdict(record), "mode": record.mode.value})
 
 
 class EmbeddingCache(_AppendOnlyCache):
@@ -348,6 +352,8 @@ class EmbeddingCache(_AppendOnlyCache):
 
     @staticmethod
     def _decode(obj: dict) -> tuple[tuple[str, str], np.ndarray]:
+        if not isinstance(obj["provider"], str) or not isinstance(obj["hash"], str):
+            raise TypeError("provider and hash must be strings")  # a tuple in a put would reload as a list
         if 0.0 < vector_norms(vec := number_list(obj["vector"])) < np.inf:  # the one judge, as for a fresh vector
             return (obj["provider"], obj["hash"]), vec
         raise ValueError("a zero or non-finite vector has no direction")
@@ -360,22 +366,16 @@ class EmbeddingCache(_AppendOnlyCache):
         return self._records.get((provider_id, self._digest(text)))
 
     def put(self, provider_id: str, text: str, vector: Sequence[float]) -> None:
-        key = (provider_id, self._digest(text))
-        vec = np.asarray(vector, dtype=np.float64)  # so that get serves what a reload would read
-        self._put(key, vec, json.dumps({"provider": key[0], "hash": key[1], "vector": vec.tolist()}))
+        """Cache `vector` as the JSON list of what it holds. One that is not a list of finite numbers, or whose
+        norm is zero or overflows, raises as a load of its line would, and nothing is written."""
+        self._put({"provider": provider_id, "hash": self._digest(text), "vector": np.asarray(vector).tolist()})
 
 
-def describe_image(
-    image_id: str,
-    image_bytes: bytes,
-    mode: DescriptionMode,
-    provider: ChatProvider,
-    cache: Optional[DescriptionCache] = None,
-) -> DescriptionRecord:
-    """Generate a description for one image: the mode's prompt template plus the image go to the chat provider,
-    and the record is written to `cache` if one is given. The cache is not read: the caller looks the image up
-    first, as `describe` does, so that a cached image costs no provider call.
-    """
+def describe_image(image_id: str, image_bytes: bytes, mode: DescriptionMode,
+                   provider: ChatProvider) -> DescriptionRecord:
+    """Generate a description for one image: the mode's prompt template plus the image go to the chat provider.
+    No cache is read or written: `describe` looks the image up first, so that a cached image costs no provider
+    call, and puts the record this returns."""
     if not image_bytes:
         raise ValueError(f"{image_id}: image_bytes is empty")
     prompt = prompt_for_mode(mode)
@@ -384,16 +384,13 @@ def describe_image(
         raise EmptyResponseError(f"{image_id}: empty description")
     if _SURROGATE.search(text):  # no UTF encodes it, so no cache could hold it
         raise EmptyResponseError(f"{image_id}: the description holds a lone surrogate")
-    record = DescriptionRecord(
+    return DescriptionRecord(
         image_id=image_id,
         mode=mode,
         text=text,
         model_id=provider.model_id,
         created_at=now_iso(),
     )
-    if cache is not None:
-        cache.put(record)
-    return record
 
 
 def embed_text(
@@ -433,7 +430,7 @@ def embed_many(
         if out is None:
             out = np.empty((len(texts), np.size(fresh[0])))
         # each vector is checked in order, against the batch's dim and as the index checks it, before any is
-        # cached: a cached bad vector would be served to every rerun
+        # cached: a put refuses a bad vector too, but only this check can name the provider and the batch's dim
         fits = next((i for i, vec in enumerate(fresh) if np.shape(vec) != out.shape[1:]), len(fresh))
         block = np.asarray(fresh[:fits], dtype=np.float64).reshape(fits, out.shape[1])
         norms = vector_norms(block)

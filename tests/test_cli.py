@@ -500,9 +500,13 @@ def test_describe_remote_generates(runner, tmp_path, monkeypatch):
     cache = tmp_path / "c.jsonl"
     assert result.exit_code == 0, result.output
     assert "described 1, cached 0, ingested 0" in result.output
-    record = json.loads(cache.read_text().splitlines()[0])
+    lines = cache.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 1  # the generated record is written once
+    record = json.loads(lines[0])
     assert record["text"] == "a woodcut of the flood"
     assert record["model_id"] == "vision"
+    served = providers.DescriptionCache(cache).get("imgX", providers.DescriptionMode.FULL_PAGE)
+    assert (served.image_id, served.text, served.model_id) == ("imgX", "a woodcut of the flood", "vision")
 
 
 def test_a_second_remote_describe_serves_the_cache_and_posts_nothing(runner, tmp_path, monkeypatch):

@@ -268,9 +268,10 @@ def test_selection_prompt_numbers_candidates_and_keeps_braces():
 # ---------------------------------------------------------------- describe_image
 
 def test_describe_image_calls_provider_once_then_caches(tmp_path):
-    cache = DescriptionCache(tmp_path / "desc.jsonl")
+    path = tmp_path / "desc.jsonl"
+    cache = DescriptionCache(path)
     chat = CountingChat()
-    record = describe_image("img001", PNG_STUB, DescriptionMode.FULL_PAGE, chat, cache)
+    record = describe_image("img001", PNG_STUB, DescriptionMode.FULL_PAGE, chat)
     assert chat.calls == 1
     assert record.text == "a woodcut of Noah's ark"
     assert record.model_id == "fake-chat"
@@ -278,18 +279,25 @@ def test_describe_image_calls_provider_once_then_caches(tmp_path):
     # the mode's template went out with the image attached
     assert "chapter numbers" in chat.prompts[0]
     assert chat.images[0] == PNG_STUB
-    assert cache.get("img001", DescriptionMode.FULL_PAGE) is record
-    assert DescriptionCache(tmp_path / "desc.jsonl").get("img001", DescriptionMode.FULL_PAGE) == record
+    # describe puts the record; a second one for the same (image, mode) writes nothing
+    cache.put(record)
+    cache.put(describe_image("img001", PNG_STUB, DescriptionMode.FULL_PAGE, CountingChat(replies=("other",))))
+    assert cache.get("img001", DescriptionMode.FULL_PAGE) == record
+    assert len(path.read_bytes().splitlines()) == 1
+    assert DescriptionCache(path).get("img001", DescriptionMode.FULL_PAGE) == record
 
 
 def test_describe_image_modes_cache_separately(tmp_path):
-    cache = DescriptionCache(tmp_path / "desc.jsonl")
+    path = tmp_path / "desc.jsonl"
+    cache = DescriptionCache(path)
     chat = CountingChat(replies=("page view", "crop view"))
     for mode in (DescriptionMode.FULL_PAGE, DescriptionMode.ILLUSTRATION):
-        describe_image("img001", PNG_STUB, mode, chat, cache)
+        cache.put(describe_image("img001", PNG_STUB, mode, chat))
     assert chat.calls == 2
-    assert cache.get("img001", DescriptionMode.FULL_PAGE).text == "page view"
-    assert cache.get("img001", DescriptionMode.ILLUSTRATION).text == "crop view"
+    for served in (cache, DescriptionCache(path)):
+        assert len(served) == 2
+        assert served.get("img001", DescriptionMode.FULL_PAGE).text == "page view"
+        assert served.get("img001", DescriptionMode.ILLUSTRATION).text == "crop view"
 
 
 def test_describe_image_rejects_empty_inputs(tmp_path):
@@ -318,13 +326,50 @@ def test_description_cache_persists_and_first_record_wins(tmp_path):
     assert len(path.read_text().strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("field, value", [("text", 5), ("text", None), ("image_id", 7), ("model_id", 5)])
-def test_description_cache_rejects_a_text_field_that_is_not_a_string(tmp_path, field, value):
+def _refused_put_writes_nothing(kind, path, put_bad, get_bad, error, match=None):
+    """A put that a load of its line would refuse raises `error`, writes nothing and serves nothing, and a fresh
+    load still reads the record put before it."""
+    make, put, get = CACHES[kind]
+    cache = make(path)
+    put(cache, 2)
+    written = path.read_bytes()
+    with pytest.raises(error, match=match):
+        put_bad(cache)
+    assert path.read_bytes() == written
+    assert get_bad(cache) is None and len(cache) == 1
+    reloaded = make(path)
+    assert len(reloaded) == 1 and get(reloaded, 2) is not None
+
+
+@pytest.mark.parametrize("field, value, side", [
+    pytest.param(field, value, side, id=f"{field}-{value}" + "-put" * (side == "put"))
+    for side in ("load", "put") for field, value in [("text", 5), ("text", None), ("image_id", 7), ("model_id", 5)]
+])
+def test_description_cache_rejects_a_text_field_that_is_not_a_string(tmp_path, field, value, side):
     record = {"image_id": "img1", "mode": "page", "text": "the ark", "model_id": "m", field: value}
     path = tmp_path / "desc.jsonl"
-    path.write_text(json.dumps(record) + "\n")
-    with pytest.raises(MalformedLineError, match="line 1: .*bad cache record.*must be strings"):
-        DescriptionCache(path)
+    if side == "load":
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(MalformedLineError, match="line 1: .*bad cache record.*must be strings"):
+            DescriptionCache(path)
+        return
+    bad = DescriptionRecord(**{**record, "mode": DescriptionMode.FULL_PAGE, "created_at": "c"})
+    _refused_put_writes_nothing("description", path, lambda cache: cache.put(bad),
+                                lambda cache: cache.get(record["image_id"], DescriptionMode.FULL_PAGE),
+                                TypeError, "must be strings")
+
+
+def test_description_cache_line_bytes_are_pinned(tmp_path):
+    # the cache holds paid results, so a text that is not ASCII is still written as raw UTF-8, not as \u escapes
+    path = tmp_path / "desc.jsonl"
+    DescriptionCache(path).put(DescriptionRecord(
+        image_id="img1", mode=DescriptionMode.ILLUSTRATION, text="Arche Noah – Sündflut", model_id="m",
+        created_at="2024-01-01T00:00:00+00:00",
+    ))
+    assert path.read_bytes() == (
+        '{"image_id": "img1", "mode": "illustration", "text": "Arche Noah – Sündflut", "model_id": "m", '
+        '"created_at": "2024-01-01T00:00:00+00:00", "prompt_version": "v1"}\n'
+    ).encode("utf-8")
 
 
 # ---------------------------------------------------------------- embedding cache
@@ -399,13 +444,44 @@ def test_embedding_cache_line_bytes_are_pinned(tmp_path):
     assert EmbeddingCache(path).get("p", "the ark").tobytes() == np.array([0.1, 1 / 3, 5e-324, -0.0]).tobytes()
 
 
-@pytest.mark.parametrize("vector", ['"12"', '[true, "1.5"]', '[[1.0], 2.0]', "null", "[1%s]" % ("0" * 400)],
-                         ids=["string", "boolean_and_string", "nested", "null", "integer_beyond_float"])
-def test_embedding_cache_rejects_a_vector_that_is_not_a_list_of_numbers(tmp_path, vector):
+# a record's "vector" JSON text, by case id; a put case puts the value that text decodes to
+_NOT_VECTORS = {
+    "string": '"12"', "boolean_and_string": '[true, "1.5"]', "nested": "[[1.0], 2.0]", "null": "null",
+    "integer_beyond_float": "[1%s]" % ("0" * 400), "nested_rows": "[[1.0], [2.0]]", "zero": "[0.0, 0.0]",
+    "nan": "[NaN, 1.0]", "inf": "[Infinity, 1.0]", "minus_inf": "[-Infinity, 1.0]",
+}
+
+
+@pytest.mark.parametrize("vector, side", [
+    pytest.param(vector, side, id=case + "-put" * (side == "put"))
+    for side in ("load", "put") for case, vector in _NOT_VECTORS.items()
+])
+def test_embedding_cache_rejects_a_vector_that_is_not_a_list_of_numbers(tmp_path, vector, side):
     path = tmp_path / "emb.jsonl"
-    path.write_text('{"provider": "p", "hash": "h", "vector": %s}\n' % vector)
-    with pytest.raises(MalformedLineError, match="line 1: .*bad cache record"):
-        EmbeddingCache(path)
+    if side == "load":
+        path.write_text('{"provider": "p", "hash": "h", "vector": %s}\n' % vector)
+        with pytest.raises(MalformedLineError, match="line 1: .*bad cache record"):
+            EmbeddingCache(path)
+        return
+    _refused_put_writes_nothing("embedding", path, lambda cache: cache.put("p", "the ark", json.loads(vector)),
+                                lambda cache: cache.get("p", "the ark"), (TypeError, ValueError))
+
+
+@pytest.mark.parametrize("record, side", [
+    ('{"provider": 5, "hash": "h", "vector": [1.0]}', "load"),
+    ('{"provider": "p", "hash": null, "vector": [1.0]}', "load"),
+    ('{"provider": ["p"], "hash": "h", "vector": [1.0]}', "load"),
+    (("p",), "put"),  # a tuple, which JSON would write as a list that no load can key on
+], ids=["number", "null", "list", "tuple-put"])
+def test_embedding_cache_rejects_a_key_field_that_is_not_a_string(tmp_path, record, side):
+    path = tmp_path / "emb.jsonl"
+    if side == "load":
+        path.write_text(record + "\n")
+        with pytest.raises(MalformedLineError, match="line 1: .*bad cache record.*must be strings"):
+            EmbeddingCache(path)
+        return
+    _refused_put_writes_nothing("embedding", path, lambda cache: cache.put(record, "the ark", [1.0]),
+                                lambda cache: cache.get(record, "the ark"), TypeError, "must be strings")
 
 
 # ---------------------------------------------------------------- torn cache lines
