@@ -164,7 +164,7 @@ class RemoteProvider:
             items = sorted(data["data"], key=lambda d: d["index"])
             got = [number_list(item["embedding"]) for item in items]
         except (KeyError, TypeError) as exc:
-            raise EmptyResponseError(f"malformed embedding response: {exc}") from exc
+            raise EmptyResponseError(f"{self.provider_id} returned a malformed embedding response: {exc}") from exc
         if [item["index"] for item in items] != list(range(len(texts))):  # each input gets exactly one vector
             raise EmptyResponseError(f"embedding response has {len(got)} vectors, "
                                      f"but its indices are not 0 to {len(texts) - 1}")
@@ -327,17 +327,13 @@ class DescriptionCache(_AppendOnlyCache):
 
     @staticmethod
     def _decode(obj: dict) -> tuple[tuple[str, str], DescriptionRecord]:
-        model_id = obj.get("model_id", "")
-        if not all(isinstance(value, str) for value in (obj["image_id"], obj["text"], model_id)):
-            raise TypeError("image_id, text and model_id must be strings")
-        rec = DescriptionRecord(
-            image_id=obj["image_id"],
-            mode=DescriptionMode(obj["mode"]),
-            text=obj["text"],
-            model_id=model_id,
-            created_at=obj.get("created_at", ""),
-            prompt_version=obj.get("prompt_version", PROMPT_VERSION),
-        )
+        model_id, created_at = obj.get("model_id", ""), obj.get("created_at", "")
+        prompt_version = obj.get("prompt_version", PROMPT_VERSION)
+        if not all(isinstance(value, str) for value in (obj["image_id"], obj["text"], model_id, created_at,
+                                                        prompt_version)):
+            raise TypeError("image_id, text, model_id, created_at and prompt_version must be strings")
+        rec = DescriptionRecord(image_id=obj["image_id"], mode=DescriptionMode(obj["mode"]), text=obj["text"],
+                                model_id=model_id, created_at=created_at, prompt_version=prompt_version)
         return (rec.image_id, rec.mode.value), rec
 
     def get(self, image_id: str, mode: DescriptionMode) -> Optional[DescriptionRecord]:
@@ -354,9 +350,7 @@ class EmbeddingCache(_AppendOnlyCache):
     def _decode(obj: dict) -> tuple[tuple[str, str], np.ndarray]:
         if not isinstance(obj["provider"], str) or not isinstance(obj["hash"], str):
             raise TypeError("provider and hash must be strings")  # a tuple in a put would reload as a list
-        if 0.0 < vector_norms(vec := number_list(obj["vector"])) < np.inf:  # the one judge, as for a fresh vector
-            return (obj["provider"], obj["hash"]), vec
-        raise ValueError("a zero or non-finite vector has no direction")
+        return (obj["provider"], obj["hash"]), number_list(obj["vector"])
 
     @staticmethod
     def _digest(text: str) -> str:
@@ -366,8 +360,8 @@ class EmbeddingCache(_AppendOnlyCache):
         return self._records.get((provider_id, self._digest(text)))
 
     def put(self, provider_id: str, text: str, vector: Sequence[float]) -> None:
-        """Cache `vector` as the JSON list of what it holds. One that is not a list of finite numbers, or whose
-        norm is zero or overflows, raises as a load of its line would, and nothing is written."""
+        """Cache `vector` as the JSON list of what it holds. One that number_list refuses, not numbers or with a
+        norm that is zero or not finite, raises the TypeError a load of its line would, and nothing is written."""
         self._put({"provider": provider_id, "hash": self._digest(text), "vector": np.asarray(vector).tolist()})
 
 

@@ -254,16 +254,16 @@ class VectorIndex:
 
 
 def number_list(value) -> np.ndarray:
-    """A JSON array of finite numbers as a 1-d float64 array: the one reader
-    of a vector from outside the program. Anything else, strings, booleans,
-    NaN and Infinity included, raises TypeError: float() alone reads "1.5"
-    and true as numbers, and json reads NaN, Infinity and 1e999 as floats."""
+    """A JSON array of numbers whose norm is neither zero nor infinite, as a 1-d float64 array: the one reader and
+    judge of a vector from outside the program. Anything else raises TypeError: strings and booleans, which float()
+    alone reads as numbers; [], zeros, NaN, Infinity and 1e999, which json reads as floats; and [1e200], too large
+    to square."""
     try:
         if isinstance(value, list) and set(map(type, value)) <= {int, float}:
             vec = np.array(value, dtype=np.float64)
-            if np.isfinite(vec).all():
+            if 0.0 < vector_norms(vec) < math.inf:
                 return vec
-            raise TypeError("expected finite numbers, not NaN or Infinity")
+            raise TypeError("a zero or non-finite vector has no direction")
     except OverflowError:  # an integer beyond the float range
         pass
     raise TypeError("expected a list of numbers")
@@ -417,8 +417,9 @@ class ImageReferenceSet:
     def from_jsonl(cls, path: Union[str, Path]) -> "ImageReferenceSet":
         """Load records of the form {"vector": [...], "codes": ["73D231", ...]}. Each distinct code string is
         parsed once, and the rows that carry it share its IconclassCode. The file is read once, so a pipe works:
-        each vector is appended to one buffer, which becomes the matrix without a copy."""
-        values, labels, line_nos = array.array("d"), [], []
+        each vector is appended to one buffer, which becomes the matrix without a copy. A record is judged as its
+        line is read, a vector with no direction by number_list, so the first bad line is the one named."""
+        values, labels = array.array("d"), []
         for line_no, obj in iter_jsonl(path):
             try:
                 vec = number_list(obj["vector"])
@@ -434,15 +435,9 @@ class ImageReferenceSet:
             dim = vec.size
             values.frombytes(vec.tobytes())
             labels.append(codes)
-            line_nos.append(line_no)
         if not labels:
             raise EmptyReferenceSetError(f"{path}: reference set is empty")
-        matrix = np.frombuffer(values).reshape(len(labels), dim)
-        try:
-            return cls(labels, matrix)
-        except ZeroVectorError as exc:  # VectorIndex judges every row's norm at once
-            bad = next(i for i, norm in enumerate(vector_norms(matrix).tolist()) if not 0.0 < norm < math.inf)
-            raise MalformedLineError(line_nos[bad], f"{path}: zero or non-finite vector cannot be indexed") from exc
+        return cls(labels, np.frombuffer(values).reshape(len(labels), dim))
 
 
 @dataclass(frozen=True)
@@ -585,7 +580,7 @@ def load_index(dir_path: Union[str, Path]) -> tuple[KeywordIndex, VectorIndex, d
     except (ValueError, KeyError, TypeError, RecursionError, EmptyCorpusError, DuplicateDocIdError,
             DimMismatchError, ZeroVectorError) as exc:
         raise MissingIndexError(f"{root}: unreadable index file: {exc!r}; rebuild it with `index build`") from exc
-    # a save that dies part way leaves files that disagree with meta.json or with each other
+    # a save that dies part way leaves no meta.json, so only files mixed from other saves disagree with it or each other
     found = (kw_index.doc_count, kw_index.avg_doc_length, len(vec_index.ids), vec_index.dim)
     if found != recorded or not same_ids:
         raise MissingIndexError(f"{root}: incomplete index: meta.json records (docs, mean length, vectors, dim) "

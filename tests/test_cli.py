@@ -276,7 +276,7 @@ def test_a_cached_vector_with_no_direction_stops_the_load_naming_the_cache(runne
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit), repr(result.exception)
     assert result.output == (f"Error: line 1: {cache}: bad cache record: "
-                             "ValueError('a zero or non-finite vector has no direction')\n")
+                             "TypeError('a zero or non-finite vector has no direction')\n")
     assert not (tmp_path / "idx").exists() and not (tmp_path / "x.jsonl").exists()
 
 
@@ -1574,8 +1574,9 @@ def _vector_path_too_large_to_square(runner, workspace, tmp_path, monkeypatch):
                                   str(workspace / "rendered.jsonl"), "--refs", str(FIXTURES / "refs.jsonl"),
                                   "--offline", "--out", str(tmp_path / "x")])
     assert result.exit_code == 0, result.output
-    assert "imgA: ZeroVectorError: cannot search with a zero or non-finite query vector" in result.output
-    assert "wrote 0 predictions, 1 errors" in result.output
+    assert result.output == (f"imgA: ManifestParseError: {tmp_path / 'huge.json'}: bad query vector file: "
+                             "TypeError('a zero or non-finite vector has no direction')\n"
+                             "wrote 0 predictions, 1 errors\n")
 
 
 def _embedding_reply_too_large_to_square(runner, workspace, tmp_path, monkeypatch):
@@ -1593,7 +1594,8 @@ def _embedding_reply_too_large_to_square(runner, workspace, tmp_path, monkeypatc
     for run in (1, 2):  # a cached reply would be served to the rerun, and refused by the index every time
         result = runner.invoke(main, args)
         assert (result.exit_code, result.output) == (
-            1, "Error: remote:m returned a zero or non-finite vector\n")
+            1, "Error: remote:m returned a malformed embedding response: "
+               "a zero or non-finite vector has no direction\n")
         assert len(posted) == run
     assert not cache.exists() or cache.read_text() == ""
     assert not (tmp_path / "idx").exists()

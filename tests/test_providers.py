@@ -343,7 +343,8 @@ def _refused_put_writes_nothing(kind, path, put_bad, get_bad, error, match=None)
 
 @pytest.mark.parametrize("field, value, side", [
     pytest.param(field, value, side, id=f"{field}-{value}" + "-put" * (side == "put"))
-    for side in ("load", "put") for field, value in [("text", 5), ("text", None), ("image_id", 7), ("model_id", 5)]
+    for side in ("load", "put") for field, value in [("text", 5), ("text", None), ("image_id", 7), ("model_id", 5),
+                                                     ("created_at", 5), ("prompt_version", None)]
 ])
 def test_description_cache_rejects_a_text_field_that_is_not_a_string(tmp_path, field, value, side):
     record = {"image_id": "img1", "mode": "page", "text": "the ark", "model_id": "m", field: value}
@@ -353,7 +354,7 @@ def test_description_cache_rejects_a_text_field_that_is_not_a_string(tmp_path, f
         with pytest.raises(MalformedLineError, match="line 1: .*bad cache record.*must be strings"):
             DescriptionCache(path)
         return
-    bad = DescriptionRecord(**{**record, "mode": DescriptionMode.FULL_PAGE, "created_at": "c"})
+    bad = DescriptionRecord(**{"created_at": "c", **record, "mode": DescriptionMode.FULL_PAGE})
     _refused_put_writes_nothing("description", path, lambda cache: cache.put(bad),
                                 lambda cache: cache.get(record["image_id"], DescriptionMode.FULL_PAGE),
                                 TypeError, "must be strings")
@@ -906,13 +907,15 @@ def test_a_non_finite_embedding_is_refused_and_not_cached(monkeypatch, tmp_path)
     monkeypatch.setattr(requests, "post", lambda url, json=None, headers=None, timeout=None:
                         posted.append(url) or FakeResponse(body=body))
     path = tmp_path / "emb.jsonl"
-    with pytest.raises(EmptyResponseError, match="malformed embedding response.*NaN or Infinity"):
+    with pytest.raises(EmptyResponseError, match="^remote:m returned a malformed embedding response: "
+                                                 "a zero or non-finite vector has no direction$"):
         embed_many(["a", "b"], RemoteProvider("http://host", "m"), EmbeddingCache(path))
     assert len(posted) == 1
     assert not path.exists() or path.read_text() == ""
     # a line an older version cached this way stops the load, naming the file and the line
     path.write_text(json.dumps({"provider": "remote:m", "hash": "0" * 64, "vector": [math.nan, 1.0]}) + "\n")
-    with pytest.raises(MalformedLineError, match=r"^line 1: .*emb\.jsonl: bad cache record.*NaN or Infinity"):
+    with pytest.raises(MalformedLineError, match=r"^line 1: .*emb\.jsonl: bad cache record: "
+                                                 r"TypeError\('a zero or non-finite vector has no direction'\)$"):
         EmbeddingCache(path)
 
 
@@ -923,13 +926,27 @@ _RAGGED_OR_ZERO = [
 
 
 @pytest.mark.parametrize("body, fault", zip(_RAGGED_OR_ZERO, [
-    "^remote:m returned a zero or non-finite vector$", "^remote:m returned a vector of dim 3, not the batch's 2$",
+    "^remote:m returned a malformed embedding response: a zero or non-finite vector has no direction$",
+    "^remote:m returned a vector of dim 3, not the batch's 2$",
 ]), ids=["zero", "ragged"])
 def test_a_zero_or_ragged_embedding_reply_caches_no_line(monkeypatch, tmp_path, body, fault):
     monkeypatch.setattr(requests, "post", lambda url, json=None, headers=None, timeout=None: FakeResponse(body=body))
     path = tmp_path / "emb.jsonl"
     with pytest.raises(EmptyResponseError, match=fault):
         embed_many(["a", "b"], RemoteProvider("http://host", "m"), EmbeddingCache(path))
+    assert not path.exists() or path.read_text() == ""
+
+
+def test_an_in_process_provider_that_returns_a_zero_row_caches_no_line(tmp_path):
+    # a remote reply is judged by number_list as it is read, but rows from any other provider reach embed_many as
+    # they are, so its own check must refuse the chunk, naming the provider, before a row of it is cached
+    class ZeroRowEmbedder(CountingEmbedder):
+        def embed_many(self, texts):
+            return [np.zeros(self.dim) if t == "b" else vec for t, vec in zip(texts, super().embed_many(texts))]
+
+    path = tmp_path / "emb.jsonl"
+    with pytest.raises(EmptyResponseError, match="^fake-embed returned a zero or non-finite vector$"):
+        embed_many(["a", "b"], ZeroRowEmbedder(), EmbeddingCache(path))
     assert not path.exists() or path.read_text() == ""
 
 

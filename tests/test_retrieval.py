@@ -1160,18 +1160,21 @@ def test_reference_set_rejects_codes_given_as_a_string(tmp_path):
         ImageReferenceSet.from_jsonl(path)
 
 
+_NO_DIRECTION = "bad reference record: TypeError('a zero or non-finite vector has no direction')"
+
+
 def test_reference_set_rejects_a_nan_vector(tmp_path):
     path = tmp_path / "refs.jsonl"
     path.write_text('{"vector": [0.0, 1.0], "codes": ["73D"]}\n'
                     '{"vector": [NaN, 1.0], "codes": ["71B"]}\n')
-    with pytest.raises(MalformedLineError, match=r"^line 2: .*refs\.jsonl: bad reference record.*NaN or Infinity"):
+    with pytest.raises(MalformedLineError, match=rf"^line 2: .*refs\.jsonl: {re.escape(_NO_DIRECTION)}$"):
         ImageReferenceSet.from_jsonl(path)
 
 
 @pytest.mark.parametrize("line_no, edit, reason", [
     (3, lambda vector: vector[:-1], "dim 7 != reference set dim 8"),
-    (4, lambda vector: [0.0] * len(vector), "zero or non-finite vector cannot be indexed"),
-    (5, lambda vector: [1e200] * len(vector), "zero or non-finite vector cannot be indexed"),
+    (4, lambda vector: [0.0] * len(vector), _NO_DIRECTION),
+    (5, lambda vector: [1e200] * len(vector), _NO_DIRECTION),
 ], ids=["other_dim", "zero", "too_large_to_square"])
 def test_reference_set_names_the_line_and_file_of_a_bad_vector(tmp_path, line_no, edit, reason):
     lines = (FIXTURES / "refs.jsonl").read_text().splitlines()
@@ -1179,18 +1182,33 @@ def test_reference_set_names_the_line_and_file_of_a_bad_vector(tmp_path, line_no
     lines[line_no - 1] = json.dumps({**record, "vector": edit(record["vector"])})
     path = tmp_path / "refs.jsonl"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(MalformedLineError, match=rf"^line {line_no}: .*refs\.jsonl: {reason}$"):
+    with pytest.raises(MalformedLineError, match=rf"^line {line_no}: .*refs\.jsonl: {re.escape(reason)}$"):
         ImageReferenceSet.from_jsonl(path)
 
 
 def test_reference_set_names_the_first_of_several_bad_vectors(tmp_path):
-    # the norms are judged once for the whole set, after every line is read
+    # each vector is judged as its line is read, so the load stops at the first bad one
     path = tmp_path / "refs.jsonl"
     path.write_text('{"vector": [0.0, 1.0], "codes": ["73D"]}\n{"vector": [1e200, 1.0], "codes": ["71B"]}\n'
                     '{"vector": [0.0, 0.0], "codes": ["71B"]}\n')
-    with pytest.raises(MalformedLineError,
-                       match=r"^line 2: .*refs\.jsonl: zero or non-finite vector cannot be indexed$"):
+    with pytest.raises(MalformedLineError, match=rf"^line 2: .*refs\.jsonl: {re.escape(_NO_DIRECTION)}$"):
         ImageReferenceSet.from_jsonl(path)
+
+
+def test_reference_set_names_a_zero_vector_before_a_later_line_of_another_dim(tmp_path):
+    # judged only once every line was read, the zero vector on line 2 would go unseen behind line 3's dim
+    path = tmp_path / "refs.jsonl"
+    path.write_text('{"vector": [0.0, 1.0], "codes": ["73D"]}\n{"vector": [0.0, 0.0], "codes": ["71B"]}\n'
+                    '{"vector": [1.0, 0.0, 0.0], "codes": ["71B"]}\n')
+    with pytest.raises(MalformedLineError, match=rf"^line 2: .*refs\.jsonl: {re.escape(_NO_DIRECTION)}$"):
+        ImageReferenceSet.from_jsonl(path)
+
+
+@pytest.mark.parametrize("value", [[0.0, 0.0], [], [math.nan, 1.0], [math.inf, 1.0], [1e200, 1.0]],
+                         ids=["zero", "empty", "nan", "inf", "too_large_to_square"])
+def test_number_list_refuses_a_vector_with_no_direction(value):
+    with pytest.raises(TypeError, match="^a zero or non-finite vector has no direction$"):
+        retrieval.number_list(value)
 
 
 def _refs_file(path: Path, matrix: np.ndarray) -> Path:
