@@ -179,10 +179,10 @@ def cmd_index_build(rendered_path: str, database: str, index_dir: str, offline: 
     from . import providers, retrieval
 
     _check_offline(offline, endpoint, api_key)
+    embedder = _make_embedder(offline, dim, endpoint, embed_model, api_key)
     kind = taxonomy.DatabaseKind(database)
     docs, digest = _load_rendered_taxonomy(rendered_path, kind, parse=True)
     kw_index = retrieval.build_keyword_index(docs.items())
-    embedder = _make_embedder(offline, dim, endpoint, embed_model, api_key)
     cache = providers.EmbeddingCache(embed_cache) if embed_cache else None
     ids = list(docs)
     vec_index = retrieval.VectorIndex(ids, providers.embed_many(list(docs.values()), embedder, cache, names=ids))

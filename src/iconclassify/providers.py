@@ -150,9 +150,9 @@ class RemoteProvider:
         try:
             text = (data["choices"][0]["message"]["content"] or "").strip()
         except (KeyError, IndexError, TypeError, AttributeError) as exc:  # AttributeError: content is not text
-            raise EmptyResponseError(f"malformed chat response: {exc}") from exc
+            raise EmptyResponseError(f"{self.provider_id} returned a malformed chat response: {exc}") from exc
         if not text:
-            raise EmptyResponseError("chat provider returned empty text")
+            raise EmptyResponseError(f"{self.provider_id} returned empty text")
         return text
 
     def embed_many(self, texts: Sequence[str]) -> list[np.ndarray]:
@@ -162,13 +162,11 @@ class RemoteProvider:
         data = _post(f"{self.endpoint}/embeddings", payload, self._api_key, timeout=60.0)
         try:
             items = sorted(data["data"], key=lambda d: d["index"])
-            got = [number_list(item["embedding"]) for item in items]
-        except (KeyError, TypeError) as exc:
+            if [item["index"] for item in items] != list(range(len(texts))):  # each input gets exactly one vector
+                raise ValueError(f"{len(items)} vectors, but their indices are not 0 to {len(texts) - 1}")
+            return [number_list(item["embedding"]) for item in items]
+        except (KeyError, TypeError, ValueError) as exc:
             raise EmptyResponseError(f"{self.provider_id} returned a malformed embedding response: {exc}") from exc
-        if [item["index"] for item in items] != list(range(len(texts))):  # each input gets exactly one vector
-            raise EmptyResponseError(f"embedding response has {len(got)} vectors, "
-                                     f"but its indices are not 0 to {len(texts) - 1}")
-        return got
 
 
 # texts per array pass: at 2,048, the pass's temporaries took a 12.6k-text, 512-d `index build` from 153 to 171 MB

@@ -72,16 +72,19 @@ def _hits(ranked: Iterable[tuple[str, float]]) -> list[RankedHit]:
 
 @dataclass(eq=False)
 class KeywordIndex:
-    """BM25 postings as arrays (Zobel & Moffat, 2006). Row i is the i-th doc id in sorted order, so a row's number
-    is its rank among the ids and breaks score ties by doc id. A term's postings are rows[lo:hi], ascending, and
-    tfs[lo:hi] for spans[term] == (lo, hi); the spans tile the rows in order, one posting or more each. The
-    constructor refuses, by whole-array ops, arrays that break this or the bounds below, and an empty index."""
+    """BM25 postings as arrays (Zobel & Moffat, 2006), the fields save_index stores. Row i is the i-th doc id in
+    sorted order, so its number is its rank among the ids and breaks score ties by doc id. Term i's postings are
+    rows[lo:hi], ascending, and tfs[lo:hi] for (lo, hi) = spans[terms[i]] = offsets[i], offsets[i + 1]; the slices
+    tile the rows from 0, one posting or more each. The constructor refuses, by whole-array ops, a table that breaks
+    this or the bounds below, a term listed twice, and an empty index."""
 
     ids: list[str]
-    spans: dict[str, tuple[int, int]]
+    terms: list[str]  # distinct, in slice order
+    offsets: np.ndarray  # int64, len(terms) + 1 of them
     rows: np.ndarray  # int32, in [0, len(ids)), strictly rising within a term: a doc counts once in its df
     tfs: np.ndarray  # int32, >= 1
     lengths: np.ndarray  # int32, >= 0, one per row
+    spans: dict[str, tuple[int, int]] = field(init=False)
     doc_count: int = field(init=False)
     avg_doc_length: float = field(init=False)
     # (query text, its read-only score array) of the last query: one attribute, read and replaced whole, so a race
@@ -89,17 +92,21 @@ class KeywordIndex:
     _last = (None, None)
 
     def __post_init__(self):
-        ids, rows, tfs, lengths = self.ids, self.rows, self.tfs, self.lengths
-        if not (type(ids) is list and all(type(s) is str for s in ids)):
-            raise TypeError("the doc ids must be a list of strings")
+        ids, terms, offsets, rows, tfs, lengths = self.ids, self.terms, self.offsets, self.rows, self.tfs, self.lengths
+        if not (type(ids) is type(terms) is list and all(type(s) is str for s in ids + terms)):
+            raise TypeError("the doc ids and the terms must be lists of strings")
+        if not (isinstance(offsets, np.ndarray) and offsets.dtype == np.int64 and offsets.ndim == 1):
+            raise TypeError("the offsets must be an int64 array of rank 1")
         if any(a >= b for a, b in zip(ids, ids[1:])):
             raise ValueError("the doc ids are not in strictly ascending order")
-        # each span starts where the one before it ends, from 0 to len(rows), and holds a posting or more
-        bounds = np.array([(0, 0), *self.spans.values(), (len(rows), len(rows))], dtype=np.int64)
-        if not ((bounds[1:, 0] == bounds[:-1, 1]).all() and (bounds[1:-1, 1] > bounds[1:-1, 0]).all()):
-            raise ValueError(f"the {len(self.spans)} terms' slices do not tile the {len(rows)} rows, "
+        if len(offsets) != len(terms) + 1:
+            raise ValueError(f"{len(offsets)} offsets for {len(terms)} terms")
+        if not (offsets[0] == 0 and offsets[-1] == len(rows) and (offsets[1:] > offsets[:-1]).all()):
+            raise ValueError(f"the {len(terms)} terms' slices do not tile the {len(rows)} rows, "
                              "one posting or more each")
-        offsets = bounds[:-1, 1]
+        self.spans = dict(zip(terms, zip(offsets.tolist(), offsets[1:].tolist())))
+        if len(self.spans) < len(terms):
+            raise ValueError("a term is listed twice")
         if len(tfs) != len(rows) or len(lengths) != len(ids):
             raise ValueError(f"{len(tfs)} tfs for {len(rows)} rows, {len(lengths)} lengths for {len(ids)} ids")
         if rows.size and (rows.min() < 0 or rows.max() >= len(ids)):
@@ -107,7 +114,7 @@ class KeywordIndex:
         rising = rows[1:] > rows[:-1]
         rising[offsets[1:-1] - 1] = True  # a term's first row follows another term's rows
         if not rising.all():
-            term = list(self.spans)[np.searchsorted(offsets, np.argmin(rising) + 1, side="right") - 1]
+            term = terms[np.searchsorted(offsets, np.argmin(rising) + 1, side="right") - 1]
             raise ValueError(f"the rows of {term!r} repeat a doc or are out of order")
         if tfs.min(initial=1) < 1 or lengths.min(initial=0) < 0:
             raise ValueError("a term frequency below 1 or a doc length below 0")
@@ -147,10 +154,10 @@ def build_keyword_index(docs: Iterable[tuple[str, str]]) -> KeywordIndex:
     del term_of
     keys += np.repeat(np.arange(len(docs)), lengths)
     keys, tfs = np.unique(keys, return_counts=True)
-    ends = np.cumsum(np.bincount(keys // len(docs), minlength=len(term_no))).tolist()
     return KeywordIndex(
         ids=[doc_id for doc_id, _ in docs],
-        spans=dict(zip(term_no, zip([0, *ends], ends))),
+        terms=list(term_no),
+        offsets=np.concatenate(([0], np.cumsum(np.bincount(keys // len(docs), minlength=len(term_no))))),
         rows=(keys % len(docs)).astype(np.int32),
         tfs=tfs.astype(np.int32),
         lengths=lengths,
@@ -486,13 +493,12 @@ def save_index(
     vec_index: VectorIndex,
     config: Optional[dict] = None,
 ) -> None:
-    """Persist both indices to a directory: keyword.json (the sorted doc ids, the terms in slice order),
-    vectors.jsonl (one {"id": ...} record per matrix row, in row order), the _ARRAYS files (the matrix and the
-    KeywordIndex arrays, term i's slice starting at offsets[i]), each raw and bit-exact, and meta.json (format,
+    """Persist both indices to a directory: keyword.json (the KeywordIndex's ids and terms), vectors.jsonl (one
+    {"id": ...} record per matrix row, in row order), the _ARRAYS files (the matrix, then the KeywordIndex's
+    offsets, rows, tfs and lengths, its fields as they are), each raw and bit-exact, and meta.json (format,
     params, counts, creation info), which marks a finished save. All go through write_outputs, which replaces
     none until every one is written, and meta.json last, so a failed save leaves the old index loadable."""
     out = Path(dir_path)
-    offsets = np.array([0, *(hi for _, hi in kw_index.spans.values())], dtype=np.int64)
     meta = {
         "format": 3,
         "created_at": datetime.now(timezone.utc).isoformat(),
@@ -507,10 +513,10 @@ def save_index(
     if config:
         meta["config"] = config
     write_outputs(
-        (out / "keyword.json", json.dumps({"ids": kw_index.ids, "terms": list(kw_index.spans)}) + "\n"),
+        (out / "keyword.json", json.dumps({"ids": kw_index.ids, "terms": kw_index.terms}) + "\n"),
         (out / "vectors.jsonl", "".join(json.dumps({"id": doc_id}) + "\n" for doc_id in vec_index.ids)),
         *((out / name, _npy(np.ascontiguousarray(array, dtype))) for (name, (dtype, _)), array in
-          zip(_ARRAYS.items(), (vec_index.matrix, offsets, kw_index.rows, kw_index.tfs, kw_index.lengths))),
+          zip(_ARRAYS.items(), (vec_index.matrix, kw_index.offsets, kw_index.rows, kw_index.tfs, kw_index.lengths))),
         (out / "meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n"),
     )
 
@@ -542,7 +548,7 @@ def _read_npy(root: Path, name: str) -> np.ndarray:
 
 
 def load_index(dir_path: Union[str, Path]) -> tuple[KeywordIndex, VectorIndex, dict]:
-    """Load save_index's files, checked against meta.json; queries reproduce the originals exactly."""
+    """Load save_index's files, checked against meta.json and by the index constructors; queries match the originals."""
     root = Path(dir_path)
     try:
         meta = decode_json((root / "meta.json").read_text(encoding="utf-8"))
@@ -559,17 +565,8 @@ def load_index(dir_path: Union[str, Path]) -> tuple[KeywordIndex, VectorIndex, d
                                     f"not {DEFAULT_K1}, {DEFAULT_B}; rebuild it with `index build`")
         recorded = (kw_meta["doc_count"], kw_meta["avg_doc_length"], vec_meta["doc_count"], vec_meta["dim"])
         kw_data = decode_json((root / "keyword.json").read_text(encoding="utf-8"))
-        ids, terms = kw_data["ids"], kw_data["terms"]
-        if not (type(ids) is type(terms) is list and all(type(s) is str for s in ids + terms)):
-            raise TypeError("keyword.json must hold lists of strings")
         matrix_file, *keyword_files = _ARRAYS  # the small files are checked before the matrix is read
-        offsets, rows, tfs, lengths = (_read_npy(root, name) for name in keyword_files)
-        if len(offsets) != len(terms) + 1:
-            raise ValueError(f"{len(offsets)} offsets for {len(terms)} terms")
-        spans = dict(zip(terms, zip(offsets.tolist(), offsets[1:].tolist())))
-        if len(spans) < len(terms):
-            raise ValueError("a term is listed twice")
-        kw_index = KeywordIndex(ids, spans, rows, tfs, lengths)
+        kw_index = KeywordIndex(kw_data["ids"], kw_data["terms"], *(_read_npy(root, name) for name in keyword_files))
         ids = [obj["id"] for _, obj in iter_jsonl(root / "vectors.jsonl")]
         vec_index = VectorIndex(ids, _read_npy(root, matrix_file))
         same_ids = kw_index.ids == sorted(vec_index.ids)

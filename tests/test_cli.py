@@ -473,6 +473,16 @@ def test_a_remote_run_without_its_model_names_the_options_it_needs(runner, tmp_p
     assert not list(tmp_path.glob("out*"))
 
 
+def test_index_build_checks_its_provider_flags_before_it_reads_the_taxonomy(runner, tmp_path):
+    # the embedder is made first, so a run without --embed-model names it, not the file it would have read
+    (tmp_path / "r.jsonl").write_text("not json\n")
+    result = runner.invoke(main, ["index", "build", "--taxonomy", str(tmp_path / "r.jsonl"),
+                                  "--index-dir", str(tmp_path / "idx")], env=_NO_REMOTE_ENV)
+    assert result.exit_code == 2
+    assert result.output.endswith("\nError: remote embedding needs --endpoint and --embed-model (or env)\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["r.jsonl"]
+
+
 def _describe_remote(runner, tmp_path, monkeypatch, reply):
     """`describe` of one image, imgX, against a chat endpoint that answers `reply`."""
     image = tmp_path / "page.png"

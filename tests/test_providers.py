@@ -841,16 +841,22 @@ def test_remote_chat_attaches_image_as_data_url(monkeypatch):
 
 
 def test_remote_chat_rejects_malformed_or_empty_body(monkeypatch):
-    bodies = [{"choices": []}, {"choices": [{"message": {"content": "  "}}]}, {},
-              {"choices": [{"message": {"content": ["a woodcut"]}}]}, {"choices": [{"message": {"content": 7}}]}]
+    malformed = "remote:m returned a malformed chat response: "
+    bodies = [({"choices": []}, malformed + "list index out of range"),
+              ({"choices": [{"message": {"content": "  "}}]}, "remote:m returned empty text"),
+              ({}, malformed + "'choices'"),
+              ({"choices": [{"message": {"content": ["a woodcut"]}}]},
+               malformed + "'list' object has no attribute 'strip'"),
+              ({"choices": [{"message": {"content": 7}}]}, malformed + "'int' object has no attribute 'strip'")]
 
-    for body in bodies:
+    for body, message in bodies:
         monkeypatch.setattr(
             requests, "post", lambda url, json=None, headers=None, timeout=None, b=body: FakeResponse(body=b)
         )
         chat = RemoteProvider("http://host", "m")
-        with pytest.raises(EmptyResponseError):
+        with pytest.raises(EmptyResponseError) as info:
             chat.complete("hi")
+        assert str(info.value) == message
 
 
 def test_remote_embeddings_sorts_by_index(monkeypatch):
@@ -875,8 +881,10 @@ def test_remote_embeddings_rejects_indices_that_do_not_cover_the_inputs(monkeypa
         requests, "post", lambda url, json=None, headers=None, timeout=None: FakeResponse(body=body)
     )
     emb = RemoteProvider("http://host", "m")
-    with pytest.raises(EmptyResponseError, match="indices are not 0 to 1"):
+    with pytest.raises(EmptyResponseError) as info:
         emb.embed_many(["a", "b"])
+    assert str(info.value) == ("remote:m returned a malformed embedding response: "
+                               "2 vectors, but their indices are not 0 to 1")
 
 
 def test_remote_embeddings_rejects_wrong_count(monkeypatch):

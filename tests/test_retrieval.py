@@ -95,41 +95,52 @@ def test_build_keyword_index_counts():
 
 
 def test_keyword_index_works_out_its_count_and_mean_length():
-    index = KeywordIndex(["d1", "d2", "d3"], {"ark": (0, 1)}, np.array([0]), np.array([1]), np.array([1, 0, 1]))
-    assert (index.doc_count, index.avg_doc_length) == (3, 2 / 3)
+    index = KeywordIndex(["d1", "d2", "d3"], ["ark"], np.array([0, 1]), np.array([0]), np.array([1]),
+                         np.array([1, 0, 1]))
+    assert (index.doc_count, index.avg_doc_length, index.spans) == (3, 2 / 3, {"ark": (0, 1)})
     assert (index.postings, index.doc_lengths) == ({"ark": [("d1", 1)]}, {"d1": 1, "d2": 0, "d3": 1})
-    assert [f.name for f in dataclasses.fields(KeywordIndex) if f.init] == ["ids", "spans", "rows", "tfs", "lengths"]
+    assert [f.name for f in dataclasses.fields(KeywordIndex) if f.init] == ["ids", "terms", "offsets", "rows", "tfs",
+                                                                            "lengths"]
     with pytest.raises(EmptyCorpusError):
-        KeywordIndex([], {}, np.array([]), np.array([]), np.array([]))
+        KeywordIndex([], [], np.array([0]), np.array([]), np.array([]), np.array([]))
 
 
-# each fault a KeywordIndex refuses, as an in-place edit of its ids, spans and rows, with the message it gives.
-# The index is over ("11H", "flood dove"), ("71B", "ark flood") and ("73D", "ark"): flood, dove, ark hold rows
-# [0, 1], [0] and [1, 2]
+# each fault a KeywordIndex refuses, as an in-place edit of its ids, terms, offsets (a list here) and rows, with the
+# error and message it gives. The index is over ("11H", "flood dove"), ("71B", "ark flood") and ("73D", "ark"):
+# flood, dove, ark hold rows [0, 1], [0] and [1, 2]
 _KEYWORD_FAULTS = {
-    "unsorted_ids": (lambda ids, spans, rows: ids.reverse(), "the doc ids are not in strictly ascending order"),
-    "untiled_spans": (lambda ids, spans, rows: spans.update(ark=(3, 4)),
-                      "the 3 terms' slices do not tile the 5 rows, one posting or more each"),
-    "row_out_of_range": (lambda ids, spans, rows: rows.__setitem__(4, 3), "a row outside [0, 3)"),
-    "row_repeated_within_a_term": (lambda ids, spans, rows: rows.__setitem__(4, 1),
-                                   "the rows of 'ark' repeat a doc or are out of order"),
+    "unsorted_ids": (lambda ids, terms, offsets, rows: ids.reverse(),
+                     ValueError, "the doc ids are not in strictly ascending order"),
+    "term_not_a_string": (lambda ids, terms, offsets, rows: terms.__setitem__(1, 7),
+                          TypeError, "the doc ids and the terms must be lists of strings"),
+    "offsets_one_short": (lambda ids, terms, offsets, rows: offsets.pop(), ValueError, "3 offsets for 3 terms"),
+    "offsets_one_long": (lambda ids, terms, offsets, rows: offsets.append(5), ValueError, "5 offsets for 3 terms"),
+    "untiled_spans": (lambda ids, terms, offsets, rows: offsets.__setitem__(3, 4),
+                      ValueError, "the 3 terms' slices do not tile the 5 rows, one posting or more each"),
+    "term_listed_twice": (lambda ids, terms, offsets, rows: terms.__setitem__(2, "flood"),
+                          ValueError, "a term is listed twice"),
+    "row_out_of_range": (lambda ids, terms, offsets, rows: rows.__setitem__(4, 3),
+                         ValueError, "a row outside [0, 3)"),
+    "row_repeated_within_a_term": (lambda ids, terms, offsets, rows: rows.__setitem__(4, 1),
+                                   ValueError, "the rows of 'ark' repeat a doc or are out of order"),
 }
 
 
-@pytest.mark.parametrize("fault, message", _KEYWORD_FAULTS.values(), ids=_KEYWORD_FAULTS)
-def test_keyword_index_refuses_at_construction_what_load_index_refuses(tmp_path, fault, message):
+@pytest.mark.parametrize("fault, error, message", _KEYWORD_FAULTS.values(), ids=_KEYWORD_FAULTS)
+def test_keyword_index_refuses_at_construction_what_load_index_refuses(tmp_path, fault, error, message):
     kw = build_keyword_index([("71B", "ark flood"), ("73D", "ark"), ("11H", "flood dove")])
-    assert (kw.ids, kw.spans, kw.rows.tolist()) == (["11H", "71B", "73D"],
-                                                    {"flood": (0, 2), "dove": (2, 3), "ark": (3, 5)}, [0, 1, 0, 1, 2])
+    assert (kw.ids, kw.terms, kw.offsets.tolist(), kw.rows.tolist()) == (
+        ["11H", "71B", "73D"], ["flood", "dove", "ark"], [0, 2, 3, 5], [0, 1, 0, 1, 2])
     save_index(tmp_path, kw, build_vector_index([(d, [1.0, float(i)]) for i, d in enumerate(kw.ids)]))
-    ids, spans, rows = list(kw.ids), dict(kw.spans), kw.rows.copy()
-    fault(ids, spans, rows)
-    with pytest.raises(ValueError) as built:
-        KeywordIndex(ids, spans, rows, kw.tfs, kw.lengths)
-    assert str(built.value) == message
-    # the same fault, written into the saved files
-    (tmp_path / "keyword.json").write_text(json.dumps({"ids": ids, "terms": list(spans)}))
-    np.save(tmp_path / "keyword-offsets.npy", np.array([0, *(hi for _, hi in spans.values())], dtype=np.int64))
+    ids, terms, offsets, rows = list(kw.ids), list(kw.terms), kw.offsets.tolist(), kw.rows.copy()
+    fault(ids, terms, offsets, rows)
+    offsets = np.array(offsets, dtype=np.int64)
+    with pytest.raises(error) as built:
+        KeywordIndex(ids, terms, offsets, rows, kw.tfs, kw.lengths)
+    assert type(built.value) is error and str(built.value) == message
+    # the same fault, written into the saved files as the constructor was given it
+    (tmp_path / "keyword.json").write_text(json.dumps({"ids": ids, "terms": terms}))
+    np.save(tmp_path / "keyword-offsets.npy", offsets)
     np.save(tmp_path / "keyword-rows.npy", rows)
     with pytest.raises(MissingIndexError) as loaded:
         load_index(tmp_path)
@@ -137,8 +148,15 @@ def test_keyword_index_refuses_at_construction_what_load_index_refuses(tmp_path,
 
 
 def test_keyword_index_refuses_ids_that_are_not_strings():
-    with pytest.raises(TypeError, match="^the doc ids must be a list of strings$"):
-        KeywordIndex(["d1", 2], {"ark": (0, 1)}, np.array([0]), np.array([1]), np.array([1, 1]))
+    with pytest.raises(TypeError, match="^the doc ids and the terms must be lists of strings$"):
+        KeywordIndex(["d1", 2], ["ark"], np.array([0, 1]), np.array([0]), np.array([1]), np.array([1, 1]))
+
+
+@pytest.mark.parametrize("offsets", [[0, 1], np.array([0.0, 1.0]), np.array([0, 1], dtype=np.int32),
+                                     np.array([[0, 1]], dtype=np.int64)], ids=["list", "float", "int32", "rank_2"])
+def test_keyword_index_refuses_offsets_that_are_not_an_int64_vector(offsets):
+    with pytest.raises(TypeError, match="^the offsets must be an int64 array of rank 1$"):
+        KeywordIndex(["d1"], ["ark"], offsets, np.array([0]), np.array([1]), np.array([1]))
 
 
 def test_build_keyword_index_rejects_duplicates():
@@ -1435,7 +1453,7 @@ def test_load_index_rejects_a_truncated_or_mismatched_index(tmp_path):
         kw_path.write_text(json.dumps({**kw_json, field: value}))
         with pytest.raises(MissingIndexError, match=refused) as info:
             load_index(tmp_path / "idx")
-        assert "TypeError('keyword.json must hold lists of strings')" in str(info.value)
+        assert "TypeError('the doc ids and the terms must be lists of strings')" in str(info.value)
     kw_path.write_text(json.dumps(kw_json))
     assert load_index(tmp_path / "idx")[1].ids == vec.ids
 
