@@ -68,15 +68,6 @@ def _remote(purpose: str, flag: str, endpoint: Optional[str], model: Optional[st
     return providers.RemoteProvider(endpoint, model, api_key=api_key)
 
 
-def _make_embedder(offline: bool, dim: int, endpoint: Optional[str],
-                   embed_model: Optional[str], api_key: Optional[str]) -> providers.EmbeddingProvider:
-    from . import providers
-
-    if offline:
-        return providers.OfflineHashEmbedder(dim=dim)
-    return _remote("remote embedding", "embed-model", endpoint, embed_model, api_key)
-
-
 def _json_text(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -179,7 +170,8 @@ def cmd_index_build(rendered_path: str, database: str, index_dir: str, offline: 
     from . import providers, retrieval
 
     _check_offline(offline, endpoint, api_key)
-    embedder = _make_embedder(offline, dim, endpoint, embed_model, api_key)
+    embedder = providers.OfflineHashEmbedder(dim=dim) if offline else \
+        _remote("remote embedding", "embed-model", endpoint, embed_model, api_key)
     kind = taxonomy.DatabaseKind(database)
     docs, digest = _load_rendered_taxonomy(rendered_path, kind, parse=True)
     kw_index = retrieval.build_keyword_index(docs.items())
@@ -314,9 +306,16 @@ def cmd_classify(manifest_path: str, method_name: str, mode: str, database: str,
         alpha=alpha,
         rag_k=rag_k,
     )
-    rows = pipeline.read_manifest(manifest_path)
     ctx = pipeline.ClassifyContext(hybrid_pool=pool, vote_k=vote_k)
     rag = method.query_kind in (QueryKind.RAG_VECTOR, QueryKind.RAG_HYBRID)
+    # every text method but keyword embeds its query: a missing remote flag is a usage error before any file is
+    # read, as in `index build`; only the offline embedder waits for the index, whose dim it takes
+    embeds = method.query_kind not in (QueryKind.KEYWORD, QueryKind.IMAGE)
+    if embeds and not offline:
+        ctx.embedder = _remote("remote embedding", "embed-model", endpoint, embed_model, api_key)
+    if rag and not offline:
+        ctx.chat = _remote("RAG selection", "chat-model", endpoint, chat_model, api_key)
+    rows = pipeline.read_manifest(manifest_path)
     # RAG selection reads candidate texts and the image method's votes are checked against the codes; the other
     # methods' hits come from an index whose recorded digest, checked below, proves it was built from this file.
     # That digest is of bytes `index build` parsed, so the RAG methods parse no code; the image method has no index
@@ -330,13 +329,12 @@ def cmd_classify(manifest_path: str, method_name: str, mode: str, database: str,
         ctx.keyword_index = kw_index
         ctx.vector_index = vec_index
         wanted_config = {"database": database}
-        if method.query_kind is not QueryKind.KEYWORD:  # every other text method embeds its query
-            ctx.embedder = _make_embedder(offline, vec_index.dim, endpoint, embed_model, api_key)
+        if embeds:
+            if offline:
+                ctx.embedder = providers.OfflineHashEmbedder(dim=vec_index.dim)
             wanted_config["embedder"] = ctx.embedder.provider_id
             if embed_cache:
                 ctx.embedding_cache = providers.EmbeddingCache(embed_cache)
-        if rag and not offline:
-            ctx.chat = _remote("RAG selection", "chat-model", endpoint, chat_model, api_key)
         built = index_meta.get("config", {})
         for field, wanted in wanted_config.items():
             if built.get(field) != wanted:

@@ -239,8 +239,9 @@ class VectorIndex:
     ids: list[str]
     matrix: np.ndarray
     norms: np.ndarray = field(init=False)
-    # (query vector bytes, its read-only distance array) of the last scan, kept as KeywordIndex keeps its last query
-    _last = (None, None)
+    # (query vector bytes, its read-only lower and upper cost bounds) of the last scan, kept as KeywordIndex keeps its
+    # last query
+    _last = (None, None, None)
 
     def __post_init__(self):
         if not self.ids:
@@ -250,6 +251,8 @@ class VectorIndex:
         if len(self.matrix) != len(self.ids):
             raise DimMismatchError(f"{len(self.matrix)} vector rows for {len(self.ids)} ids")
         _check_unique(self.ids)
+        # a copy only of a caller's matrix in another layout: a row's dot must sum the same way in a few rows' copy
+        self.matrix = np.ascontiguousarray(self.matrix, dtype=np.float64)
         self.norms = vector_norms(self.matrix)
         bad = np.flatnonzero(~((self.norms > 0.0) & (self.norms < math.inf)))
         if bad.size:
@@ -314,50 +317,101 @@ def cosine_distance(u: Sequence[float], v: Sequence[float]) -> float:
     return 1.0 - float(np.dot(a, b)) / (na * nb)
 
 
-def _distances(index: VectorIndex, query: Sequence[float]) -> np.ndarray:
-    """cosine_distance(row, query) for every row, bit for bit: np.vecdot runs
-    each row through np.dot's kernel, where M @ q would sum in another order.
-    A repeat of the index's last query vector, byte for byte, returns the
-    very array that query made."""
+def _query(index: VectorIndex, query: Sequence[float]) -> tuple[np.ndarray, float]:
+    """The query as a float64 vector of the index's dim, and its norm."""
     q = np.asarray(query, dtype=np.float64)
     if q.ndim != 1 or q.shape[0] != index.dim:
         raise DimMismatchError(f"query dim {q.shape} != index dim {index.dim}")
-    key = q.tobytes()
-    last, dists = index._last
-    if last == key:
-        return dists
     qnorm = float(vector_norms(q))
     if not 0.0 < qnorm < math.inf:
         raise ZeroVectorError("cannot search with a zero or non-finite query vector")
-    dists = 1.0 - _row_dots(index.matrix, q) / (index.norms * qnorm)
-    dists.flags.writeable = False  # shared by every repeat
-    index._last = (key, dists)
-    return dists
+    return q, qnorm
+
+
+def _distances(index: VectorIndex, query: Sequence[float]) -> np.ndarray:
+    """cosine_distance(row, query) for every row, bit for bit: the exact full
+    scan that every shortlist ranking equals. np.vecdot runs each row through
+    np.dot's kernel, where M @ q would sum in another order."""
+    q, qnorm = _query(index, query)
+    return 1.0 - _row_dots(index.matrix, q) / (index.norms * qnorm)
+
+
+def _scan(matrix: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The one pass over every row that a query vector makes: matrix @ q, a
+    BLAS gemv, threaded as the BLAS sees fit, whose sums run in another order
+    than np.vecdot's."""
+    return matrix @ q
 
 
 def _row_dots(matrix: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """np.vecdot(matrix, q) on the calling thread: every scan of an index
-    matrix is this one call."""
+    """np.vecdot(matrix, q): each row's dot as np.dot gives it for that row
+    alone, so a row's value is the same in a copy of a few rows as in the
+    whole matrix."""
     return np.vecdot(matrix, q)
+
+
+def _nearest(index: VectorIndex, query: Sequence[float], k: int, keys: Sequence) -> list[tuple[float, object]]:
+    """_top(keys, _distances(index, query), k), bit for bit, from a shortlist
+    that one fast scan certifies: scan, then re-rank exactly (Jégou et al.,
+    Searching in one billion vectors, ICASSP 2011).
+
+    The bounds that one scan a, _scan's M @ q, gives each row are kept in the
+    index's memo, so each ranking of one query cuts its own shortlist from
+    them. A dot of length d in any summation order, with or without FMA, lies
+    within γ_d·‖m‖‖q‖ of the exact one, γ_d = d·u/(1 − d·u), u = 2⁻⁵³, plus
+    2⁻¹⁰⁷⁵ for each product that underflows (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 2002, §3.1); a and np.vecdot's v differ by
+    at most twice that. The computed norms may fall short of ‖m‖ and ‖q‖ by a
+    factor 1 + γ_d + 2u, and by √d·2⁻⁵³⁷ (pad) where their squares underflow.
+    err's 4u covers that factor and the rounding of err and of a ± err, and
+    its absolute term is doubled for the same, so fl(a − err) ≤ v ≤
+    fl(a + err). Rounded division and subtraction are monotone, so lo ≤ cost ≤
+    hi for the very cost that _distances computes, t being norms·qnorm. Where t
+    exceeds 2¹⁰²³, a partial sum of either order may overflow and the bound
+    says nothing: such a row, as is every row whose a is ±inf or NaN, gets
+    (−inf, inf).
+
+    T, the k-th smallest hi, is at least the k-th smallest cost, so every row
+    that the full scan ranks within its k-th, ties included, has lo ≤ T. Only
+    those rows are rescored, as _distances scores them, and cut by _top."""
+    q, qnorm = _query(index, query)
+    key = q.tobytes()
+    last, lo, hi = index._last
+    if last != key:
+        a, d, u = _scan(index.matrix, q), index.dim, 2.0 ** -53
+        t = index.norms * qnorm
+        pad = math.sqrt(d) * 2.0 ** -537
+        err = (2.0 * d * u / (1.0 - d * u) + 4.0 * u) * (index.norms + pad) * (qnorm + pad) + d * 2.0 ** -1072
+        lo, hi = 1.0 - (a + err) / t, 1.0 - (a - err) / t
+        wild = t > 2.0 ** 1023
+        lo[wild], hi[wild] = -math.inf, math.inf
+        lo.flags.writeable = hi.flags.writeable = False  # shared by every ranking of this query
+        index._last = (key, lo, hi)
+    rows = np.flatnonzero(lo <= _kth(hi, k))
+    cost = 1.0 - _row_dots(index.matrix[rows], q) / (index.norms[rows] * qnorm)
+    return _top([keys[row] for row in rows.tolist()], cost, k)
+
+
+def _kth(values: np.ndarray, k: int) -> float:
+    """The k-th smallest of values, the largest if there are fewer, inf if
+    none. Every ranking cuts through here, so k is checked here alone."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    m = min(k, values.size)
+    return np.partition(values, m - 1)[m - 1] if m else math.inf
 
 
 def _top(keys: Sequence, cost: np.ndarray, k: int) -> list[tuple[float, object]]:
     """The k (cost, key) pairs of smallest cost, ties broken by key, in that
-    order. np.partition finds the k-th cost; only the rows within it are
-    sorted, every row tied with it included, so that the key decides the cut.
-    Every ranking cuts here, so k is checked here alone."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not cost.size:
-        return []
-    kth = np.partition(cost, min(k, cost.size) - 1)[min(k, cost.size) - 1]
-    rows = np.flatnonzero(cost <= kth).tolist()
+    order. Only the rows within the k-th cost are sorted, every row tied with
+    it included, so that the key decides the cut."""
+    rows = np.flatnonzero(cost <= _kth(cost, k)).tolist()
     return sorted(zip(cost[rows].tolist(), [keys[i] for i in rows]))[:k]
 
 
 def _vector_top(index: VectorIndex, query: Sequence[float], k: int) -> list[tuple[str, float]]:
     """(doc id, similarity) of the k rows nearest by cosine distance."""
-    return [(doc_id, 1.0 - d) for d, doc_id in _top(index.ids, _distances(index, query), k)]
+    return [(doc_id, 1.0 - d) for d, doc_id in _nearest(index, query, k, index.ids)]
 
 
 def vector_search(index: VectorIndex, query: Sequence[float], k: int) -> list[RankedHit]:
@@ -464,7 +518,7 @@ def image_vote_classify(
     supporting neighbour is nearest, then to the lexicographically
     smallest notation. Returns the winner and the full vote table.
     """
-    neighbors = _top(range(len(refs)), _distances(refs.index, query), k)
+    neighbors = _nearest(refs.index, query, k, range(len(refs)))
 
     # code -> [votes, best rank], one lookup per vote: an IconclassCode hashes in Python, not in C as a str does
     tally: dict[IconclassCode, list[int]] = {}

@@ -304,23 +304,29 @@ def test_criterion_6_vector_search_exact_and_fast(capsys, monkeypatch):
         big_rng = np.random.default_rng(20260818)
         big = big_rng.standard_normal((12600, 1536))
         big_index = build_vector_index((f"7{i}", big[i]) for i in range(12600))
-        scans = []
-        row_dots = retrieval._row_dots
-        monkeypatch.setattr(retrieval, "_row_dots", lambda matrix, q: scans.append(1) or row_dots(matrix, q))
+        scans, rescores = [], []
+        scan, row_dots = retrieval._scan, retrieval._row_dots
+        monkeypatch.setattr(retrieval, "_scan", lambda matrix, q: scans.append(1) or scan(matrix, q))
+        monkeypatch.setattr(retrieval, "_row_dots",
+                            lambda matrix, q: rescores.append(len(matrix)) or row_dots(matrix, q))
         vector_search(big_index, big_rng.standard_normal(1536), 10)  # warm-up
         timings = []
         for _ in range(3):
-            # a fresh probe each time: the index keeps its last query's distances, and a repeat would scan nothing
+            # a fresh probe each time: the index keeps its last query's gemv, and a repeat would scan nothing
             probe = big_rng.standard_normal(1536)
-            scanned = len(scans)
+            scanned, rescored = len(scans), len(rescores)
             t0 = time.perf_counter()
-            vector_search(big_index, probe, 10)
+            hits = vector_search(big_index, probe, 10)
             timings.append(time.perf_counter() - t0)
             assert len(scans) == scanned + 1
+            # one exact rescore, of the certified shortlist alone
+            assert len(rescores) == rescored + 1 and rescores[-1] <= 10 + 8
         assert min(timings) < 0.1
-        # the one scan call is exact at the paper's dim too, row for row
+        # the full exact scan is exact at the paper's dim too, row for row, and the last search's hits are its top 10
         oracle = np.array([cosine_distance(row, probe) for row in big])
         assert retrieval._distances(big_index, probe).tobytes() == oracle.tobytes()
+        top = sorted(zip(oracle.tolist(), (f"7{i}" for i in range(12600))))[:10]
+        assert [(h.code.raw, h.score.hex()) for h in hits] == [(doc_id, (1.0 - dist).hex()) for dist, doc_id in top]
 
 
 # ------- criterion 7: hybrid fusion boundaries

@@ -483,6 +483,18 @@ def test_index_build_checks_its_provider_flags_before_it_reads_the_taxonomy(runn
     assert [p.name for p in tmp_path.iterdir()] == ["r.jsonl"]
 
 
+@pytest.mark.parametrize("method", ["vector", "hybrid", "rag-hybrid"])
+def test_classify_checks_its_provider_flags_before_it_reads_the_index(runner, tmp_path, method):
+    # the remote embedder is made first, so a run without --embed-model names it, not the index it would have read
+    (tmp_path / "r.jsonl").write_text("not json\n")
+    result = runner.invoke(main, ["classify", "--manifest", str(FIXTURES / "manifest.csv"), "--method", method,
+                                  "--taxonomy", str(tmp_path / "r.jsonl"), "--index-dir", str(tmp_path / "idx"),
+                                  "--out", str(tmp_path / "out")], env=_NO_REMOTE_ENV)
+    assert result.exit_code == 2
+    assert result.output.endswith("\nError: remote embedding needs --endpoint and --embed-model (or env)\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["r.jsonl"]
+
+
 def _describe_remote(runner, tmp_path, monkeypatch, reply):
     """`describe` of one image, imgX, against a chat endpoint that answers `reply`."""
     image = tmp_path / "page.png"

@@ -539,12 +539,13 @@ _SCANNING_KINDS = (QueryKind.VECTOR, QueryKind.HYBRID, QueryKind.RAG_HYBRID, Que
 
 
 def test_four_workers_hand_off_no_block_and_match_one_worker(monkeypatch, tmp_path):
-    # at one worker the rows run on this thread, at four on row threads; either way
-    # each row's scan is one call on the whole matrix, and the predictions match
+    # at one worker the rows run on this thread, at four on row threads; either way each row's scan is one gemv
+    # on the whole matrix and one exact rescore of a shortlist, and the predictions match
     dim, n = 16, 600
-    scans = []
-    row_dots = retrieval._row_dots
-    monkeypatch.setattr(retrieval, "_row_dots", lambda matrix, q: scans.append(len(matrix)) or row_dots(matrix, q))
+    scans, rescores = [], []
+    scan, row_dots = retrieval._scan, retrieval._row_dots
+    monkeypatch.setattr(retrieval, "_scan", lambda matrix, q: scans.append(len(matrix)) or scan(matrix, q))
+    monkeypatch.setattr(retrieval, "_row_dots", lambda matrix, q: rescores.append(len(matrix)) or row_dots(matrix, q))
     embedder = OfflineHashEmbedder(dim=dim)
     words = ["ark", "flood", "dove", "raven", "rainbow", "noah", "tower", "babel"]
     docs = {f"7{i}": f"{words[i % 8]} {words[i // 8 % 8]} {words[i // 64 % 8]} {i}" for i in range(n)}
@@ -567,10 +568,12 @@ def test_four_workers_hand_off_no_block_and_match_one_worker(monkeypatch, tmp_pa
     for kind in _SCANNING_KINDS:
         for workers in (1, 4):
             scans.clear()
+            rescores.clear()
             result = classify_batch(rows, MethodSpec(kind), context(), workers=workers)
             assert not result.errors, result.errors
             write_predictions_jsonl(result.predictions, tmp_path / f"{kind.value}-{workers}.jsonl")
             assert scans == [n] * len(rows), (kind, workers)
+            assert len(rescores) == len(rows) and max(rescores) < n, (kind, workers, rescores)
         assert (tmp_path / f"{kind.value}-4.jsonl").read_bytes() == (tmp_path / f"{kind.value}-1.jsonl").read_bytes()
     assert not [t.name for t in threading.enumerate() if t.name.startswith("iconclassify-scan")]
 

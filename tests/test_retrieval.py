@@ -730,18 +730,177 @@ def test_vector_search_and_vote_are_exact_at_1536d():
         ]
 
 
-def test_a_scan_is_exact_with_ties():
-    # an odd dim, and 20 distinct rows repeated 50 times each, so that distances tie and the id breaks each tie
+def _oracle_hits(vectors, query, ids, k):
+    """(id, similarity.hex()) of the k rows nearest by cosine_distance, ties by id: what vector_search returns."""
+    return [(i, (1.0 - d).hex()) for d, i in sorted(zip((cosine_distance(v, query) for v in vectors), ids))[:k]]
+
+
+def _oracle_votes(vectors, query, k):
+    """(row, best rank) of the k rows nearest by cosine_distance, ties by row: the vote table of one label a row."""
+    return [(row, rank) for rank, (_, row) in enumerate(sorted(
+        (cosine_distance(v, query), row) for row, v in enumerate(vectors))[:k], start=1)]
+
+
+def _hit_hexes(hits):
+    return [(h.code.raw, h.score.hex()) for h in hits]
+
+
+def _vote_rows(refs, query, k):
+    _, table = image_vote_classify(query, refs, k=k)
+    return [(int(e.code.raw[1:]), e.best_rank) for e in table]  # one label a row, "7<row>"
+
+
+@pytest.fixture()
+def scans(monkeypatch):
+    """The row counts of the matrices that the gemv scans, one per call: the one full pass of a query."""
+    return _counted(monkeypatch, "_scan")
+
+
+@pytest.fixture()
+def rescores(monkeypatch):
+    """The row counts of the matrices that np.vecdot scores exactly, one per call: a shortlist or a full _distances."""
+    return _counted(monkeypatch, "_row_dots")
+
+
+def _counted(monkeypatch, name):
+    counts = []
+    fn = getattr(retrieval, name)
+    monkeypatch.setattr(retrieval, name, lambda matrix, q: counts.append(len(matrix)) or fn(matrix, q))
+    return counts
+
+
+def test_a_scan_is_exact_with_ties(scans, rescores):
+    # an odd dim, and 20 distinct rows repeated 50 times each, so that distances tie and the id, or the reference
+    # row, breaks each tie; k cuts through the ties and past them
     dim, n = 7, 1000
     rng = np.random.default_rng(7)
     vectors = rng.standard_normal((20, dim))[rng.integers(0, 20, n)]
     ids = [f"7{i}" for i in range(n)]
     index = build_vector_index(zip(ids, vectors))
+    refs = ImageReferenceSet([[parse_code(doc_id)] for doc_id in ids], vectors)
     for q in rng.standard_normal((4, dim)):
         oracle = np.array([cosine_distance(vec, q) for vec in vectors])
         assert retrieval._distances(index, q).tobytes() == oracle.tobytes()
-        by_id = sorted(zip(oracle.tolist(), ids))[:60]
-        assert [(h.code.raw, h.score) for h in vector_search(index, q, 60)] == [(i, 1.0 - d) for d, i in by_id]
+        del scans[:], rescores[:]
+        for k in (1, 49, 50, 51, 60, 1000):
+            assert _hit_hexes(vector_search(index, q, k)) == _oracle_hits(vectors, q, ids, k)
+            assert _vote_rows(refs, q, k) == _oracle_votes(vectors, q, k)
+        assert scans == [n, n]  # one gemv for each matrix, the other rankings of q cut from the kept one
+        # every row tied with the nearest, about 50 of them, is rescored even at k = 1
+        assert len(rescores) == 12 and min(rescores) >= np.count_nonzero(oracle == oracle.min()) > 30
+
+
+def _gamma(dim: int) -> float:
+    u = 2.0 ** -53
+    return dim * u / (1 - dim * u)
+
+
+@pytest.mark.parametrize("dim", [7, 16, 512])
+def test_the_shortlist_is_exact_for_every_scan_within_the_bound(monkeypatch, dim):
+    # near-ties: a row b, copies of it with one entry moved by an ulp, and exact duplicates of those under other ids,
+    # so that the nearest costs tie or differ in their last bits. Any gemv may differ from np.vecdot by up to
+    # 2γ_d‖m‖‖q‖ (two summation orders, Higham 2002 §3.1). The adversary scan moves each dot by 0.99 of that, the
+    # rows the oracle ranks within k away from the query and the others towards it: the ranking must not change
+    rng = np.random.default_rng(dim)
+    b = rng.standard_normal(dim)
+    near = [b] + [b.copy() for _ in range(2 * dim)]
+    for i, row in enumerate(near[1:]):
+        row[i // 2] = np.nextafter(row[i // 2], math.inf if i % 2 else -math.inf)
+    vectors = np.array(near + near[::3] + list(rng.standard_normal((40, dim))))
+    vectors = vectors[rng.permutation(len(vectors))]
+    ids = [f"7{i}" for i in range(len(vectors))]
+    index = build_vector_index(zip(ids, vectors))
+    refs = ImageReferenceSet([[parse_code(doc_id)] for doc_id in ids], vectors)
+    query = b + 1e-3 * rng.standard_normal(dim)
+    exact = np.vecdot(vectors, query)
+    slack = 0.99 * 2 * _gamma(dim) * index.norms * float(vector_norms(query))
+    assert len({cosine_distance(v, query) for v in near}) < len(near)  # some near rows tie exactly
+    for k in (1, 2, 3, 5, 8, 13, 21, len(near)):
+        expected, votes = _oracle_hits(vectors, query, ids, k), _oracle_votes(vectors, query, k)
+        assert _hit_hexes(vector_search(index, query, k)) == expected
+        assert _vote_rows(refs, query, k) == votes
+        for within in ({ids.index(i) for i, _ in expected}, {row for row, _ in votes}):
+            away = np.array([row in within for row in range(len(vectors))])
+            monkeypatch.setattr(retrieval, "_scan", lambda matrix, q: np.where(away, exact - slack, exact + slack))
+            for memo in (index, refs.index):
+                memo._last = (None, None, None)
+            assert _hit_hexes(vector_search(index, query, k)) == expected
+            assert _vote_rows(refs, query, k) == votes
+            monkeypatch.undo()
+
+
+def _edge_row(rng, dim):
+    """A row whose squared norm is as near the float range's top as np.vecdot leaves finite, with its norm's
+    square finite too: its dot with itself may overflow when summed in another order."""
+    top = np.finfo(np.float64).max
+    row = rng.standard_normal(dim)
+    row *= math.sqrt(top * (1 - 1e-13)) / math.sqrt(np.vecdot(row, row))
+    while True:
+        up = row * (1 + 1e-15)
+        if not math.isfinite(math.sqrt(np.vecdot(up, up)) ** 2):
+            return row
+        row = up
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("gemv", ["as computed", math.inf, -math.inf, math.nan])
+def test_a_row_whose_scan_is_not_finite_is_still_rescored(monkeypatch, rescores, gemv):
+    # row 1 has a norm near 1.34e154 and is the query itself, so ‖m‖‖q‖ is near the float range's top and its gemv
+    # may overflow: with OpenBLAS 0.3.31's Haswell kernels at seed 29 it reads inf, where np.vecdot's is finite.
+    # Row 0 is it scaled by 2^-600, so its cost equals row 1's bit for bit and its smaller id or row ranks it first.
+    # Injected values stand for any BLAS: a row whose gemv is ±inf or NaN must still reach the shortlist and be
+    # rescored
+    rng = np.random.default_rng(29)
+    edge = _edge_row(rng, 7)
+    vectors = np.vstack([edge * 2.0 ** -600, edge, rng.standard_normal((30, 7))])
+    ids = [f"7{i}" for i in range(len(vectors))]
+    assert cosine_distance(vectors[0], edge).hex() == cosine_distance(edge, edge).hex()
+    index = build_vector_index(zip(ids, vectors))
+    refs = ImageReferenceSet([[parse_code(doc_id)] for doc_id in ids], vectors)
+    if gemv != "as computed":
+        scan = retrieval._scan
+        monkeypatch.setattr(retrieval, "_scan", lambda matrix, q: np.where(np.arange(len(matrix)) == 1, gemv,
+                                                                             scan(matrix, q)))
+    for k in (1, 2, 3, len(vectors)):
+        del rescores[:]
+        assert _hit_hexes(vector_search(index, edge, k)) == _oracle_hits(vectors, edge, ids, k)
+        assert _vote_rows(refs, edge, k) == _oracle_votes(vectors, edge, k)
+        assert min(rescores) >= 2  # rows 0 and 1 at every k
+
+
+def test_the_shortlist_rescores_few_rows(rescores):
+    # 2048 x 512 random rows: the bound is about 2γ_d = 1.1e-13 wide, far below the gaps between the nearest rows,
+    # so each ranking rescores k rows and a few more at most, never the whole matrix
+    rng = np.random.default_rng(2048)
+    vectors = rng.standard_normal((2048, 512))
+    ids = [f"7{i}" for i in range(len(vectors))]
+    index = build_vector_index(zip(ids, vectors))
+    refs = ImageReferenceSet([[parse_code(doc_id)] for doc_id in ids], vectors)
+    for query in rng.standard_normal((10, 512)):
+        assert _hit_hexes(vector_search(index, query, 5)) == _oracle_hits(vectors, query, ids, 5)
+        assert _vote_rows(refs, query, 5) == _oracle_votes(vectors, query, 5)
+    assert len(rescores) == 20 and max(rescores) <= 5 + 8
+
+
+@pytest.mark.parametrize("dim", [7, 16, 512])
+def test_a_rows_dot_is_the_same_in_a_copy_of_a_few_rows(dim):
+    # the rescore takes np.vecdot of a fancy-indexed copy; its rows start at other offsets than in the whole
+    # matrix (an odd dim leaves every other row off 16-byte alignment), and each value must still be the same
+    rng = np.random.default_rng(dim)
+    matrix = rng.standard_normal((257, dim))
+    query = rng.standard_normal(dim)
+    whole = retrieval._row_dots(matrix, query)
+    for rows in (np.arange(1, 257, 2), np.array([256, 3, 0, 5]), rng.permutation(257)[:17], np.array([1])):
+        assert retrieval._row_dots(matrix[rows], query).tobytes() == whole[rows].tobytes()
+    # a caller's Fortran-ordered or strided matrix is stored C-ordered, so its rows are scored as the same rows of
+    # a C-ordered matrix are, in the whole scan and in the shortlist alike
+    ids = [f"7{i}" for i in range(257)]
+    for layout in (np.asfortranarray(matrix), np.repeat(matrix, 2, axis=1)[:, ::2]):
+        index = retrieval.VectorIndex(ids, layout)
+        assert index.matrix.flags.c_contiguous and index.matrix.dtype == np.float64
+        assert retrieval._row_dots(index.matrix, query).tobytes() == whole.tobytes()
+        for k in (1, 5, 257):
+            assert _hit_hexes(vector_search(index, query, k)) == _oracle_hits(matrix, query, ids, k)
 
 
 def test_a_main_thread_scan_starts_no_thread():
@@ -756,19 +915,10 @@ def test_a_main_thread_scan_starts_no_thread():
     assert not [t.name for t in threading.enumerate() if t.name.startswith("iconclassify-scan")]
 
 
-@pytest.fixture()
-def scans(monkeypatch):
-    """The row counts of the matrices that np.vecdot scans, one per call."""
-    counts = []
-    row_dots = retrieval._row_dots
-    monkeypatch.setattr(retrieval, "_row_dots", lambda matrix, q: counts.append(len(matrix)) or row_dots(matrix, q))
-    return counts
-
-
-def _scan_200_rows() -> np.ndarray:
+def _search_200_rows() -> list[tuple[str, str]]:
     rng = np.random.default_rng(5)
     index = build_vector_index((f"7{i}", vec) for i, vec in enumerate(rng.standard_normal((200, 7))))
-    return retrieval._distances(index, rng.standard_normal(7))
+    return _hit_hexes(vector_search(index, rng.standard_normal(7), 200))
 
 
 def _on_another_thread(fn):
@@ -783,26 +933,30 @@ def _on_another_thread(fn):
 
 def test_a_scan_on_another_thread_hands_off_nothing(scans):
     # each scan is one call on the whole matrix, on the thread that asks for it
-    assert _on_another_thread(_scan_200_rows).tobytes() == _scan_200_rows().tobytes()
+    assert _on_another_thread(_search_200_rows) == _search_200_rows()
     assert scans == [200, 200]
     assert not [t.name for t in threading.enumerate() if t.name.startswith("iconclassify-scan")]
 
 
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
-def test_a_forked_child_scans_in_blocks_too(scans):
-    # the child scans as its parent does, the whole matrix in one block, and gets the same bytes
+def test_a_forked_child_scans_in_blocks_too(scans, rescores):
+    # 2048 x 16 is past OpenBLAS's threading threshold for a gemv, so the parent's scan runs on BLAS threads
+    # before the fork; the child scans on the same path, one gemv and one rescore a ranking, and gets the same hits
     rng = np.random.default_rng(11)
-    rows = [(f"7{i}", vec) for i, vec in enumerate(rng.standard_normal((200, 7)))]
+    vectors = rng.standard_normal((2048, 16))
+    rows = [(f"7{i}", vec) for i, vec in enumerate(vectors)]
     index, twin = build_vector_index(rows), build_vector_index(rows)
-    query = rng.standard_normal(7)
+    query = rng.standard_normal(16)
     # leaves `index` with no scan the child could reuse
-    want = retrieval._distances(twin, query).tobytes()
+    want = [_hit_hexes(vector_search(twin, query, k)) for k in (5, 2048)]
+    assert want == [_oracle_hits(vectors, query, [doc_id for doc_id, _ in rows], k) for k in (5, 2048)]
+    assert scans == [2048] and len(rescores) == 2
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
-            got = retrieval._distances(index, query).tobytes()
-            code = 0 if got == want and scans == [200, 200] else 2
+            got = [_hit_hexes(vector_search(index, query, k)) for k in (5, 2048)]
+            code = 0 if got == want and scans == [2048, 2048] and len(rescores) == 4 else 2
         finally:
             os._exit(code)
     for _ in range(300):  # 30 s
@@ -815,35 +969,41 @@ def test_a_forked_child_scans_in_blocks_too(scans):
         os.waitpid(pid, 0)
         pytest.fail("the forked child's scan did not finish in 30 s")
     assert os.waitstatus_to_exitcode(status) == 0
-    assert scans == [200]  # the child's scan was the child's own
+    assert scans == [2048] and len(rescores) == 2  # the child's scan was the child's own
 
 
-def test_a_hybrid_after_a_vector_search_of_its_query_scans_nothing(scans):
+def test_a_hybrid_after_a_vector_search_of_its_query_scans_nothing(scans, rescores):
     rng = np.random.default_rng(13)
     rows = [(f"7{i}", vec) for i, vec in enumerate(rng.standard_normal((200, 7)))]
     kw = build_keyword_index((doc_id, "ark flood" if i % 2 else "ark") for i, (doc_id, _) in enumerate(rows))
     vec, twin = build_vector_index(rows), build_vector_index(rows)
     query, other = rng.standard_normal((2, 7))
     vector_search(vec, query, 5)
-    assert scans == [200]
+    assert scans == [200] and len(rescores) == 1
     hits = hybrid_search(kw, vec, "flood", query, k=5)
     assert scans == [200]  # the vector search's scan, kept by the index
+    assert len(rescores) == 2  # the pool's own shortlist, cut from it
     assert hits == hybrid_search(kw, twin, "flood", query, k=5)
     assert scans == [200, 200]  # another index scans
     hybrid_search(kw, vec, "flood", other, k=5)
     assert scans == [200, 200, 200]  # and so does another query
+    assert len(rescores) == 4
 
 
-def test_a_repeat_query_gets_the_read_only_array_of_the_first():
+def test_a_repeat_query_gets_the_read_only_array_of_the_first(scans):
     rng = np.random.default_rng(17)
     kw = build_keyword_index(SCAN_DOCS)
     vec = build_vector_index((doc_id, v) for (doc_id, _), v in zip(SCAN_DOCS, rng.standard_normal((6, 3))))
     query = rng.standard_normal(3)
+    vector_search(vec, query, 2)
+    first_lo, first_hi = vec._last[1:]
+    vector_search(vec, query.tolist(), 4)
     for first, again in ((retrieval._keyword_scores(kw, "the ark"), retrieval._keyword_scores(kw, "the ark")),
-                         (retrieval._distances(vec, query), retrieval._distances(vec, query.tolist()))):
+                         (first_lo, vec._last[1]), (first_hi, vec._last[2])):
         assert again is first and not first.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             first[0] = 0.0
+    assert scans == [6]  # the list form of the query is the same bytes, so the kept bounds serve it
 
 
 def test_k_cutting_through_a_tie_keeps_the_smallest_ids():
@@ -886,7 +1046,7 @@ def test_searches_reject_k_below_one():
             keyword_search(kw, "ark", k)
         with pytest.raises(ValueError):
             vector_search(vec, [1.0, 0.0], k)
-        with pytest.raises(ValueError, match="^k must be >= 1"):  # _top checks k for every ranking
+        with pytest.raises(ValueError, match="^k must be >= 1"):  # _kth checks k for every ranking
             hybrid_search(kw, vec, "ark", [1.0, 0.0], k=k)
         with pytest.raises(ValueError):
             hybrid_search(kw, vec, "ark", [1.0, 0.0], pool=k)
