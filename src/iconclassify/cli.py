@@ -82,6 +82,10 @@ def _parse_prefix_filter(text: Optional[str]) -> Optional[tuple[str, ...]]:
     if not cleaned:
         raise click.BadParameter("name at least one top-level category, or 'all'",
                                  param_hint="'--prefix-filter'")
+    for part in cleaned:
+        if not (len(part) == 1 and "0" <= part <= "9"):  # a code's top level is its first digit
+            raise click.BadParameter(f"{part!r} is not a top-level category, one digit 0-9",
+                                     param_hint="'--prefix-filter'")
     return cleaned
 
 

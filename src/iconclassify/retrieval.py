@@ -16,6 +16,7 @@ import json
 import math
 import os
 import re
+import threading
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -336,11 +337,17 @@ def _distances(index: VectorIndex, query: Sequence[float]) -> np.ndarray:
     return 1.0 - _row_dots(index.matrix, q) / (index.norms * qnorm)
 
 
+# one gemv at a time: each already runs on the BLAS's own threads, and the gemvs of rows scanned side by side
+# (classify --workers N) would contend for that one pool
+_SCAN_LOCK = threading.Lock()
+
+
 def _scan(matrix: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The one pass over every row that a query vector makes: matrix @ q, a
     BLAS gemv, threaded as the BLAS sees fit, whose sums run in another order
     than np.vecdot's."""
-    return matrix @ q
+    with _SCAN_LOCK:
+        return matrix @ q
 
 
 def _row_dots(matrix: np.ndarray, q: np.ndarray) -> np.ndarray:

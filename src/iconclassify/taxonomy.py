@@ -51,53 +51,31 @@ class IconclassCode:
         return self.raw
 
 
-def parse_code(text: str) -> IconclassCode:
-    """Parse a notation string into its per-level segments.
+# One level: a digit or capital, a named qualifier such as "(PAUL)", or a key such as "(+34)" whose digits each add
+# a level. The alternatives start apart or split on the lookahead, so at most one fits at any offset, and a
+# notation's match ends where the grammar stops.
+_LEVEL = re.compile(r"[0-9A-Z]|\((?!\+)[^()]+\)|\(\+[0-9]+\)")
+_NOTATION = re.compile(rf"[0-9](?:{_LEVEL.pattern})*")
 
-    Raises MalformedCodeError for empty input, a first character other than
-    0-9, lowercase, whitespace or a non-ASCII character outside parentheses,
-    unbalanced or empty parentheses, or a "(+…)" key that is not ASCII digits.
+
+def parse_code(text: str) -> IconclassCode:
+    """Parse a notation string, stripped of surrounding whitespace, into its per-level segments.
+
+    Raises MalformedCodeError, naming the notation and the offset where _NOTATION stops, for anything it does not
+    match in full.
     """
     raw = text.strip()
-    if not raw:
-        raise MalformedCodeError("empty code")
-    if not "0" <= raw[0] <= "9":
-        raise MalformedCodeError(f"{raw!r}: codes start with a digit")
-
+    stop = match.end() if (match := _NOTATION.match(raw)) else 0
+    if match is None or stop < len(raw):
+        raise MalformedCodeError(f"{raw!r}: not an Iconclass notation from offset {stop}")
     segments: list[str] = []
     prefix = ""
-    i = 0
-    while i < len(raw):
-        ch = raw[i]
-        if ch == "(":
-            end = raw.find(")", i + 1)
-            if end < 0:
-                raise MalformedCodeError(f"{raw!r}: unbalanced parenthesis")
-            inner = raw[i + 1 : end]
-            if "(" in inner:
-                raise MalformedCodeError(f"{raw!r}: nested parenthesis")
-            if inner.startswith("+"):
-                key = inner[1:]
-                if not (key.isascii() and key.isdigit()):  # "" is not a digit; "３" is, but not ASCII
-                    raise MalformedCodeError(f"{raw!r}: key qualifier {key!r} is not a run of digits 0-9")
-                # a key adds one level per character after the "+"
-                for j in range(1, len(key) + 1):
-                    segments.append(f"{prefix}(+{key[:j]})")
-            elif inner:
-                segments.append(f"{prefix}({inner})")
-            else:
-                raise MalformedCodeError(f"{raw!r}: empty qualifier")
-            prefix = segments[-1]
-            i = end + 1
-        elif ch == ")":
-            raise MalformedCodeError(f"{raw!r}: unbalanced parenthesis")
-        elif "0" <= ch <= "9" or "A" <= ch <= "Z":
-            segments.append(prefix + ch)
-            prefix = segments[-1]
-            i += 1
+    for level in _LEVEL.findall(raw):
+        if level[:2] == "(+":  # "(+34)" gives "(+3)" and "(+34)"
+            segments += [f"{prefix}{level[:j]})" for j in range(3, len(level))]
         else:
-            raise MalformedCodeError(f"{raw!r}: invalid character {ch!r}")
-
+            segments.append(prefix + level)
+        prefix += level
     return IconclassCode(raw=raw, segments=tuple(segments))
 
 

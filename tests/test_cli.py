@@ -126,7 +126,18 @@ def test_taxonomy_build_reports_orphan_branches(runner, tmp_path):
     assert earlier.read_bytes() == b'{"code": "7"}\n'
 
 
-@pytest.mark.parametrize("value", ["", ",", " , "])
+# each --prefix-filter that keeps no code, and why: a code's top level is one digit, so no other category matches
+_EMPTY_PREFIX_FILTERS = {
+    "": "name at least one top-level category, or 'all'",
+    ",": "name at least one top-level category, or 'all'",
+    " , ": "name at least one top-level category, or 'all'",
+    "73": "'73' is not a top-level category, one digit 0-9",
+    "a": "'a' is not a top-level category, one digit 0-9",
+    "7,7a": "'7a' is not a top-level category, one digit 0-9",
+}
+
+
+@pytest.mark.parametrize("value", list(_EMPTY_PREFIX_FILTERS))
 def test_taxonomy_build_rejects_an_empty_prefix_filter(runner, tmp_path, value):
     result = runner.invoke(main, [
         "taxonomy", "build",
@@ -135,7 +146,7 @@ def test_taxonomy_build_rejects_an_empty_prefix_filter(runner, tmp_path, value):
         "--out", str(tmp_path / "o.jsonl"),
     ])
     assert result.exit_code == 2
-    assert "--prefix-filter" in result.output
+    assert f"Invalid value for '--prefix-filter': {_EMPTY_PREFIX_FILTERS[value]}" in result.output
     assert not (tmp_path / "o.jsonl").exists()
 
 
@@ -1302,13 +1313,13 @@ def _rendered_taxonomy_with_a_number_for_a_code(workspace, tmp_path):
 
 def _rendered_taxonomy_with_a_code_that_does_not_parse(workspace, tmp_path):
     return _index_build_over_an_edited_line_2(workspace, tmp_path, code="7 1"), \
-        ["rendered.jsonl", "line 2", "'7 1': invalid character ' '"]
+        ["rendered.jsonl", "line 2", "'7 1': not an Iconclass notation from offset 1"]
 
 
 def _rendered_taxonomy_with_a_code_that_does_not_parse_read_by_the_image_method(workspace, tmp_path):
     args = _image_args(workspace, tmp_path, (FIXTURES / "refs.jsonl").read_text())
     args[args.index("--taxonomy") + 1] = str(_edited_line_2(workspace, tmp_path, code="7 1"))
-    return args, ["rendered.jsonl", "line 2", "'7 1': invalid character ' '"]
+    return args, ["rendered.jsonl", "line 2", "'7 1': not an Iconclass notation from offset 1"]
 
 
 def _rendered_taxonomy_with_a_code_that_does_not_parse_read_by_a_rag_method(workspace, tmp_path):
@@ -1356,7 +1367,8 @@ def _raw_taxonomy_args(tmp_path, text):
 
 
 def _raw_taxonomy_with_a_bad_code(workspace, tmp_path):
-    return _raw_taxonomy_args(tmp_path, "7\tBible\n7x\tbad\n"), ["line 2: ", "raw.tsv: '7x': invalid character"]
+    return _raw_taxonomy_args(tmp_path, "7\tBible\n7x\tbad\n"), \
+        ["line 2: ", "raw.tsv: '7x': not an Iconclass notation from offset 1"]
 
 
 def _raw_taxonomy_json_without_txt(workspace, tmp_path):
@@ -1411,7 +1423,7 @@ def _predictions_with_a_bad_code(workspace, tmp_path):
     preds = tmp_path / "preds.csv"
     preds.write_text("image_id,predicted_code,ground_truth_code\nimgA,73D231,73D231\nimgB,7x,73D231\n")
     return ["evaluate", "--predictions", str(preds), "--out", str(tmp_path / "r")], \
-        ["line 3: ", "preds.csv: imgB: '7x': invalid character 'x'"]
+        ["line 3: ", "preds.csv: imgB: '7x': not an Iconclass notation from offset 1"]
 
 
 def _predictions_with_a_repeated_image_id(workspace, tmp_path):
@@ -1784,7 +1796,7 @@ def test_readme_python_examples_run(monkeypatch, capsys):
     parse, vote, report, query = blocks
     failures, tried = doctest.DocTestRunner().run(doctest.DocTestParser().get_doctest(parse, {}, "README", None, 0),
                                                   out=print)
-    assert (failures, tried) == (0, 2), capsys.readouterr().out
+    assert (failures, tried) == (0, 4), capsys.readouterr().out
     monkeypatch.chdir(root)  # the examples read the fixtures by their paths from the repo root
     capsys.readouterr()
     exec(vote, {})

@@ -938,6 +938,24 @@ def test_a_scan_on_another_thread_hands_off_nothing(scans):
     assert not [t.name for t in threading.enumerate() if t.name.startswith("iconclassify-scan")]
 
 
+def test_a_scan_waits_for_another_threads_scan(scans):
+    # the gemvs of rows scanned side by side would contend for the BLAS's one thread pool, so they take turns
+    want = _search_200_rows()
+    scans.clear()
+    out = []
+    with retrieval._SCAN_LOCK:  # as another thread's scan holds it
+        thread = threading.Thread(target=lambda: out.append(_search_200_rows()))
+        thread.start()
+        for _ in range(300):  # 30 s for the thread to reach its scan
+            if scans:
+                break
+            time.sleep(0.1)
+        thread.join(timeout=0.2)
+        assert scans == [200] and thread.is_alive() and not out
+    thread.join(timeout=30)
+    assert not thread.is_alive() and out == [want]
+
+
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
 def test_a_forked_child_scans_in_blocks_too(scans, rescores):
     # 2048 x 16 is past OpenBLAS's threading threshold for a gemv, so the parent's scan runs on BLAS threads

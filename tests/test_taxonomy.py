@@ -1,6 +1,5 @@
 import logging
 import random
-import re
 
 import pytest
 
@@ -66,32 +65,53 @@ def test_parse_single_level():
     assert parse_code("7").segments == ("7",)
 
 
-@pytest.mark.parametrize("bad", [
-    "",
-    "   ",
-    "D73",          # must start with a digit
-    "73d2",         # lowercase outside parentheses
-    "73 D2",        # embedded whitespace
-    "73D2()",       # empty qualifier
-    "73D2(+)",      # empty key
-    "73D2(",        # unbalanced open
-    "73D2)",        # unbalanced close
-    "73D2(A(B))",   # nested parenthesis
-    "73-D2",        # punctuation outside parentheses
-    "7\u00b2",       # a superscript two is a Unicode digit, not 0-9
-    "\u06631",       # so is an Arabic-Indic three
-    "73D\uff12",     # and a full-width two
-])
+@pytest.mark.parametrize("raw, segments", [
+    ("7(+0)", ("7", "7(+0)")),
+    ("7(+3)1", ("7", "7(+3)", "7(+3)1")),
+    ("11H(A+B)", ("1", "11", "11H", "11H(A+B)")),  # a "+" past the first character is a name's
+    ("11H(JESUS CHRIST)(+34)", ("1", "11", "11H", "11H(JESUS CHRIST)", "11H(JESUS CHRIST)(+3)",
+                                "11H(JESUS CHRIST)(+34)")),
+    ("7(A\nB)", ("7", "7(A\nB)")),  # a qualifier holds any character but a parenthesis
+], ids=["key_of_zero", "level_after_a_key", "plus_inside_a_name", "name_then_key", "newline_in_a_name"])
+def test_parse_edge_notations(raw, segments):
+    code = parse_code(raw)
+    assert code.raw == raw and code.segments == segments
+
+
+# each malformed notation, and the offset where the notation grammar stops on it
+_MALFORMED = {
+    "": 0,
+    "   ": 0,              # stripped to ""
+    "D73": 0,              # must start with a digit
+    "73d2": 2,             # lowercase outside parentheses
+    "73 D2": 2,            # embedded whitespace
+    "73D2()": 4,           # empty qualifier
+    "73D2(+)": 4,          # empty key
+    "73D2(": 4,            # unbalanced open
+    "73D2)": 4,            # unbalanced close
+    "73D2(A(B))": 4,       # nested parenthesis
+    "73-D2": 2,            # punctuation outside parentheses
+    "7\u00b2": 1,          # a superscript two is a Unicode digit, not 0-9
+    "\u06631": 0,          # so is an Arabic-Indic three
+    "73D\uff12": 3,        # and a full-width two
+    "73D2(+3)(A": 8,       # the match stops after the last whole level
+}
+
+
+@pytest.mark.parametrize("bad", list(_MALFORMED))
 def test_parse_rejects_malformed(bad):
-    with pytest.raises(MalformedCodeError):
+    with pytest.raises(MalformedCodeError) as info:
         parse_code(bad)
+    assert str(info.value) == f"{bad.strip()!r}: not an Iconclass notation from offset {_MALFORMED[bad]}"
 
 
 @pytest.mark.parametrize("key", [" 3", "3 ", "\uff13", "\u00b2", "1a", "-1"])
 def test_parse_rejects_a_key_qualifier_that_is_not_ascii_digits(key):
     # each would otherwise parse into key levels of its own, such as "73D2(+ )"
-    with pytest.raises(MalformedCodeError, match=re.escape(repr(key))):
-        parse_code(f"73D2(+{key})")
+    code = f"73D2(+{key})"
+    with pytest.raises(MalformedCodeError) as info:
+        parse_code(code)
+    assert str(info.value) == f"{code!r}: not an Iconclass notation from offset 4"
 
 
 def test_every_segment_reparses_to_its_own_ladder():
@@ -255,7 +275,7 @@ def test_load_from_file(fixtures_dir):
 
 
 @pytest.mark.parametrize("line, reason", [
-    ("7x\tbad", "'7x': invalid character 'x'"),
+    ("7x\tbad", "'7x': not an Iconclass notation from offset 1"),
     ('{"code": "71"}', "JSON record needs 'code' and 'txt' fields"),
     ('{"code": "71", "txt": null}', "JSON record's 'txt' must be a string"),
     ('{"code": 71, "txt": "Old Testament"}', "JSON record's 'code' must be a string"),
